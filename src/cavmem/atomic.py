@@ -480,7 +480,10 @@ def group_two_photon_lines(lines: list[TwoPhotonLine],
     out = []
     for paths in grouped.values():
         pos = paths[0].total_detuning_ghz
-        assert all(abs(p.total_detuning_ghz - pos) < tol_ghz for p in paths)
+        if any(abs(p.total_detuning_ghz - pos) >= tol_ghz for p in paths):
+            raise StructuralError(
+                f"paths to one (ground, upper) pair disagree on the line "
+                f"position by more than {tol_ghz} GHz")
         total = sum(p.strength for p in paths)
         best = max(paths, key=lambda p: p.strength)
         out.append((pos, total, best))

@@ -16,7 +16,6 @@ which pins its normalization through the lossless energy identity
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -205,7 +204,3 @@ def summary_dict(params: CavityParams) -> dict:
         "insertion_loss": loss,
         "insertion_loss_db": 10.0 * math.log10(max(1.0 - loss, 1e-300)),
     }
-
-
-def summary_json(params: CavityParams) -> str:
-    return json.dumps(summary_dict(params), indent=2)

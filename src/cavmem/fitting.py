@@ -89,6 +89,9 @@ def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
     theta = np.asarray(initial, dtype=float).copy()
     if len(x) <= len(theta):
         raise DomainError("need more data points than parameters")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+            and np.all(np.isfinite(theta))):
+        raise DomainError("data and initial parameters must be finite")
     if bounds is not None:
         lo, hi = (np.asarray(b, dtype=float) for b in bounds)
         if np.any(theta < lo) or np.any(theta > hi):
@@ -135,6 +138,9 @@ def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
             converged = True  # no downhill direction left at damping limit
             break
 
+    if not math.isfinite(cost):
+        flags.append("non_finite_cost")
+        converged = False
     dof = max(len(x) - len(theta), 1)
     jac = _numeric_jacobian(model, x, theta, bounds)
     jtj = jac.T @ jac

@@ -21,7 +21,22 @@ depth that the cooperativity is anchored to.
 Slow spin-wave dephasing (inhomogeneous broadening and the two-line beat) is
 applied to S as a multiplicative analytic kernel at the storage midpoint
 rather than through velocity ensembles, reproducing the damped oscillatory
-decay law exactly.
+decay law exactly.  The excitation the kernel removes is booked as its own
+loss channel, so the photon bookkeeping closes.
+
+The efficiency (1 - zeta) C_ret / C_ref needs the control-off reference
+counts C_ref.  With the control off S decouples and (a, P) is a linear
+time-invariant filter, so C_ref has a closed form: the Gaussian input
+spectrum weighted by |r(w)|^2, whose two poles integrate to Faddeeva
+functions.  Only the control-on run is integrated; `store` gets its
+reference flux from a control-off lane in the same batch.
+
+The RK4 loop evaluates the drives a_in(t) and W(t) once per half step, in
+chunks of steps, and reuses them across the stages that share a time; it
+books the fluxes and counts per chunk.  The grid points are t_k = k dt for
+every batch, and each lane rests exactly at zero before its own window and
+stops counting after it, so a lane's results do not depend on the other
+lanes of its batch.
 
 All simulations are pure functions of (config, pulses, drift); scans evaluate
 their points as one vectorized batch, so results cannot depend on evaluation
@@ -41,7 +56,8 @@ from .errors import DomainError, NumericalError
 
 __all__ = [
     "PulseShape", "MemoryConfig", "SimulationResult",
-    "simulate_storage_retrieval", "simulate_batch", "total_efficiency",
+    "simulate_storage_retrieval", "simulate_batch", "batch_efficiency",
+    "pulses_overlap", "total_efficiency",
     "lifetime_model", "one_over_e_lifetime_ns", "lifetime_scan",
     "oscillation_suppression", "snr_db", "bandwidth_scan", "energy_scan",
     "mean_photon_from_counts",
@@ -171,20 +187,63 @@ class SimulationResult:
 
 # ------------------------------------------------------------ integrator
 
+# lane-steps whose drives and fluxes are evaluated together: 64 steps of a
+# narrow batch, fewer for wide ones so that memory stays bounded
+_CHUNK_LANE_STEPS = 4096
+
+
 def _gauss_flux(t, center, fwhm, n):
     sigma = fwhm / (2 * math.sqrt(2 * _LN2))
     return n * np.exp(-((t - center) ** 2) / (2 * sigma ** 2)) \
         / (sigma * math.sqrt(TWO_PI))
 
 
-def _integrate_batch(par: dict, t0: float, t1: float, dt: float) -> dict:
+def _lane_steps(par: dict, dt: float):
+    """Grid indices (t_k = k dt) of each lane's start, storage midpoint and end."""
+    return (np.floor(par["t_start"] / dt).astype(int),
+            np.ceil(par["t_mid"] / dt).astype(int),
+            np.ceil(par["t_end"] / dt).astype(int))
+
+
+def _lanes_by_step(steps) -> dict:
+    """Map each grid index to the lanes that have an event there."""
+    out: dict[int, list] = {}
+    for lane, k in enumerate(steps.tolist()):
+        out.setdefault(k, []).append(lane)
+    return out
+
+
+def _drives(par: dict, half_steps, k_start, dt: float):
+    """Input amplitude a_in and control Rabi frequency W on half-step points.
+
+    `half_steps` counts half steps from t = 0.  A lane's drives are zero up
+    to and including its own start, so it rests exactly at zero until then
+    however early the rest of its batch starts.
+    """
+    t = (0.5 * half_steps)[:, None] * dt
+    a_in = np.sqrt(_gauss_flux(t, par["sig_c"], par["sig_f"], par["sig_n"])) \
+        * np.exp(1j * par["sig_phase"])
+    om = par["omega_w"] * np.exp(-2 * _LN2 * ((t - par["w_c"]) / par["w_f"]) ** 2) \
+        + par["omega_r"] * np.exp(-2 * _LN2 * ((t - par["r_c"]) / par["r_f"]) ** 2
+                                  - 1j * par["chirp_r"] * (t - par["r_c"]))
+    live = half_steps[:, None] > 2 * k_start
+    return np.where(live, a_in, 0.0), np.where(live, om, 0.0)
+
+
+def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
+                     keep_flux: bool = False) -> dict:
     """Vectorized RK4 for a batch of simulations sharing one time grid.
 
-    `par` holds per-individual parameter arrays (see simulate_batch).  Returns
-    integrated counts and loss channels per individual, plus output flux.
+    `par` holds per-individual parameter arrays (see simulate_batch).  The
+    grid points are t_k = k dt and [t0, t1] must lie on them.  Each lane
+    integrates from rest at its own start and accumulates its counts up to
+    its own end, so its results do not depend on the other lanes of the
+    batch.  Returns integrated counts and loss channels per individual, plus
+    the output flux on the grid when `keep_flux` is set.
     """
     n_steps = int(math.ceil((t1 - t0) / dt))
-    ts = t0 + dt * np.arange(n_steps + 1)
+    k0 = int(round(t0 / dt))
+    ts = dt * np.arange(k0, k0 + n_steps + 1)
     b = len(par["kappa"])
 
     # explicit RK4 stability guard against the fast polariton branch
@@ -197,105 +256,129 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float) -> dict:
             f"time step {dt} ns too large for the fastest mode "
             f"({lam_max:.1f} rad/ns); reduce dt below {2.5 / lam_max:.4f} ns")
 
-    kappa = par["kappa"]
-    kappa_ext = par["kappa_ext"]
-    sqrt_kext = np.sqrt(kappa_ext)
-    dc = par["delta_c"]
-    g = par["g"]
-    gam_p = par["gamma_p"]
-    dp = par["delta_p"]
-    gam_s = par["gamma_s"]
-    d2 = par["delta_2"]
-
-    sig_n = par["sig_n"]
-    sig_c = par["sig_c"]
-    sig_f = par["sig_f"]
-    sig_ph = np.exp(1j * par["sig_phase"])
-    om_w = par["omega_w"]            # complex peak amplitudes
-    w_c, w_f = par["w_c"], par["w_f"]
-    om_r = par["omega_r"]
-    r_c, r_f = par["r_c"], par["r_f"]
-    chirp_r = par["chirp_r"]         # rad/ns offset of the read carrier
-
-    t_kernel = par["t_kernel"]
+    sqrt_kext = np.sqrt(par["kappa_ext"])
+    # y = (a, P, S): dy/dt = diag * y + coupling to the neighbour + drive
+    diag = np.stack([-(par["kappa"] / 2 + 1j * par["delta_c"]),
+                     -(par["gamma_p"] / 2 + 1j * par["delta_p"]),
+                     -(par["gamma_s"] / 2 + 1j * par["delta_2"])])
+    ig = 1j * par["g"]
+    # loss rates of (a, P, S): internal cavity loss, polarization, spin
+    loss_rates = np.stack([par["kappa"] - par["kappa_ext"], par["gamma_p"],
+                           par["gamma_s"]])
     kernel = par["kernel"]
-    t_mid = par["t_mid"]
+    k_start, k_mid, k_end = _lane_steps(par, dt)
+    kernel_at, end_at = _lanes_by_step(k_mid), _lanes_by_step(k_end)
 
-    ca = -(kappa / 2 + 1j * dc)
-    cp = -(gam_p / 2 + 1j * dp)
-    cs = -(gam_s / 2 + 1j * d2)
+    def deriv(y, up, down, force):
+        d = diag * y
+        d[:2] += up * y[1:]
+        d[1:] += down * y[:2]
+        d[0] += force
+        return d
 
-    def a_in(t):
-        return np.sqrt(_gauss_flux(t, sig_c, sig_f, sig_n)) * sig_ph
+    y = np.zeros((3, b), dtype=complex)
+    # leak, retrieved, input, cavity-internal, polarization and spin counts
+    counts = np.zeros((6, b))
+    dephasing = np.zeros(b)
+    residual = np.zeros(b)
+    # every lane rests at the first grid point
+    out_flux = np.zeros((n_steps + 1, b)) if keep_flux else None
+    # flux channels at the last grid point: output, input, cavity, P, S
+    f_prev = np.zeros((5, b))
+    half, sixth = 0.5 * dt, dt / 6
 
-    def omega(t):
-        w = om_w * np.exp(-2 * _LN2 * ((t - w_c) / w_f) ** 2)
-        r = om_r * np.exp(-2 * _LN2 * ((t - r_c) / r_f) ** 2
-                          - 1j * chirp_r * (t - r_c))
-        return w + r
+    chunk = max(4, min(64, _CHUNK_LANE_STEPS // b))
+    for i0 in range(0, n_steps, chunk):
+        m = min(chunk, n_steps - i0)
+        a_in, om = _drives(par, np.arange(2 * (k0 + i0), 2 * (k0 + i0 + m) + 1),
+                           k_start, dt)
+        up = np.empty((2 * m + 1, 2, b), dtype=complex)
+        up[:, 0] = ig
+        up[:, 1] = 0.5j * om
+        down = np.empty_like(up)
+        down[:, 0] = ig
+        down[:, 1] = 0.5j * np.conj(om)
+        ups, downs, forces = list(up), list(down), list(sqrt_kext * a_in)
+        states = np.empty((m, 3, b), dtype=complex)
+        for r in range(m):
+            e, o = 2 * r, 2 * r + 1
+            k1 = deriv(y, ups[e], downs[e], forces[e])
+            k2 = deriv(y + half * k1, ups[o], downs[o], forces[o])
+            k3 = deriv(y + half * k2, ups[o], downs[o], forces[o])
+            k4 = deriv(y + dt * k3, ups[e + 2], downs[e + 2], forces[e + 2])
+            y = y + sixth * (k1 + 2 * (k2 + k3) + k4)
+            k_new = k0 + i0 + r + 1
+            lanes = kernel_at.get(k_new)
+            if lanes is not None:
+                s = y[2, lanes]
+                dephasing[lanes] = np.abs(s) ** 2 * (1 - np.abs(kernel[lanes]) ** 2)
+                y[2, lanes] = s * kernel[lanes]
+            lanes = end_at.get(k_new)
+            if lanes is not None:
+                residual[lanes] = (np.abs(y[0, lanes]) ** 2 + np.abs(y[1, lanes]) ** 2
+                                   + np.abs(y[2, lanes]) ** 2)
+            states[r] = y
 
-    def deriv(t, a, p, s):
-        om = omega(t)
-        ain = a_in(t)
-        da = ca * a + 1j * g * p + sqrt_kext * ain
-        dp_ = cp * p + 1j * g * a + 0.5j * om * s
-        ds = cs * s + 0.5j * np.conj(om) * p
-        return da, dp_, ds
+        # fluxes at the chunk's grid points, then trapezoids per step
+        ain = a_in[2::2]
+        flux = np.empty((m, 5, b))
+        flux[:, 0] = np.abs(sqrt_kext * states[:, 0] - ain) ** 2
+        flux[:, 1] = np.abs(ain) ** 2
+        flux[:, 2:] = loss_rates * np.abs(states) ** 2
+        if keep_flux:
+            out_flux[i0 + 1:i0 + m + 1] = flux[:, 0]
+        trap = half * (np.concatenate([f_prev[None], flux[:-1]]) + flux)
+        f_prev = flux[-1]
+        k_grid = (k0 + i0 + 1 + np.arange(m))[:, None]
+        live = k_grid <= k_end
+        before = k_grid <= k_mid
+        steps = np.empty((m + 1, 6, b))
+        steps[0] = counts
+        steps[1:, 0] = trap[:, 0] * (live & before)
+        steps[1:, 1] = trap[:, 0] * (live & ~before)
+        steps[1:, 2:] = trap[:, 1:] * live[:, None]
+        # a running sum in step order, so each lane adds its own terms in
+        # the same sequence whatever batch it is part of
+        counts = np.add.accumulate(steps, axis=0)[-1]
 
-    a = np.zeros(b, dtype=complex)
-    p = np.zeros(b, dtype=complex)
-    s = np.zeros(b, dtype=complex)
-
-    leak = np.zeros(b)
-    retrieved = np.zeros(b)
-    loss_pol = np.zeros(b)
-    loss_spin = np.zeros(b)
-    loss_cav = np.zeros(b)
-    n_in = np.zeros(b)
-    out_flux = np.empty((n_steps + 1, b))
-    kernel_done = np.zeros(b, dtype=bool)
-
-    def flux_terms(t, a, p, s):
-        ain = a_in(t)
-        aout = sqrt_kext * a - ain
-        fo = np.abs(aout) ** 2
-        return (fo, np.abs(ain) ** 2, gam_p * np.abs(p) ** 2,
-                gam_s * np.abs(s) ** 2, (kappa - kappa_ext) * np.abs(a) ** 2)
-
-    f_prev = flux_terms(ts[0], a, p, s)
-    out_flux[0] = f_prev[0]
-    for i in range(n_steps):
-        t = ts[i]
-        k1 = deriv(t, a, p, s)
-        k2 = deriv(t + dt / 2, a + dt / 2 * k1[0], p + dt / 2 * k1[1], s + dt / 2 * k1[2])
-        k3 = deriv(t + dt / 2, a + dt / 2 * k2[0], p + dt / 2 * k2[1], s + dt / 2 * k2[2])
-        k4 = deriv(t + dt, a + dt * k3[0], p + dt * k3[1], s + dt * k3[2])
-        a = a + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        p = p + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        s = s + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        t_new = ts[i + 1]
-
-        cross = (~kernel_done) & (t_new >= t_kernel)
-        if np.any(cross):
-            s = np.where(cross, s * kernel, s)
-            kernel_done |= cross
-
-        f_new = flux_terms(t_new, a, p, s)
-        out_flux[i + 1] = f_new[0]
-        half = 0.5 * dt
-        before = t_new <= t_mid
-        leak += np.where(before, half * (f_prev[0] + f_new[0]), 0.0)
-        retrieved += np.where(before, 0.0, half * (f_prev[0] + f_new[0]))
-        n_in += half * (f_prev[1] + f_new[1])
-        loss_pol += half * (f_prev[2] + f_new[2])
-        loss_spin += half * (f_prev[3] + f_new[3])
-        loss_cav += half * (f_prev[4] + f_new[4])
-        f_prev = f_new
-
-    residual = np.abs(a) ** 2 + np.abs(p) ** 2 + np.abs(s) ** 2
+    leak, retrieved, n_in, loss_cav, loss_pol, loss_spin = counts
     return dict(ts=ts, out_flux=out_flux, leak=leak, retrieved=retrieved,
                 n_in=n_in, loss_pol=loss_pol, loss_spin=loss_spin,
-                loss_cav=loss_cav, residual=residual)
+                loss_cav=loss_cav, loss_dephasing=dephasing, residual=residual)
+
+
+def _reference_counts(par: dict) -> np.ndarray:
+    """Control-off output counts of every lane, in closed form.
+
+    With the control off S decouples and (a, P) is a linear time-invariant
+    filter, so C_ref = n int |r(w)|^2 W(w) dw with
+    r(w) = kappa_ext / ((-iw - c_a) + g^2 / (-iw - c_p)) - 1 and W the
+    normalized power spectrum of the Gaussian input amplitude,
+    exp(-2 sigma^2 w^2).  r has one pole w_j = i s_j per eigenvalue s_j of
+    the (a, P) block, all in the lower half plane, so
+    |r|^2 = 1 + 2 Re sum_j C_j / (w - w_j) and each term integrates against
+    the Gaussian to a Faddeeva function.
+    """
+    from scipy.special import wofz   # loaded with scipy.optimize already
+
+    sigma = par["sig_f"] / (2 * math.sqrt(2 * _LN2))
+    c_a = -(par["kappa"] / 2 + 1j * par["delta_c"])
+    c_p = -(par["gamma_p"] / 2 + 1j * par["delta_p"])
+    root = np.sqrt(0.25 * (c_a - c_p) ** 2 - par["g"] ** 2)
+    if np.any(np.abs(root) <= 1e-9 * np.abs(c_a + c_p)):
+        raise NumericalError("cavity and polarization sit at an exceptional "
+                             "point; the reference has a double pole")
+    s = np.stack([0.5 * (c_a + c_p) + root, 0.5 * (c_a + c_p) - root])
+    poles = 1j * s
+    beta = 1j * par["kappa_ext"] * (s - c_p) / (s - s[::-1])  # r = -1 + sum beta_j / (w - w_j)
+    # residue of |r|^2 at w_j: beta_j times conj(r) continued to w_j
+    conj_r = -1.0 + np.conj(beta[0]) / (poles - np.conj(poles[0])) \
+        + np.conj(beta[1]) / (poles - np.conj(poles[1]))
+    # int W(w) / (w - w_j) dw for Im w_j < 0
+    z = math.sqrt(2) * sigma * poles
+    gauss = -1j * math.sqrt(2 * math.pi) * sigma * np.conj(wofz(np.conj(z)))
+    terms = beta * conj_r * gauss
+    return par["sig_n"] * (1.0 + 2.0 * np.real(terms[0] + terms[1]))
 
 
 def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
@@ -336,8 +419,12 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
     d2 = TWO_PI * (sig_carrier + ctl_carrier_w)
     chirp_r = TWO_PI * (ctl_carrier_r - ctl_carrier_w)
 
+    sig_c = np.array([s.center_ns for s in signal])
+    sig_f = np.array([s.fwhm_ns for s in signal])
     w_c = np.array([w.center_ns for w in writes])
+    w_f = np.array([w.fwhm_ns for w in writes])
     r_c = np.array([r.center_ns for r in reads])
+    r_f = np.array([r.fwhm_ns for r in reads])
     tau = r_c - w_c
     nu = config.dephasing_width_mhz * 1e-3   # GHz
     omega_beat = TWO_PI * config.line_splitting_mhz * 1e-3
@@ -347,6 +434,7 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
     else:
         beat = np.ones_like(tau, dtype=complex)
     kernel = np.exp(-(math.pi ** 2) * nu ** 2 * tau ** 2 / (8 * _LN2)) * beat
+    tail = 6.0 / (config.kappa / 2) + 3.0
 
     return dict(
         kappa=np.full(b, config.kappa),
@@ -358,47 +446,61 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
         gamma_s=np.full(b, config.gamma_m),
         delta_2=d2,
         sig_n=np.array([s.energy for s in signal]),
-        sig_c=np.array([s.center_ns for s in signal]),
-        sig_f=np.array([s.fwhm_ns for s in signal]),
+        sig_c=sig_c, sig_f=sig_f,
         sig_phase=np.array([s.phase_rad for s in signal]),
-        omega_w=om_w, w_c=w_c, w_f=np.array([w.fwhm_ns for w in writes]),
-        omega_r=om_r, r_c=r_c, r_f=np.array([r.fwhm_ns for r in reads]),
+        omega_w=om_w, w_c=w_c, w_f=w_f,
+        omega_r=om_r, r_c=r_c, r_f=r_f,
         chirp_r=chirp_r,
+        # each lane's window: from before its first pulse until its cavity
+        # has emptied after the read; the dephasing kernel acts at t_mid
+        t_start=np.minimum(sig_c - 3 * sig_f, w_c - 3 * w_f) - 0.5,
         t_mid=0.5 * (w_c + r_c),
-        t_kernel=0.5 * (w_c + r_c),
+        t_end=np.maximum(r_c + 3 * r_f, sig_c + 4 * sig_f) + tail,
         kernel=kernel,
     )
 
 
+def pulses_overlap(write: PulseShape, read: PulseShape) -> bool:
+    """True when the read window opens before the write window closes.
+
+    A pulse without energy has no window, so it never overlaps.
+    """
+    return write.energy > 0 and read.energy > 0 and \
+        read.center_ns - read.fwhm_ns < write.center_ns + write.fwhm_ns
+
+
 def simulate_batch(config: MemoryConfig, signals, writes, reads,
                    drift_offset_ghz=0.0, dt_ns: float = 0.01,
-                   with_reference: bool = True):
+                   keep_flux: bool = False):
     """Integrate a batch of pulse settings on a common grid.
 
-    Returns (results dict from the integrator, reference dict or None,
-    time bounds).  The reference batch runs the same signals with the
-    control off.
+    Returns (results dict from the integrator, closed-form control-off
+    reference counts per individual, time bounds).  The results hold the
+    output flux on the grid only when `keep_flux` is set.
     """
     if len(signals) != len(writes) or len(writes) != len(reads):
         raise DomainError("signals, writes and reads must have equal lengths")
-    for w, r in zip(writes, reads):
-        if w.energy > 0 and r.energy > 0 and \
-                r.center_ns - r.fwhm_ns < w.center_ns + w.fwhm_ns:
-            raise DomainError("read and write pulse windows overlap")
+    if any(pulses_overlap(w, r) for w, r in zip(writes, reads)):
+        raise DomainError("read and write pulse windows overlap")
     par = _pulse_par_arrays(config, signals, writes, reads, drift_offset_ghz)
-    t0 = float(min(np.min(par["sig_c"] - 3 * par["sig_f"]),
-                   np.min(par["w_c"] - 3 * par["w_f"])) - 0.5)
-    tail = 6.0 / (config.kappa / 2) + 3.0
-    t1 = float(max(np.max(par["r_c"] + 3 * par["r_f"]),
-                   np.max(par["sig_c"] + 4 * par["sig_f"])) + tail)
-    main = _integrate_batch(par, t0, t1, dt_ns)
-    ref = None
-    if with_reference:
-        par_ref = dict(par)
-        par_ref["omega_w"] = np.zeros_like(par["omega_w"])
-        par_ref["omega_r"] = np.zeros_like(par["omega_r"])
-        ref = _integrate_batch(par_ref, t0, t1, dt_ns)
-    return main, ref, (t0, t1)
+    k_start, _, k_end = _lane_steps(par, dt_ns)
+    t0, t1 = dt_ns * int(k_start.min()), dt_ns * int(k_end.max())
+    main = _integrate_batch(par, t0, t1, dt_ns, keep_flux)
+    return main, _reference_counts(par), (t0, t1)
+
+
+def batch_efficiency(config: MemoryConfig, signals, writes, reads,
+                     drift_offset_ghz=0.0, dt_ns: float = 0.01,
+                     internal: bool = False) -> np.ndarray:
+    """Memory efficiency (1 - zeta) C_ret / C_ref of every pulse setting.
+
+    With `internal` the insertion loss is left out, giving the bare count
+    ratio C_ret / C_ref that the optimizer maximizes.
+    """
+    main, c_ref, _ = simulate_batch(config, signals, writes, reads,
+                                    drift_offset_ghz, dt_ns)
+    ratio = main["retrieved"] / np.maximum(c_ref, 1e-300)
+    return ratio if internal else (1.0 - config.zeta()) * ratio
 
 
 def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
@@ -406,19 +508,26 @@ def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
                                drift_offset_ghz: float = 0.0,
                                dt_ns: float = 0.01,
                                check_convergence: bool = False) -> SimulationResult:
-    """Full storage/retrieval run plus its control-off reference."""
-    main, ref, _ = simulate_batch(config, [signal], [write], [read],
-                                  drift_offset_ghz, dt_ns)
+    """Full storage/retrieval run plus its control-off reference.
+
+    The reference counts come in closed form; the reference flux comes from
+    a second lane with the control pulses switched off, integrated in the
+    same call.
+    """
+    dark_write, dark_read = replace(write, energy=0.0), replace(read, energy=0.0)
+    main, c_refs, _ = simulate_batch(config, [signal, signal], [write, dark_write],
+                                     [read, dark_read], drift_offset_ghz, dt_ns,
+                                     keep_flux=True)
+    c_ref = float(c_refs[0])
     if check_convergence:
-        main2, ref2, _ = simulate_batch(config, [signal], [write], [read],
-                                        drift_offset_ghz, dt_ns / 2)
-        eff1 = main["retrieved"][0] / max(ref["leak"][0] + ref["retrieved"][0], 1e-300)
-        eff2 = main2["retrieved"][0] / max(ref2["leak"][0] + ref2["retrieved"][0], 1e-300)
+        main2, _, _ = simulate_batch(config, [signal], [write], [read],
+                                     drift_offset_ghz, dt_ns / 2)
+        eff1 = main["retrieved"][0] / max(c_ref, 1e-300)
+        eff2 = main2["retrieved"][0] / max(c_ref, 1e-300)
         if abs(eff2 - eff1) > 1e-3 * max(abs(eff2), 1e-12):
             raise NumericalError(
                 f"step-halving changed the efficiency by {abs(eff2 - eff1):.2e}")
 
-    c_ref = float(ref["leak"][0] + ref["retrieved"][0])
     leak = float(main["leak"][0])
     c_ret = float(main["retrieved"][0])
     n_in = float(main["n_in"][0])
@@ -429,7 +538,7 @@ def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
     return SimulationResult(
         time_grid_ns=main["ts"],
         output_flux=main["out_flux"][:, 0],
-        reference_flux=ref["out_flux"][:, 0],
+        reference_flux=main["out_flux"][:, 1],
         input_photons=n_in,
         reference_counts=c_ref,
         leak_counts=leak,
@@ -441,6 +550,7 @@ def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
             "loss_polarization": float(main["loss_pol"][0]),
             "loss_spin": float(main["loss_spin"][0]),
             "loss_cavity_internal": float(main["loss_cav"][0]),
+            "loss_dephasing": float(main["loss_dephasing"][0]),
             "residual_excitation": float(main["residual"][0]),
             "output_total": leak + c_ret,
         },
@@ -505,10 +615,7 @@ def lifetime_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
     reads = [replace(read, center_ns=write.center_ns + float(tau)) for tau in times]
     writes = [write] * len(reads)
     signals = [signal] * len(reads)
-    main, ref, _ = simulate_batch(config, signals, writes, reads, 0.0, dt_ns)
-    c_ref = ref["leak"] + ref["retrieved"]
-    zeta = config.zeta()
-    return (1.0 - zeta) * main["retrieved"] / np.maximum(c_ref, 1e-300)
+    return batch_efficiency(config, signals, writes, reads, 0.0, dt_ns)
 
 
 def oscillation_suppression(b_mt: float, config: MemoryConfig) -> float:
@@ -572,9 +679,7 @@ def energy_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
     writes = [replace(write, energy=float(e)) for e in energies]
     reads = [replace(read, energy=float(e) * ratio) for e in energies]
     signals = [signal] * len(writes)
-    main, ref, _ = simulate_batch(config, signals, writes, reads, 0.0, dt_ns)
-    c_ref = ref["leak"] + ref["retrieved"]
-    return (1.0 - config.zeta()) * main["retrieved"] / np.maximum(c_ref, 1e-300)
+    return batch_efficiency(config, signals, writes, reads, 0.0, dt_ns)
 
 
 def bandwidth_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
@@ -605,11 +710,8 @@ def bandwidth_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
             writes = [replace(write, energy=center * float(es)) for es in scales]
             reads = [replace(read, energy=center * float(es) * ratio)
                      for es in scales]
-            main, ref, _ = simulate_batch(config, [sig] * len(writes), writes,
-                                          reads, 0.0, dt_ns)
-            c_ref = ref["leak"] + ref["retrieved"]
-            effs = (1.0 - config.zeta()) * main["retrieved"] \
-                / np.maximum(c_ref, 1e-300)
+            effs = batch_efficiency(config, [sig] * len(writes), writes, reads,
+                                    0.0, dt_ns)
             k = int(np.argmax(effs))
             if effs[k] > best:
                 best = float(effs[k])

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .memory import MemoryConfig, PulseShape, simulate_batch
+from .memory import MemoryConfig, PulseShape, batch_efficiency, pulses_overlap
 
 __all__ = [
     "ParameterSpace", "DriftModel", "GASettings", "OptimizationTrace",
@@ -188,7 +188,7 @@ def _evaluate_batch(vectors, config: MemoryConfig, drift_offset_ghz: float,
     for x in vectors:
         try:
             s, w, r = _pulses_from_vector(x)
-            if r.center_ns - r.fwhm_ns < w.center_ns + w.fwhm_ns:
+            if pulses_overlap(w, r):
                 raise DomainError("read/write overlap")
             signals.append(s)
             writes.append(w)
@@ -200,11 +200,9 @@ def _evaluate_batch(vectors, config: MemoryConfig, drift_offset_ghz: float,
             ok.append(False)
     out = np.zeros(len(vectors))
     if signals:
-        main, ref, _ = simulate_batch(config, signals, writes, reads,
-                                      drift_offset_ghz, dt_ns)
-        c_ref = ref["leak"] + ref["retrieved"]
-        vals = main["retrieved"] / np.maximum(c_ref, 1e-300)
-        out[np.asarray(ok)] = vals
+        out[np.asarray(ok)] = batch_efficiency(config, signals, writes, reads,
+                                               drift_offset_ghz, dt_ns,
+                                               internal=True)
     return out
 
 

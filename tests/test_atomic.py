@@ -11,7 +11,7 @@ from cavmem.atomic import (all_manifolds, basis_labels, breit_rabi_curve,
                            build_hamiltonian, clebsch_gordan,
                            diagonalize_manifold, group_two_photon_lines,
                            transition_lines, two_photon_lines)
-from cavmem.errors import DomainError
+from cavmem.errors import DomainError, StructuralError
 
 S12, P32, D52 = all_manifolds()
 
@@ -257,6 +257,18 @@ def strong_pairs_near_main(b_mt, window=0.5):
     near = [t for t in grouped
             if abs(t[0] - main[0]) <= window and t[1] > 0.05 * smax]
     return main, near
+
+
+def test_grouping_rejects_paths_at_different_positions():
+    from dataclasses import replace
+    lines = two_photon_lines(169.0, "sigma-", "sigma-",
+                             total_window_ghz=(-20.0, 5.0))
+    keys = [(ln.ground.index, ln.doubly_excited.index) for ln in lines]
+    k = next(i for i, key in enumerate(keys) if keys.count(key) > 1)
+    bad = list(lines)
+    bad[k] = replace(lines[k], signal_detuning_ghz=lines[k].signal_detuning_ghz + 1.0)
+    with pytest.raises(StructuralError):
+        group_two_photon_lines(bad)
 
 
 def test_memory_line_present_and_strongest_for_sigma_minus_pair():

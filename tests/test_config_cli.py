@@ -194,6 +194,19 @@ def test_cli_store_defaults(tmp_path):
         10 * math.log10(summary["retrieved_counts"] / 3e-4), rel=1e-9)
 
 
+def test_cli_store_summary_closes_and_reference_flux_integrates(tmp_path):
+    assert main(["--out", str(tmp_path), "store"]) == 0
+    summary = json.loads((tmp_path / "store_summary.json").read_text())
+    b = summary["bookkeeping"]
+    total = (b["output_total"] + b["loss_polarization"] + b["loss_spin"]
+             + b["loss_cavity_internal"] + b["loss_dephasing"]
+             + b["residual_excitation"])
+    assert total == pytest.approx(summary["input_photons"], rel=1e-4)
+    _, rows = read_csv(tmp_path / "store_flux.csv")
+    integral = np.trapezoid(rows[:, 2], rows[:, 0])
+    assert integral == pytest.approx(summary["reference_counts"], rel=1e-6)
+
+
 def test_cli_store_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["--out", str(out1), "store"]) == 0

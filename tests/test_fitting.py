@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cavmem.cavity import CavityParams, reflection_response
-from cavmem.errors import DomainError
+from cavmem.errors import CavmemError, DomainError
 from cavmem.fitting import (derived_cavity_metrics, derived_lifetime_metrics,
                             fit_cavity_reflection, fit_doppler_absorption,
                             fit_gaussian_line, fit_lifetime, least_squares)
@@ -24,6 +24,32 @@ def test_linear_model_exact():
     fit = least_squares(lambda xx, th: th[0] * xx, x, y, [0.7], names=["a"])
     assert fit.converged
     assert fit["a"] == pytest.approx(2.0, abs=1e-10)
+
+
+def test_non_finite_inputs_rejected():
+    x = np.linspace(0, 10, 25)
+    y = 2.0 * x
+    for xs, ys, init in ((x, np.where(x == 5.0, np.nan, y), [0.7]),
+                         (np.where(x == 0.0, np.inf, x), y, [0.7]),
+                         (x, y, [np.nan])):
+        with pytest.raises(DomainError):
+            least_squares(lambda xx, th: th[0] * xx, xs, ys, init)
+
+
+def test_non_finite_cost_never_converged():
+    x = np.linspace(0, 10, 25)
+    fit = least_squares(lambda xx, th: np.full_like(xx, np.nan), x, 2.0 * x,
+                        [0.7])
+    assert not fit.converged
+    assert "non_finite_cost" in fit.flags
+
+
+def test_gaussian_line_rejects_nan_sample():
+    x = np.linspace(-60, 60, 500)
+    y = 1.0 - 0.55 * np.exp(-4 * math.log(2) * x ** 2 / 11.8 ** 2)
+    y[250] = math.nan
+    with pytest.raises(CavmemError):
+        fit_gaussian_line(x, y)
 
 
 def test_quadratic_recovery_with_noise():

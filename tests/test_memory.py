@@ -10,8 +10,8 @@ from cavmem.errors import DomainError
 from cavmem.memory import (MemoryConfig, PulseShape, bandwidth_scan,
                            energy_scan, lifetime_model, lifetime_scan,
                            mean_photon_from_counts, one_over_e_lifetime_ns,
-                           oscillation_suppression, simulate_storage_retrieval,
-                           snr_db, total_efficiency)
+                           oscillation_suppression, simulate_batch,
+                           simulate_storage_retrieval, snr_db, total_efficiency)
 
 TWO_PI = 2 * math.pi
 
@@ -90,6 +90,36 @@ def test_photon_bookkeeping_closes():
              + b["residual_excitation"])
     missing = res.input_photons - total
     assert 0 <= missing <= kernel_loss_bound + 1e-4 * res.input_photons
+
+
+def test_default_store_photon_bookkeeping_closes():
+    # every channel, the dephasing kernel's removal included, adds back up
+    # to the input photons
+    res = run()
+    b = res.bookkeeping
+    total = (res.leak_counts + res.retrieved_counts + b["loss_polarization"]
+             + b["loss_spin"] + b["loss_cavity_internal"] + b["loss_dephasing"]
+             + b["residual_excitation"])
+    assert b["loss_dephasing"] > 0
+    assert total == pytest.approx(res.input_photons, rel=1e-4)
+
+
+def test_closed_form_reference_matches_control_off_rk4():
+    # lanes of different widths and carriers, one of them drifted
+    signals = [SIG, replace(SIG, fwhm_ns=0.7), replace(SIG, fwhm_ns=3.0,
+                                                       carrier_detuning_ghz=0.3)]
+    dark_w, dark_r = replace(WRITE, energy=0.0), replace(READ, energy=0.0)
+    for drift in (0.0, 0.4):
+        main, c_ref, _ = simulate_batch(CFG, signals, [dark_w] * 3, [dark_r] * 3,
+                                        drift, dt_ns=0.005)
+        rk4 = main["leak"] + main["retrieved"]
+        assert np.allclose(c_ref, rk4, rtol=1e-8, atol=0.0)
+
+
+def test_reference_flux_integrates_to_reference_counts():
+    res = run()
+    integral = np.trapezoid(res.reference_flux, res.time_grid_ns)
+    assert integral == pytest.approx(res.reference_counts, rel=1e-6)
 
 
 def test_internal_efficiency_monotone_in_cooperativity():

@@ -42,6 +42,21 @@ def test_objective_matches_normalized_efficiency():
                                 rel=1e-6)
 
 
+def test_objective_independent_of_batch_companions():
+    # a vector scores the same bits alone and anywhere inside mixed batches,
+    # whose time windows span wider than its own
+    from cavmem.optimize import _evaluate_batch
+    alone = objective(DEFAULT_VEC, CFG)
+    rng = np.random.default_rng(7)
+    for size in (1, 7, 40):
+        others = list(rng.uniform(SPACE.lower(), SPACE.upper(),
+                                  size=(size - 1, len(PARAMETER_NAMES))))
+        at = size // 2
+        batch = others[:at] + [DEFAULT_VEC] + others[at:]
+        vals = _evaluate_batch(batch, CFG, 0.0, 0.02, faults=None)
+        assert vals[at] == alone
+
+
 def test_invalid_settings_rejected():
     with pytest.raises(DomainError):
         GASettings(population=4)
@@ -59,6 +74,21 @@ def test_faulted_evaluation_scores_zero():
     vals = _evaluate_batch([bad, DEFAULT_VEC], CFG, 0.0, 0.02, faults)
     assert vals[0] == 0.0 and vals[1] > 0.5
     assert len(faults) == 1
+
+
+def test_overlap_rule_matches_simulator():
+    # pulses without energy have no window: an overlapping dark setting is
+    # simulated as the simulator would, a lit one is a fault scoring zero
+    from cavmem.optimize import _evaluate_batch
+    close = DEFAULT_VEC.copy()
+    close[6] = 2.0  # write-read delay inside the pulse windows
+    dark = close.copy()
+    dark[1] = 0.0
+    faults = []
+    vals = _evaluate_batch([dark, close], CFG, 0.0, 0.02, faults)
+    assert vals[0] > 0.0 and vals[0] == objective(dark, CFG)
+    assert vals[1] == 0.0
+    assert faults == ["read/write overlap"]
 
 
 # ----------------------------------------------------------------------- GA
