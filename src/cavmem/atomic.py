@@ -1,9 +1,13 @@
 """Hyperfine + Zeeman structure of the Rb-87 ladder manifolds.
 
 Exact diagonalization of H = H_hfs + H_Zeeman in the |m_j, m_i> product basis
-for the 5S1/2, 5P3/2 and 5D5/2 terms, magnetic-level tracking across field
-values, and dipole transition enumeration (one- and two-photon) with relative
-strengths from Clebsch-Gordan algebra on the field-dressed eigenvectors.
+for the 5S1/2, 5P3/2 and 5D5/2 terms, field-independent state labels, and
+dipole transition enumeration (one- and two-photon) with relative strengths
+from Clebsch-Gordan algebra on the field-dressed eigenvectors.
+
+H conserves m_F, and levels of one m_F block never cross (von Neumann-Wigner),
+so a state is labelled by its m_F block and its energy rank within that block.
+Labels are numbered in ascending energy at REFERENCE_FIELD_MT.
 
 Energies are in MHz relative to each manifold's zero-field hyperfine centroid;
 detunings between manifolds are in GHz relative to the zero-field line
@@ -17,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .constants import AtomConstants, default_constants
 from .errors import DomainError, NumericalError, StructuralError
@@ -36,10 +39,9 @@ _POL_Q = {"sigma-": -1, "pi": 0, "sigma+": +1}
 # global state numbering: manifolds stacked in energy order of the ladder
 _INDEX_OFFSET = {"5S1/2": 0, "5P3/2": 8, "5D5/2": 24}
 
-# reference field for the state-labelling convention; labels at other fields
-# follow by stepwise eigenvector-overlap tracking
+# field at which the (m_F, rank in block) labels are numbered by energy; the
+# label of a state is the same at every other field
 REFERENCE_FIELD_MT = 300.0
-_TRACK_STEP_MT = 20.0
 
 # lines weaker than this fraction of the strongest line in a manifold pair
 # are omitted
@@ -245,43 +247,24 @@ def _eigh_blockwise(manifold: ManifoldSpec, b_mt: float) -> tuple[np.ndarray, np
 
 
 @lru_cache(maxsize=None)
-def _reference_system(manifold: ManifoldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem at the reference field, sorted ascending in energy."""
-    energies, vectors = _eigh_blockwise(manifold, REFERENCE_FIELD_MT)
-    order = np.argsort(energies)
-    return energies[order], vectors[:, order]
-
-
-def _match_columns(v_from: np.ndarray, v_to: np.ndarray) -> np.ndarray:
-    """perm[k] = column of v_to matching column k of v_from (max overlap)."""
-    overlap = np.abs(v_from.T @ v_to) ** 2
-    rows, cols = linear_sum_assignment(-overlap)
-    perm = np.empty(v_from.shape[1], dtype=int)
-    perm[rows] = cols
-    return perm
+def _label_order(manifold: ManifoldSpec) -> np.ndarray:
+    """Column of _eigh_blockwise, which is ordered by (m_F, rank in block),
+    holding each label; labels ascend in energy at the reference field."""
+    energies, _ = _eigh_blockwise(manifold, REFERENCE_FIELD_MT)
+    return np.argsort(energies)
 
 
 @lru_cache(maxsize=4096)
-def _tracked_system(manifold: ManifoldSpec, b_mt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem at b_mt, columns ordered by the reference labelling."""
-    _, v_ref = _reference_system(manifold)
-    # walk from the reference field in bounded steps to keep overlaps sharp
-    n_steps = max(1, int(math.ceil(abs(b_mt - REFERENCE_FIELD_MT) / _TRACK_STEP_MT)))
-    fields = np.linspace(REFERENCE_FIELD_MT, b_mt, n_steps + 1)
-    v_prev = v_ref
-    order_prev = np.arange(manifold.dim)
-    for b in fields[1:]:
-        energies, vectors = _eigh_blockwise(manifold, b)
-        perm = _match_columns(v_prev, vectors)
-        order_prev = perm[order_prev]
-        v_prev = vectors
-    energies, vectors = _eigh_blockwise(manifold, float(fields[-1]))
-    return energies[order_prev], vectors[:, order_prev]
+def _labelled_system(manifold: ManifoldSpec, b_mt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem at b_mt, columns ordered by label."""
+    order = _label_order(manifold)
+    energies, vectors = _eigh_blockwise(manifold, b_mt)
+    return energies[order], vectors[:, order]
 
 
 def diagonalize_manifold(manifold: ManifoldSpec, b_mt: float) -> list[ZeemanState]:
     """All (2J+1)(2I+1) dressed eigenstates with B-stable labels."""
-    energies, vectors = _tracked_system(manifold, b_mt)
+    energies, vectors = _labelled_system(manifold, b_mt)
     labels = basis_labels(manifold)
     offset = _INDEX_OFFSET.get(manifold.label, 0)
     states = []
@@ -301,25 +284,15 @@ def diagonalize_manifold(manifold: ManifoldSpec, b_mt: float) -> list[ZeemanStat
 def breit_rabi_curve(manifold: ManifoldSpec, b_grid_mt) -> np.ndarray:
     """Energies (MHz) on a sorted B grid, shape (len(grid), dim).
 
-    Column k follows the state labelled k+offset+1; traces are continuous in B
-    (labels propagated point-to-point by eigenvector overlap).
+    Column k is the state labelled k+offset+1, the same (m_F, rank in block)
+    at every field, so each column is one continuous level trace.
     """
     b_grid = np.asarray(b_grid_mt, dtype=float)
     if b_grid.ndim != 1 or len(b_grid) == 0:
         raise DomainError("B grid must be a non-empty 1-D sequence")
     if np.any(np.diff(b_grid) < 0):
         raise DomainError("B grid must be sorted ascending")
-    out = np.empty((len(b_grid), manifold.dim))
-    # anchor the first point to the global labelling, then chain point-to-point
-    energies, vectors = _tracked_system(manifold, float(b_grid[0]))
-    out[0] = energies
-    v_prev = vectors
-    for row, b in enumerate(b_grid[1:], start=1):
-        e, v = _eigh_blockwise(manifold, float(b))
-        perm = _match_columns(v_prev, v)
-        out[row] = e[perm]
-        v_prev = v[:, perm]
-    return out
+    return np.array([_labelled_system(manifold, float(b))[0] for b in b_grid])
 
 
 def _dipole_amplitudes(lower_states: list[ZeemanState],
@@ -327,27 +300,16 @@ def _dipole_amplitudes(lower_states: list[ZeemanState],
                        q: int) -> np.ndarray:
     """Matrix of <u|d_q|l> over dressed states (reduced matrix element = 1)."""
     lo_m, up_m = lower_states[0].manifold, upper_states[0].manifold
-    lo_labels = basis_labels(lo_m)
     up_index = {lab: n for n, lab in enumerate(basis_labels(up_m))}
-    # per lower-basis component, the target upper component and CG factor
-    target, cgf = [], []
-    for (mj, mi) in lo_labels:
-        lab = (mj + q, mi)
-        if lab in up_index:
-            target.append(up_index[lab])
-            cgf.append(clebsch_gordan(lo_m.j, mj, 1, q, up_m.j, mj + q))
-        else:
-            target.append(-1)
-            cgf.append(0.0)
-    amp = np.zeros((len(lower_states), len(upper_states)), dtype=complex)
-    for a, low in enumerate(lower_states):
-        for b, up in enumerate(upper_states):
-            s = 0.0 + 0.0j
-            for n, (t, c) in enumerate(zip(target, cgf)):
-                if t >= 0 and c != 0.0:
-                    s += np.conj(up.composition[t]) * c * low.composition[n]
-            amp[a, b] = s
-    return amp
+    # d_q over the product bases: |m_j, m_i> -> |m_j + q, m_i> with a CG factor
+    d_q = np.zeros((lo_m.dim, up_m.dim))
+    for n, (mj, mi) in enumerate(basis_labels(lo_m)):
+        t = up_index.get((mj + q, mi))
+        if t is not None:
+            d_q[n, t] = clebsch_gordan(lo_m.j, mj, 1, q, up_m.j, mj + q)
+    v_lo = np.stack([s.composition for s in lower_states], axis=1)
+    v_up = np.stack([s.composition for s in upper_states], axis=1)
+    return v_lo.T @ d_q @ v_up.conj()
 
 
 def _check_dipole_allowed(lower: ManifoldSpec, upper: ManifoldSpec) -> None:
@@ -410,8 +372,7 @@ def dipole_strength_sums(lower: ManifoldSpec, upper: ManifoldSpec,
     for pol in POLARIZATIONS:
         amp = _dipole_amplitudes(lo_states, up_states, _POL_Q[pol])
         total += np.sum(np.abs(amp) ** 2, axis=1)
-    order = np.argsort([s.index for s in lo_states])
-    return total[order]
+    return total
 
 
 def two_photon_lines(b_mt: float, signal_pol: str, control_pol: str,

@@ -7,8 +7,9 @@ Rabi constant and the two-photon offset of the control carrier were fixed by
 a one-time calibration run (write-energy optimum pinned at 0.2 nJ, zero-time
 total efficiency pinned at the observed 30%) and are recorded here frozen.
 
-Unknown keys anywhere in the document are rejected; missing sections and
-fields fall back to these defaults.
+Unknown keys and non-finite numbers (NaN, +/-Infinity, which json.load
+accepts) anywhere in the document are rejected; missing sections and fields
+fall back to these defaults.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -99,8 +101,20 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+def _reject_non_finite(value, path):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config value {path!r} must be finite, got {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for n, item in enumerate(value):
+            _reject_non_finite(item, f"{path}[{n}]")
+
+
 def _merge_strict(defaults, override, path=""):
-    """Fill missing keys from defaults; unknown keys are an error."""
+    """Fill missing keys from defaults; unknown keys and non-finite numbers
+    are an error."""
     if not isinstance(override, dict):
         raise ConfigError(f"section {path or '<root>'} must be an object")
     merged = copy.deepcopy(defaults)
@@ -110,6 +124,7 @@ def _merge_strict(defaults, override, path=""):
         if isinstance(defaults[key], dict) and key != "bounds":
             merged[key] = _merge_strict(defaults[key], value, path + key + ".")
         else:
+            _reject_non_finite(value, path + key)
             merged[key] = copy.deepcopy(value)
     return merged
 

@@ -359,7 +359,7 @@ def _reference_counts(par: dict) -> np.ndarray:
     |r|^2 = 1 + 2 Re sum_j C_j / (w - w_j) and each term integrates against
     the Gaussian to a Faddeeva function.
     """
-    from scipy.special import wofz   # loaded with scipy.optimize already
+    from scipy.special import wofz   # lazy: commands that never simulate skip scipy
 
     sigma = par["sig_f"] / (2 * math.sqrt(2 * _LN2))
     c_a = -(par["kappa"] / 2 + 1j * par["delta_c"])

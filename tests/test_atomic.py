@@ -163,6 +163,62 @@ def test_eigenvector_residuals():
             assert res < 1e-9 * np.linalg.norm(h)
 
 
+def overlap_tracked_labels(manifold, fields, step_mt=0.05):
+    """Reference labels by fine-step eigenvector-overlap tracking.
+
+    Starts at 300 mT with labels in ascending energy and walks down to each
+    requested field in steps of at most step_mt, matching every labelled
+    vector to the new eigenvector it overlaps most.  Returns {field:
+    (energies, vectors)} with column k the state labelled k.
+    """
+    h0 = build_hamiltonian(manifold, 0.0)
+    hz = build_hamiltonian(manifold, 1.0) - h0
+    mf = np.array([mj + mi for mj, mi in basis_labels(manifold)])
+    blocks = [np.flatnonzero(mf == val) for val in np.unique(mf)]
+    path = np.linspace(300.0, 0.0, int(round(300.0 / step_mt)) + 1)
+    path = np.unique(np.concatenate([path, fields]))[::-1]
+
+    def eig(b):
+        # per m_F block, so degenerate levels of different blocks stay apart
+        h = h0 + b * hz
+        energies = np.empty(manifold.dim)
+        vectors = np.zeros((manifold.dim, manifold.dim))
+        col = 0
+        for idx in blocks:
+            e, v = np.linalg.eigh(h[np.ix_(idx, idx)])
+            energies[col:col + len(idx)] = e
+            vectors[idx, col:col + len(idx)] = v
+            col += len(idx)
+        return energies, vectors
+
+    energies, vectors = eig(path[0])
+    order = np.argsort(energies)
+    energies, vectors = energies[order], vectors[:, order]
+    out = {}
+    for b in path[1:]:
+        e, v = eig(b)
+        match = np.argmax(np.abs(vectors.T @ v), axis=1)
+        assert sorted(match) == list(range(manifold.dim)), f"ambiguous step at {b} mT"
+        energies, vectors = e[match], v[:, match]
+        if b in fields:
+            out[b] = (energies, vectors)
+    return out
+
+
+@pytest.mark.parametrize("man", [P32, D52], ids=["P32", "D52"])
+def test_low_field_labels_match_fine_step_tracker(man):
+    fields = (0.0, 0.5, 5.0)
+    tracked = overlap_tracked_labels(man, fields)
+    for b in fields:
+        energies, vectors = tracked[b]
+        states = diagonalize_manifold(man, b)
+        got_e = np.array([s.energy_mhz for s in states])
+        got_v = np.array([s.composition for s in states]).T
+        assert np.max(np.abs(got_e - energies)) < 1e-9, b
+        # same state per label, up to the eigenvector sign
+        assert np.min(np.abs(np.sum(got_v.conj() * vectors, axis=0))) > 1 - 1e-9, b
+
+
 def test_energy_stability_under_tiny_field_change():
     e1 = sorted(s.energy_mhz for s in diagonalize_manifold(D52, 100.0))
     e2 = sorted(s.energy_mhz for s in diagonalize_manifold(D52, 100.0 + 1e-6))
@@ -176,18 +232,37 @@ def test_breit_rabi_zero_field_two_levels():
     assert len(np.unique(np.round(table[0], 6))) == 2
 
 
-def test_breit_rabi_traces_continuous():
-    grid = np.linspace(0.0, 200.0, 81)
-    table = breit_rabi_curve(S12, grid)
-    # oracle: refine the grid 4x; the coarse trace must interpolate the fine one
-    fine = np.linspace(0.0, 200.0, 321)
-    table_f = breit_rabi_curve(S12, fine)
-    for col in range(table.shape[1]):
-        interp = np.interp(grid, fine, table_f[:, col])
-        assert np.max(np.abs(interp - table[:, col])) < 1.0  # MHz
+@pytest.mark.parametrize("man, hi", [(S12, 200.0), (S12, 20.0), (P32, 20.0),
+                                     (D52, 20.0)],
+                         ids=["S12-200", "S12-20", "P32-20", "D52-20"])
+def test_breit_rabi_traces_continuous(man, hi):
+    # the excited manifolds regroup from F to (m_j, m_i) below 20 mT; their
+    # avoided crossings further up bend the traces too sharply for the
+    # second-difference bound at this grid step
+    grid = np.linspace(0.0, hi, 81)
+    table = breit_rabi_curve(man, grid)
+    # oracle: refine the grid 4x; the coarse trace must interpolate the fine
+    # one, which a label swap breaks by at least the swapped levels' splitting
+    fine = np.linspace(0.0, hi, 321)
+    table_f = breit_rabi_curve(man, fine)
+    for col in range(man.dim):
+        interp = np.interp(fine, grid, table[:, col])
+        assert np.max(np.abs(interp - table_f[:, col])) < 1.0  # MHz
     # discrete second differences stay bounded (no index swaps)
     d2 = np.diff(table, n=2, axis=0)
     assert np.max(np.abs(d2)) < 5.0
+
+
+@given(st.floats(min_value=0.0, max_value=300.0))
+@settings(max_examples=25, deadline=None)
+def test_labels_continuous_in_field(b):
+    for man in (S12, P32, D52):
+        here = diagonalize_manifold(man, b)
+        near = diagonalize_manifold(man, b + 1e-6)
+        for s, t in zip(here, near):
+            assert s.index == t.index
+            assert s.m_f == t.m_f
+            assert abs(s.energy_mhz - t.energy_mhz) < 1e-3
 
 
 def test_breit_rabi_rejects_unsorted_grid():

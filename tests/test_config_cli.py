@@ -67,6 +67,21 @@ def test_bad_config_file(tmp_path):
         ExperimentConfig.from_file(str(path))
 
 
+@pytest.mark.parametrize("override", [
+    {"memory": {"cooperativity": math.nan}},
+    {"field_mt": math.inf},
+    {"cavity": {"r1": -math.inf}},
+    {"optimizer": {"bounds": {"write_energy_nj": [0.01, math.nan, 1e-4]}}},
+])
+def test_non_finite_values_rejected(tmp_path, override):
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(override)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(override))   # writes NaN / Infinity literals
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_file(str(path))
+
+
 # -------------------------------------------------------------------- CLI
 
 def read_csv(path):
@@ -95,6 +110,18 @@ def test_cli_levels_roundtrip(tmp_path, capsys):
         table = breit_rabi_curve(man, grid)
         assert np.array_equal(rows[:, col:col + man.dim], table)
         col += man.dim
+
+
+def test_cli_levels_last_row_matches_direct_diagonalization(tmp_path):
+    # labels do not depend on where the grid starts
+    rc = main(["--out", str(tmp_path), "levels", "--field", "0", "300"])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "levels.csv")
+    from cavmem.atomic import all_manifolds, diagonalize_manifold
+    direct = [s.energy_mhz for man in all_manifolds()
+              for s in diagonalize_manifold(man, 300.0)]
+    assert len(direct) == 48
+    assert np.array_equal(rows[-1, 1:], direct)
 
 
 def test_cli_levels_zero_field(tmp_path):
@@ -280,6 +307,17 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
+
+
+def test_cli_nan_config_exits_2_without_summary(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"memory": {"cooperativity": NaN}}')
+    out = tmp_path / "out"
+    rc = main(["--config", str(cfg), "--out", str(out), "store"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert not (out / "store_summary.json").exists()
 
 
 def test_cli_exit_code_numerical_error(tmp_path, capsys):
