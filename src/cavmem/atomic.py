@@ -9,6 +9,10 @@ H conserves m_F, and levels of one m_F block never cross (von Neumann-Wigner),
 so a state is labelled by its m_F block and its energy rank within that block.
 Labels are numbered in ascending energy at REFERENCE_FIELD_MT.
 
+H_hfs, the Zeeman operator Z (H = H_hfs + mu_B B Z), the m_F blocks and the
+dipole operators are cached per frozen ManifoldSpec, so other constants get
+their own entries; a field grid takes one stacked eigensolve per m_F block.
+
 Energies are in MHz relative to each manifold's zero-field hyperfine centroid;
 detunings between manifolds are in GHz relative to the zero-field line
 centroid of the manifold pair.  All functions are pure.
@@ -187,14 +191,14 @@ def clebsch_gordan(j1: float, m1: float, j2: float, m2: float,
     return math.sqrt(pref) * total
 
 
-def build_hamiltonian(manifold: ManifoldSpec, b_mt: float) -> np.ndarray:
-    """H_hfs + H_Zeeman in MHz over the |m_j, m_i> product basis.
+@lru_cache(maxsize=None)
+def _field_free_parts(manifold: ManifoldSpec) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """H_hfs, the Zeeman operator Z with H = H_hfs + (mu_B B) Z, and the basis
+    indices of each m_F block, in ascending m_F.
 
     H_hfs = A (I.J) + B [3(I.J)^2 + 3/2 (I.J) - I(I+1)J(J+1)] / (2I(2I-1)J(2J-1))
-    H_Zeeman = mu_B B (g_J m_j + g_I m_i), diagonal in this basis.
+    Z = g_J J_z + g_I I_z, diagonal in this basis.
     """
-    if b_mt < 0:
-        raise DomainError("magnetic field must be non-negative")
     j, i = manifold.j, manifold.i
     jz, jp, jm = _ladder_ops(j)
     iz, ip, im = _ladder_ops(i)
@@ -209,40 +213,49 @@ def build_hamiltonian(manifold: ManifoldSpec, b_mt: float) -> np.ndarray:
             3 * idotj @ idotj + 1.5 * idotj
             - i * (i + 1) * j * (j + 1) * np.eye(manifold.dim)
         ) / denom
-    h = h + manifold.mu_b_mhz_per_mt * b_mt * (
-        manifold.g_j * np.kron(jz, eye_i) + manifold.g_i * np.kron(eye_j, iz)
-    )
+    z = manifold.g_j * np.kron(jz, eye_i) + manifold.g_i * np.kron(eye_j, iz)
     if h.shape != (manifold.dim, manifold.dim):
         raise StructuralError("Hamiltonian dimension mismatch")
-    return h
+    mf = np.array([mj + mi for mj, mi in basis_labels(manifold)])
+    blocks = tuple(np.flatnonzero(np.abs(mf - val) < 1e-9) for val in np.unique(mf))
+    return h, z, blocks
 
 
-def _mf_values(manifold: ManifoldSpec) -> np.ndarray:
-    return np.array([mj + mi for mj, mi in basis_labels(manifold)])
+def build_hamiltonian(manifold: ManifoldSpec, b_mt) -> np.ndarray:
+    """H_hfs + H_Zeeman in MHz over the |m_j, m_i> product basis.
+
+    A 1-D array of fields gives the stack of matrices, shape (n, dim, dim).
+    """
+    b = np.asarray(b_mt, dtype=float)
+    if not np.all(np.isfinite(b) & (b >= 0)):
+        raise DomainError("magnetic field must be finite and non-negative")
+    h_hfs, z, _ = _field_free_parts(manifold)
+    return h_hfs + (manifold.mu_b_mhz_per_mt * b)[..., None, None] * z
 
 
-def _eigh_blockwise(manifold: ManifoldSpec, b_mt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem solved per m_F block, so m_F purity is exact."""
+# fields per _eigh_blockwise call, which bounds its (n, dim, dim) stacks
+_FIELD_CHUNK = 1024
+
+
+def _eigh_blockwise(manifold: ManifoldSpec, b_mt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystems at a 1-D array of fields, one stacked eigh per m_F block so
+    m_F purity is exact; columns in (m_F, rank in block) order."""
     h = build_hamiltonian(manifold, b_mt)
-    mf = _mf_values(manifold)
-    n = manifold.dim
-    energies = np.empty(n)
-    vectors = np.zeros((n, n))
+    energies = np.empty(h.shape[:2])
+    vectors = np.zeros(h.shape)
     col = 0
-    for val in np.unique(mf):
-        idx = np.flatnonzero(np.abs(mf - val) < 1e-9)
-        evals, evecs = np.linalg.eigh(h[np.ix_(idx, idx)])
-        for k in range(len(idx)):
-            energies[col] = evals[k]
-            vectors[idx, col] = evecs[:, k]
-            col += 1
-    # residual check against the full matrix
-    res = np.linalg.norm(h @ vectors - vectors * energies)
-    scale = max(np.linalg.norm(h), 1.0)
-    if res > 1e-9 * scale:
+    for idx in _field_free_parts(manifold)[2]:
+        cols = slice(col, col + len(idx))
+        energies[:, cols], vectors[:, idx, cols] = np.linalg.eigh(h[:, idx[:, None], idx])
+        col += len(idx)
+    # residual check against the full matrix, per field
+    res = np.linalg.norm(h @ vectors - vectors * energies[:, None, :], axis=(1, 2))
+    scale = np.maximum(np.linalg.norm(h, axis=(1, 2)), 1.0)
+    bad = np.flatnonzero(res > 1e-9 * scale)
+    if bad.size:
         raise NumericalError(
-            f"eigensolver residual {res:.3e} exceeds 1e-9*|H| for "
-            f"{manifold.label} at B={b_mt} mT")
+            f"eigensolver residual {res[bad[0]]:.3e} exceeds 1e-9*|H| for "
+            f"{manifold.label} at B={b_mt[bad[0]]} mT")
     return energies, vectors
 
 
@@ -250,16 +263,16 @@ def _eigh_blockwise(manifold: ManifoldSpec, b_mt: float) -> tuple[np.ndarray, np
 def _label_order(manifold: ManifoldSpec) -> np.ndarray:
     """Column of _eigh_blockwise, which is ordered by (m_F, rank in block),
     holding each label; labels ascend in energy at the reference field."""
-    energies, _ = _eigh_blockwise(manifold, REFERENCE_FIELD_MT)
-    return np.argsort(energies)
+    energies, _ = _eigh_blockwise(manifold, np.array([REFERENCE_FIELD_MT]))
+    return np.argsort(energies[0])
 
 
 @lru_cache(maxsize=4096)
 def _labelled_system(manifold: ManifoldSpec, b_mt: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem at b_mt, columns ordered by label."""
     order = _label_order(manifold)
-    energies, vectors = _eigh_blockwise(manifold, b_mt)
-    return energies[order], vectors[:, order]
+    energies, vectors = _eigh_blockwise(manifold, np.array([b_mt]))
+    return energies[0, order], vectors[0][:, order]
 
 
 def diagonalize_manifold(manifold: ManifoldSpec, b_mt: float) -> list[ZeemanState]:
@@ -292,21 +305,29 @@ def breit_rabi_curve(manifold: ManifoldSpec, b_grid_mt) -> np.ndarray:
         raise DomainError("B grid must be a non-empty 1-D sequence")
     if np.any(np.diff(b_grid) < 0):
         raise DomainError("B grid must be sorted ascending")
-    return np.array([_labelled_system(manifold, float(b))[0] for b in b_grid])
+    order = _label_order(manifold)
+    return np.concatenate([
+        _eigh_blockwise(manifold, b_grid[k:k + _FIELD_CHUNK])[0][:, order]
+        for k in range(0, len(b_grid), _FIELD_CHUNK)])
+
+
+@lru_cache(maxsize=None)
+def _dipole_operator(lo_m: ManifoldSpec, up_m: ManifoldSpec, q: int) -> np.ndarray:
+    """d_q over the product bases: |m_j, m_i> -> |m_j + q, m_i> with a CG factor."""
+    up_index = {lab: n for n, lab in enumerate(basis_labels(up_m))}
+    d_q = np.zeros((lo_m.dim, up_m.dim))
+    for n, (mj, mi) in enumerate(basis_labels(lo_m)):
+        t = up_index.get((mj + q, mi))
+        if t is not None:
+            d_q[n, t] = clebsch_gordan(lo_m.j, mj, 1, q, up_m.j, mj + q)
+    return d_q
 
 
 def _dipole_amplitudes(lower_states: list[ZeemanState],
                        upper_states: list[ZeemanState],
                        q: int) -> np.ndarray:
     """Matrix of <u|d_q|l> over dressed states (reduced matrix element = 1)."""
-    lo_m, up_m = lower_states[0].manifold, upper_states[0].manifold
-    up_index = {lab: n for n, lab in enumerate(basis_labels(up_m))}
-    # d_q over the product bases: |m_j, m_i> -> |m_j + q, m_i> with a CG factor
-    d_q = np.zeros((lo_m.dim, up_m.dim))
-    for n, (mj, mi) in enumerate(basis_labels(lo_m)):
-        t = up_index.get((mj + q, mi))
-        if t is not None:
-            d_q[n, t] = clebsch_gordan(lo_m.j, mj, 1, q, up_m.j, mj + q)
+    d_q = _dipole_operator(lower_states[0].manifold, upper_states[0].manifold, q)
     v_lo = np.stack([s.composition for s in lower_states], axis=1)
     v_up = np.stack([s.composition for s in upper_states], axis=1)
     return v_lo.T @ d_q @ v_up.conj()

@@ -15,7 +15,6 @@ which pins its normalization through the lossless energy identity
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, asdict
 
@@ -26,8 +25,7 @@ from .errors import DomainError
 __all__ = [
     "CavityParams", "CavityResponse", "reflection_response", "finesse",
     "linewidth_ghz", "insertion_loss", "cooperativity", "buildup_factor",
-    "dual_resonance_map", "temperature_shift_ghz", "response_to_csv",
-    "summary_dict",
+    "dual_resonance_map", "temperature_shift_ghz", "summary_dict",
 ]
 
 
@@ -179,19 +177,6 @@ def dual_resonance_map(params: CavityParams, signal_grid_ghz, control_grid_ghz,
 def temperature_shift_ghz(delta_t_c: float, params: CavityParams) -> float:
     """Common translation of the signal and control resonances per deg C."""
     return params.tuning_coeff_ghz_per_c * delta_t_c
-
-
-def response_to_csv(resp: CavityResponse, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["detuning_ghz", "reflected_power", "transmitted_power",
-                         "reflection_re", "reflection_im"])
-        for i, d in enumerate(resp.detunings_ghz):
-            writer.writerow([repr(float(d)),
-                             repr(float(resp.reflected_power[i])),
-                             repr(float(resp.transmitted_power[i])),
-                             repr(float(resp.reflection[i].real)),
-                             repr(float(resp.reflection[i].imag))])
 
 
 def summary_dict(params: CavityParams) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, atomic, cavity, fitting, memory, optimize, vapour
-from .config import ExperimentConfig
+from .config import ExperimentConfig, reject_non_finite
 from .constants import ENV_VAR, set_default_constants
 from .errors import CavmemError, ConfigError, DomainError, NumericalError
 
@@ -29,15 +29,21 @@ def _out_path(cfg: ExperimentConfig, args, name: str) -> str:
     return os.path.join(base, name)
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    # repr gives the shortest text that parses back to the identical double,
-    # so emitted tables round-trip losslessly
+# rows per block of _write_csv, which bounds the text held at once
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Equal-length 1-D arrays as table columns, rows ended by \r\n as csv.writer
+    does.  Floats are written with repr, the shortest text that parses back to
+    the identical double, so tables round-trip losslessly; integers with str."""
+    fmts = [repr if c.dtype.kind == "f" else str for c in columns]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating))
-                             else v for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for k in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            cells = [map(fmt, c[k:k + _CSV_BLOCK_ROWS].tolist())
+                     for fmt, c in zip(fmts, columns)]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _write_json(path: str, payload: dict, cfg: ExperimentConfig) -> None:
@@ -83,17 +89,13 @@ def cmd_levels(cfg: ExperimentConfig, args) -> int:
               if args.manifolds is None or m.label in args.manifolds]
     if not wanted:
         raise ConfigError(f"no such manifold among {args.manifolds}")
-    columns, labels = [], []
+    columns, labels = [grid], ["field_mt"]
     for man in wanted:
-        table = atomic.breit_rabi_curve(man, grid)
-        offset = {"5S1/2": 0, "5P3/2": 8, "5D5/2": 24}[man.label]
-        for k in range(man.dim):
-            columns.append(table[:, k])
-            labels.append(f"state_{offset + k + 1}_mhz")
+        columns.extend(atomic.breit_rabi_curve(man, grid).T)
+        offset = atomic._INDEX_OFFSET[man.label]
+        labels.extend(f"state_{offset + k + 1}_mhz" for k in range(man.dim))
     path = _out_path(cfg, args, "levels.csv")
-    rows = [[float(b)] + [float(c[i]) for c in columns]
-            for i, b in enumerate(grid)]
-    _write_csv(path, ["field_mt"] + labels, rows)
+    _write_csv(path, labels, columns)
     print(path)
     return 0
 
@@ -101,23 +103,20 @@ def cmd_levels(cfg: ExperimentConfig, args) -> int:
 def cmd_spectrum(cfg: ExperimentConfig, args) -> int:
     vap = cfg.vapour_params()
     b = cfg.field_mt
+    grid = np.linspace(args.lo, args.hi, args.points)
     if args.kind == "one-photon":
-        grid = np.linspace(args.lo, args.hi, args.points)
         trans = vapour.one_photon_spectrum(vap, b, args.polarization, grid)
         path = _out_path(cfg, args, "spectrum_one_photon.csv")
-        _write_csv(path, ["detuning_ghz", "transmission"],
-                   zip(grid.tolist(), trans.tolist()))
+        _write_csv(path, ["detuning_ghz", "transmission"], [grid, trans])
         meta = {"kind": "one-photon", "field_mt": b,
                 "polarization": args.polarization,
                 "optical_depth": vap.depth()}
     else:
-        grid = np.linspace(args.lo, args.hi, args.points)
         trans, warn = vapour.two_photon_spectrum(
             vap, b, args.polarization, args.control_polarization,
             args.signal_detuning, grid, geometry=args.geometry)
         path = _out_path(cfg, args, "spectrum_two_photon.csv")
-        _write_csv(path, ["control_detuning_ghz", "transmission"],
-                   zip(grid.tolist(), trans.tolist()))
+        _write_csv(path, ["control_detuning_ghz", "transmission"], [grid, trans])
         window = (args.signal_detuning + args.lo - 1.0,
                   args.signal_detuning + args.hi + 1.0)
         table = []
@@ -151,23 +150,23 @@ def cmd_spectrum(cfg: ExperimentConfig, args) -> int:
 def cmd_cavity(cfg: ExperimentConfig, args) -> int:
     params = cfg.cavity_params()
     summary = cavity.summary_dict(params)
+    grid = np.linspace(args.lo, args.hi, args.points)
     if args.mode == "scan":
-        grid = np.linspace(args.lo, args.hi, args.points)
         resp = cavity.reflection_response(params, grid)
         path = _out_path(cfg, args, "cavity_scan.csv")
-        cavity.response_to_csv(resp, path)
+        _write_csv(path, ["detuning_ghz", "reflected_power", "transmitted_power",
+                          "reflection_re", "reflection_im"],
+                   [resp.detunings_ghz, resp.reflected_power, resp.transmitted_power,
+                    resp.reflection.real, resp.reflection.imag])
     else:
-        grid = np.linspace(args.lo, args.hi, args.points)
         m = cavity.dual_resonance_map(params, grid, grid)
         path = _out_path(cfg, args, "cavity_resmap.csv")
-        rows = []
-        for i, d_sig in enumerate(m.signal_detunings_ghz):
-            for j, d_ctl in enumerate(m.control_detunings_ghz):
-                rows.append([float(d_sig), float(d_ctl),
-                             float(m.buildup[i, j]),
-                             int(m.two_photon_mask[i, j])])
+        n_sig, n_ctl = m.buildup.shape
         _write_csv(path, ["signal_detuning_ghz", "control_detuning_ghz",
-                          "buildup", "two_photon_line"], rows)
+                          "buildup", "two_photon_line"],
+                   [np.repeat(m.signal_detunings_ghz, n_ctl),
+                    np.tile(m.control_detunings_ghz, n_sig), m.buildup.ravel(),
+                    m.two_photon_mask.ravel().astype(int)])
         summary["dual_resonant_pairs"] = m.resonant_pairs
     _write_json(path.replace(".csv", ".json"), summary, cfg)
     print(path)
@@ -181,8 +180,7 @@ def cmd_store(cfg: ExperimentConfig, args) -> int:
         drift_offset_ghz=args.drift_offset, dt_ns=args.dt)
     path = _out_path(cfg, args, "store_flux.csv")
     _write_csv(path, ["time_ns", "output_flux_per_ns", "reference_flux_per_ns"],
-               zip(res.time_grid_ns.tolist(), res.output_flux.tolist(),
-                   res.reference_flux.tolist()))
+               [res.time_grid_ns, res.output_flux, res.reference_flux])
     summary = {
         "input_photons": res.input_photons,
         "reference_counts": res.reference_counts,
@@ -223,7 +221,7 @@ def cmd_scan(cfg: ExperimentConfig, args) -> int:
         header = ["signal_fwhm_ns", "total_efficiency"]
         name = "scan_bandwidth.csv"
     path = _out_path(cfg, args, name)
-    _write_csv(path, header, zip(grid.tolist(), np.asarray(effs).tolist()))
+    _write_csv(path, header, [grid, effs])
     print(path)
     return 0
 
@@ -348,6 +346,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            reject_non_finite(value, f"argument --{name.replace('_', '-')}")
         cfg = _load_config(args)
         return args.func(cfg, args)
     except ConfigError as exc:

@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .cavity import CavityParams
+from .constants import default_constants
 from .errors import ConfigError
 from .memory import MemoryConfig, PulseShape
 from .optimize import DriftModel, GASettings, ParameterSpace
 from .vapour import VapourParams
 
-__all__ = ["ExperimentConfig", "DEFAULT_CONFIG"]
+__all__ = ["ExperimentConfig", "DEFAULT_CONFIG", "reject_non_finite"]
 
 DEFAULT_CONFIG: dict = {
     "constants_path": None,
@@ -101,15 +102,17 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-def _reject_non_finite(value, path):
+def reject_non_finite(value, path):
+    """ConfigError for a NaN or +/-Infinity anywhere in value, which may nest
+    dicts and lists; path names value in the message."""
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"config value {path!r} must be finite, got {value!r}")
+        raise ConfigError(f"{path} must be finite, got {value!r}")
     if isinstance(value, dict):
         for key, item in value.items():
-            _reject_non_finite(item, f"{path}.{key}")
+            reject_non_finite(item, f"{path}.{key}")
     elif isinstance(value, (list, tuple)):
         for n, item in enumerate(value):
-            _reject_non_finite(item, f"{path}[{n}]")
+            reject_non_finite(item, f"{path}[{n}]")
 
 
 def _merge_strict(defaults, override, path=""):
@@ -124,7 +127,7 @@ def _merge_strict(defaults, override, path=""):
         if isinstance(defaults[key], dict) and key != "bounds":
             merged[key] = _merge_strict(defaults[key], value, path + key + ".")
         else:
-            _reject_non_finite(value, path + key)
+            reject_non_finite(value, f"config value {path + key}")
             merged[key] = copy.deepcopy(value)
     return merged
 
@@ -203,4 +206,9 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
     def provenance(self) -> dict:
-        return {"toolkit_version": __version__, "config_hash": self.config_hash()}
+        """Toolkit version, config hash, and the path (None for the bundled
+        file) and sha256 of the constants file the outputs were computed from."""
+        consts = default_constants()
+        return {"toolkit_version": __version__, "config_hash": self.config_hash(),
+                "constants_path": consts.source_path,
+                "constants_sha256": consts.source_sha256}

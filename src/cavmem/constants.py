@@ -8,6 +8,7 @@ the ``--constants`` CLI flag.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -44,6 +45,8 @@ class AtomConstants:
     d52: TermConstants
     wavelength_signal_nm: float
     wavelength_control_nm: float
+    source_path: str | None = None   # file loaded from; None for the bundled one
+    source_sha256: str = ""          # of that file's text
 
     def term(self, label: str) -> TermConstants:
         key = label.lower().replace("5", "").replace("_", "").replace("/", "")
@@ -98,6 +101,8 @@ def load_constants(path: str | None = None) -> AtomConstants:
         d52=term("d52", "5D5/2"),
         wavelength_signal_nm=kv["wavelength_signal_nm"],
         wavelength_control_nm=kv["wavelength_control_nm"],
+        source_path=path,
+        source_sha256=hashlib.sha256(text.encode()).hexdigest(),
     )
 
 

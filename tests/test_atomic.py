@@ -1,16 +1,18 @@
 """Level-structure tests: analytic oracles, selection rules, sum rules."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavmem.atomic import (all_manifolds, basis_labels, breit_rabi_curve,
-                           build_hamiltonian, clebsch_gordan,
+from cavmem.atomic import (_labelled_system, all_manifolds, basis_labels,
+                           breit_rabi_curve, build_hamiltonian, clebsch_gordan,
                            diagonalize_manifold, group_two_photon_lines,
-                           transition_lines, two_photon_lines)
+                           manifold_spec, transition_lines, two_photon_lines)
+from cavmem.constants import default_constants
 from cavmem.errors import DomainError, StructuralError
 
 S12, P32, D52 = all_manifolds()
@@ -86,6 +88,10 @@ def test_hermiticity_and_mf_block_structure():
 def test_negative_field_rejected():
     with pytest.raises(DomainError):
         build_hamiltonian(S12, -1.0)
+    with pytest.raises(DomainError):
+        diagonalize_manifold(P32, -1.0)
+    with pytest.raises(DomainError):
+        breit_rabi_curve(D52, [-1.0, 0.0, 10.0])
 
 
 def test_deep_paschen_back_clusters():
@@ -263,6 +269,32 @@ def test_labels_continuous_in_field(b):
             assert s.index == t.index
             assert s.m_f == t.m_f
             assert abs(s.energy_mhz - t.energy_mhz) < 1e-3
+
+
+@pytest.mark.parametrize("man, grid", [
+    (S12, np.linspace(0.0, 300.0, 121)), (P32, np.linspace(0.0, 300.0, 121)),
+    (D52, np.linspace(0.0, 300.0, 121)), (D52, np.array([0.0])),
+    (P32, np.array([169.0])), (S12, np.linspace(0.0, 300.0, 1100)),
+], ids=["S12", "P32", "D52", "D52-zero", "P32-single", "S12-two-chunks"])
+def test_breit_rabi_rows_equal_single_field_eigensystems(man, grid):
+    # the batched eigensolve over the grid gives each row bit for bit what a
+    # one-field solve gives, also across the field-chunk boundary
+    table = breit_rabi_curve(man, grid)
+    assert table.shape == (len(grid), man.dim)
+    for row, b in zip(table, grid):
+        assert np.array_equal(row, _labelled_system(man, float(b))[0])
+
+
+def test_transition_lines_follow_a_constants_override():
+    # the cached field-free Hamiltonian and dipole operators are keyed on the
+    # manifold constants, so an edited A constant is never served stale
+    base = default_constants()
+    a_new = 2 * base.s12.a_mhz
+    s12_new = manifold_spec("5S1/2", replace(base, s12=replace(base.s12, a_mhz=a_new)))
+    for man, a in ((S12, base.s12.a_mhz), (s12_new, a_new), (S12, base.s12.a_mhz)):
+        lower = {ln.lower.energy_mhz for ln in transition_lines(man, P32, 0.0)}
+        # zero-field ground levels F = 1 and F = 2 lie 2A apart
+        assert max(lower) - min(lower) == pytest.approx(2 * a, rel=1e-12)
 
 
 def test_breit_rabi_rejects_unsorted_grid():

@@ -1,6 +1,7 @@
 """Configuration ingestion and CLI round-trip tests."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from cavmem.cli import main
+from cavmem.cli import _write_csv, main
 from cavmem.config import ExperimentConfig
 from cavmem.errors import ConfigError
 
@@ -90,6 +91,25 @@ def read_csv(path):
         header = next(reader)
         rows = [[float(v) for v in row] for row in reader]
     return header, np.array(rows)
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # byte for byte what csv.writer writes for repr(float) rows, across more
+    # rows than one block
+    n = 4099
+    x = np.linspace(-1.0, 1.0, n)
+    x[[0, 1, 2, 3, 4097]] = [-0.0, 0.0, math.inf, -math.inf, math.nan]
+    y = np.geomspace(1e-300, 1e300, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
+    flags = np.arange(n) % 3 - 1
+    _write_csv(str(tmp_path / "new.csv"), ["x", "y", "flag"], [x, y, flags])
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "flag"])
+        for row in zip(x.tolist(), y.tolist(), flags.tolist()):
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v
+                             for v in row])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert b"-0.0," in (tmp_path / "new.csv").read_bytes()
 
 
 def test_cli_levels_roundtrip(tmp_path, capsys):
@@ -320,6 +340,22 @@ def test_cli_nan_config_exits_2_without_summary(tmp_path, capsys):
     assert not (out / "store_summary.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["levels", "--field", "nan", "300"],
+    ["levels", "--field", "0", "inf"],
+    ["store", "--dt", "nan"],
+    ["spectrum", "one-photon", "--lo", "nan"],
+], ids=["levels-nan", "levels-inf", "store-dt-nan", "spectrum-lo-nan"])
+def test_cli_non_finite_argument_exits_2_without_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), *argv])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "must be finite" in err["message"]
+    assert not out.exists()
+
+
 def test_cli_exit_code_numerical_error(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "store", "--dt", "0.2"])
     assert rc == 3
@@ -353,3 +389,30 @@ def test_cli_constants_override(tmp_path):
     finally:
         from cavmem.constants import set_default_constants
         set_default_constants(None)
+
+
+def test_cli_constants_recorded_in_provenance(tmp_path):
+    # an edited 5D5/2 A constant changes the outputs' constants hash but not
+    # the config hash, which covers only the config document
+    from importlib import resources
+    from cavmem.constants import set_default_constants
+    text = resources.files("cavmem.data").joinpath("rb87_constants.cfg").read_text()
+    edited = text.replace("d52_a_mhz = -7.44", "d52_a_mhz = -7.5")
+    assert edited != text
+    alt = tmp_path / "alt.cfg"
+    alt.write_text(edited)
+    prov = {}
+    for tag, extra in (("bundled", []), ("edited", ["--constants", str(alt)])):
+        try:
+            rc = main([*extra, "--out", str(tmp_path / tag), "spectrum",
+                       "one-photon", "--points", "11"])
+        finally:
+            set_default_constants(None)
+        assert rc == 0
+        with open(tmp_path / tag / "spectrum_one_photon.json") as fh:
+            prov[tag] = json.load(fh)["provenance"]
+    assert prov["bundled"]["constants_path"] is None
+    assert prov["edited"]["constants_path"] == str(alt)
+    assert prov["bundled"]["constants_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    assert prov["edited"]["constants_sha256"] == hashlib.sha256(edited.encode()).hexdigest()
+    assert prov["bundled"]["config_hash"] == prov["edited"]["config_hash"]
