@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, atomic, cavity, fitting, memory, optimize, vapour
 from .config import ExperimentConfig, reject_non_finite
-from .constants import ENV_VAR, set_default_constants
+from .constants import restored_default_constants, set_default_constants
 from .errors import CavmemError, ConfigError, DomainError, NumericalError
 
 
@@ -67,7 +67,6 @@ def _load_config(args) -> ExperimentConfig:
         else ExperimentConfig()
     path = args.constants or cfg.constants_path
     if path:
-        os.environ[ENV_VAR] = path
         try:
             set_default_constants(path)  # fail fast on a bad file
         except (OSError, ValueError, KeyError) as exc:
@@ -276,6 +275,13 @@ def cmd_fit(cfg: ExperimentConfig, args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavmem",
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("levels", help="magnetic-level energies vs field")
     p.add_argument("--field", type=float, nargs=2, default=[0.0, 300.0],
                    metavar=("LO", "HI"))
-    p.add_argument("--points", type=int, default=121)
+    p.add_argument("--points", type=_positive_int, default=121)
     p.add_argument("--manifolds", nargs="+", default=None,
                    choices=["5S1/2", "5P3/2", "5D5/2"])
     p.set_defaults(func=cmd_levels)
@@ -305,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometry", default="counter", choices=["counter", "co"])
     p.add_argument("--lo", type=float, default=-12.0)
     p.add_argument("--hi", type=float, default=4.0)
-    p.add_argument("--points", type=int, default=1601)
+    p.add_argument("--points", type=_positive_int, default=1601)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("cavity", help="frequency response or resonance map")
     p.add_argument("mode", choices=["scan", "resmap"])
     p.add_argument("--lo", type=float, default=-12.0)
     p.add_argument("--hi", type=float, default=12.0)
-    p.add_argument("--points", type=int, default=1201)
+    p.add_argument("--points", type=_positive_int, default=1201)
     p.set_defaults(func=cmd_cavity)
 
     p = sub.add_parser("store", help="single storage/retrieval run")
@@ -324,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["lifetime", "energy", "bandwidth"])
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--points", type=_positive_int, default=25)
     p.add_argument("--dt", type=float, default=0.02)
     p.set_defaults(func=cmd_scan)
 
@@ -346,10 +352,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for name, value in vars(args).items():
-            reject_non_finite(value, f"argument --{name.replace('_', '-')}")
-        cfg = _load_config(args)
-        return args.func(cfg, args)
+        # a constants override holds for this run only
+        with restored_default_constants():
+            for name, value in vars(args).items():
+                reject_non_finite(value, f"argument --{name.replace('_', '-')}")
+            cfg = _load_config(args)
+            return args.func(cfg, args)
     except ConfigError as exc:
         json.dump({"error": "config", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

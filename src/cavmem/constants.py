@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 
@@ -115,6 +116,18 @@ def default_constants() -> AtomConstants:
     if _DEFAULT is None:
         _DEFAULT = load_constants()
     return _DEFAULT
+
+
+@contextmanager
+def restored_default_constants():
+    """Put the process-wide default constants back on leaving the block,
+    whatever `set_default_constants` did inside it."""
+    global _DEFAULT
+    previous = _DEFAULT
+    try:
+        yield
+    finally:
+        _DEFAULT = previous
 
 
 def set_default_constants(path: str | None) -> AtomConstants:

@@ -33,10 +33,19 @@ reference flux from a control-off lane in the same batch.
 
 The RK4 loop evaluates the drives a_in(t) and W(t) once per half step, in
 chunks of steps, and reuses them across the stages that share a time; it
-books the fluxes and counts per chunk.  The grid points are t_k = k dt for
-every batch, and each lane rests exactly at zero before its own window and
-stops counting after it, so a lane's results do not depend on the other
-lanes of its batch.
+books the fluxes and counts per chunk.  Every lane runs on its own clock
+over the grid t_k = k dt: it starts from rest at its own window and stops
+counting after it.  Between the end of the write window and the start of
+the read window nothing drives a lane, and the memory is linear and time
+invariant (the storage/retrieval linear-map view of Gorshkov et al., PRA 76,
+033804 (2007)).  There the lane jumps to the read window's first grid point
+with the exact propagator: a 2x2 matrix exponential in eigen form for
+(a, P) and a scalar exponential for S.  The loss and output integrals over
+the jump are booked in closed form, and the kernel and the leak/retrieved
+split act at the lane's own t_mid grid point as they do in the loop.  The
+jump points depend only on the lane's pulse windows, so a lane's results do
+not depend on the other lanes of its batch, and a lane without drive-free
+time takes the plain RK4 path.
 
 All simulations are pure functions of (config, pulses, drift); scans evaluate
 their points as one vectorized batch, so results cannot depend on evaluation
@@ -45,6 +54,7 @@ order.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -67,6 +77,16 @@ TWO_PI = 2 * math.pi
 _LN2 = math.log(2)
 
 
+def _require_finite(obj, what: str) -> None:
+    """DomainError unless every number field of obj, those of a nested
+    CavityParams included, is finite; None marks an unset optional value."""
+    for name, value in vars(obj).items():
+        if isinstance(value, CavityParams):
+            _require_finite(value, f"{what} {name}")
+        elif value is not None and not math.isfinite(value):
+            raise DomainError(f"{what} {name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PulseShape:
     """Gaussian pulse; fwhm refers to the intensity envelope."""
@@ -78,6 +98,7 @@ class PulseShape:
     phase_rad: float = 0.0           # constant per pulse
 
     def __post_init__(self):
+        _require_finite(self, "pulse")
         if self.fwhm_ns <= 0:
             raise DomainError("pulse fwhm must be positive")
         if self.energy < 0:
@@ -104,6 +125,7 @@ class MemoryConfig:
     excitation_fwhm_ns: float = 0.42           # beat-weighting bandwidth, calibrated
 
     def __post_init__(self):
+        _require_finite(self, "memory config")
         if self.cooperativity < 0:
             raise DomainError("cooperativity must be non-negative")
         if self.polarization_fwhm_ghz <= 0:
@@ -199,14 +221,17 @@ def _gauss_flux(t, center, fwhm, n):
 
 
 def _lane_steps(par: dict, dt: float):
-    """Grid indices (t_k = k dt) of each lane's start, storage midpoint and end."""
+    """Grid indices (t_k = k dt) of each lane's start, storage midpoint and
+    end, and of the first and last point of its drive-free interval."""
     return (np.floor(par["t_start"] / dt).astype(int),
             np.ceil(par["t_mid"] / dt).astype(int),
-            np.ceil(par["t_end"] / dt).astype(int))
+            np.ceil(par["t_end"] / dt).astype(int),
+            np.ceil(par["t_free"] / dt).astype(int),
+            np.floor(par["t_read"] / dt).astype(int))
 
 
 def _lanes_by_step(steps) -> dict:
-    """Map each grid index to the lanes that have an event there."""
+    """Map each loop index to the lanes that have an event there."""
     out: dict[int, list] = {}
     for lane, k in enumerate(steps.tolist()):
         out.setdefault(k, []).append(lane)
@@ -216,30 +241,87 @@ def _lanes_by_step(steps) -> dict:
 def _drives(par: dict, half_steps, k_start, dt: float):
     """Input amplitude a_in and control Rabi frequency W on half-step points.
 
-    `half_steps` counts half steps from t = 0.  A lane's drives are zero up
-    to and including its own start, so it rests exactly at zero until then
-    however early the rest of its batch starts.
+    `half_steps` counts half steps from t = 0, one column per lane.  A
+    lane's drives are zero up to and including its own start, so it rests
+    exactly at zero until then.
     """
-    t = (0.5 * half_steps)[:, None] * dt
+    t = (0.5 * half_steps) * dt
     a_in = np.sqrt(_gauss_flux(t, par["sig_c"], par["sig_f"], par["sig_n"])) \
         * np.exp(1j * par["sig_phase"])
     om = par["omega_w"] * np.exp(-2 * _LN2 * ((t - par["w_c"]) / par["w_f"]) ** 2) \
         + par["omega_r"] * np.exp(-2 * _LN2 * ((t - par["r_c"]) / par["r_f"]) ** 2
                                   - 1j * par["chirp_r"] * (t - par["r_c"]))
-    live = half_steps[:, None] > 2 * k_start
+    live = half_steps > 2 * k_start
     return np.where(live, a_in, 0.0), np.where(live, om, 0.0)
+
+
+def _ap_eigenvalues(par: dict):
+    """Rates c_a, c_p of the bare cavity and polarization, and the two
+    eigenvalues of the drive-free (a, P) block [[c_a, ig], [ig, c_p]].
+
+    Raises NumericalError at an exceptional point, where the eigenvalues
+    coincide and the block has no eigenbasis.
+    """
+    c_a = -(par["kappa"] / 2 + 1j * par["delta_c"])
+    c_p = -(par["gamma_p"] / 2 + 1j * par["delta_p"])
+    root = np.sqrt(0.25 * (c_a - c_p) ** 2 - par["g"] ** 2)
+    if np.any(np.abs(root) <= 1e-9 * np.abs(c_a + c_p)):
+        raise NumericalError("cavity and polarization sit at an exceptional "
+                             "point; the (a, P) block has a double eigenvalue")
+    return c_a, c_p, np.stack([0.5 * (c_a + c_p) + root, 0.5 * (c_a + c_p) - root])
+
+
+def _phi(x, t):
+    """(e^{x t} - 1) / x, the integral of e^{x s} over [0, t]; t where x = 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(x == 0, t, np.expm1(x * t) / x)
+
+
+def _free_evolution(y, diag, ig, s, t):
+    """Exact drive-free propagation of y = (a, P, S) over times t >= 0.
+
+    `diag` holds the rates (c_a, c_p, c_s).  (a, P) splits into the modes of
+    the eigenvalues s = (s+, s-) of A = [[c_a, ig], [ig, c_p]], through the
+    projector (A - s- I) / (s+ - s-); S decays on its own.  Returns the
+    state at t and the integrals of |a|^2, |P|^2 and |S|^2 over [0, t],
+    each a sum of c_i c_j* (e^{(s_i + s_j*) t} - 1) / (s_i + s_j*) over the
+    mode pairs.
+    """
+    a, p, spin = y
+    c_a, c_p, c_s = diag
+    den = s[0] - s[1]
+    v_plus = np.stack([((c_a - s[1]) * a + ig * p) / den,
+                       (ig * a + (c_p - s[1]) * p) / den])
+    v_minus = y[:2] - v_plus
+    grow = np.exp(s * t)
+    state = np.concatenate([v_plus * grow[0] + v_minus * grow[1],
+                            [spin * np.exp(c_s * t)]])
+    integrals = np.concatenate([
+        np.abs(v_plus) ** 2 * _phi(2 * s[0].real, t)
+        + np.abs(v_minus) ** 2 * _phi(2 * s[1].real, t)
+        + 2 * np.real(v_plus * np.conj(v_minus) * _phi(s[0] + np.conj(s[1]), t)),
+        [np.abs(spin) ** 2 * _phi(2 * c_s.real, t)]])
+    return state, integrals
 
 
 def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                      keep_flux: bool = False) -> dict:
-    """Vectorized RK4 for a batch of simulations sharing one time grid.
+    """Vectorized RK4 for a batch of simulations, each lane on its own clock.
 
     `par` holds per-individual parameter arrays (see simulate_batch).  The
-    grid points are t_k = k dt and [t0, t1] must lie on them.  Each lane
-    integrates from rest at its own start and accumulates its counts up to
-    its own end, so its results do not depend on the other lanes of the
-    batch.  Returns integrated counts and loss channels per individual, plus
-    the output flux on the grid when `keep_flux` is set.
+    grid points are t_k = k dt and [t0, t1] must lie on them; it spans
+    every lane's window.  At loop index i a lane sits at grid index
+    k_start + i, plus the length J of its drive-free interval once it has
+    crossed it: at that interval's first point the lane is carried to its
+    last by the exact propagator, with the dephasing kernel and the
+    leak/retrieved split applied at t_mid when t_mid falls inside.  Chunks
+    of the drive table end at every jump, so each RK4 stage sees the drives
+    at the lane's true time.  Each lane integrates from rest at its own
+    start and accumulates its counts up to its own end, and its jump points
+    depend only on its own pulses, so its results do not depend on the
+    other lanes of the batch.  Returns integrated counts and loss channels
+    per individual, plus the output flux on the grid when `keep_flux` is
+    set; rows a lane does not reach stay zero.
     """
     n_steps = int(math.ceil((t1 - t0) / dt))
     k0 = int(round(t0 / dt))
@@ -257,17 +339,34 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             f"({lam_max:.1f} rad/ns); reduce dt below {2.5 / lam_max:.4f} ns")
 
     sqrt_kext = np.sqrt(par["kappa_ext"])
+    c_a, c_p, s_ap = _ap_eigenvalues(par)
     # y = (a, P, S): dy/dt = diag * y + coupling to the neighbour + drive
-    diag = np.stack([-(par["kappa"] / 2 + 1j * par["delta_c"]),
-                     -(par["gamma_p"] / 2 + 1j * par["delta_p"]),
-                     -(par["gamma_s"] / 2 + 1j * par["delta_2"])])
+    diag = np.stack([c_a, c_p, -(par["gamma_s"] / 2 + 1j * par["delta_2"])])
     ig = 1j * par["g"]
     # loss rates of (a, P, S): internal cavity loss, polarization, spin
     loss_rates = np.stack([par["kappa"] - par["kappa_ext"], par["gamma_p"],
                            par["gamma_s"]])
     kernel = par["kernel"]
-    k_start, k_mid, k_end = _lane_steps(par, dt)
-    kernel_at, end_at = _lanes_by_step(k_mid), _lanes_by_step(k_end)
+    k_start, k_mid, k_end, k_free, k_read = _lane_steps(par, dt)
+    skip = np.maximum(k_read - k_free, 0)    # J, the steps a lane jumps over
+    mid_inside = (skip > 0) & (k_free < k_mid) & (k_mid <= k_read)
+
+    def loop_index(k):
+        """Loop index at which each lane sits at grid index k (outside its jump)."""
+        return k - k_start - np.where(k > k_free, skip, 0)
+
+    # events after the step that lands a lane on t_mid and on its end; -1,
+    # which the loop never reaches, marks a kernel that the jump applies
+    kernel_at = _lanes_by_step(np.where(mid_inside, -1, loop_index(k_mid) - 1))
+    end_at = _lanes_by_step(loop_index(k_end) - 1)
+    jump_at = _lanes_by_step(np.where(skip > 0, k_free - k_start, -1))
+    jump_at.pop(-1, None)
+    n_iter = int(np.max(loop_index(k_end)))
+    if keep_flux:   # run on to the grid's last row
+        n_iter = max(n_iter, int(np.max(k0 + n_steps - k_start - skip)))
+    stops = sorted(jump_at) + [n_iter]
+    # grid index of each lane at loop index 0; a jump moves it on by J
+    offset = k_start.copy()
 
     def deriv(y, up, down, force):
         d = diag * y
@@ -287,11 +386,44 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     f_prev = np.zeros((5, b))
     half, sixth = 0.5 * dt, dt / 6
 
+    def jump(lanes):
+        """Carry `lanes` from k_free to k_read, booking the interval's counts."""
+        lanes = np.asarray(lanes)
+        sub = (diag[:, lanes], ig[lanes], s_ap[:, lanes])
+        n_before = np.clip(k_mid[lanes] - k_free[lanes], 0, skip[lanes])
+        y_mid, to_mid = _free_evolution(y[:, lanes], *sub, n_before * dt)
+        inside = mid_inside[lanes]
+        at_mid, s = lanes[inside], y_mid[2, inside]
+        dephasing[at_mid] = np.abs(s) ** 2 * (1 - np.abs(kernel[at_mid]) ** 2)
+        y_mid[2, inside] = s * kernel[at_mid]
+        y_end, from_mid = _free_evolution(y_mid, *sub, (skip[lanes] - n_before) * dt)
+        counts[0, lanes] += par["kappa_ext"][lanes] * to_mid[0]
+        counts[1, lanes] += par["kappa_ext"][lanes] * from_mid[0]
+        counts[3:, lanes] += loss_rates[:, lanes] * (to_mid + from_mid)
+        f_prev[:, lanes] = np.concatenate([
+            par["kappa_ext"][lanes] * np.abs(y_end[:1]) ** 2, np.zeros((1, len(lanes))),
+            loss_rates[:, lanes] * np.abs(y_end) ** 2])
+        if keep_flux:
+            # a does not see the kernel, so its grid values follow from k_free
+            for lane in lanes.tolist():
+                one = slice(lane, lane + 1)
+                a_t = _free_evolution(y[:, one], diag[:, one], ig[one], s_ap[:, one],
+                                      dt * np.arange(1, skip[lane] + 1))[0][0]
+                out_flux[k_free[lane] - k0 + 1:k_read[lane] - k0 + 1, lane] = \
+                    par["kappa_ext"][lane] * np.abs(a_t) ** 2
+        y[:, lanes] = y_end
+        offset[lanes] += skip[lanes]
+
     chunk = max(4, min(64, _CHUNK_LANE_STEPS // b))
-    for i0 in range(0, n_steps, chunk):
-        m = min(chunk, n_steps - i0)
-        a_in, om = _drives(par, np.arange(2 * (k0 + i0), 2 * (k0 + i0 + m) + 1),
-                           k_start, dt)
+    i0 = 0
+    while i0 < n_iter:
+        lanes = jump_at.get(i0)
+        if lanes is not None:
+            jump(lanes)
+        # the chunk ends at the next jump, so each lane's grid indices run on
+        m = min(chunk, stops[bisect.bisect_right(stops, i0)] - i0)
+        base = offset + i0            # each lane's grid index at the chunk start
+        a_in, om = _drives(par, 2 * base + np.arange(2 * m + 1)[:, None], k_start, dt)
         up = np.empty((2 * m + 1, 2, b), dtype=complex)
         up[:, 0] = ig
         up[:, 1] = 0.5j * om
@@ -307,13 +439,12 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             k3 = deriv(y + half * k2, ups[o], downs[o], forces[o])
             k4 = deriv(y + dt * k3, ups[e + 2], downs[e + 2], forces[e + 2])
             y = y + sixth * (k1 + 2 * (k2 + k3) + k4)
-            k_new = k0 + i0 + r + 1
-            lanes = kernel_at.get(k_new)
+            lanes = kernel_at.get(i0 + r)
             if lanes is not None:
                 s = y[2, lanes]
                 dephasing[lanes] = np.abs(s) ** 2 * (1 - np.abs(kernel[lanes]) ** 2)
                 y[2, lanes] = s * kernel[lanes]
-            lanes = end_at.get(k_new)
+            lanes = end_at.get(i0 + r)
             if lanes is not None:
                 residual[lanes] = (np.abs(y[0, lanes]) ** 2 + np.abs(y[1, lanes]) ** 2
                                    + np.abs(y[2, lanes]) ** 2)
@@ -325,11 +456,13 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         flux[:, 0] = np.abs(sqrt_kext * states[:, 0] - ain) ** 2
         flux[:, 1] = np.abs(ain) ** 2
         flux[:, 2:] = loss_rates * np.abs(states) ** 2
+        k_grid = base + 1 + np.arange(m)[:, None]
         if keep_flux:
-            out_flux[i0 + 1:i0 + m + 1] = flux[:, 0]
+            rows = k_grid - k0
+            kept = rows <= n_steps
+            out_flux[rows[kept], np.nonzero(kept)[1]] = flux[:, 0][kept]
         trap = half * (np.concatenate([f_prev[None], flux[:-1]]) + flux)
         f_prev = flux[-1]
-        k_grid = (k0 + i0 + 1 + np.arange(m))[:, None]
         live = k_grid <= k_end
         before = k_grid <= k_mid
         steps = np.empty((m + 1, 6, b))
@@ -340,6 +473,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         # a running sum in step order, so each lane adds its own terms in
         # the same sequence whatever batch it is part of
         counts = np.add.accumulate(steps, axis=0)[-1]
+        i0 += m
 
     leak, retrieved, n_in, loss_cav, loss_pol, loss_spin = counts
     return dict(ts=ts, out_flux=out_flux, leak=leak, retrieved=retrieved,
@@ -362,13 +496,7 @@ def _reference_counts(par: dict) -> np.ndarray:
     from scipy.special import wofz   # lazy: commands that never simulate skip scipy
 
     sigma = par["sig_f"] / (2 * math.sqrt(2 * _LN2))
-    c_a = -(par["kappa"] / 2 + 1j * par["delta_c"])
-    c_p = -(par["gamma_p"] / 2 + 1j * par["delta_p"])
-    root = np.sqrt(0.25 * (c_a - c_p) ** 2 - par["g"] ** 2)
-    if np.any(np.abs(root) <= 1e-9 * np.abs(c_a + c_p)):
-        raise NumericalError("cavity and polarization sit at an exceptional "
-                             "point; the reference has a double pole")
-    s = np.stack([0.5 * (c_a + c_p) + root, 0.5 * (c_a + c_p) - root])
+    c_a, c_p, s = _ap_eigenvalues(par)
     poles = 1j * s
     beta = 1j * par["kappa_ext"] * (s - c_p) / (s - s[::-1])  # r = -1 + sum beta_j / (w - w_j)
     # residue of |r|^2 at w_j: beta_j times conj(r) continued to w_j
@@ -456,6 +584,10 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
         t_start=np.minimum(sig_c - 3 * sig_f, w_c - 3 * w_f) - 0.5,
         t_mid=0.5 * (w_c + r_c),
         t_end=np.maximum(r_c + 3 * r_f, sig_c + 4 * sig_f) + tail,
+        # drive-free from the end of the write window to the start of the
+        # read window, whatever the pulse energies
+        t_free=np.maximum(sig_c + 4 * sig_f, w_c + 3 * w_f),
+        t_read=r_c - 3 * r_f,
         kernel=kernel,
     )
 
@@ -483,7 +615,7 @@ def simulate_batch(config: MemoryConfig, signals, writes, reads,
     if any(pulses_overlap(w, r) for w, r in zip(writes, reads)):
         raise DomainError("read and write pulse windows overlap")
     par = _pulse_par_arrays(config, signals, writes, reads, drift_offset_ghz)
-    k_start, _, k_end = _lane_steps(par, dt_ns)
+    k_start, _, k_end, _, _ = _lane_steps(par, dt_ns)
     t0, t1 = dt_ns * int(k_start.min()), dt_ns * int(k_end.max())
     main = _integrate_batch(par, t0, t1, dt_ns, keep_flux)
     return main, _reference_counts(par), (t0, t1)

@@ -254,6 +254,25 @@ def test_cli_store_summary_closes_and_reference_flux_integrates(tmp_path):
     assert integral == pytest.approx(summary["reference_counts"], rel=1e-6)
 
 
+def test_cli_store_with_jumped_storage_flux_integrates_to_counts(tmp_path):
+    # a 40 ns read delay leaves a drive-free stretch that the integrator
+    # jumps over; the flux rows inside it still carry the output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pulses": {"read": {"center_ns": 40.1}}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "store"]) == 0
+    summary = json.loads((tmp_path / "store_summary.json").read_text())
+    _, rows = read_csv(tmp_path / "store_flux.csv")
+    assert np.trapezoid(rows[:, 1], rows[:, 0]) == pytest.approx(
+        summary["leak_counts"] + summary["retrieved_counts"], rel=1e-6)
+    assert np.trapezoid(rows[:, 2], rows[:, 0]) == pytest.approx(
+        summary["reference_counts"], rel=1e-6)
+    b = summary["bookkeeping"]
+    total = (b["output_total"] + b["loss_polarization"] + b["loss_spin"]
+             + b["loss_cavity_internal"] + b["loss_dephasing"]
+             + b["residual_excitation"])
+    assert total == pytest.approx(summary["input_photons"], rel=1e-4)
+
+
 def test_cli_store_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["--out", str(out1), "store"]) == 0
@@ -356,6 +375,24 @@ def test_cli_non_finite_argument_exits_2_without_output(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["levels", "--points", "-1"],
+    ["levels", "--points", "0"],
+    ["spectrum", "one-photon", "--points", "0"],
+    ["cavity", "scan", "--points", "0"],
+    ["scan", "lifetime", "--points", "0"],
+    ["scan", "energy", "--points", "-3"],
+], ids=["levels-neg", "levels-zero", "spectrum-zero", "cavity-zero",
+        "scan-lifetime-zero", "scan-energy-neg"])
+def test_cli_non_positive_points_exits_2_without_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out), *argv])
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_code_numerical_error(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "store", "--dt", "0.2"])
     assert rc == 3
@@ -416,3 +453,27 @@ def test_cli_constants_recorded_in_provenance(tmp_path):
     assert prov["bundled"]["constants_sha256"] == hashlib.sha256(text.encode()).hexdigest()
     assert prov["edited"]["constants_sha256"] == hashlib.sha256(edited.encode()).hexdigest()
     assert prov["bundled"]["config_hash"] == prov["edited"]["config_hash"]
+
+
+def test_cli_constants_override_does_not_leak(tmp_path):
+    # a run with --constants leaves the next run in the process on the
+    # bundled file, in its outputs and in its provenance
+    from importlib import resources
+    text = resources.files("cavmem.data").joinpath("rb87_constants.cfg").read_text()
+    edited = text.replace("d52_a_mhz = -7.44", "d52_a_mhz = -7.5")
+    assert edited != text
+    alt = tmp_path / "alt.cfg"
+    alt.write_text(edited)
+    env_before = os.environ.get("CAVMEM_CONSTANTS")
+    argv = ["spectrum", "two-photon", "--points", "11"]
+    assert main(["--out", str(tmp_path / "bundled"), *argv]) == 0
+    assert main(["--constants", str(alt), "--out", str(tmp_path / "edited"), *argv]) == 0
+    assert os.environ.get("CAVMEM_CONSTANTS") == env_before
+    assert main(["--out", str(tmp_path / "after"), *argv]) == 0
+    docs = {tag: json.loads((tmp_path / tag / "spectrum_two_photon.json").read_text())
+            for tag in ("bundled", "edited", "after")}
+    assert docs["edited"]["lines"] != docs["bundled"]["lines"]
+    assert docs["after"] == docs["bundled"]
+    assert docs["after"]["provenance"]["constants_path"] is None
+    assert ((tmp_path / "after" / "spectrum_two_photon.csv").read_bytes()
+            == (tmp_path / "bundled" / "spectrum_two_photon.csv").read_bytes())

@@ -275,6 +275,67 @@ def test_simulated_scan_fit_recovers_configured_dephasing():
     assert fit["amp_beat"] == pytest.approx(CFG.line_amp_beat, rel=0.05)
 
 
+# --------------------------------------------------- segmented integrator
+
+def _closure(main):
+    total = sum(main[k] for k in ("leak", "retrieved", "loss_pol", "loss_spin",
+                                  "loss_cav", "loss_dephasing", "residual"))
+    return np.abs(total - main["n_in"]) / main["n_in"]
+
+
+@pytest.mark.parametrize("dt, worst_at_parent", [(0.02, 2.6e-5), (0.01, 1.3e-5)])
+def test_lifetime_lanes_close_photon_bookkeeping(dt, worst_at_parent):
+    # lanes that jump over their storage time book it in closed form and
+    # close at least as well as the worst lane did when RK4 stepped through it
+    taus = np.linspace(8.0, 104.0, 7)
+    reads = [replace(READ, center_ns=WRITE.center_ns + t) for t in taus]
+    main, _, _ = simulate_batch(CFG, [SIG] * 7, [WRITE] * 7, reads, 0.0, dt)
+    assert np.all(_closure(main) <= worst_at_parent)
+
+
+@pytest.mark.parametrize("dt, expected", [
+    (0.02, [0.16703850878809362, 0.02640786990607904, 0.0003880731618264449]),
+    (0.01, [0.16704185381867778, 0.026408398737009706, 0.0003880809331874895]),
+])
+def test_lifetime_scan_golden_values(dt, expected):
+    # recorded when every storage time was RK4-stepped
+    effs = lifetime_scan(CFG, SIG, WRITE, READ, [20.0, 60.0, 104.0], dt_ns=dt)
+    assert np.allclose(effs, expected, rtol=1e-8, atol=0.0)
+
+
+def test_jumping_lane_independent_of_batch_companions():
+    from cavmem.memory import _lane_steps, _pulse_par_arrays, batch_efficiency
+    read = replace(READ, center_ns=WRITE.center_ns + 40.0)
+    k_free, k_read = _lane_steps(_pulse_par_arrays(CFG, [SIG], [WRITE], [read], 0.0),
+                                 0.02)[3:]
+    assert k_read[0] > k_free[0]          # the lane does jump
+    alone = batch_efficiency(CFG, [SIG], [WRITE], [read], 0.0, 0.02)[0]
+    rng = np.random.default_rng(11)
+    for size in (1, 7, 40):
+        lanes = [(replace(SIG, center_ns=float(rng.uniform(-2.0, 2.0)),
+                          fwhm_ns=float(rng.uniform(0.4, 3.0))),
+                  replace(WRITE, fwhm_ns=float(rng.uniform(0.4, 3.0))),
+                  replace(READ, center_ns=WRITE.center_ns + float(rng.uniform(8.0, 104.0)),
+                          fwhm_ns=float(rng.uniform(0.4, 3.0))))
+                 for _ in range(size - 1)]
+        at = size // 2
+        lanes.insert(at, (SIG, WRITE, read))
+        signals, writes, reads = (list(c) for c in zip(*lanes))
+        vals = batch_efficiency(CFG, signals, writes, reads, 0.0, 0.02)
+        assert vals[at] == alone
+
+
+def test_lifetime_scan_flat_against_decay_law_where_jumps_begin():
+    # from 8 to 20 ns the jumped-over storage time grows from none to a few
+    # steps; the scan must follow the decay law through that onset
+    times = np.round(np.arange(8.0, 20.0 + 1e-9, 0.05), 10)
+    effs = lifetime_scan(CFG, SIG, WRITE, READ, times, dt_ns=0.02)
+    ratio = effs / lifetime_model(times, CFG.gamma_m, CFG.dephasing_width_mhz * 1e-3,
+                                  CFG.line_amp_main, CFG.line_amp_beat,
+                                  TWO_PI * CFG.line_splitting_mhz * 1e-3)
+    assert (ratio.max() - ratio.min()) / ratio.mean() < 1e-3
+
+
 def test_scan_results_independent_of_point_order():
     times = np.array([9.0, 24.0, 15.0, 40.0])
     a = lifetime_scan(CFG, SIG, WRITE, READ, times, dt_ns=0.02)
@@ -373,3 +434,20 @@ def test_config_validation():
         MemoryConfig(cooperativity=-1.0)
     with pytest.raises(DomainError):
         MemoryConfig(insertion_loss=1.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: replace(CFG, cooperativity=v),
+    lambda v: replace(CFG, spin_fwhm_mhz=v),
+    lambda v: replace(CFG, insertion_loss=v),
+    lambda v: replace(CFG, cavity=replace(CFG.cavity, mode_offset_signal_ghz=v)),
+    lambda v: replace(SIG, center_ns=v),
+    lambda v: replace(WRITE, energy=v),
+    lambda v: replace(READ, carrier_detuning_ghz=v),
+], ids=["cooperativity", "spin-width", "insertion-loss", "cavity-offset",
+        "signal-center", "write-energy", "read-carrier"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(make, value):
+    # once, a NaN cooperativity or signal centre reported an efficiency of 0
+    with pytest.raises(DomainError, match="must be finite"):
+        make(value)
