@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 __all__ = [
     "CavityParams", "CavityResponse", "reflection_response", "finesse",
@@ -42,6 +42,7 @@ class CavityParams:
     mode_offset_control_ghz: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "cavity")
         if not (0.0 <= self.r1 <= 1.0 and 0.0 <= self.r2 <= 1.0):
             raise DomainError("mirror reflectivities must lie in [0, 1]")
         if not (0.0 <= self.zeta_rt < 1.0):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, atomic, cavity, fitting, memory, optimize, vapour
 from .config import ExperimentConfig, reject_non_finite
-from .constants import restored_default_constants, set_default_constants
+from .constants import ENV_VAR, default_constants, load_constants
 from .errors import CavmemError, ConfigError, DomainError, NumericalError
 
 
@@ -63,15 +63,17 @@ def _json_default(value):
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The run's config with its atom constants, taken from --constants, the
+    config's constants_path, the CAVMEM_CONSTANTS variable or the bundled
+    file, the first that is set; a bad file fails here, before any output."""
     cfg = ExperimentConfig.from_file(args.config) if args.config \
         else ExperimentConfig()
-    path = args.constants or cfg.constants_path
-    if path:
-        try:
-            set_default_constants(path)  # fail fast on a bad file
-        except (OSError, ValueError, KeyError) as exc:
-            raise ConfigError(f"bad constants file {path}: {exc}") from exc
-    return cfg
+    path = args.constants or cfg.constants_path or os.environ.get(ENV_VAR)
+    try:
+        consts = load_constants(path) if path else default_constants()
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"bad constants file {path}: {exc}") from exc
+    return replace(cfg, constants=consts)
 
 
 # ---------------------------------------------------------------- commands
@@ -83,7 +85,7 @@ def cmd_levels(cfg: ExperimentConfig, args) -> int:
         grid = np.array([lo])
     else:
         grid = np.linspace(lo, hi, args.points)
-    manifolds = atomic.all_manifolds()
+    manifolds = atomic.all_manifolds(cfg.atom_constants())
     wanted = [m for m in manifolds
               if args.manifolds is None or m.label in args.manifolds]
     if not wanted:
@@ -101,10 +103,12 @@ def cmd_levels(cfg: ExperimentConfig, args) -> int:
 
 def cmd_spectrum(cfg: ExperimentConfig, args) -> int:
     vap = cfg.vapour_params()
+    c = cfg.atom_constants()
     b = cfg.field_mt
     grid = np.linspace(args.lo, args.hi, args.points)
     if args.kind == "one-photon":
-        trans = vapour.one_photon_spectrum(vap, b, args.polarization, grid)
+        trans = vapour.one_photon_spectrum(vap, b, args.polarization, grid,
+                                           constants=c)
         path = _out_path(cfg, args, "spectrum_one_photon.csv")
         _write_csv(path, ["detuning_ghz", "transmission"], [grid, trans])
         meta = {"kind": "one-photon", "field_mt": b,
@@ -113,7 +117,7 @@ def cmd_spectrum(cfg: ExperimentConfig, args) -> int:
     else:
         trans, warn = vapour.two_photon_spectrum(
             vap, b, args.polarization, args.control_polarization,
-            args.signal_detuning, grid, geometry=args.geometry)
+            args.signal_detuning, grid, geometry=args.geometry, constants=c)
         path = _out_path(cfg, args, "spectrum_two_photon.csv")
         _write_csv(path, ["control_detuning_ghz", "transmission"], [grid, trans])
         window = (args.signal_detuning + args.lo - 1.0,
@@ -123,7 +127,7 @@ def cmd_spectrum(cfg: ExperimentConfig, args) -> int:
                              ("sigma+", "sigma-"), ("sigma+", "sigma+")):
             lines = atomic.two_photon_lines(
                 b, pol_s, pol_c, total_window_ghz=window,
-                reference_signal_detuning_ghz=args.signal_detuning)
+                reference_signal_detuning_ghz=args.signal_detuning, constants=c)
             for pos, strength, best in atomic.group_two_photon_lines(lines):
                 table.append({
                     "control_detuning_ghz": pos - args.signal_detuning,
@@ -139,7 +143,8 @@ def cmd_spectrum(cfg: ExperimentConfig, args) -> int:
                 "signal_detuning_ghz": args.signal_detuning,
                 "geometry": args.geometry,
                 "linear_absorption_warning": bool(warn),
-                "line_fwhm_mhz": vapour.two_photon_linewidth_mhz(vap, args.geometry),
+                "line_fwhm_mhz": vapour.two_photon_linewidth_mhz(
+                    vap, args.geometry, constants=c),
                 "lines": table}
     _write_json(path.replace(".csv", ".json"), meta, cfg)
     print(path)
@@ -257,7 +262,7 @@ def cmd_fit(cfg: ExperimentConfig, args) -> int:
         fit = fitting.fit_cavity_reflection(x, y)
         extra = fitting.derived_cavity_metrics(fit)
     elif args.model == "doppler":
-        fit = fitting.fit_doppler_absorption(x, y)
+        fit = fitting.fit_doppler_absorption(x, y, constants=cfg.atom_constants())
         extra = {}
     elif args.model == "lifetime":
         fit = fitting.fit_lifetime(x, y)
@@ -352,12 +357,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a constants override holds for this run only
-        with restored_default_constants():
-            for name, value in vars(args).items():
-                reject_non_finite(value, f"argument --{name.replace('_', '-')}")
-            cfg = _load_config(args)
-            return args.func(cfg, args)
+        for name, value in vars(args).items():
+            reject_non_finite(value, f"argument --{name.replace('_', '-')}")
+        cfg = _load_config(args)
+        return args.func(cfg, args)
     except ConfigError as exc:
         json.dump({"error": "config", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

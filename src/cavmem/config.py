@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .cavity import CavityParams
-from .constants import default_constants
+from .constants import AtomConstants, default_constants
 from .errors import ConfigError
 from .memory import MemoryConfig, PulseShape
 from .optimize import DriftModel, GASettings, ParameterSpace
@@ -135,6 +135,9 @@ def _merge_strict(defaults, override, path=""):
 @dataclass
 class ExperimentConfig:
     doc: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG))
+    # the run's atom constants; None stands for the bundled file, which is
+    # loaded on first use so that building a config reads no file
+    constants: AtomConstants | None = None
 
     @classmethod
     def from_dict(cls, override: dict) -> "ExperimentConfig":
@@ -166,6 +169,9 @@ class ExperimentConfig:
     @property
     def constants_path(self):
         return self.doc["constants_path"]
+
+    def atom_constants(self) -> AtomConstants:
+        return self.constants or default_constants()
 
     def cavity_params(self) -> CavityParams:
         return CavityParams(**self.doc["cavity"])
@@ -208,7 +214,7 @@ class ExperimentConfig:
     def provenance(self) -> dict:
         """Toolkit version, config hash, and the path (None for the bundled
         file) and sha256 of the constants file the outputs were computed from."""
-        consts = default_constants()
+        consts = self.atom_constants()
         return {"toolkit_version": __version__, "config_hash": self.config_hash(),
                 "constants_path": consts.source_path,
                 "constants_sha256": consts.source_sha256}

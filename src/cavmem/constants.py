@@ -1,22 +1,25 @@
 """Physical constants for the Rb-87 level structure.
 
 Constants ship in a versioned key/value text file (``data/rb87_constants.cfg``)
-so that the provenance of every number is documented in one place.  The file
-path can be overridden with the ``CAVMEM_CONSTANTS`` environment variable or
-the ``--constants`` CLI flag.
+so that the provenance of every number is documented in one place.  Library
+calls use that bundled file, loaded once and cached, unless they are given
+``constants=``; the library reads no environment and has no default to
+replace.  The CLI resolves one file per run, the first of: the
+``--constants`` flag, the config's ``constants_path``, the
+``CAVMEM_CONSTANTS`` environment variable (read by the CLI only), and the
+bundled file.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 __all__ = ["TermConstants", "AtomConstants", "load_constants", "default_constants"]
 
-ENV_VAR = "CAVMEM_CONSTANTS"
+ENV_VAR = "CAVMEM_CONSTANTS"   # constants-file override, read by the CLI only
 
 # Boltzmann constant over unified atomic mass unit, (m/s)^2 per K
 KB_OVER_AMU = 1.380649e-23 / 1.66053906892e-27
@@ -71,9 +74,7 @@ def _parse_kv(text: str) -> dict[str, float]:
 
 
 def load_constants(path: str | None = None) -> AtomConstants:
-    """Load atom constants from `path`, the env override, or the bundled file."""
-    if path is None:
-        path = os.environ.get(ENV_VAR)
+    """Load atom constants from `path`, or from the bundled file when None."""
     if path is None:
         text = resources.files("cavmem.data").joinpath("rb87_constants.cfg").read_text()
     else:
@@ -107,33 +108,7 @@ def load_constants(path: str | None = None) -> AtomConstants:
     )
 
 
-_DEFAULT: AtomConstants | None = None
-
-
+@lru_cache(maxsize=1)
 def default_constants() -> AtomConstants:
-    """Bundled constants, loaded once per process (env override honoured)."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = load_constants()
-    return _DEFAULT
-
-
-@contextmanager
-def restored_default_constants():
-    """Put the process-wide default constants back on leaving the block,
-    whatever `set_default_constants` did inside it."""
-    global _DEFAULT
-    previous = _DEFAULT
-    try:
-        yield
-    finally:
-        _DEFAULT = previous
-
-
-def set_default_constants(path: str | None) -> AtomConstants:
-    """Replace the process-wide default constants (None restores bundled)."""
-    global _DEFAULT
-    if path is None:
-        os.environ.pop(ENV_VAR, None)
-    _DEFAULT = load_constants(path)
-    return _DEFAULT
+    """The bundled constants, loaded once per process on first use."""
+    return load_constants()

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and its finite-field check."""
+
+import math
+
+import numpy as np
 
 
 class CavmemError(Exception):
@@ -19,3 +23,12 @@ class NumericalError(CavmemError):
 
 class ConfigError(CavmemError):
     """Invalid experiment configuration (unknown keys, bad values)."""
+
+
+def require_finite(obj, what: str) -> None:
+    """DomainError unless every floating-point field of obj is finite.  Other
+    fields are left alone: integers, None for an unset optional value and
+    nested parameter sets, which check their own fields."""
+    for name, value in vars(obj).items():
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise DomainError(f"{what} {name} must be finite, got {value!r}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cavity, memory, vapour
+from .constants import AtomConstants
 from .errors import DomainError
 
 __all__ = [
@@ -214,11 +215,13 @@ def derived_cavity_metrics(fit: FitResult, r1: float = 0.6,
 
 def fit_doppler_absorption(detunings_ghz, transmission,
                            temperature_c: float = 85.0,
-                           polarization: str = "sigma-") -> FitResult:
+                           polarization: str = "sigma-",
+                           constants: AtomConstants | None = None) -> FitResult:
     """Recover (B field, frequency offset, optical depth) from a probe scan.
 
-    Doppler width and relative line strengths are fixed by the level theory;
-    the initial field comes from a deterministic coarse scan.
+    Doppler width and relative line strengths are fixed by the level theory
+    of `constants` (the bundled file when None); the initial field comes
+    from a deterministic coarse scan.
     """
     x = np.asarray(detunings_ghz, dtype=float)
     y = np.asarray(transmission, dtype=float)
@@ -227,7 +230,8 @@ def fit_doppler_absorption(detunings_ghz, transmission,
         b, off, depth = th
         vap = vapour.VapourParams(temperature_c=temperature_c,
                                   optical_depth=max(depth, 0.0))
-        return vapour.one_photon_spectrum(vap, max(b, 0.0), polarization, xx - off)
+        return vapour.one_photon_spectrum(vap, max(b, 0.0), polarization, xx - off,
+                                          constants=constants)
 
     # coarse deterministic initialization over the plausible field range
     best = None

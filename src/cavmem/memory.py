@@ -62,7 +62,8 @@ import numpy as np
 
 from . import atomic, cavity
 from .cavity import CavityParams
-from .errors import DomainError, NumericalError
+from .constants import AtomConstants
+from .errors import DomainError, NumericalError, require_finite
 
 __all__ = [
     "PulseShape", "MemoryConfig", "SimulationResult",
@@ -77,16 +78,6 @@ TWO_PI = 2 * math.pi
 _LN2 = math.log(2)
 
 
-def _require_finite(obj, what: str) -> None:
-    """DomainError unless every number field of obj, those of a nested
-    CavityParams included, is finite; None marks an unset optional value."""
-    for name, value in vars(obj).items():
-        if isinstance(value, CavityParams):
-            _require_finite(value, f"{what} {name}")
-        elif value is not None and not math.isfinite(value):
-            raise DomainError(f"{what} {name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PulseShape:
     """Gaussian pulse; fwhm refers to the intensity envelope."""
@@ -98,7 +89,7 @@ class PulseShape:
     phase_rad: float = 0.0           # constant per pulse
 
     def __post_init__(self):
-        _require_finite(self, "pulse")
+        require_finite(self, "pulse")
         if self.fwhm_ns <= 0:
             raise DomainError("pulse fwhm must be positive")
         if self.energy < 0:
@@ -125,7 +116,7 @@ class MemoryConfig:
     excitation_fwhm_ns: float = 0.42           # beat-weighting bandwidth, calibrated
 
     def __post_init__(self):
-        _require_finite(self, "memory config")
+        require_finite(self, "memory config")
         if self.cooperativity < 0:
             raise DomainError("cooperativity must be non-negative")
         if self.polarization_fwhm_ghz <= 0:
@@ -323,9 +314,11 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     per individual, plus the output flux on the grid when `keep_flux` is
     set; rows a lane does not reach stay zero.
     """
-    n_steps = int(math.ceil((t1 - t0) / dt))
-    k0 = int(round(t0 / dt))
-    ts = dt * np.arange(k0, k0 + n_steps + 1)
+    # the step count comes from the grid indices of t0 and t1: ceil of the
+    # float (t1 - t0) / dt can land one step past t1
+    k0, k1 = int(round(t0 / dt)), int(round(t1 / dt))
+    n_steps = k1 - k0
+    ts = dt * np.arange(k0, k1 + 1)
     b = len(par["kappa"])
 
     # explicit RK4 stability guard against the fast polariton branch
@@ -363,7 +356,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     jump_at.pop(-1, None)
     n_iter = int(np.max(loop_index(k_end)))
     if keep_flux:   # run on to the grid's last row
-        n_iter = max(n_iter, int(np.max(k0 + n_steps - k_start - skip)))
+        n_iter = max(n_iter, int(np.max(k1 - k_start - skip)))
     stops = sorted(jump_at) + [n_iter]
     # grid index of each lane at loop index 0; a jump moves it on by J
     offset = k_start.copy()
@@ -750,8 +743,10 @@ def lifetime_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
     return batch_efficiency(config, signals, writes, reads, 0.0, dt_ns)
 
 
-def oscillation_suppression(b_mt: float, config: MemoryConfig) -> float:
-    """Relative amplitude of the secondary addressable line at field b_mt.
+def oscillation_suppression(b_mt: float, config: MemoryConfig,
+                            constants: AtomConstants | None = None) -> float:
+    """Relative amplitude of the secondary addressable line at field b_mt,
+    from the level structure of `constants` (the bundled file when None).
 
     Every companion line near the memory line contributes its strength ratio
     times the excitation spectral weight (pulse power spectrum times cavity
@@ -765,7 +760,7 @@ def oscillation_suppression(b_mt: float, config: MemoryConfig) -> float:
     # near-resonant-intermediate paths are excluded by construction since the
     # memory operates far from the one-photon line
     lines = atomic.two_photon_lines(
-        b_mt, "sigma-", "sigma-", total_window_ghz=(-30.0, 10.0))
+        b_mt, "sigma-", "sigma-", total_window_ghz=(-30.0, 10.0), constants=constants)
     grouped = atomic.group_two_photon_lines(lines)
     main = max(grouped, key=lambda t: t[1])
     kappa_fwhm = cavity.linewidth_ghz(config.cavity)

@@ -1,6 +1,7 @@
 """Cavity response tests: round-trip-sum oracle, metrology, passivity."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -194,6 +195,14 @@ def test_invalid_parameters_rejected():
         CavityParams(zeta_rt=1.0)
     with pytest.raises(DomainError):
         CavityParams(fsr_ghz=0.0)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(CavityParams)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(name, value):
+    # a NaN FSR once gave a NaN linewidth, and an infinite mode offset passed
+    with pytest.raises(DomainError, match=f"cavity {name} must be finite"):
+        CavityParams(**{name: value})
 
 
 @given(st.floats(min_value=0.05, max_value=0.999),

@@ -273,6 +273,21 @@ def test_cli_store_with_jumped_storage_flux_integrates_to_counts(tmp_path):
     assert total == pytest.approx(summary["input_photons"], rel=1e-4)
 
 
+def test_cli_store_flux_ends_at_last_counted_grid_point(tmp_path):
+    # the flux table stops at the last grid point any lane counts, t1 of
+    # the storage lane and its control-off twin integrated together
+    from dataclasses import replace
+    from cavmem.memory import simulate_batch
+    assert main(["--out", str(tmp_path), "store"]) == 0
+    _, rows = read_csv(tmp_path / "store_flux.csv")
+    cfg = ExperimentConfig()
+    sig, wr, rd = (cfg.pulse(n) for n in ("signal", "write", "read"))
+    _, _, (_, t1) = simulate_batch(cfg.memory_config(), [sig, sig],
+                                   [wr, replace(wr, energy=0.0)],
+                                   [rd, replace(rd, energy=0.0)], 0.0, 0.01)
+    assert rows[-1, 0] == t1
+
+
 def test_cli_store_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["--out", str(out1), "store"]) == 0
@@ -418,21 +433,16 @@ def test_cli_constants_override(tmp_path):
     rc = main(["--constants", str(alt), "--out", str(tmp_path),
                "levels", "--field", "0", "0"])
     assert rc == 0
-    try:
-        _, rows = read_csv(tmp_path / "levels.csv")
-        ground = rows[0, 1:9]
-        split = ground.max() - ground.min()
-        assert split == pytest.approx(2 * 6834.68261090429, abs=1e-3)
-    finally:
-        from cavmem.constants import set_default_constants
-        set_default_constants(None)
+    _, rows = read_csv(tmp_path / "levels.csv")
+    ground = rows[0, 1:9]
+    split = ground.max() - ground.min()
+    assert split == pytest.approx(2 * 6834.68261090429, abs=1e-3)
 
 
 def test_cli_constants_recorded_in_provenance(tmp_path):
     # an edited 5D5/2 A constant changes the outputs' constants hash but not
     # the config hash, which covers only the config document
     from importlib import resources
-    from cavmem.constants import set_default_constants
     text = resources.files("cavmem.data").joinpath("rb87_constants.cfg").read_text()
     edited = text.replace("d52_a_mhz = -7.44", "d52_a_mhz = -7.5")
     assert edited != text
@@ -440,11 +450,8 @@ def test_cli_constants_recorded_in_provenance(tmp_path):
     alt.write_text(edited)
     prov = {}
     for tag, extra in (("bundled", []), ("edited", ["--constants", str(alt)])):
-        try:
-            rc = main([*extra, "--out", str(tmp_path / tag), "spectrum",
-                       "one-photon", "--points", "11"])
-        finally:
-            set_default_constants(None)
+        rc = main([*extra, "--out", str(tmp_path / tag), "spectrum",
+                   "one-photon", "--points", "11"])
         assert rc == 0
         with open(tmp_path / tag / "spectrum_one_photon.json") as fh:
             prov[tag] = json.load(fh)["provenance"]
@@ -477,3 +484,115 @@ def test_cli_constants_override_does_not_leak(tmp_path):
     assert docs["after"]["provenance"]["constants_path"] is None
     assert ((tmp_path / "after" / "spectrum_two_photon.csv").read_bytes()
             == (tmp_path / "bundled" / "spectrum_two_photon.csv").read_bytes())
+
+
+def _edited_constants(path, old, new):
+    """Write the bundled constants file with `old` replaced by `new` to path."""
+    from importlib import resources
+    text = resources.files("cavmem.data").joinpath("rb87_constants.cfg").read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+def _name_constants_file(source, path, tmp_path, monkeypatch):
+    """Name `path` as the constants file through `source`: the --constants
+    flag, the config's constants_path or CAVMEM_CONSTANTS.  Returns the CLI
+    arguments this takes."""
+    if source == "env":
+        monkeypatch.setenv("CAVMEM_CONSTANTS", path)
+        return []
+    if source == "flag":
+        return ["--constants", path]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"constants_path": path}))
+    return ["--config", str(cfg_path)]
+
+
+@pytest.mark.parametrize("winner", ["flag", "config", "env", "bundled"])
+def test_cli_constants_resolution_order(tmp_path, monkeypatch, winner):
+    # --constants beats the config's constants_path, which beats
+    # CAVMEM_CONSTANTS, which beats the bundled file
+    monkeypatch.delenv("CAVMEM_CONSTANTS", raising=False)
+    sources = ["flag", "config", "env"]
+    given = sources[sources.index(winner):] if winner in sources else []
+    files = {src: _edited_constants(tmp_path / f"{src}.cfg", "d52_a_mhz = -7.44",
+                                    f"d52_a_mhz = -7.{50 + n}")
+             for n, src in enumerate(given)}
+    argv = ["--out", str(tmp_path / "out")]
+    for src, path in files.items():
+        argv += _name_constants_file(src, path, tmp_path, monkeypatch)
+    assert main([*argv, "cavity", "scan", "--points", "11"]) == 0
+    prov = json.loads((tmp_path / "out" / "cavity_scan.json").read_text())["provenance"]
+    assert prov["constants_path"] == files.get(winner)
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_cli_missing_constants_file_exits_2_without_output(tmp_path, capsys,
+                                                           monkeypatch, source):
+    out = tmp_path / "out"
+    argv = _name_constants_file(source, str(tmp_path / "missing.cfg"), tmp_path,
+                                monkeypatch)
+    assert main([*argv, "--out", str(out), "spectrum", "one-photon",
+                 "--points", "11"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
+
+
+def test_library_ignores_constants_env(tmp_path, monkeypatch):
+    # the variable reaches the CLI run, but library defaults stay on the
+    # bundled file, even with the variable still set
+    from cavmem.constants import default_constants, load_constants
+    alt = _edited_constants(tmp_path / "alt.cfg", "d52_a_mhz = -7.44",
+                            "d52_a_mhz = -7.5")
+    monkeypatch.setenv("CAVMEM_CONSTANTS", alt)
+    assert main(["--out", str(tmp_path), "cavity", "scan", "--points", "11"]) == 0
+    prov = json.loads((tmp_path / "cavity_scan.json").read_text())["provenance"]
+    assert prov["constants_path"] == alt
+    assert default_constants().source_path is None
+    assert load_constants().source_path is None
+
+
+def test_cli_constants_reach_doppler_fit(tmp_path):
+    from cavmem.constants import load_constants
+    from cavmem.fitting import fit_doppler_absorption
+    from cavmem.vapour import VapourParams, one_photon_spectrum
+    alt = _edited_constants(tmp_path / "alt.cfg",
+                            "s12_a_mhz = 3417.341305452145",
+                            "s12_a_mhz = 6834.68261090429")
+    x = np.linspace(-12.0, 4.0, 200)
+    y = one_photon_spectrum(VapourParams(optical_depth=150.0), 150.0, "sigma-", x,
+                            constants=load_constants(alt))
+    data = tmp_path / "doppler.csv"
+    _write_csv(str(data), ["detuning_ghz", "transmission"], [x, y])
+    assert main(["--constants", alt, "--out", str(tmp_path), "fit", "--model",
+                 "doppler", str(data)]) == 0
+    params = json.loads((tmp_path / "fit_doppler.json").read_text())["parameters"]
+    expected = fit_doppler_absorption(x, y, constants=load_constants(alt))
+    assert params == expected.parameters
+    assert params != fit_doppler_absorption(x, y).parameters
+
+
+def test_building_default_config_loads_no_scipy_and_no_constants():
+    # the set-up path (import the CLI, build the default config and its
+    # parameter sets) stays free of scipy imports and of constants-file reads
+    import subprocess
+    import sys
+    code = (
+        "import json, sys\n"
+        "import cavmem.cli\n"
+        "from cavmem.config import ExperimentConfig\n"
+        "from cavmem.constants import default_constants\n"
+        "cfg = ExperimentConfig()\n"
+        "cfg.memory_config(), cfg.vapour_params(), cfg.parameter_space(), "
+        "cfg.ga_settings()\n"
+        "print(json.dumps({'scipy': sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy'), "
+        "'constants_loaded': default_constants.cache_info().currsize}))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    state = json.loads(proc.stdout.splitlines()[-1])
+    assert state == {"scipy": [], "constants_loaded": 0}

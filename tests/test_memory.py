@@ -5,13 +5,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cavmem.errors import DomainError
 from cavmem.memory import (MemoryConfig, PulseShape, bandwidth_scan,
                            energy_scan, lifetime_model, lifetime_scan,
                            mean_photon_from_counts, one_over_e_lifetime_ns,
-                           oscillation_suppression, simulate_batch,
-                           simulate_storage_retrieval, snr_db, total_efficiency)
+                           oscillation_suppression, pulses_overlap,
+                           simulate_batch, simulate_storage_retrieval, snr_db,
+                           total_efficiency)
+from cavmem.optimize import PARAMETER_NAMES, ParameterSpace, _pulses_from_vector
 
 TWO_PI = 2 * math.pi
 
@@ -451,3 +455,30 @@ def test_non_finite_inputs_rejected(make, value):
     # once, a NaN cooperativity or signal centre reported an efficiency of 0
     with pytest.raises(DomainError, match="must be finite"):
         make(value)
+
+
+# ------------------------------------------------- simulator properties
+
+_SPACE_BOUNDS = ParameterSpace().bounds
+_COUNTS = ("leak", "retrieved", "loss_pol", "loss_spin", "loss_cav",
+           "loss_dephasing", "residual")
+
+
+@settings(max_examples=15)
+@given(st.tuples(*(st.floats(lo, hi) for lo, hi, _ in
+                   (_SPACE_BOUNDS[n] for n in PARAMETER_NAMES))))
+def test_random_ga_settings_passive_closed_and_linear(vector):
+    # any GA vector inside the default bounds: the memory emits no more than
+    # it receives, every input photon is booked, and counts scale with the
+    # signal energy (lanes n and 3n integrate side by side)
+    sig, write, read = _pulses_from_vector(np.array(vector))
+    assume(not pulses_overlap(write, read))
+    sig3 = replace(sig, energy=3 * sig.energy)
+    main, c_ref, _ = simulate_batch(CFG, [sig, sig3], [write] * 2, [read] * 2,
+                                    0.0, 0.02)
+    n_in = main["n_in"]
+    assert np.all(main["leak"] + main["retrieved"] <= n_in)
+    assert np.all(c_ref <= n_in)
+    assert np.all(_closure(main) <= 1e-4)
+    for counts in [main[k] for k in _COUNTS] + [c_ref]:
+        assert counts[1] / 3 == pytest.approx(counts[0], abs=1e-9 * sig.energy)
