@@ -13,13 +13,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__, atomic, cavity, fitting, memory, optimize, vapour
-from .config import ExperimentConfig, reject_non_finite
-from .constants import ENV_VAR, default_constants, load_constants
+from .config import ExperimentConfig, read_constants, reject_non_finite
+from .constants import ENV_VAR
 from .errors import CavmemError, ConfigError, DomainError, NumericalError
 
 
@@ -68,12 +68,12 @@ def _load_config(args) -> ExperimentConfig:
     file, the first that is set; a bad file fails here, before any output."""
     cfg = ExperimentConfig.from_file(args.config) if args.config \
         else ExperimentConfig()
-    path = args.constants or cfg.constants_path or os.environ.get(ENV_VAR)
-    try:
-        consts = load_constants(path) if path else default_constants()
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad constants file {path}: {exc}") from exc
-    return replace(cfg, constants=consts)
+    path = args.constants or (None if cfg.constants_path
+                              else os.environ.get(ENV_VAR))
+    if path:
+        cfg = replace(cfg, constants=read_constants(path))
+    cfg.atom_constants()
+    return cfg
 
 
 # ---------------------------------------------------------------- commands
@@ -239,9 +239,16 @@ def cmd_optimize(cfg: ExperimentConfig, args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     trace = optimize.run_ga(cfg.parameter_space(), mem, drift, settings, seed)
     path = _out_path(cfg, args, "optimize_trace.csv")
-    trace.to_csv(path)
-    with open(_out_path(cfg, args, "optimize_settings.json"), "w") as fh:
-        fh.write(trace.settings_json())
+    recs = trace.iterations
+    values = np.array([[*r["parameters"], r["objective"], r["drift_offset_ghz"]]
+                       for r in recs])
+    _write_csv(path, ["iteration", *optimize.PARAMETER_NAMES, "objective",
+                      "drift_offset_ghz"],
+               [np.array([r["iteration"] for r in recs]), *values.T])
+    _write_json(_out_path(cfg, args, "optimize_settings.json"), {
+        "seed": seed, **asdict(settings),
+        **{f"drift_{k}": v for k, v in asdict(drift).items()},
+        "bounds": trace.space.bounds}, cfg)
     print(path)
     return 0
 
@@ -259,14 +266,18 @@ def cmd_fit(cfg: ExperimentConfig, args) -> int:
     x = np.array([r[0] for r in rows])
     y = np.array([r[1] for r in rows])
     if args.model == "cavity":
-        fit = fitting.fit_cavity_reflection(x, y)
-        extra = fitting.derived_cavity_metrics(fit)
+        cav = cfg.cavity_params()
+        fit = fitting.fit_cavity_reflection(x, y, r1=cav.r1, r2=cav.r2)
+        extra = fitting.derived_cavity_metrics(fit, r1=cav.r1, r2=cav.r2)
     elif args.model == "doppler":
-        fit = fitting.fit_doppler_absorption(x, y, constants=cfg.atom_constants())
+        fit = fitting.fit_doppler_absorption(
+            x, y, temperature_c=cfg.vapour_params().temperature_c,
+            constants=cfg.atom_constants())
         extra = {}
     elif args.model == "lifetime":
-        fit = fitting.fit_lifetime(x, y)
-        extra = fitting.derived_lifetime_metrics(fit)
+        gamma_m = cfg.memory_config().gamma_m
+        fit = fitting.fit_lifetime(x, y, gamma_m_rad_ns=gamma_m)
+        extra = fitting.derived_lifetime_metrics(fit, gamma_m_rad_ns=gamma_m)
     else:
         fit = fitting.fit_gaussian_line(x, y)
         extra = {}

@@ -1,11 +1,13 @@
 """Experiment configuration: JSON document with strict keys and defaults.
 
-The default document reproduces the reference operating point: B = 169 mT,
-cell at 85 C and 6 mm, cavity R1 = 0.6 / R2 = 0.9998 / zeta_rt = 0.135 /
-fsr = 8.3 GHz, intermediate detuning -8 GHz, 12.5 ns storage.  The control
-Rabi constant and the two-photon offset of the control carrier were fixed by
-a one-time calibration run (write-energy optimum pinned at 0.2 nJ, zero-time
-total efficiency pinned at the observed 30%) and are recorded here frozen.
+The default document reproduces the reference operating point.  Its field,
+seed and pulses (12.5 ns storage) are stated here; its cavity, vapour, memory
+and optimizer sections are the field defaults of CavityParams, VapourParams,
+MemoryConfig, GASettings, DriftModel and ParameterSpace, which state each
+value once.  The control Rabi constant (MemoryConfig) and the two-photon
+offset of the read carrier (the read pulse below) were fixed by a one-time
+calibration run (write-energy optimum pinned at 0.2 nJ, zero-time total
+efficiency pinned at the observed 30%) and are kept frozen.
 
 Unknown keys and non-finite numbers (NaN, +/-Infinity, which json.load
 accepts) anywhere in the document are rejected; missing sections and fields
@@ -18,86 +20,48 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .cavity import CavityParams
-from .constants import AtomConstants, default_constants
+from .constants import AtomConstants, default_constants, load_constants
 from .errors import ConfigError
 from .memory import MemoryConfig, PulseShape
 from .optimize import DriftModel, GASettings, ParameterSpace
 from .vapour import VapourParams
 
-__all__ = ["ExperimentConfig", "DEFAULT_CONFIG", "reject_non_finite"]
+__all__ = ["ExperimentConfig", "DEFAULT_CONFIG", "reject_non_finite",
+           "read_constants"]
+
+
+def _field_defaults(cls, *skip) -> dict:
+    """The field defaults of a parameter class, as a config section."""
+    return {f.name: f.default for f in fields(cls) if f.name not in skip}
+
 
 DEFAULT_CONFIG: dict = {
     "constants_path": None,
     "field_mt": 169.0,
     "seed": 12345,
     "output_dir": ".",
-    "cavity": {
-        "r1": 0.6,
-        "r2": 0.9998,
-        "zeta_rt": 0.135,
-        "fsr_ghz": 8.3,
-        "tuning_coeff_ghz_per_c": 3.2,
-        "mode_offset_signal_ghz": 0.0,
-        "mode_offset_control_ghz": 0.0,
-    },
-    "vapour": {
-        "temperature_c": 85.0,
-        "cell_length_mm": 6.0,
-        "optical_depth": None,
-        "field_inhomogeneity_mhz": 12.2,
-    },
-    "memory": {
-        "cooperativity": 3800.0,
-        "polarization_fwhm_ghz": 0.55,
-        "intermediate_detuning_ghz": -8.0,
-        "intermediate_natural_fwhm_mhz": 6.0666,
-        "spin_fwhm_mhz": 0.66,
-        "dephasing_width_mhz": 12.6,
-        "line_splitting_mhz": 171.0,
-        "line_amp_main": 0.51,
-        "line_amp_beat": 0.038,
-        "insertion_loss": None,
-        "rabi_rad_ns_per_sqrt_nj": 8.4736,   # calibrated, frozen
-        "noise_photons_per_pulse": 3e-4,
-        "excitation_fwhm_ns": 0.42,          # calibrated, frozen
-    },
+    "cavity": _field_defaults(CavityParams),
+    "vapour": _field_defaults(VapourParams),
+    # MemoryConfig's cavity is the "cavity" section above
+    "memory": _field_defaults(MemoryConfig, "cavity"),
     "pulses": {
         "signal": {"center_ns": 0.0, "fwhm_ns": 1.5, "energy": 0.8,
                    "carrier_detuning_ghz": 0.0, "phase_rad": 0.0},
         "write": {"center_ns": 0.1, "fwhm_ns": 1.6, "energy": 0.2,
                   "carrier_detuning_ghz": 0.0, "phase_rad": 0.0},
+        # the read carrier's two-photon offset is calibrated, frozen
         "read": {"center_ns": 12.6, "fwhm_ns": 2.7, "energy": 1.0,
                  "carrier_detuning_ghz": 0.5341, "phase_rad": 0.0},
     },
     "optimizer": {
-        "population": 24,
-        "generations": 60,
-        "crossover_prob": 0.9,
-        "crossover_eta": 15.0,
-        "mutation_prob": 0.125,
-        "mutation_eta": 20.0,
-        "tournament": 2,
-        "objective_noise_sd": 0.0,
-        "dt_ns": 0.02,
-        "drift": {
-            "enabled": False,
-            "rate_ghz_per_iteration": 0.010,
-            "noise_sd_ghz": 0.002,
-        },
-        "bounds": {
-            "two_photon_detuning_ghz": [-0.5, 0.5, 1e-4],
-            "write_energy_nj": [0.01, 2.0, 1e-4],
-            "read_write_ratio": [0.5, 20.0, 1e-3],
-            "signal_delay_ns": [-2.0, 2.0, 1e-3],
-            "signal_fwhm_ns": [0.4, 5.0, 1e-3],
-            "write_fwhm_ns": [0.4, 5.0, 1e-3],
-            "write_read_delay_ns": [10.0, 16.0, 1e-3],
-            "read_fwhm_ns": [0.4, 5.0, 1e-3],
-        },
+        **_field_defaults(GASettings),
+        "drift": _field_defaults(DriftModel),
+        # [lower, upper, resolution] per tuned parameter
+        "bounds": {name: list(b) for name, b in ParameterSpace().bounds.items()},
     },
 }
 
@@ -132,11 +96,20 @@ def _merge_strict(defaults, override, path=""):
     return merged
 
 
+def read_constants(path: str) -> AtomConstants:
+    """The atom constants in the file at path; ConfigError if it is bad."""
+    try:
+        return load_constants(path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"bad constants file {path}: {exc}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     doc: dict = field(default_factory=lambda: copy.deepcopy(DEFAULT_CONFIG))
-    # the run's atom constants; None stands for the bundled file, which is
-    # loaded on first use so that building a config reads no file
+    # the run's atom constants; None stands for the file at constants_path or
+    # the bundled file, loaded on first use so that building a config reads
+    # no file
     constants: AtomConstants | None = None
 
     @classmethod
@@ -171,6 +144,11 @@ class ExperimentConfig:
         return self.doc["constants_path"]
 
     def atom_constants(self) -> AtomConstants:
+        """The run's atom constants: the constants field when set, else the
+        file at constants_path, loaded once on first use, else the bundled
+        file."""
+        if self.constants is None and self.constants_path:
+            self.constants = read_constants(self.constants_path)
         return self.constants or default_constants()
 
     def cavity_params(self) -> CavityParams:

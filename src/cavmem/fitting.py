@@ -26,6 +26,8 @@ MAX_ITERATIONS = 500
 PARAM_TOL = 1e-8
 GRAD_TOL = 1e-10
 JACOBIAN_REL_STEP = 1e-6
+# the operating point's spin decay rate (rad/ns), held fixed by the lifetime fit
+_GAMMA_M = memory.MemoryConfig().gamma_m
 
 
 @dataclass
@@ -164,7 +166,8 @@ def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
 # ------------------------------------------------------------ cavity fit
 
 def fit_cavity_reflection(detunings_ghz, reflected_power,
-                          r1: float = 0.6, r2: float = 0.9998) -> FitResult:
+                          r1: float = cavity.CavityParams.r1,
+                          r2: float = cavity.CavityParams.r2) -> FitResult:
     """Recover (fsr, round-trip loss, amplitude, offset) from a reflection scan.
 
     Mirror reflectivities are held fixed.  The fsr initial guess comes from
@@ -200,8 +203,8 @@ def fit_cavity_reflection(detunings_ghz, reflected_power,
                          names=["fsr_ghz", "zeta_rt", "amplitude", "offset"])
 
 
-def derived_cavity_metrics(fit: FitResult, r1: float = 0.6,
-                           r2: float = 0.9998) -> dict[str, float]:
+def derived_cavity_metrics(fit: FitResult, r1: float = cavity.CavityParams.r1,
+                           r2: float = cavity.CavityParams.r2) -> dict[str, float]:
     params = cavity.CavityParams(r1=r1, r2=r2, zeta_rt=fit["zeta_rt"],
                                  fsr_ghz=fit["fsr_ghz"])
     return {
@@ -214,7 +217,7 @@ def derived_cavity_metrics(fit: FitResult, r1: float = 0.6,
 # ----------------------------------------------------------- doppler fit
 
 def fit_doppler_absorption(detunings_ghz, transmission,
-                           temperature_c: float = 85.0,
+                           temperature_c: float = vapour.VapourParams.temperature_c,
                            polarization: str = "sigma-",
                            constants: AtomConstants | None = None) -> FitResult:
     """Recover (B field, frequency offset, optical depth) from a probe scan.
@@ -249,7 +252,7 @@ def fit_doppler_absorption(detunings_ghz, transmission,
 # ---------------------------------------------------------- lifetime fit
 
 def fit_lifetime(times_ns, efficiencies,
-                 gamma_m_rad_ns: float = 2 * math.pi * 0.66e-3) -> FitResult:
+                 gamma_m_rad_ns: float = _GAMMA_M) -> FitResult:
     """Recover the dephasing width, beat frequency and line amplitudes.
 
     The spin decay rate is held fixed.  The beat frequency initial guess is
@@ -294,7 +297,7 @@ def fit_lifetime(times_ns, efficiencies,
 
 
 def derived_lifetime_metrics(fit: FitResult,
-                             gamma_m_rad_ns: float = 2 * math.pi * 0.66e-3) -> dict:
+                             gamma_m_rad_ns: float = _GAMMA_M) -> dict:
     a, b = fit["amp_main"], fit["amp_beat"]
     return {
         "eta_zero_time": (a + b) ** 2,

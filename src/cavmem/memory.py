@@ -624,8 +624,14 @@ def batch_efficiency(config: MemoryConfig, signals, writes, reads,
     """
     main, c_ref, _ = simulate_batch(config, signals, writes, reads,
                                     drift_offset_ghz, dt_ns)
-    ratio = main["retrieved"] / np.maximum(c_ref, 1e-300)
+    ratio = _count_ratio(main["retrieved"], c_ref)
     return ratio if internal else (1.0 - config.zeta()) * ratio
+
+
+def _count_ratio(c_ret, c_ref):
+    """The internal efficiency C_ret / C_ref, elementwise.  C_ref is floored
+    at 1e-300, so a lane without input gives 0."""
+    return c_ret / np.maximum(c_ref, 1e-300)
 
 
 def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
@@ -647,8 +653,8 @@ def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
     if check_convergence:
         main2, _, _ = simulate_batch(config, [signal], [write], [read],
                                      drift_offset_ghz, dt_ns / 2)
-        eff1 = main["retrieved"][0] / max(c_ref, 1e-300)
-        eff2 = main2["retrieved"][0] / max(c_ref, 1e-300)
+        eff1 = _count_ratio(main["retrieved"][0], c_ref)
+        eff2 = _count_ratio(main2["retrieved"][0], c_ref)
         if abs(eff2 - eff1) > 1e-3 * max(abs(eff2), 1e-12):
             raise NumericalError(
                 f"step-halving changed the efficiency by {abs(eff2 - eff1):.2e}")
@@ -656,7 +662,7 @@ def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
     leak = float(main["leak"][0])
     c_ret = float(main["retrieved"][0])
     n_in = float(main["n_in"][0])
-    internal = c_ret / c_ref if c_ref > 0 else 0.0
+    internal = float(_count_ratio(c_ret, c_ref))
     zeta = config.zeta()
     total = (1.0 - zeta) * internal
     noise = config.noise_photons_per_pulse
@@ -693,10 +699,17 @@ def total_efficiency(c_ret: float, c_ref: float, zeta: float) -> float:
     return (1.0 - zeta) * c_ret / c_ref
 
 
-def lifetime_model(t_ns, gamma_m_rad_ns: float = TWO_PI * 0.66e-3,
-                   nu_prime_ghz: float = 0.0126, amp_main: float = 0.51,
-                   amp_beat: float = 0.038,
-                   omega_rad_ns: float = TWO_PI * 0.171):
+# the operating point, whose decay law the two functions below default to
+_OPERATING = MemoryConfig()
+
+
+def lifetime_model(t_ns,
+                   gamma_m_rad_ns: float = _OPERATING.gamma_m,
+                   nu_prime_ghz: float = _OPERATING.dephasing_width_mhz * 1e-3,
+                   amp_main: float = _OPERATING.line_amp_main,
+                   amp_beat: float = _OPERATING.line_amp_beat,
+                   omega_rad_ns: float = (TWO_PI * _OPERATING.line_splitting_mhz
+                                          * 1e-3)):
     """Damped oscillatory efficiency decay,
 
     eta(t) = e^{-gm t} e^{-pi^2 nu'^2 t^2 / (4 ln2)} |A + B e^{i w t}|^2.
@@ -711,8 +724,9 @@ def lifetime_model(t_ns, gamma_m_rad_ns: float = TWO_PI * 0.66e-3,
     return float(out) if np.isscalar(t_ns) else out
 
 
-def one_over_e_lifetime_ns(gamma_m_rad_ns: float = TWO_PI * 0.66e-3,
-                           nu_prime_ghz: float = 0.0126) -> float:
+def one_over_e_lifetime_ns(
+        gamma_m_rad_ns: float = _OPERATING.gamma_m,
+        nu_prime_ghz: float = _OPERATING.dephasing_width_mhz * 1e-3) -> float:
     """Storage time where the beat-free envelope drops to 1/e of its peak.
 
     The oscillatory factor is evaluated on its upper envelope (beat maxima),

@@ -14,8 +14,6 @@ reproducible bit-for-bit regardless of how the batch is executed.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,32 +132,6 @@ class OptimizationTrace:
     @property
     def best(self) -> dict:
         return max(self.iterations, key=lambda r: r["objective"])
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", *PARAMETER_NAMES, "objective",
-                             "drift_offset_ghz"])
-            for rec in self.iterations:
-                writer.writerow([rec["iteration"],
-                                 *[f"{v:.9g}" for v in rec["parameters"]],
-                                 f"{rec['objective']:.9g}",
-                                 f"{rec['drift_offset_ghz']:.9g}"])
-
-    def settings_json(self) -> str:
-        return json.dumps({
-            "seed": self.seed,
-            "population": self.settings.population,
-            "generations": self.settings.generations,
-            "crossover_prob": self.settings.crossover_prob,
-            "crossover_eta": self.settings.crossover_eta,
-            "mutation_prob": self.settings.mutation_prob,
-            "mutation_eta": self.settings.mutation_eta,
-            "drift_enabled": self.drift.enabled,
-            "drift_rate_ghz_per_iteration": self.drift.rate_ghz_per_iteration,
-            "drift_noise_sd_ghz": self.drift.noise_sd_ghz,
-            "bounds": {k: list(v) for k, v in self.space.bounds.items()},
-        }, indent=2)
 
 
 def _pulses_from_vector(x, base_write_center: float = 0.1,

@@ -53,6 +53,54 @@ def test_config_hash_stable_and_sensitive():
     assert a.config_hash() != c.config_hash()
 
 
+def test_config_sections_are_the_class_defaults():
+    # the default document states no value of its own: every section builds
+    # the default parameter set of its class, and the hash stays put
+    from dataclasses import fields
+
+    from cavmem.cavity import CavityParams
+    from cavmem.memory import MemoryConfig
+    from cavmem.optimize import DriftModel, GASettings, ParameterSpace
+    from cavmem.vapour import VapourParams
+    cfg = ExperimentConfig()
+    doc = cfg.doc
+    assert cfg.cavity_params() == CavityParams()
+    assert cfg.vapour_params() == VapourParams()
+    assert cfg.memory_config() == MemoryConfig()
+    assert cfg.ga_settings() == GASettings()
+    assert cfg.drift_model() == DriftModel()
+    assert cfg.parameter_space() == ParameterSpace()
+    for section, cls in ((doc["cavity"], CavityParams), (doc["vapour"], VapourParams),
+                         (doc["optimizer"]["drift"], DriftModel)):
+        assert section == {f.name: f.default for f in fields(cls)}
+    assert doc["memory"] == {f.name: f.default for f in fields(MemoryConfig)
+                             if f.name != "cavity"}
+    assert {k: v for k, v in doc["optimizer"].items()
+            if k not in ("drift", "bounds")} == {f.name: f.default
+                                                 for f in fields(GASettings)}
+    assert doc["optimizer"]["bounds"] == {k: list(v) for k, v
+                                          in ParameterSpace().bounds.items()}
+    assert cfg.config_hash() == "893c73aac85c62f9"
+
+
+def test_config_constants_path_loaded_on_first_use(tmp_path):
+    # a config built through the API honours its own constants_path, in its
+    # constants and in its provenance
+    alt = _edited_constants(tmp_path / "alt.cfg", "d52_a_mhz = -7.44",
+                            "d52_a_mhz = -7.5")
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"constants_path": alt}))
+    cfg = ExperimentConfig.from_file(str(path))
+    assert cfg.atom_constants().d52.a_mhz == -7.5
+    assert cfg.atom_constants() is cfg.atom_constants()
+    assert cfg.provenance()["constants_path"] == alt
+    assert ExperimentConfig().atom_constants().d52.a_mhz == -7.44
+    assert ExperimentConfig().provenance()["constants_path"] is None
+    bad = ExperimentConfig.from_dict({"constants_path": str(tmp_path / "missing")})
+    with pytest.raises(ConfigError):
+        bad.atom_constants()
+
+
 def test_config_file_roundtrip(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps({"seed": 777, "memory": {"cooperativity": 1200.0}}))
@@ -320,14 +368,35 @@ def test_cli_scan_energy(tmp_path):
 
 
 def test_cli_optimize_zero_generations_equivalent(tmp_path):
+    # the trace CSV parses back to the trace's records exactly, and the
+    # settings file carries every GA setting and the provenance
+    from dataclasses import asdict, replace
+
+    from cavmem.optimize import PARAMETER_NAMES, run_ga
     rc = main(["--out", str(tmp_path), "optimize", "--generations", "1",
                "--seed", "9"])
     assert rc == 0
     with open(tmp_path / "optimize_trace.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 3  # header + initial population + one generation
-    settings = json.loads((tmp_path / "optimize_settings.json").read_text())
-    assert settings["seed"] == 9
+    assert rows[0] == ["iteration", *PARAMETER_NAMES, "objective",
+                       "drift_offset_ghz"]
+    cfg = ExperimentConfig()
+    settings = replace(cfg.ga_settings(), generations=1)
+    trace = run_ga(cfg.parameter_space(), cfg.memory_config(),
+                   cfg.drift_model(enabled=False), settings, 9)
+    assert [{"iteration": int(row[0]),
+             "parameters": [float(v) for v in row[1:-2]],
+             "objective": float(row[-2]),
+             "drift_offset_ghz": float(row[-1])} for row in rows[1:]] \
+        == trace.iterations
+    doc = json.loads((tmp_path / "optimize_settings.json").read_text())
+    assert doc["seed"] == 9
+    for name, value in asdict(settings).items():
+        assert doc[name] == value
+    assert doc["drift_enabled"] is False
+    assert doc["bounds"] == cfg.doc["optimizer"]["bounds"]
+    assert doc["provenance"] == cfg.provenance()
 
 
 def test_cli_fit_roundtrip_cavity(tmp_path):
@@ -352,6 +421,58 @@ def test_cli_fit_roundtrip_lifetime(tmp_path):
     fit = json.loads((tmp_path / "fit_lifetime.json").read_text())
     assert fit["parameters"]["nu_prime_ghz"] * 1e3 == pytest.approx(12.6, abs=0.7)
     assert fit["parameters"]["amp_main"] == pytest.approx(0.51, abs=0.03)
+
+
+def _fit_via_cli(tmp_path, model, x, y, override=None):
+    """The parameters and derived values `cavmem fit --model model` gives for
+    the data (x, y), run with the config document `override`."""
+    data = tmp_path / "data.csv"
+    _write_csv(str(data), ["x", "y"], [x, y])
+    argv = ["--out", str(tmp_path)]
+    if override is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(override))
+        argv += ["--config", str(cfg)]
+    assert main([*argv, "fit", "--model", model, str(data)]) == 0
+    doc = json.loads((tmp_path / f"fit_{model}.json").read_text())
+    return doc["parameters"], doc["derived"]
+
+
+def test_cli_doppler_fit_uses_config_temperature(tmp_path):
+    from cavmem.vapour import VapourParams, one_photon_spectrum
+    x = np.linspace(-12.0, 4.0, 400)
+    y = one_photon_spectrum(VapourParams(temperature_c=110.0, optical_depth=200.0),
+                            169.0, "sigma-", x)
+    params, _ = _fit_via_cli(tmp_path, "doppler", x, y,
+                             {"vapour": {"temperature_c": 110.0}})
+    assert params["b_mt"] == pytest.approx(169.0, abs=0.5)
+    assert params["optical_depth"] == pytest.approx(200.0, rel=0.02)
+
+
+def test_cli_cavity_fit_uses_config_mirrors(tmp_path):
+    from cavmem import cavity
+    truth = cavity.CavityParams(r1=0.8)
+    x = np.linspace(-12.0, 12.0, 1001)
+    y = cavity.reflection_response(truth, x).reflected_power
+    params, derived = _fit_via_cli(tmp_path, "cavity", x, y, {"cavity": {"r1": 0.8}})
+    assert params["fsr_ghz"] == pytest.approx(truth.fsr_ghz, abs=1e-3)
+    assert params["zeta_rt"] == pytest.approx(truth.zeta_rt, abs=1e-3)
+    assert derived["finesse"] == pytest.approx(cavity.finesse(truth), rel=1e-3)
+
+
+def test_cli_lifetime_fit_uses_config_spin_width(tmp_path):
+    from cavmem.fitting import derived_lifetime_metrics, fit_lifetime
+    from cavmem.memory import MemoryConfig, lifetime_model
+    gamma_m = MemoryConfig(spin_fwhm_mhz=3.0).gamma_m
+    t = np.linspace(8.0, 98.0, 181)
+    y = lifetime_model(t, gamma_m_rad_ns=gamma_m)
+    params, derived = _fit_via_cli(tmp_path, "lifetime", t, y,
+                                   {"memory": {"spin_fwhm_mhz": 3.0}})
+    expected = fit_lifetime(t, y, gamma_m_rad_ns=gamma_m)
+    assert params == expected.parameters
+    assert derived == derived_lifetime_metrics(expected, gamma_m_rad_ns=gamma_m)
+    assert params != fit_lifetime(t, y).parameters
+    assert params["nu_prime_ghz"] == pytest.approx(0.0126, rel=1e-3)
 
 
 def test_cli_exit_code_config_error(tmp_path, capsys):
