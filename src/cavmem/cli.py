@@ -200,32 +200,22 @@ def cmd_store(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+# default grid bounds and the CSV column of each scan kind
+_SCAN_AXES = {"lifetime": (8.0, 100.0, "storage_time_ns"),
+              "energy": (0.01, 1.0, "write_energy_nj"),
+              "bandwidth": (0.5, 4.0, "signal_fwhm_ns")}
+
+
 def cmd_scan(cfg: ExperimentConfig, args) -> int:
     mem = cfg.memory_config()
     sig, wr, rd = (cfg.pulse(n) for n in ("signal", "write", "read"))
-    if args.kind == "lifetime":
-        grid = np.linspace(args.lo if args.lo is not None else 8.0,
-                           args.hi if args.hi is not None else 100.0,
-                           args.points)
-        effs = memory.lifetime_scan(mem, sig, wr, rd, grid, dt_ns=args.dt)
-        header = ["storage_time_ns", "total_efficiency"]
-        name = "scan_lifetime.csv"
-    elif args.kind == "energy":
-        grid = np.linspace(args.lo if args.lo is not None else 0.01,
-                           args.hi if args.hi is not None else 1.0,
-                           args.points)
-        effs = memory.energy_scan(mem, sig, wr, rd, grid, dt_ns=args.dt)
-        header = ["write_energy_nj", "total_efficiency"]
-        name = "scan_energy.csv"
-    else:
-        grid = np.linspace(args.lo if args.lo is not None else 0.5,
-                           args.hi if args.hi is not None else 4.0,
-                           args.points)
-        effs = memory.bandwidth_scan(mem, sig, wr, rd, grid, dt_ns=args.dt)
-        header = ["signal_fwhm_ns", "total_efficiency"]
-        name = "scan_bandwidth.csv"
-    path = _out_path(cfg, args, name)
-    _write_csv(path, header, [grid, effs])
+    lo, hi, column = _SCAN_AXES[args.kind]
+    grid = np.linspace(lo if args.lo is None else args.lo,
+                       hi if args.hi is None else args.hi, args.points)
+    # memory.lifetime_scan, memory.energy_scan or memory.bandwidth_scan
+    effs = getattr(memory, f"{args.kind}_scan")(mem, sig, wr, rd, grid, dt_ns=args.dt)
+    path = _out_path(cfg, args, f"scan_{args.kind}.csv")
+    _write_csv(path, [column, "total_efficiency"], [grid, effs])
     print(path)
     return 0
 
@@ -235,7 +225,7 @@ def cmd_optimize(cfg: ExperimentConfig, args) -> int:
     settings = cfg.ga_settings()
     if args.generations is not None:
         settings = replace(settings, generations=args.generations)
-    drift = cfg.drift_model(enabled=(args.drift == "on"))
+    drift = cfg.drift_model(enabled=None if args.drift is None else args.drift == "on")
     seed = args.seed if args.seed is not None else cfg.seed
     trace = optimize.run_ga(cfg.parameter_space(), mem, drift, settings, seed)
     path = _out_path(cfg, args, "optimize_trace.csv")
@@ -298,6 +288,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavmem",
@@ -351,9 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("optimize", help="genetic-algorithm tuning run")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--drift", choices=["on", "off"], default="off")
-    p.add_argument("--generations", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None,
+                   help="GA seed (default: the config's seed)")
+    p.add_argument("--drift", choices=["on", "off"], default=None,
+                   help="cavity drift (default: the config's optimizer.drift.enabled)")
+    p.add_argument("--generations", type=_positive_int, default=None)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("fit", help="fit a model to two-column CSV data")

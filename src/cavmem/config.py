@@ -21,11 +21,12 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 from . import __version__
 from .cavity import CavityParams
 from .constants import AtomConstants, default_constants, load_constants
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .memory import MemoryConfig, PulseShape
 from .optimize import DriftModel, GASettings, ParameterSpace
 from .vapour import VapourParams
@@ -114,7 +115,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, override: dict) -> "ExperimentConfig":
-        return cls(doc=_merge_strict(DEFAULT_CONFIG, override))
+        """The default document with `override` merged in.  Every parameter
+        set is built once here, so a value that its class refuses is a
+        ConfigError at load; the atom constants stay unread."""
+        cfg = cls(doc=_merge_strict(DEFAULT_CONFIG, override))
+        builds = {"seed": lambda: cfg.seed, "cavity": cfg.cavity_params,
+                  "memory": cfg.memory_config, "vapour": cfg.vapour_params,
+                  "optimizer": cfg.ga_settings, "optimizer.drift": cfg.drift_model,
+                  "optimizer.bounds": cfg.parameter_space,
+                  **{f"pulses.{n}": partial(cfg.pulse, n) for n in cfg.doc["pulses"]}}
+        try:
+            for section, build in builds.items():
+                build()
+        except (DomainError, TypeError, ValueError) as exc:
+            raise ConfigError(f"config {section}: {exc}") from exc
+        return cfg
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -133,7 +148,10 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.doc["seed"])
+        seed = self.doc["seed"]
+        if type(seed) is not int or seed < 0:
+            raise DomainError(f"must be a non-negative integer, got {seed!r}")
+        return seed
 
     @property
     def output_dir(self) -> str:

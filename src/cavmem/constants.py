@@ -53,9 +53,9 @@ class AtomConstants:
     source_sha256: str = ""          # of that file's text
 
     def term(self, label: str) -> TermConstants:
-        key = label.lower().replace("5", "").replace("_", "").replace("/", "")
+        """The term with the canonical label 5S1/2, 5P3/2 or 5D5/2."""
         for t in (self.s12, self.p32, self.d52):
-            if key in (t.label.lower().replace("5", "").replace("/", ""), t.label.lower()):
+            if label == t.label:
                 return t
         raise KeyError(f"unknown term {label!r}; expected one of 5S1/2, 5P3/2, 5D5/2")
 

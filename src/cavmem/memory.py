@@ -57,6 +57,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -348,10 +349,9 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         """Loop index at which each lane sits at grid index k (outside its jump)."""
         return k - k_start - np.where(k > k_free, skip, 0)
 
-    # events after the step that lands a lane on t_mid and on its end; -1,
-    # which the loop never reaches, marks a kernel that the jump applies
+    # the kernel acts after the step that lands a lane on t_mid; -1, which
+    # the loop never reaches, marks a kernel that the jump applies
     kernel_at = _lanes_by_step(np.where(mid_inside, -1, loop_index(k_mid) - 1))
-    end_at = _lanes_by_step(loop_index(k_end) - 1)
     jump_at = _lanes_by_step(np.where(skip > 0, k_free - k_start, -1))
     jump_at.pop(-1, None)
     n_iter = int(np.max(loop_index(k_end)))
@@ -379,6 +379,11 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     f_prev = np.zeros((5, b))
     half, sixth = 0.5 * dt, dt / 6
 
+    def dephase(s, lanes):
+        """Spin amplitudes s of `lanes` times the kernel; books what it removes."""
+        dephasing[lanes] = np.abs(s) ** 2 * (1 - np.abs(kernel[lanes]) ** 2)
+        return s * kernel[lanes]
+
     def jump(lanes):
         """Carry `lanes` from k_free to k_read, booking the interval's counts."""
         lanes = np.asarray(lanes)
@@ -386,9 +391,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         n_before = np.clip(k_mid[lanes] - k_free[lanes], 0, skip[lanes])
         y_mid, to_mid = _free_evolution(y[:, lanes], *sub, n_before * dt)
         inside = mid_inside[lanes]
-        at_mid, s = lanes[inside], y_mid[2, inside]
-        dephasing[at_mid] = np.abs(s) ** 2 * (1 - np.abs(kernel[at_mid]) ** 2)
-        y_mid[2, inside] = s * kernel[at_mid]
+        y_mid[2, inside] = dephase(y_mid[2, inside], lanes[inside])
         y_end, from_mid = _free_evolution(y_mid, *sub, (skip[lanes] - n_before) * dt)
         counts[0, lanes] += par["kappa_ext"][lanes] * to_mid[0]
         counts[1, lanes] += par["kappa_ext"][lanes] * from_mid[0]
@@ -434,13 +437,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             y = y + sixth * (k1 + 2 * (k2 + k3) + k4)
             lanes = kernel_at.get(i0 + r)
             if lanes is not None:
-                s = y[2, lanes]
-                dephasing[lanes] = np.abs(s) ** 2 * (1 - np.abs(kernel[lanes]) ** 2)
-                y[2, lanes] = s * kernel[lanes]
-            lanes = end_at.get(i0 + r)
-            if lanes is not None:
-                residual[lanes] = (np.abs(y[0, lanes]) ** 2 + np.abs(y[1, lanes]) ** 2
-                                   + np.abs(y[2, lanes]) ** 2)
+                y[2, lanes] = dephase(y[2, lanes], lanes)
             states[r] = y
 
         # fluxes at the chunk's grid points, then trapezoids per step
@@ -450,6 +447,11 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         flux[:, 1] = np.abs(ain) ** 2
         flux[:, 2:] = loss_rates * np.abs(states) ** 2
         k_grid = base + 1 + np.arange(m)[:, None]
+        # the excitation left in each lane that ends in this chunk
+        ended = np.flatnonzero((base < k_end) & (k_end <= base + m))
+        if ended.size:
+            end_rows = k_end[ended] - base[ended] - 1
+            residual[ended] = np.sum(np.abs(states[end_rows, :, ended]) ** 2, axis=1)
         if keep_flux:
             rows = k_grid - k0
             kept = rows <= n_steps
@@ -507,45 +509,32 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
     """Assemble per-individual parameter arrays for the batch integrator."""
     b = len(writes)
     cav = config.cavity
+    # centre, FWHM, energy, carrier and phase of each role, one column per lane
+    fields = attrgetter("center_ns", "fwhm_ns", "energy", "carrier_detuning_ghz",
+                        "phase_rad")
+    rows = np.array([list(map(fields, p)) for p in (signal, writes, reads)], dtype=float)
+    (sig_c, sig_f, sig_n, sig_carrier, sig_phase), (w_c, w_f, w_e, w_carrier, w_phase), \
+        (r_c, r_f, r_e, r_carrier, r_phase) = rows.transpose(0, 2, 1).copy()
 
     drift = np.asarray(drift_offset_ghz, dtype=float) * np.ones(b)
-    sig_carrier = np.array([s.carrier_detuning_ghz for s in signal])
     # dressed-mode referencing: the configured signal offset locates the
     # dressed resonance; the bare mode detuning compensates the atomic pull
     dressed = TWO_PI * (cav.mode_offset_signal_ghz + drift - sig_carrier)
     delta_c = dressed - config.cavity_pull
 
-    # control buildup relative to the calibration point
-    ctl_carrier_w = np.array([w.carrier_detuning_ghz for w in writes])
-    ctl_carrier_r = np.array([r.carrier_detuning_ghz for r in reads])
+    # control Rabi frequency, its buildup relative to the calibration point
     b0 = float(cavity.buildup_factor(cav, [0.0])[0])
 
-    def buildup_rel(offset_ghz):
-        return float(cavity.buildup_factor(cav, [offset_ghz])[0]) / b0
-
-    rabi = config.rabi_rad_ns_per_sqrt_nj
-    om_w = np.array([
-        rabi * math.sqrt(w.energy) * math.sqrt(buildup_rel(
-            cav.mode_offset_control_ghz + d - w.carrier_detuning_ghz))
-        * np.exp(1j * w.phase_rad)
-        for w, d in zip(writes, drift)])
-    om_r = np.array([
-        rabi * math.sqrt(r.energy) * math.sqrt(buildup_rel(
-            cav.mode_offset_control_ghz + d - r.carrier_detuning_ghz))
-        * np.exp(1j * r.phase_rad)
-        for r, d in zip(reads, drift)])
+    def rabi(energy, carrier, phase):
+        offset = cav.mode_offset_control_ghz + drift - carrier
+        return config.rabi_rad_ns_per_sqrt_nj * np.sqrt(energy) \
+            * np.sqrt(cavity.buildup_factor(cav, offset) / b0) * np.exp(1j * phase)
 
     # two-photon detuning in the signal+write frame; the read carrier offset
     # appears as a linear phase on the read pulse
-    d2 = TWO_PI * (sig_carrier + ctl_carrier_w)
-    chirp_r = TWO_PI * (ctl_carrier_r - ctl_carrier_w)
+    d2 = TWO_PI * (sig_carrier + w_carrier)
+    chirp_r = TWO_PI * (r_carrier - w_carrier)
 
-    sig_c = np.array([s.center_ns for s in signal])
-    sig_f = np.array([s.fwhm_ns for s in signal])
-    w_c = np.array([w.center_ns for w in writes])
-    w_f = np.array([w.fwhm_ns for w in writes])
-    r_c = np.array([r.center_ns for r in reads])
-    r_f = np.array([r.fwhm_ns for r in reads])
     tau = r_c - w_c
     nu = config.dephasing_width_mhz * 1e-3   # GHz
     omega_beat = TWO_PI * config.line_splitting_mhz * 1e-3
@@ -566,11 +555,9 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
         delta_p=np.full(b, TWO_PI * config.intermediate_detuning_ghz),
         gamma_s=np.full(b, config.gamma_m),
         delta_2=d2,
-        sig_n=np.array([s.energy for s in signal]),
-        sig_c=sig_c, sig_f=sig_f,
-        sig_phase=np.array([s.phase_rad for s in signal]),
-        omega_w=om_w, w_c=w_c, w_f=w_f,
-        omega_r=om_r, r_c=r_c, r_f=r_f,
+        sig_n=sig_n, sig_c=sig_c, sig_f=sig_f, sig_phase=sig_phase,
+        omega_w=rabi(w_e, w_carrier, w_phase), w_c=w_c, w_f=w_f,
+        omega_r=rabi(r_e, r_carrier, r_phase), r_c=r_c, r_f=r_f,
         chirp_r=chirp_r,
         # each lane's window: from before its first pulse until its cavity
         # has emptied after the read; the dephasing kernel acts at t_mid

@@ -239,9 +239,8 @@ def run_ga(space: ParameterSpace, config: MemoryConfig, drift: DriftModel,
             pop[0] = np.clip(np.asarray(initial, dtype=float), lo, hi)
 
     def check_bounds(vectors):
-        for v in vectors:
-            if np.any(v < lo - 1e-12) or np.any(v > hi + 1e-12):
-                trace.bound_violations += 1
+        outside = (vectors < lo - 1e-12) | (vectors > hi + 1e-12)
+        trace.bound_violations += int(np.count_nonzero(outside.any(axis=1)))
 
     drift_offset = drift.offset(0, rng)
     check_bounds(pop)
@@ -322,13 +321,10 @@ def grid_search(space: ParameterSpace, config: MemoryConfig,
     if missing:
         raise DomainError(f"unpinned parameters: {sorted(missing)}")
 
-    mesh = np.meshgrid(*grids, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=1)
-    vectors = []
-    for row in flat:
-        vec = [row[names.index(n)] if n in names else fixed[n]
-               for n in PARAMETER_NAMES]
-        vectors.append(np.array(vec))
+    mesh = dict(zip(names, np.meshgrid(*grids, indexing="ij")))
+    vectors = np.empty((total, len(PARAMETER_NAMES)))
+    for col, n in enumerate(PARAMETER_NAMES):
+        vectors[:, col] = mesh[n].ravel() if n in mesh else fixed[n]
     values = np.empty(total)
     for start in range(0, total, batch):
         chunk = vectors[start:start + batch]
@@ -336,5 +332,5 @@ def grid_search(space: ParameterSpace, config: MemoryConfig,
             chunk, config, 0.0, dt_ns, None)
     value_map = values.reshape(shape)
     k = int(np.argmax(values))
-    best = {n: float(vectors[k][PARAMETER_NAMES.index(n)]) for n in names}
+    best = {n: float(mesh[n].flat[k]) for n in names}
     return best, float(values[k]), value_map

@@ -529,6 +529,56 @@ def test_cli_non_positive_points_exits_2_without_output(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", [
+    {"memory": {"cooperativity": -1}},
+    {"optimizer": {"population": 4}},
+    {"memory": {"cooperativity": "x"}},
+    {"seed": -1},
+    {"seed": 1.5},
+    {"pulses": {"read": {"fwhm_ns": 0}}},
+], ids=["cooperativity-negative", "population-4", "cooperativity-text",
+        "seed-negative", "seed-float", "read-fwhm-zero"])
+def test_cli_refused_config_value_exits_2_without_output(tmp_path, capsys, override):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    out = tmp_path / "out"
+    rc = main(["--config", str(cfg), "--out", str(out), "optimize",
+               "--generations", "1"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1"], "must be a non-negative integer"),
+    (["--generations", "0"], "must be a positive integer"),
+], ids=["seed-negative", "generations-zero"])
+def test_cli_optimize_bad_count_exits_2_without_output(tmp_path, capsys, argv,
+                                                       message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out), "optimize", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_optimize_drift_follows_config_unless_given(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"optimizer": {"population": 8,
+                                             "drift": {"enabled": True}}}))
+
+    def drift_offsets(tag, *flags):
+        out = tmp_path / tag
+        assert main(["--config", str(cfg), "--out", str(out), "optimize",
+                     "--generations", "1", *flags]) == 0
+        header, rows = read_csv(out / "optimize_trace.csv")
+        return rows[:, header.index("drift_offset_ghz")]
+
+    assert np.all(drift_offsets("config") != 0.0)
+    assert np.all(drift_offsets("off", "--drift", "off") == 0.0)
+
+
 def test_cli_exit_code_numerical_error(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "store", "--dt", "0.2"])
     assert rc == 3

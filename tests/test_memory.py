@@ -329,6 +329,50 @@ def test_jumping_lane_independent_of_batch_companions():
         assert vals[at] == alone
 
 
+def _random_lanes(rng, size):
+    """Pulses of random GA vectors with random phases and carriers."""
+    space = ParameterSpace()
+    lanes = []
+    for x in rng.uniform(space.lower(), space.upper(), size=(size, len(PARAMETER_NAMES))):
+        sig, write, read = _pulses_from_vector(x)
+        lanes.append((replace(sig, phase_rad=float(rng.uniform(-3.0, 3.0)),
+                              carrier_detuning_ghz=float(rng.uniform(-0.2, 0.2))),
+                      replace(write, phase_rad=float(rng.uniform(-3.0, 3.0))),
+                      replace(read, phase_rad=float(rng.uniform(-3.0, 3.0)),
+                              carrier_detuning_ghz=float(rng.uniform(-0.5, 0.5)))))
+    return [list(c) for c in zip(*lanes)]
+
+
+def test_lane_arrays_of_mixed_batch_equal_each_lane_alone():
+    # every parameter array of a batch holds, bit for bit, what the lane
+    # assembles alone, under a per-lane drift
+    from cavmem.memory import _pulse_par_arrays
+    rng = np.random.default_rng(23)
+    signals, writes, reads = _random_lanes(rng, 40)
+    drift = rng.uniform(-0.05, 0.05, 40)
+    par = _pulse_par_arrays(CFG, signals, writes, reads, drift)
+    for i in range(40):
+        alone = _pulse_par_arrays(CFG, signals[i:i + 1], writes[i:i + 1],
+                                  reads[i:i + 1], float(drift[i]))
+        assert set(alone) == set(par)
+        for key, value in alone.items():
+            assert par[key][i:i + 1].tobytes() == value.tobytes(), key
+
+
+@pytest.mark.parametrize("width", [1, 40])
+def test_lane_arrays_take_three_buildup_calls(width, monkeypatch):
+    # the calibration point plus one call per control role, whatever the width
+    from cavmem import cavity
+    from cavmem.memory import _pulse_par_arrays
+    calls = []
+    real = cavity.buildup_factor
+    monkeypatch.setattr(cavity, "buildup_factor",
+                        lambda *a: calls.append(a) or real(*a))
+    signals, writes, reads = _random_lanes(np.random.default_rng(3), width)
+    _pulse_par_arrays(CFG, signals, writes, reads, 0.0)
+    assert len(calls) == 3
+
+
 def test_lifetime_scan_flat_against_decay_law_where_jumps_begin():
     # from 8 to 20 ns the jumped-over storage time grows from none to a few
     # steps; the scan must follow the decay law through that onset

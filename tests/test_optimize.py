@@ -199,6 +199,28 @@ def test_grid_search_matches_energy_scan():
     assert np.allclose(vmap * (1 - CFG.zeta()), effs, rtol=1e-6)
 
 
+def test_grid_search_map_entries_are_objectives():
+    # each entry of a 2-D map is the objective of its vector, bit for bit,
+    # including vectors whose pulses overlap (scored 0), and `best` is the
+    # vector at the map's argmax
+    fixed = fixed_from_default()
+    delays = np.array([2.0, 9.0, 12.5])
+    energies = np.array([0.05, 0.2, 0.35, 0.6])
+    scan = {"write_read_delay_ns": delays, "write_energy_nj": energies}
+    for name in scan:
+        fixed.pop(name)
+    best, value, vmap = grid_search(SPACE, CFG, scan, fixed)
+    assert vmap.shape == (3, 4)
+    for i, delay in enumerate(delays):
+        for j, energy in enumerate(energies):
+            vec = dict(fixed, write_read_delay_ns=delay, write_energy_nj=energy)
+            assert vmap[i, j] == objective([vec[n] for n in PARAMETER_NAMES], CFG)
+    assert vmap[0, 0] == 0.0
+    i, j = np.unravel_index(np.argmax(vmap), vmap.shape)
+    assert best == {"write_read_delay_ns": delays[i], "write_energy_nj": energies[j]}
+    assert value == vmap[i, j]
+
+
 def test_ga_reaches_coarse_grid_optimum():
     # quick 2-D sanity version of the oracle comparison
     fixed = fixed_from_default()
