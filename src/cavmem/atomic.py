@@ -37,8 +37,7 @@ __all__ = [
     "two_photon_lines", "group_two_photon_lines",
 ]
 
-POLARIZATIONS = ("sigma-", "pi", "sigma+")
-_POL_Q = {"sigma-": -1, "pi": 0, "sigma+": +1}
+POLARIZATIONS = ("sigma-", "pi", "sigma+")   # q = -1, 0, +1
 
 # global state numbering: manifolds stacked in energy order of the ladder
 _INDEX_OFFSET = {"5S1/2": 0, "5P3/2": 8, "5D5/2": 24}
@@ -50,6 +49,13 @@ REFERENCE_FIELD_MT = 300.0
 # lines weaker than this fraction of the strongest line in a manifold pair
 # are omitted
 STRENGTH_THRESHOLD = 1e-6
+
+# Doppler-broadened intermediate width that weights two-photon paths by their
+# lower leg's distance from the signal carrier
+GAMMA_EFF_GHZ = 0.55
+
+# paths to one (ground, upper) pair must agree on the line position this well
+GROUP_TOL_GHZ = 1e-6
 
 
 @dataclass(frozen=True)
@@ -323,20 +329,39 @@ def _dipole_operator(lo_m: ManifoldSpec, up_m: ManifoldSpec, q: int) -> np.ndarr
     return d_q
 
 
-def _dipole_amplitudes(lower_states: list[ZeemanState],
-                       upper_states: list[ZeemanState],
-                       q: int) -> np.ndarray:
-    """Matrix of <u|d_q|l> over dressed states (reduced matrix element = 1)."""
-    d_q = _dipole_operator(lower_states[0].manifold, upper_states[0].manifold, q)
-    v_lo = np.stack([s.composition for s in lower_states], axis=1)
-    v_up = np.stack([s.composition for s in upper_states], axis=1)
-    return v_lo.T @ d_q @ v_up.conj()
-
-
-def _check_dipole_allowed(lower: ManifoldSpec, upper: ManifoldSpec) -> None:
+def _strengths(lower: ManifoldSpec, upper: ManifoldSpec, b_mt: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Energies of both manifolds in label order, and the raw strengths
+    |<u|d_q|l>|^2 on the dressed eigenvectors (reduced matrix element = 1),
+    shape (3, n_lo, n_up) for q = -1, 0, +1.  The eigenvectors are real."""
     if abs(lower.l - upper.l) != 1:
         raise DomainError(
             f"{lower.label} -> {upper.label} is not dipole allowed (dL != 1)")
+    e_lo, v_lo = _labelled_system(lower, b_mt)
+    e_up, v_up = _labelled_system(upper, b_mt)
+    raw = np.stack([(v_lo.T @ _dipole_operator(lower, upper, q) @ v_up) ** 2
+                    for q in (-1, 0, 1)])
+    return e_lo, e_up, raw
+
+
+def _line_table(lower: ManifoldSpec, upper: ManifoldSpec, b_mt: float,
+                polarization: str | None) -> tuple[np.ndarray, ...]:
+    """The lines of transition_lines as arrays, stably sorted by detuning:
+    polarization (index into POLARIZATIONS), lower and upper label positions,
+    detuning (GHz), raw strength and normalized strength."""
+    if polarization not in (None, *POLARIZATIONS):
+        raise DomainError(f"unknown polarization {polarization!r}")
+    e_lo, e_up, raw = _strengths(lower, upper, b_mt)
+    norm = raw.max()
+    if norm <= 0:
+        raise NumericalError("all transition strengths vanished")
+    wanted = np.array([polarization in (None, p) for p in POLARIZATIONS])
+    pol, lo, up = np.nonzero(wanted[:, None, None] & (raw / norm >= STRENGTH_THRESHOLD))
+    detuning = (e_up[up] - e_lo[lo]) / 1e3
+    order = np.argsort(detuning, kind="stable")
+    pol, lo, up, detuning = pol[order], lo[order], up[order], detuning[order]
+    raw = raw[pol, lo, up]
+    return pol, lo, up, detuning, raw, raw / norm
 
 
 def transition_lines(lower: ManifoldSpec, upper: ManifoldSpec, b_mt: float,
@@ -347,59 +372,28 @@ def transition_lines(lower: ManifoldSpec, upper: ManifoldSpec, b_mt: float,
     strongest line of the manifold pair (over all polarizations) equals 1.
     Lines below STRENGTH_THRESHOLD of that maximum are omitted.
     """
-    _check_dipole_allowed(lower, upper)
-    pols = POLARIZATIONS if polarization is None else (polarization,)
-    for p in pols:
-        if p not in _POL_Q:
-            raise DomainError(f"unknown polarization {p!r}")
+    table = _line_table(lower, upper, b_mt, polarization)
     lo_states = diagonalize_manifold(lower, b_mt)
     up_states = diagonalize_manifold(upper, b_mt)
-    raw: dict[str, np.ndarray] = {
-        p: np.abs(_dipole_amplitudes(lo_states, up_states, _POL_Q[p])) ** 2
-        for p in POLARIZATIONS
-    }
-    norm = max(m.max() for m in raw.values())
-    if norm <= 0:
-        raise NumericalError("all transition strengths vanished")
-    lines = []
-    for p in pols:
-        mat = raw[p]
-        for a, low in enumerate(lo_states):
-            for b, up in enumerate(up_states):
-                s = mat[a, b] / norm
-                if s < STRENGTH_THRESHOLD:
-                    continue
-                lines.append(TransitionLine(
-                    lower=low, upper=up, polarization=p,
-                    detuning_ghz=(up.energy_mhz - low.energy_mhz) / 1e3,
-                    strength=float(s),
-                    raw_strength=float(mat[a, b]),
-                ))
-    lines.sort(key=lambda ln: ln.detuning_ghz)
-    return lines
+    return [TransitionLine(lower=lo_states[a], upper=up_states[b],
+                           polarization=POLARIZATIONS[p], detuning_ghz=d,
+                           strength=s, raw_strength=r)
+            for p, a, b, d, r, s in zip(*(col.tolist() for col in table))]
 
 
 def dipole_strength_sums(lower: ManifoldSpec, upper: ManifoldSpec,
                          b_mt: float) -> np.ndarray:
     """Per-lower-state strength sums over all upper states and polarizations.
 
-    Computed from the full amplitude matrices with no line-omission threshold;
+    Computed from the full strength table with no line-omission threshold;
     by closure of the dipole algebra these sums are independent of B.
     """
-    _check_dipole_allowed(lower, upper)
-    lo_states = diagonalize_manifold(lower, b_mt)
-    up_states = diagonalize_manifold(upper, b_mt)
-    total = np.zeros(lower.dim)
-    for pol in POLARIZATIONS:
-        amp = _dipole_amplitudes(lo_states, up_states, _POL_Q[pol])
-        total += np.sum(np.abs(amp) ** 2, axis=1)
-    return total
+    return _strengths(lower, upper, b_mt)[2].sum(axis=2).sum(axis=0)
 
 
 def two_photon_lines(b_mt: float, signal_pol: str, control_pol: str,
                      total_window_ghz: tuple[float, float] = (-50.0, 50.0),
                      reference_signal_detuning_ghz: float | None = None,
-                     gamma_eff_ghz: float = 0.55,
                      constants: AtomConstants | None = None) -> list[TwoPhotonLine]:
     """Ladder paths 5S1/2 -> 5P3/2 -> 5D5/2 within a two-photon window.
 
@@ -407,49 +401,39 @@ def two_photon_lines(b_mt: float, signal_pol: str, control_pol: str,
     selects on the total two-photon detuning (signal + control legs) from the
     field-free 5S -> 5D interval.  When a reference signal detuning is given
     (the carrier of the driving field), each path's strength is the product of
-    its two one-photon strengths divided by 1 + (d_int/gamma_eff)^2, with
-    d_int the distance of the lower-leg resonance from that reference and
-    gamma_eff the Doppler-broadened intermediate width; otherwise the raw
-    product is kept.  Only ordering and grouping of lines are contractual;
-    absolute weights are not.
+    its two one-photon strengths divided by 1 + (d_int/GAMMA_EFF_GHZ)^2, with
+    d_int the distance of the lower-leg resonance from that reference;
+    otherwise the raw product is kept.  Only ordering and grouping of lines
+    are contractual; absolute weights are not.
     """
     if total_window_ghz[0] >= total_window_ghz[1]:
         raise DomainError("two-photon window must be non-empty")
     s12, p32, d52 = all_manifolds(constants)
-    leg1 = transition_lines(s12, p32, b_mt, signal_pol)
-    leg2 = transition_lines(p32, d52, b_mt, control_pol)
-    by_intermediate: dict[int, list[TransitionLine]] = {}
-    for ln in leg2:
-        by_intermediate.setdefault(ln.lower.index, []).append(ln)
+    _, g1, i1, det1, raw1, _ = _line_table(s12, p32, b_mt, signal_pol)
+    _, i2, u2, det2, raw2, _ = _line_table(p32, d52, b_mt, control_pol)
+    ref = reference_signal_detuning_ghz
+    # in Python floats: numpy's ** 2 can differ from them by an ulp
+    weight = np.array([1.0 if ref is None
+                       else 1.0 / (1.0 + ((d - ref) / GAMMA_EFF_GHZ) ** 2)
+                       for d in det1.tolist()])
+    # paths share the intermediate; row-major keeps leg-1, then leg-2 order
+    r, c = np.nonzero(i1[:, None] == i2[None, :])
+    total = det1[r] + det2[c]
+    keep = (total_window_ghz[0] <= total) & (total <= total_window_ghz[1])
+    order = np.argsort(total[keep], kind="stable")
+    r, c = r[keep][order], c[keep][order]
+    table = (g1[r], i1[r], u2[c], det1[r], det2[c], raw1[r] * raw2[c] * weight[r])
+    ground, inter, upper = (diagonalize_manifold(m, b_mt) for m in (s12, p32, d52))
     loss = not (signal_pol == "sigma-" and control_pol == "sigma-")
-    out = []
-    for ln1 in leg1:
-        if reference_signal_detuning_ghz is None:
-            weight = 1.0
-        else:
-            d_int = ln1.detuning_ghz - reference_signal_detuning_ghz
-            weight = 1.0 / (1.0 + (d_int / gamma_eff_ghz) ** 2)
-        for ln2 in by_intermediate.get(ln1.upper.index, ()):
-            total = ln1.detuning_ghz + ln2.detuning_ghz
-            if not (total_window_ghz[0] <= total <= total_window_ghz[1]):
-                continue
-            out.append(TwoPhotonLine(
-                ground=ln1.lower,
-                intermediate=ln1.upper,
-                doubly_excited=ln2.upper,
-                signal_pol=signal_pol,
-                control_pol=control_pol,
-                signal_detuning_ghz=ln1.detuning_ghz,
-                control_detuning_ghz=ln2.detuning_ghz,
-                strength=float(ln1.raw_strength * ln2.raw_strength * weight),
-                is_loss_channel=loss,
-            ))
-    out.sort(key=lambda tl: tl.total_detuning_ghz)
-    return out
+    return [TwoPhotonLine(ground=ground[g], intermediate=inter[i], doubly_excited=upper[u],
+                          signal_pol=signal_pol, control_pol=control_pol,
+                          signal_detuning_ghz=d1, control_detuning_ghz=d2,
+                          strength=s, is_loss_channel=loss)
+            for g, i, u, d1, d2, s in zip(*(col.tolist() for col in table))]
 
 
-def group_two_photon_lines(lines: list[TwoPhotonLine],
-                           tol_ghz: float = 1e-6) -> list[tuple[float, float, TwoPhotonLine]]:
+def group_two_photon_lines(lines: list[TwoPhotonLine]
+                           ) -> list[tuple[float, float, TwoPhotonLine]]:
     """Merge paths sharing (ground, upper) into composite lines.
 
     Returns (total_detuning_ghz, summed_strength, strongest_path) sorted by
@@ -462,10 +446,10 @@ def group_two_photon_lines(lines: list[TwoPhotonLine],
     out = []
     for paths in grouped.values():
         pos = paths[0].total_detuning_ghz
-        if any(abs(p.total_detuning_ghz - pos) >= tol_ghz for p in paths):
+        if any(abs(p.total_detuning_ghz - pos) >= GROUP_TOL_GHZ for p in paths):
             raise StructuralError(
                 f"paths to one (ground, upper) pair disagree on the line "
-                f"position by more than {tol_ghz} GHz")
+                f"position by more than {GROUP_TOL_GHZ} GHz")
         total = sum(p.strength for p in paths)
         best = max(paths, key=lambda p: p.strength)
         out.append((pos, total, best))

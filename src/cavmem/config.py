@@ -119,7 +119,8 @@ class ExperimentConfig:
         set is built once here, so a value that its class refuses is a
         ConfigError at load; the atom constants stay unread."""
         cfg = cls(doc=_merge_strict(DEFAULT_CONFIG, override))
-        builds = {"seed": lambda: cfg.seed, "cavity": cfg.cavity_params,
+        builds = {"field_mt": lambda: cfg.field_mt, "seed": lambda: cfg.seed,
+                  "cavity": cfg.cavity_params,
                   "memory": cfg.memory_config, "vapour": cfg.vapour_params,
                   "optimizer": cfg.ga_settings, "optimizer.drift": cfg.drift_model,
                   "optimizer.bounds": cfg.parameter_space,
@@ -144,7 +145,10 @@ class ExperimentConfig:
 
     @property
     def field_mt(self) -> float:
-        return float(self.doc["field_mt"])
+        b = self.doc["field_mt"]
+        if type(b) not in (int, float) or not (math.isfinite(b) and b >= 0):
+            raise DomainError(f"must be a finite non-negative number, got {b!r}")
+        return float(b)
 
     @property
     def seed(self) -> int:

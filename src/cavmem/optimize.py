@@ -14,11 +14,12 @@ reproducible bit-for-bit regardless of how the batch is executed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .memory import MemoryConfig, PulseShape, batch_efficiency, pulses_overlap
 
 __all__ = [
@@ -90,6 +91,16 @@ class DriftModel:
     rate_ghz_per_iteration: float = 0.010
     noise_sd_ghz: float = 0.002
 
+    def __post_init__(self):
+        if not isinstance(self.enabled, bool):
+            raise DomainError(f"drift enabled must be true or false, got {self.enabled!r}")
+        rates = (self.rate_ghz_per_iteration, self.noise_sd_ghz)
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in rates):
+            raise DomainError(f"drift rates must be numbers, got {rates!r}")
+        require_finite(self, "drift")
+        if self.noise_sd_ghz < 0:
+            raise DomainError("drift noise_sd_ghz must be non-negative")
+
     def offset(self, iteration: int, rng: np.random.Generator) -> float:
         if not self.enabled:
             return 0.0
@@ -110,6 +121,7 @@ class GASettings:
     dt_ns: float = 0.02
 
     def __post_init__(self):
+        require_finite(self, "GA settings")
         if self.population < 8:
             raise DomainError("population must be at least 8")
         if self.generations < 1:

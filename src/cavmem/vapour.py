@@ -15,7 +15,7 @@ import numpy as np
 
 from . import atomic
 from .constants import KB_OVER_AMU, AtomConstants, default_constants
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 __all__ = [
     "VapourParams", "doppler_width_rad_s", "doppler_fwhm_ghz", "optical_depth",
@@ -41,6 +41,7 @@ class VapourParams:
     field_inhomogeneity_mhz: float = 12.2  # Gaussian broadening of narrow lines
 
     def __post_init__(self):
+        require_finite(self, "vapour")
         if self.temperature_c <= -ZERO_C_IN_K:
             raise DomainError("temperature below absolute zero")
         if self.cell_length_mm <= 0:
@@ -121,16 +122,13 @@ def one_photon_spectrum(vapour: VapourParams, b_mt: float, polarization: str,
         return np.ones_like(d_grid)
     s12 = atomic.manifold_spec("5S1/2", c)
     p32 = atomic.manifold_spec("5P3/2", c)
-    lines = atomic.transition_lines(s12, p32, b_mt, polarization)
+    *_, centers, raw, _ = atomic._line_table(s12, p32, b_mt, polarization)
     # uniform populations over the 8 ground sublevels: no optical pumping
-    weights = np.array([ln.raw_strength for ln in lines])
-    weights /= weights.max()
-    centers = np.array([ln.detuning_ghz for ln in lines])
+    weights = raw / raw.max()
     fwhm = doppler_fwhm_ghz(vapour.temperature_c, c.wavelength_signal_nm, c.mass_amu)
     gauss_coef = 4 * math.log(2) / fwhm ** 2
-    od = np.zeros_like(d_grid)
-    for w, pos in zip(weights, centers):
-        od += depth * w * np.exp(-gauss_coef * (d_grid - pos) ** 2)
+    od = np.add.reduce(depth * weights[:, None]
+                       * np.exp(-gauss_coef * (d_grid - centers[:, None]) ** 2), axis=0)
     return np.exp(-od)
 
 
@@ -187,11 +185,10 @@ def two_photon_spectrum(vapour: VapourParams, b_mt: float,
         return np.ones_like(deltas), warning
     fwhm_ghz = two_photon_linewidth_mhz(vapour, geometry, c) * 1e-3
     coef = 4 * math.log(2) / fwhm_ghz ** 2
-    smax = max(s for _, s, _ in grouped)
-    od = np.zeros_like(deltas)
-    for pos, strength, _ in grouped:
-        delta_line = pos - signal_detuning_ghz
-        od += control_depth * (strength / smax) * np.exp(-coef * (deltas - delta_line) ** 2)
+    pos, strength = np.array([g[:2] for g in grouped]).T
+    delta_line = pos - signal_detuning_ghz
+    od = np.add.reduce(control_depth * (strength / strength.max())[:, None]
+                       * np.exp(-coef * (deltas - delta_line[:, None]) ** 2), axis=0)
     return np.exp(-od), warning
 
 

@@ -419,6 +419,50 @@ def test_two_photon_bookkeeping_exact():
         assert ln.is_loss_channel
 
 
+# fields of the array-path guards: zero, weak, the 12 mT region, operating
+# point and strong field
+GUARD_FIELDS = (0.0, 0.3, 12.0, 169.0, 250.0)
+POLS = ("sigma-", "pi", "sigma+")
+
+
+def nested_loop_two_photon_paths(b, signal_pol, control_pol, window, reference):
+    """The two-photon paths joined line by line from the two one-photon legs:
+    (ground, intermediate, upper) labels, both leg detunings and the strength,
+    weighted by the 0.55 GHz intermediate width, in stable detuning order."""
+    leg1 = transition_lines(S12, P32, b, signal_pol)
+    leg2 = transition_lines(P32, D52, b, control_pol)
+    out = []
+    for ln1 in leg1:
+        if reference is None:
+            weight = 1.0
+        else:
+            weight = 1.0 / (1.0 + ((ln1.detuning_ghz - reference) / 0.55) ** 2)
+        for ln2 in leg2:
+            total = ln1.detuning_ghz + ln2.detuning_ghz
+            if ln2.lower.index == ln1.upper.index and window[0] <= total <= window[1]:
+                out.append(((ln1.lower.index, ln1.upper.index, ln2.upper.index),
+                            ln1.detuning_ghz, ln2.detuning_ghz,
+                            ln1.raw_strength * ln2.raw_strength * weight))
+    out.sort(key=lambda path: path[1] + path[2])
+    return out
+
+
+@pytest.mark.parametrize("b", GUARD_FIELDS)
+def test_two_photon_lines_equal_nested_loop_join_of_legs(b):
+    for signal_pol in POLS:
+        for control_pol in POLS:
+            for window, reference in (((-50.0, 50.0), None), ((-50.0, 50.0), 0.7),
+                                      ((-8.0, 2.0), -1.3)):
+                lines = two_photon_lines(b, signal_pol, control_pol,
+                                         total_window_ghz=window,
+                                         reference_signal_detuning_ghz=reference)
+                got = [((ln.ground.index, ln.intermediate.index, ln.doubly_excited.index),
+                        ln.signal_detuning_ghz, ln.control_detuning_ghz, ln.strength)
+                       for ln in lines]
+                assert got == nested_loop_two_photon_paths(
+                    b, signal_pol, control_pol, window, reference)
+
+
 def test_zero_field_cross_polarization_symmetry():
     a = two_photon_lines(0.0, "sigma-", "sigma+", total_window_ghz=(-5.0, 5.0))
     b = two_photon_lines(0.0, "sigma+", "sigma-", total_window_ghz=(-5.0, 5.0))

@@ -536,8 +536,15 @@ def test_cli_non_positive_points_exits_2_without_output(tmp_path, capsys, argv):
     {"seed": -1},
     {"seed": 1.5},
     {"pulses": {"read": {"fwhm_ns": 0}}},
+    {"optimizer": {"drift": {"enabled": True, "rate_ghz_per_iteration": "x"}}},
+    {"optimizer": {"drift": {"noise_sd_ghz": -1}}},
+    {"optimizer": {"drift": {"enabled": "no"}}},
+    {"field_mt": "x"},
+    {"field_mt": -5},
 ], ids=["cooperativity-negative", "population-4", "cooperativity-text",
-        "seed-negative", "seed-float", "read-fwhm-zero"])
+        "seed-negative", "seed-float", "read-fwhm-zero", "drift-rate-text",
+        "drift-noise-negative", "drift-enabled-text", "field-text",
+        "field-negative"])
 def test_cli_refused_config_value_exits_2_without_output(tmp_path, capsys, override):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(override))
@@ -547,6 +554,21 @@ def test_cli_refused_config_value_exits_2_without_output(tmp_path, capsys, overr
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not out.exists()
+
+
+def test_parameter_sets_refuse_what_they_cannot_use():
+    from cavmem.errors import DomainError
+    from cavmem.optimize import DriftModel, GASettings
+    from cavmem.vapour import VapourParams
+    with pytest.raises(DomainError):
+        VapourParams(temperature_c=math.nan, optical_depth=100.0)
+    with pytest.raises(DomainError):
+        GASettings(crossover_eta=math.nan)
+    for bad in ({"enabled": "no"}, {"enabled": 1}, {"rate_ghz_per_iteration": "x"},
+                {"rate_ghz_per_iteration": math.inf}, {"noise_sd_ghz": -1.0},
+                {"noise_sd_ghz": math.nan}):
+        with pytest.raises(DomainError):
+            DriftModel(**bad)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from cavmem.atomic import all_manifolds, transition_lines
+from cavmem.constants import default_constants
 from cavmem.errors import DomainError
 from cavmem.vapour import (VapourParams, doppler_fwhm_ghz, doppler_width_rad_s,
                            one_photon_spectrum, optical_depth,
@@ -126,6 +128,24 @@ def test_one_photon_velocity_integration_oracle():
 def test_transmission_bounded():
     t = one_photon_spectrum(VAP, 169.0, "sigma-", np.linspace(-15, 10, 501))
     assert np.all(t >= 0.0) and np.all(t <= 1.0)
+
+
+@pytest.mark.parametrize("b", (0.0, 0.3, 12.0, 169.0, 250.0))
+@pytest.mark.parametrize("pol", ("sigma-", "pi", "sigma+"))
+def test_one_photon_spectrum_is_per_line_gaussian_sum(b, pol):
+    # one unit-peak Gaussian per listed line, added in line order
+    c = default_constants()
+    s12, p32, _ = all_manifolds()
+    grid = np.linspace(-12.0, 8.0, 401)
+    lines = transition_lines(s12, p32, b, pol)
+    weights = np.array([ln.raw_strength for ln in lines])
+    weights /= weights.max()
+    fwhm = doppler_fwhm_ghz(VAP.temperature_c, c.wavelength_signal_nm, c.mass_amu)
+    coef = 4 * math.log(2) / fwhm ** 2
+    od = np.zeros_like(grid)
+    for w, ln in zip(weights, lines):
+        od += VAP.depth() * w * np.exp(-coef * (grid - ln.detuning_ghz) ** 2)
+    assert np.array_equal(one_photon_spectrum(VAP, b, pol, grid), np.exp(-od))
 
 
 # ---------------------------------------------------------- two photon
