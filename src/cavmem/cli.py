@@ -262,7 +262,7 @@ def cmd_fit(cfg: ExperimentConfig, args) -> int:
     elif args.model == "doppler":
         fit = fitting.fit_doppler_absorption(
             x, y, temperature_c=cfg.vapour_params().temperature_c,
-            constants=cfg.atom_constants())
+            polarization=args.polarization, constants=cfg.atom_constants())
         extra = {}
     elif args.model == "lifetime":
         gamma_m = cfg.memory_config().gamma_m
@@ -359,6 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True,
                    choices=["cavity", "doppler", "lifetime", "line"])
     p.add_argument("data", help="CSV file with x,y columns")
+    p.add_argument("--polarization", default="sigma-",
+                   choices=["sigma-", "sigma+", "pi"],
+                   help="probe polarization of the doppler model")
     p.set_defaults(func=cmd_fit)
     return parser
 

@@ -43,13 +43,17 @@ with the exact propagator: a 2x2 matrix exponential in eigen form for
 (a, P) and a scalar exponential for S.  The loss and output integrals over
 the jump are booked in closed form, and the kernel and the leak/retrieved
 split act at the lane's own t_mid grid point as they do in the loop.  The
-jump points depend only on the lane's pulse windows, so a lane's results do
-not depend on the other lanes of its batch, and a lane without drive-free
-time takes the plain RK4 path.
+same holds after the read: a lane's loop ends at the first grid point at or
+after its read window closes, and the exact propagator carries it over the
+ring-down to the end of its window, booking the emitted part as retrieved
+counts and the rest as losses; what is left at the end is the residual
+excitation.  The segment points depend only on the lane's pulse windows, so
+a lane's results do not depend on the other lanes of its batch, and a lane
+without drive-free storage time steps through it with RK4.
 
 All simulations are pure functions of (config, pulses, drift); scans evaluate
-their points as one vectorized batch, so results cannot depend on evaluation
-order.
+their points as one vectorized batch (the bandwidth scan one batch over all
+widths per refinement round), so results cannot depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -308,12 +312,16 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     last by the exact propagator, with the dephasing kernel and the
     leak/retrieved split applied at t_mid when t_mid falls inside.  Chunks
     of the drive table end at every jump, so each RK4 stage sees the drives
-    at the lane's true time.  Each lane integrates from rest at its own
-    start and accumulates its counts up to its own end, and its jump points
-    depend only on its own pulses, so its results do not depend on the
-    other lanes of the batch.  Returns integrated counts and loss channels
-    per individual, plus the output flux on the grid when `keep_flux` is
-    set; rows a lane does not reach stay zero.
+    at the lane's true time.  The loop ends once every lane has reached the
+    first grid point k_close at or after its read close; from there the
+    exact propagator carries each lane to its end k_end and books the
+    ring-down as retrieved counts and losses.  Each lane integrates from
+    rest at its own start and accumulates its counts up to its own end, and
+    its segment points depend only on its own pulses, so its results do not
+    depend on the other lanes of the batch.  Returns integrated counts and
+    loss channels per individual, the loop's step and lane-step counts, and
+    the output flux on the grid when `keep_flux` is set; rows before a
+    lane's start stay zero.
     """
     # the step count comes from the grid indices of t0 and t1: ceil of the
     # float (t1 - t0) / dt can land one step past t1
@@ -342,6 +350,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                            par["gamma_s"]])
     kernel = par["kernel"]
     k_start, k_mid, k_end, k_free, k_read = _lane_steps(par, dt)
+    k_close = np.ceil(par["t_close"] / dt).astype(int)
     skip = np.maximum(k_read - k_free, 0)    # J, the steps a lane jumps over
     mid_inside = (skip > 0) & (k_free < k_mid) & (k_mid <= k_read)
 
@@ -350,13 +359,13 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         return k - k_start - np.where(k > k_free, skip, 0)
 
     # the kernel acts after the step that lands a lane on t_mid; -1, which
-    # the loop never reaches, marks a kernel that the jump applies
-    kernel_at = _lanes_by_step(np.where(mid_inside, -1, loop_index(k_mid) - 1))
+    # the loop never reaches, marks a kernel that the jump applies, or none
+    # where t_mid lies past the read close (a dark read before the write)
+    kernel_at = _lanes_by_step(np.where(mid_inside | (k_mid > k_close), -1,
+                                        loop_index(k_mid) - 1))
     jump_at = _lanes_by_step(np.where(skip > 0, k_free - k_start, -1))
     jump_at.pop(-1, None)
-    n_iter = int(np.max(loop_index(k_end)))
-    if keep_flux:   # run on to the grid's last row
-        n_iter = max(n_iter, int(np.max(k1 - k_start - skip)))
+    n_iter = int(np.max(loop_index(k_close)))
     stops = sorted(jump_at) + [n_iter]
     # grid index of each lane at loop index 0; a jump moves it on by J
     offset = k_start.copy()
@@ -372,7 +381,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     # leak, retrieved, input, cavity-internal, polarization and spin counts
     counts = np.zeros((6, b))
     dephasing = np.zeros(b)
-    residual = np.zeros(b)
+    y_close = np.zeros((3, b), dtype=complex)
     # every lane rests at the first grid point
     out_flux = np.zeros((n_steps + 1, b)) if keep_flux else None
     # flux channels at the last grid point: output, input, cavity, P, S
@@ -383,6 +392,15 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         """Spin amplitudes s of `lanes` times the kernel; books what it removes."""
         dephasing[lanes] = np.abs(s) ** 2 * (1 - np.abs(kernel[lanes]) ** 2)
         return s * kernel[lanes]
+
+    def fill_flux(lane, y_from, k_from, k_to):
+        """Output flux of drive-free `lane` at grid rows k_from+1..k_to, from
+        its state y_from at k_from; a does not see the kernel."""
+        one = slice(lane, lane + 1)
+        a_t = _free_evolution(y_from[:, None], diag[:, one], ig[one], s_ap[:, one],
+                              dt * np.arange(1, k_to - k_from + 1))[0][0]
+        out_flux[k_from - k0 + 1:k_to - k0 + 1, lane] = \
+            par["kappa_ext"][lane] * np.abs(a_t) ** 2
 
     def jump(lanes):
         """Carry `lanes` from k_free to k_read, booking the interval's counts."""
@@ -400,13 +418,8 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             par["kappa_ext"][lanes] * np.abs(y_end[:1]) ** 2, np.zeros((1, len(lanes))),
             loss_rates[:, lanes] * np.abs(y_end) ** 2])
         if keep_flux:
-            # a does not see the kernel, so its grid values follow from k_free
             for lane in lanes.tolist():
-                one = slice(lane, lane + 1)
-                a_t = _free_evolution(y[:, one], diag[:, one], ig[one], s_ap[:, one],
-                                      dt * np.arange(1, skip[lane] + 1))[0][0]
-                out_flux[k_free[lane] - k0 + 1:k_read[lane] - k0 + 1, lane] = \
-                    par["kappa_ext"][lane] * np.abs(a_t) ** 2
+                fill_flux(lane, y[:, lane], k_free[lane], k_read[lane])
         y[:, lanes] = y_end
         offset[lanes] += skip[lanes]
 
@@ -447,18 +460,17 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         flux[:, 1] = np.abs(ain) ** 2
         flux[:, 2:] = loss_rates * np.abs(states) ** 2
         k_grid = base + 1 + np.arange(m)[:, None]
-        # the excitation left in each lane that ends in this chunk
-        ended = np.flatnonzero((base < k_end) & (k_end <= base + m))
-        if ended.size:
-            end_rows = k_end[ended] - base[ended] - 1
-            residual[ended] = np.sum(np.abs(states[end_rows, :, ended]) ** 2, axis=1)
+        # the state of each lane whose read closes in this chunk
+        closed = np.flatnonzero((base < k_close) & (k_close <= base + m))
+        if closed.size:
+            y_close[:, closed] = states[k_close[closed] - base[closed] - 1, :, closed].T
         if keep_flux:
             rows = k_grid - k0
             kept = rows <= n_steps
             out_flux[rows[kept], np.nonzero(kept)[1]] = flux[:, 0][kept]
         trap = half * (np.concatenate([f_prev[None], flux[:-1]]) + flux)
         f_prev = flux[-1]
-        live = k_grid <= k_end
+        live = k_grid <= k_close
         before = k_grid <= k_mid
         steps = np.empty((m + 1, 6, b))
         steps[0] = counts
@@ -470,10 +482,20 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         counts = np.add.accumulate(steps, axis=0)[-1]
         i0 += m
 
+    # the ring-down: after its read closes nothing drives a lane, and all it
+    # emits counts as retrieved
+    y_end, ring = _free_evolution(y_close, diag, ig, s_ap, (k_end - k_close) * dt)
+    counts[1] += par["kappa_ext"] * ring[0]
+    counts[3:] += loss_rates * ring
+    if keep_flux:
+        for lane in range(b):
+            fill_flux(lane, y_close[:, lane], k_close[lane], k0 + n_steps)
     leak, retrieved, n_in, loss_cav, loss_pol, loss_spin = counts
     return dict(ts=ts, out_flux=out_flux, leak=leak, retrieved=retrieved,
                 n_in=n_in, loss_pol=loss_pol, loss_spin=loss_spin,
-                loss_cav=loss_cav, loss_dephasing=dephasing, residual=residual)
+                loss_cav=loss_cav, loss_dephasing=dephasing,
+                residual=np.sum(np.abs(y_end) ** 2, axis=0),
+                loop_steps=i0, lane_steps=i0 * b)
 
 
 def _reference_counts(par: dict) -> np.ndarray:
@@ -544,6 +566,7 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
     else:
         beat = np.ones_like(tau, dtype=complex)
     kernel = np.exp(-(math.pi ** 2) * nu ** 2 * tau ** 2 / (8 * _LN2)) * beat
+    t_close = np.maximum(r_c + 3 * r_f, sig_c + 4 * sig_f)
     tail = 6.0 / (config.kappa / 2) + 3.0
 
     return dict(
@@ -560,10 +583,12 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
         omega_r=rabi(r_e, r_carrier, r_phase), r_c=r_c, r_f=r_f,
         chirp_r=chirp_r,
         # each lane's window: from before its first pulse until its cavity
-        # has emptied after the read; the dephasing kernel acts at t_mid
+        # has emptied after the read; the dephasing kernel acts at t_mid.
+        # Nothing drives a lane after t_close, where its read window closes
         t_start=np.minimum(sig_c - 3 * sig_f, w_c - 3 * w_f) - 0.5,
         t_mid=0.5 * (w_c + r_c),
-        t_end=np.maximum(r_c + 3 * r_f, sig_c + 4 * sig_f) + tail,
+        t_close=t_close,
+        t_end=t_close + tail,
         # drive-free from the end of the write window to the start of the
         # read window, whatever the pulse energies
         t_free=np.maximum(sig_c + 4 * sig_f, w_c + 3 * w_f),
@@ -827,25 +852,28 @@ def bandwidth_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
         raise DomainError("signal widths must be positive")
     if write.energy <= 0:
         raise DomainError("the template write pulse must carry energy")
+    if fwhms.size == 0:
+        return np.empty(0)
     ratio = read.energy / write.energy
     scales = np.array([0.4, 0.63, 0.8, 0.9, 1.0, 1.12, 1.25, 1.6, 2.5])
-    out = np.empty(len(fwhms))
-    for i, fw in enumerate(fwhms):
-        sig = replace(signal, fwhm_ns=float(fw))
-        center = write.energy
-        best = -1.0
-        for _ in range(refine_rounds):
-            writes = [replace(write, energy=center * float(es)) for es in scales]
-            reads = [replace(read, energy=center * float(es) * ratio)
-                     for es in scales]
-            effs = batch_efficiency(config, [sig] * len(writes), writes, reads,
-                                    0.0, dt_ns)
-            k = int(np.argmax(effs))
-            if effs[k] > best:
-                best = float(effs[k])
-                center = center * float(scales[k])
-        out[i] = best
-    return out
+    # each width keeps its own centre energy and best; a round evaluates
+    # every width's scales in one batch
+    centers = np.full(len(fwhms), write.energy)
+    best = np.full(len(fwhms), -1.0)
+    signals = [replace(signal, fwhm_ns=float(fw)) for fw in fwhms
+               for _ in scales]
+    for _ in range(refine_rounds):
+        energies = (centers[:, None] * scales).ravel()
+        writes = [replace(write, energy=float(e)) for e in energies]
+        reads = [replace(read, energy=float(e * ratio)) for e in energies]
+        effs = batch_efficiency(config, signals, writes, reads, 0.0,
+                                dt_ns).reshape(len(fwhms), len(scales))
+        k = np.argmax(effs, axis=1)
+        top = effs[np.arange(len(fwhms)), k]
+        better = top > best
+        best = np.where(better, top, best)
+        centers = np.where(better, centers * scales[k], centers)
+    return best
 
 
 def mean_photon_from_counts(detected_counts: float, path_transmission: float) -> float:

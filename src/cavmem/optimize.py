@@ -233,7 +233,8 @@ def run_ga(space: ParameterSpace, config: MemoryConfig, drift: DriftModel,
     elitist survivor selection.  With drift disabled the whole population
     keeps cached fitness values and the running best never decreases; with
     drift enabled everything is re-measured at each iteration's drift offset,
-    so the recorded best can fall as the comb walks away.
+    children and survivors in one batch, so the recorded best can fall as
+    the comb walks away.
     """
     settings = settings or GASettings()
     rng = np.random.default_rng(seed)
@@ -284,12 +285,14 @@ def run_ga(space: ParameterSpace, config: MemoryConfig, drift: DriftModel,
 
         drift_offset = drift.offset(gen, rng)
         check_bounds(children)
-        child_fit = _evaluate_batch(list(children), config, drift_offset,
-                                    settings.dt_ns, trace.faults)
+        # with drift the landscape moved: the survivors are re-measured in
+        # the children's batch
+        batch = list(children) + (list(pop) if drift.enabled else [])
+        values = _evaluate_batch(batch, config, drift_offset, settings.dt_ns,
+                                 trace.faults)
+        child_fit = values[:len(children)]
         if drift.enabled:
-            # the landscape moved: re-measure the survivors too
-            fitness = _evaluate_batch(list(pop), config, drift_offset,
-                                      settings.dt_ns, trace.faults)
+            fitness = values[len(children):]
         if settings.objective_noise_sd > 0:
             child_fit = child_fit + rng.normal(0, settings.objective_noise_sd,
                                                len(child_fit))

@@ -30,6 +30,9 @@ _DEPTH_CALIBRATION_T_C = 85.0
 _DEPTH_CALIBRATION_L_MM = 6.0
 _DEPTH_CALIBRATION_VALUE = 200.0
 
+# grid points per block of one_photon_spectrum, the CLI's CSV block size
+_BLOCK_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class VapourParams:
@@ -127,8 +130,14 @@ def one_photon_spectrum(vapour: VapourParams, b_mt: float, polarization: str,
     weights = raw / raw.max()
     fwhm = doppler_fwhm_ghz(vapour.temperature_c, c.wavelength_signal_nm, c.mass_amu)
     gauss_coef = 4 * math.log(2) / fwhm ** 2
-    od = np.add.reduce(depth * weights[:, None]
-                       * np.exp(-gauss_coef * (d_grid - centers[:, None]) ** 2), axis=0)
+    od = np.empty_like(d_grid)
+    # blocks of the grid bound the (lines, points) temporaries; each point
+    # still sums its lines in one reduction
+    for k in range(0, len(d_grid), _BLOCK_POINTS):
+        block = d_grid[k:k + _BLOCK_POINTS]
+        od[k:k + _BLOCK_POINTS] = np.add.reduce(
+            depth * weights[:, None]
+            * np.exp(-gauss_coef * (block - centers[:, None]) ** 2), axis=0)
     return np.exp(-od)
 
 

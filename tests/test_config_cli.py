@@ -449,6 +449,19 @@ def test_cli_doppler_fit_uses_config_temperature(tmp_path):
     assert params["optical_depth"] == pytest.approx(200.0, rel=0.02)
 
 
+def test_cli_doppler_fit_of_sigma_plus_spectrum(tmp_path):
+    # without --polarization the fit assumed sigma- lines and ran off to
+    # 310.5 mT without converging
+    assert main(["--out", str(tmp_path), "spectrum", "one-photon",
+                 "--polarization", "sigma+"]) == 0
+    assert main(["--out", str(tmp_path), "fit", "--model", "doppler",
+                 "--polarization", "sigma+",
+                 str(tmp_path / "spectrum_one_photon.csv")]) == 0
+    fit = json.loads((tmp_path / "fit_doppler.json").read_text())
+    assert fit["parameters"]["b_mt"] == pytest.approx(ExperimentConfig().field_mt, abs=0.5)
+    assert fit["converged"] is True
+
+
 def test_cli_cavity_fit_uses_config_mirrors(tmp_path):
     from cavmem import cavity
     truth = cavity.CavityParams(r1=0.8)

@@ -307,6 +307,46 @@ def test_lifetime_scan_golden_values(dt, expected):
     assert np.allclose(effs, expected, rtol=1e-8, atol=0.0)
 
 
+# objectives of 24 random GA vectors (seed 7, default bounds, dt 0.02),
+# recorded when every lane was RK4-stepped to the end of its window
+_RING_DOWN_PARENT = [
+    6.927244302550574e-08, 0.0002007204036349251, 0.0029556018358189444,
+    0.016471731212863328, 0.115237227199154, 0.10804547685070018,
+    0.019852530039665164, 0.004132083321492157, 0.1110086855305305,
+    0.04252676293392527, 0.0027437033718795177, 0.7383748911712937,
+    0.0021358754517918094, 0.0057698353949075755, 0.1388863454741427,
+    0.03341105727303746, 0.08513645038404022, 0.039389717011846015,
+    0.00016349838378714623, 0.3934598508542386, 0.001973899146734996,
+    0.20849412916087126, 0.0007796952958741368, 0.0021862590551994404,
+]
+
+
+def test_closed_form_ring_down_matches_stepped_tail():
+    # the exact ring-down replaces RK4 and the trapezoid after the read
+    # closes; only lanes that emit much of their output after the close move
+    from cavmem.optimize import _evaluate_batch
+    space = ParameterSpace()
+    vectors = np.random.default_rng(7).uniform(space.lower(), space.upper(),
+                                               size=(24, len(PARAMETER_NAMES)))
+    vals = _evaluate_batch(list(vectors), CFG, 0.0, 0.02, None)
+    rel = np.abs(vals - _RING_DOWN_PARENT) / np.abs(_RING_DOWN_PARENT)
+    assert np.median(rel) <= 1e-10
+    assert np.all(rel <= 1e-5)
+
+
+def test_loop_ends_at_read_close():
+    # the loop stops where the last lane's read window closes, not where its
+    # cavity has emptied; it stepped 3111 and 1632 times when it ran on
+    dark_w, dark_r = replace(WRITE, energy=0.0), replace(READ, energy=0.0)
+    store, _, _ = simulate_batch(CFG, [SIG] * 2, [WRITE, dark_w], [READ, dark_r],
+                                 0.0, 0.01, keep_flux=True)
+    assert (store["loop_steps"], store["lane_steps"]) == (2592, 2 * 2592)
+    taus = np.linspace(8.0, 104.0, 192)
+    reads = [replace(READ, center_ns=WRITE.center_ns + t) for t in taus]
+    scan, _, _ = simulate_batch(CFG, [SIG] * 192, [WRITE] * 192, reads, 0.0, 0.02)
+    assert (scan["loop_steps"], scan["lane_steps"]) == (1372, 192 * 1372)
+
+
 def test_jumping_lane_independent_of_batch_companions():
     from cavmem.memory import _lane_steps, _pulse_par_arrays, batch_efficiency
     read = replace(READ, center_ns=WRITE.center_ns + 40.0)
@@ -327,6 +367,17 @@ def test_jumping_lane_independent_of_batch_companions():
         signals, writes, reads = (list(c) for c in zip(*lanes))
         vals = batch_efficiency(CFG, signals, writes, reads, 0.0, 0.02)
         assert vals[at] == alone
+
+
+def test_dark_read_before_write_independent_of_batch_companions():
+    # t_mid of this lane lies past its read close, after which the loop no
+    # longer counts it; a longer companion must not make it take the kernel
+    write, dark_read = replace(WRITE, center_ns=30.0), replace(READ, energy=0.0)
+    alone, _, _ = simulate_batch(CFG, [SIG], [write], [dark_read], 0.0, 0.02)
+    pair, _, _ = simulate_batch(CFG, [SIG, SIG], [write, WRITE],
+                                [dark_read, replace(READ, center_ns=60.0)], 0.0, 0.02)
+    for key in _COUNTS:
+        assert pair[key][0] == alone[key][0], key
 
 
 def _random_lanes(rng, size):
@@ -419,6 +470,16 @@ def test_bandwidth_scan_plateau():
     assert effs[0] < 0.8 * effs[3]
     # quasi-cw regime: successive differences shrink
     assert abs(effs[3] - effs[2]) < abs(effs[1] - effs[0])
+
+
+def test_bandwidth_scan_batches_widths_without_changing_them():
+    # every width's refinement runs in one batch per round; each width
+    # keeps its own centre and best, bit for bit
+    fwhms = [0.6, 1.0, 1.5, 3.0]
+    together = bandwidth_scan(CFG, SIG, WRITE, READ, fwhms, dt_ns=0.02)
+    alone = [bandwidth_scan(CFG, SIG, WRITE, READ, [fw], dt_ns=0.02)[0]
+             for fw in fwhms]
+    assert together.tolist() == alone
 
 
 def test_narrower_cavity_needs_longer_pulses():

@@ -160,6 +160,61 @@ def test_ga_drift_recorded_and_degrading():
     assert objs[-1] < max(objs)  # the comb walked away
 
 
+def _drift_ga_in_two_batches(space, drift, settings, seed):
+    """Reference for run_ga with drift on: the same generations, but the
+    children and the re-measured survivors go in two separate batches."""
+    from cavmem.optimize import _evaluate_batch, _polynomial_mutation, _sbx_crossover
+    rng = np.random.default_rng(seed)
+    lo, hi = space.lower(), space.upper()
+    faults, iterations = [], []
+
+    def record(gen, pop, fitness, offset):
+        k = int(np.argmax(fitness))
+        iterations.append({"iteration": gen, "parameters": pop[k].tolist(),
+                           "objective": float(fitness[k]),
+                           "drift_offset_ghz": float(offset)})
+
+    pop = rng.uniform(lo, hi, size=(settings.population, len(lo)))
+    offset = drift.offset(0, rng)
+    fitness = _evaluate_batch(list(pop), CFG, offset, settings.dt_ns, faults)
+    record(0, pop, fitness, offset)
+    for gen in range(1, settings.generations + 1):
+        parents = []
+        for _ in range(settings.population):
+            picks = rng.integers(0, settings.population, settings.tournament)
+            parents.append(pop[max(picks, key=lambda i: fitness[i])])
+        children = []
+        for i in range(0, settings.population - 1, 2):
+            for c in _sbx_crossover(rng, parents[i], parents[i + 1], lo, hi,
+                                    settings.crossover_eta, settings.crossover_prob):
+                children.append(_polynomial_mutation(rng, c, lo, hi, settings.mutation_eta,
+                                                     settings.mutation_prob))
+        children = np.array(children[:settings.population])
+        offset = drift.offset(gen, rng)
+        child_fit = _evaluate_batch(list(children), CFG, offset, settings.dt_ns, faults)
+        fitness = _evaluate_batch(list(pop), CFG, offset, settings.dt_ns, faults)
+        merged = np.vstack([pop, children])
+        merged_fit = np.concatenate([fitness, child_fit])
+        order = np.argsort(-merged_fit, kind="stable")[:settings.population]
+        pop, fitness = merged[order], merged_fit[order]
+        record(gen, pop, fitness, offset)
+    return iterations, faults, pop
+
+
+def test_drift_ga_generation_is_one_batch_with_unchanged_results():
+    # short delays make some settings overlap, so faults are recorded too
+    bounds = dict(SPACE.bounds, write_read_delay_ns=(3.0, 8.0, 1e-3))
+    space = ParameterSpace(bounds=bounds)
+    drift = DriftModel(enabled=True)
+    settings = small_settings(generations=3)
+    trace = run_ga(space, CFG, drift, settings, seed=6)
+    iterations, faults, pop = _drift_ga_in_two_batches(space, drift, settings, seed=6)
+    assert faults
+    assert trace.iterations == iterations
+    assert trace.faults == faults
+    assert np.array_equal(trace.final_population, pop)
+
+
 # ------------------------------------------------------------- grid search
 
 def fixed_from_default():

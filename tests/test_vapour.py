@@ -148,6 +148,20 @@ def test_one_photon_spectrum_is_per_line_gaussian_sum(b, pol):
     assert np.array_equal(one_photon_spectrum(VAP, b, pol, grid), np.exp(-od))
 
 
+def test_one_photon_spectrum_memory_bounded_on_large_grids():
+    # the grid is summed in blocks, so a 200 000-point spectrum holds a few
+    # grid-sized arrays, not one array per line
+    import tracemalloc
+    grid = np.linspace(-12.0, 4.0, 200_000)
+    tracemalloc.start()
+    try:
+        one_photon_spectrum(VAP, 169.0, "sigma-", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * grid.nbytes
+
+
 # ---------------------------------------------------------- two photon
 
 def test_two_photon_pair_positions_at_operating_field():
