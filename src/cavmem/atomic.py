@@ -31,7 +31,7 @@ from .errors import DomainError, NumericalError, StructuralError
 
 __all__ = [
     "ManifoldSpec", "ZeemanState", "TransitionLine", "TwoPhotonLine",
-    "POLARIZATIONS", "manifold_spec", "all_manifolds", "basis_labels",
+    "POLARIZATIONS", "manifold_spec", "all_manifolds", "basis_labels", "state_numbers",
     "clebsch_gordan", "build_hamiltonian", "diagonalize_manifold",
     "breit_rabi_curve", "transition_lines", "dipole_strength_sums",
     "two_photon_lines", "group_two_photon_lines",
@@ -281,18 +281,25 @@ def _labelled_system(manifold: ManifoldSpec, b_mt: float) -> tuple[np.ndarray, n
     return energies[0, order], vectors[0][:, order]
 
 
+def state_numbers(manifold: ManifoldSpec) -> range:
+    """Global numbers of a manifold's states in label order: 1-8 for 5S1/2,
+    9-24 for 5P3/2 and 25-48 for 5D5/2; another manifold numbers from 1."""
+    offset = _INDEX_OFFSET.get(manifold.label, 0)
+    return range(offset + 1, offset + manifold.dim + 1)
+
+
 def diagonalize_manifold(manifold: ManifoldSpec, b_mt: float) -> list[ZeemanState]:
     """All (2J+1)(2I+1) dressed eigenstates with B-stable labels."""
     energies, vectors = _labelled_system(manifold, b_mt)
     labels = basis_labels(manifold)
-    offset = _INDEX_OFFSET.get(manifold.label, 0)
+    numbers = state_numbers(manifold)
     states = []
     for k in range(manifold.dim):
         comp = vectors[:, k].astype(complex)
         dom = labels[int(np.argmax(np.abs(comp) ** 2))]
         states.append(ZeemanState(
             manifold=manifold,
-            index=offset + k + 1,
+            index=numbers[k],
             energy_mhz=float(energies[k]),
             composition=comp,
             dominant_mj_mi=dom,

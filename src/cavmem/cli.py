@@ -50,16 +50,21 @@ def _write_json(path: str, payload: dict, cfg: ExperimentConfig) -> None:
     doc = dict(payload)
     doc["provenance"] = cfg.provenance()
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, default=_json_default)
+        json.dump(_strict(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
-def _json_default(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "unbounded"
+def _strict(value):
+    """`value` with arrays as lists and every non-finite float as the text
+    that float() reads back ("inf", "-inf", "nan"), which strict JSON
+    parsers accept."""
     if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -93,8 +98,7 @@ def cmd_levels(cfg: ExperimentConfig, args) -> int:
     columns, labels = [grid], ["field_mt"]
     for man in wanted:
         columns.extend(atomic.breit_rabi_curve(man, grid).T)
-        offset = atomic._INDEX_OFFSET[man.label]
-        labels.extend(f"state_{offset + k + 1}_mhz" for k in range(man.dim))
+        labels.extend(f"state_{n}_mhz" for n in atomic.state_numbers(man))
     path = _out_path(cfg, args, "levels.csv")
     _write_csv(path, labels, columns)
     print(path)
@@ -273,6 +277,9 @@ def cmd_fit(cfg: ExperimentConfig, args) -> int:
         extra = {}
     payload = fit.to_dict()
     payload["derived"] = extra
+    if args.model == "doppler":
+        # the probe polarization whose lines the model assumed
+        payload["polarization"] = args.polarization
     path = _out_path(cfg, args, f"fit_{args.model}.json")
     _write_json(path, payload, cfg)
     print(path)

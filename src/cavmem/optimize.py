@@ -183,10 +183,8 @@ def _evaluate_batch(vectors, config: MemoryConfig, drift_offset_ghz: float,
                 faults.append(str(exc))
             ok.append(False)
     out = np.zeros(len(vectors))
-    if signals:
-        out[np.asarray(ok)] = batch_efficiency(config, signals, writes, reads,
-                                               drift_offset_ghz, dt_ns,
-                                               internal=True)
+    out[np.asarray(ok, dtype=bool)] = batch_efficiency(
+        config, signals, writes, reads, drift_offset_ghz, dt_ns, internal=True)
     return out
 
 

@@ -58,27 +58,28 @@ class VapourParams:
         return optical_depth(self.temperature_c, self.cell_length_mm)
 
 
-def thermal_velocity_sigma(t_c: float, mass_amu: float | None = None) -> float:
-    """1-D thermal velocity spread sqrt(kB T / m) in m/s."""
+def thermal_velocity_sigma(t_c: float, constants: AtomConstants | None = None) -> float:
+    """1-D thermal velocity spread sqrt(kB T / m) in m/s, with the atomic
+    mass of `constants` (the bundled file when None)."""
     if t_c <= -ZERO_C_IN_K:
         raise DomainError("temperature below absolute zero")
-    m = mass_amu if mass_amu is not None else default_constants().mass_amu
-    return math.sqrt(KB_OVER_AMU * (t_c + ZERO_C_IN_K) / m)
+    c = constants or default_constants()
+    return math.sqrt(KB_OVER_AMU * (t_c + ZERO_C_IN_K) / c.mass_amu)
 
 
 def doppler_width_rad_s(t_c: float, wavelength_nm: float,
-                        mass_amu: float | None = None) -> float:
+                        constants: AtomConstants | None = None) -> float:
     """Gaussian FWHM of the Doppler-broadened line, angular frequency.
 
     FWHM = (2 pi / lambda) sqrt(8 ln2 kB T / m).
     """
-    sigma_v = thermal_velocity_sigma(t_c, mass_amu)
+    sigma_v = thermal_velocity_sigma(t_c, constants)
     return (2 * math.pi / (wavelength_nm * 1e-9)) * math.sqrt(8 * math.log(2)) * sigma_v
 
 
 def doppler_fwhm_ghz(t_c: float, wavelength_nm: float,
-                     mass_amu: float | None = None) -> float:
-    return doppler_width_rad_s(t_c, wavelength_nm, mass_amu) / (2 * math.pi) / 1e9
+                     constants: AtomConstants | None = None) -> float:
+    return doppler_width_rad_s(t_c, wavelength_nm, constants) / (2 * math.pi) / 1e9
 
 
 def _vapour_number_density(t_c: float) -> float:
@@ -128,7 +129,7 @@ def one_photon_spectrum(vapour: VapourParams, b_mt: float, polarization: str,
     *_, centers, raw, _ = atomic._line_table(s12, p32, b_mt, polarization)
     # uniform populations over the 8 ground sublevels: no optical pumping
     weights = raw / raw.max()
-    fwhm = doppler_fwhm_ghz(vapour.temperature_c, c.wavelength_signal_nm, c.mass_amu)
+    fwhm = doppler_fwhm_ghz(vapour.temperature_c, c.wavelength_signal_nm, c)
     gauss_coef = 4 * math.log(2) / fwhm ** 2
     od = np.empty_like(d_grid)
     # blocks of the grid bound the (lines, points) temporaries; each point
@@ -148,7 +149,7 @@ def two_photon_linewidth_mhz(vapour: VapourParams,
     natural and field-inhomogeneity contributions (counter-propagating), or
     the sum-wavevector Doppler width (co-propagating)."""
     c = constants or default_constants()
-    sigma_v = thermal_velocity_sigma(vapour.temperature_c, c.mass_amu)
+    sigma_v = thermal_velocity_sigma(vapour.temperature_c, c)
     k_s = 2 * math.pi / (c.wavelength_signal_nm * 1e-9)
     k_c = 2 * math.pi / (c.wavelength_control_nm * 1e-9)
     if geometry == "counter":
@@ -180,7 +181,7 @@ def two_photon_spectrum(vapour: VapourParams, b_mt: float,
     """
     c = constants or default_constants()
     deltas = np.atleast_1d(np.asarray(control_detunings_ghz, dtype=float))
-    gamma_ghz = doppler_fwhm_ghz(vapour.temperature_c, c.wavelength_signal_nm, c.mass_amu)
+    gamma_ghz = doppler_fwhm_ghz(vapour.temperature_c, c.wavelength_signal_nm, c)
     warning = abs(signal_detuning_ghz) < gamma_ghz
     if control_depth == 0.0:
         return np.ones_like(deltas), warning
@@ -204,14 +205,14 @@ def two_photon_spectrum(vapour: VapourParams, b_mt: float,
 def residual_doppler_lifetime_ns(t_c: float, wavelength_signal_nm: float,
                                  wavelength_control_nm: float,
                                  geometry: str = "counter",
-                                 mass_amu: float | None = None) -> float:
+                                 constants: AtomConstants | None = None) -> float:
     """1/e dephasing time of the stored coherence, 1/(|dk| sigma_v).
 
     Counter-propagating beams nearly cancel the two-photon wavevector; for
     equal wavelengths the cancellation is perfect and the result unbounded
     (returned as inf).
     """
-    sigma_v = thermal_velocity_sigma(t_c, mass_amu)
+    sigma_v = thermal_velocity_sigma(t_c, constants)
     k_s = 2 * math.pi / (wavelength_signal_nm * 1e-9)
     k_c = 2 * math.pi / (wavelength_control_nm * 1e-9)
     if geometry == "counter":

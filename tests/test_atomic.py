@@ -129,6 +129,13 @@ def test_indices_are_global_and_stable():
     assert sorted(idx2) == list(range(1, 49))
 
 
+def test_state_numbers_are_the_states_indices():
+    from cavmem.atomic import state_numbers
+    for m in (S12, P32, D52):
+        assert [s.index for s in diagonalize_manifold(m, 169.0)] == list(state_numbers(m))
+    assert [n for m in (S12, P32, D52) for n in state_numbers(m)] == list(range(1, 49))
+
+
 def test_compositions_are_normalized_and_mf_pure():
     for man in (S12, D52):
         labels = basis_labels(man)

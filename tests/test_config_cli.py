@@ -358,6 +358,44 @@ def test_cli_store_control_off(tmp_path):
     assert summary["retrieved_counts"] < 1e-4 * summary["reference_counts"]
 
 
+def test_cli_store_signal_without_photons_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pulses": {"signal": {"energy": 0.0}}}))
+    out = tmp_path / "out"
+    rc = main(["--config", str(cfg), "--out", str(out), "store"])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert "signal" in err["message"] and "photons" in err["message"]
+    assert not (out / "store_summary.json").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def test_cli_store_summary_is_strict_json_without_noise(tmp_path):
+    # zero noise makes the SNR unbounded; it is written as text that
+    # float() reads back, not as a bare Infinity
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"memory": {"noise_photons_per_pulse": 0.0}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path), "store"]) == 0
+    text = (tmp_path / "store_summary.json").read_text()
+    summary = json.loads(text, parse_constant=_reject_constant)
+    assert summary["snr_db"] == "inf"
+    assert float(summary["snr_db"]) == math.inf
+
+
+def test_cli_json_writes_non_finite_floats_as_text(tmp_path):
+    from cavmem.cli import _write_json
+    path = tmp_path / "doc.json"
+    _write_json(str(path), {"x": [math.inf, -math.inf], "y": {"z": np.array([math.nan, 1.5])}},
+                ExperimentConfig())
+    doc = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert doc["x"] == ["inf", "-inf"] and doc["y"]["z"] == ["nan", 1.5]
+    assert [float(v) for v in doc["x"]] == [math.inf, -math.inf]
+
+
 def test_cli_scan_energy(tmp_path):
     rc = main(["--out", str(tmp_path), "scan", "energy",
                "--lo", "0.05", "--hi", "0.5", "--points", "10"])
@@ -460,6 +498,12 @@ def test_cli_doppler_fit_of_sigma_plus_spectrum(tmp_path):
     fit = json.loads((tmp_path / "fit_doppler.json").read_text())
     assert fit["parameters"]["b_mt"] == pytest.approx(ExperimentConfig().field_mt, abs=0.5)
     assert fit["converged"] is True
+    assert fit["polarization"] == "sigma+"
+    # the summary names the polarization the default run assumed
+    assert main(["--out", str(tmp_path), "fit", "--model", "doppler",
+                 str(tmp_path / "spectrum_one_photon.csv")]) == 0
+    fit = json.loads((tmp_path / "fit_doppler.json").read_text())
+    assert fit["polarization"] == "sigma-"
 
 
 def test_cli_cavity_fit_uses_config_mirrors(tmp_path):

@@ -1,5 +1,6 @@
 """Vapour-optics tests: Doppler oracles, depth calibration, spectra."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,13 +22,28 @@ VAP = VapourParams()
 
 def test_doppler_width_operating_point():
     # 85 C, 780 nm, Rb-87: 2 pi x 0.55 GHz within 3%
-    fwhm = doppler_fwhm_ghz(85.0, 780.0, 87.0)
+    fwhm = doppler_fwhm_ghz(85.0, 780.0,
+                            dataclasses.replace(default_constants(), mass_amu=87.0))
     assert fwhm == pytest.approx(0.55, rel=0.03)
 
 
 def test_doppler_width_near_zero_temperature():
     # scales as sqrt(T_K), so it vanishes towards absolute zero
-    assert doppler_width_rad_s(-273.15 + 1e-6, 780.0, 87.0) < 1e6
+    assert doppler_width_rad_s(-273.15 + 1e-6, 780.0,
+                               dataclasses.replace(default_constants(), mass_amu=87.0)) < 1e6
+
+
+def test_doppler_helpers_take_the_mass_from_constants():
+    # sigma_v goes as 1/sqrt(m); None means the bundled file
+    c = default_constants()
+    heavy = dataclasses.replace(c, mass_amu=4 * c.mass_amu)
+    assert thermal_velocity_sigma(85.0) == thermal_velocity_sigma(85.0, c)
+    assert thermal_velocity_sigma(85.0, heavy) == pytest.approx(
+        0.5 * thermal_velocity_sigma(85.0, c), rel=1e-15)
+    assert doppler_fwhm_ghz(85.0, 780.0, heavy) == pytest.approx(
+        0.5 * doppler_fwhm_ghz(85.0, 780.0), rel=1e-15)
+    assert residual_doppler_lifetime_ns(85.0, 780.2, 776.0, constants=heavy) \
+        == pytest.approx(2 * residual_doppler_lifetime_ns(85.0, 780.2, 776.0), rel=1e-15)
 
 
 def test_doppler_width_wavelength_ratio():
@@ -140,7 +156,7 @@ def test_one_photon_spectrum_is_per_line_gaussian_sum(b, pol):
     lines = transition_lines(s12, p32, b, pol)
     weights = np.array([ln.raw_strength for ln in lines])
     weights /= weights.max()
-    fwhm = doppler_fwhm_ghz(VAP.temperature_c, c.wavelength_signal_nm, c.mass_amu)
+    fwhm = doppler_fwhm_ghz(VAP.temperature_c, c.wavelength_signal_nm, c)
     coef = 4 * math.log(2) / fwhm ** 2
     od = np.zeros_like(grid)
     for w, ln in zip(weights, lines):
