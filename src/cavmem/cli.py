@@ -37,13 +37,28 @@ def _write_csv(path: str, header: list[str], columns) -> None:
     """Equal-length 1-D arrays as table columns, rows ended by \r\n as csv.writer
     does.  Floats are written with repr, the shortest text that parses back to
     the identical double, so tables round-trip losslessly; integers with str."""
-    fmts = [repr if c.dtype.kind == "f" else str for c in columns]
+    is_float = [c.dtype.kind == "f" for c in columns]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for k in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
-            cells = [map(fmt, c[k:k + _CSV_BLOCK_ROWS].tolist())
-                     for fmt, c in zip(fmts, columns)]
+            block = [c[k:k + _CSV_BLOCK_ROWS] for c in columns]
+            texts = iter(_repr_columns([c for c, f in zip(block, is_float) if f]))
+            cells = [next(texts) if f else map(str, c.tolist())
+                     for c, f in zip(block, is_float)]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _repr_columns(columns: list) -> list:
+    """The repr text of each equal-length float column, each distinct value
+    formatted once.  Values are keyed by their bits, so 0.0 and -0.0 stay
+    apart and equal keys have equal text; the axes of a grid expanded by
+    np.repeat and np.tile share one set of strings."""
+    if not columns:
+        return []
+    values = np.concatenate(columns, dtype=np.float64)
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    return text[inverse].reshape(len(columns), -1).tolist()
 
 
 def _write_json(path: str, payload: dict, cfg: ExperimentConfig) -> None:
@@ -101,6 +116,8 @@ def cmd_levels(cfg: ExperimentConfig, args) -> int:
         labels.extend(f"state_{n}_mhz" for n in atomic.state_numbers(man))
     path = _out_path(cfg, args, "levels.csv")
     _write_csv(path, labels, columns)
+    _write_json(path.replace(".csv", ".json"), {
+        "field_mt": grid, "manifolds": [m.label for m in wanted]}, cfg)
     print(path)
     return 0
 
@@ -220,6 +237,8 @@ def cmd_scan(cfg: ExperimentConfig, args) -> int:
     effs = getattr(memory, f"{args.kind}_scan")(mem, sig, wr, rd, grid, dt_ns=args.dt)
     path = _out_path(cfg, args, f"scan_{args.kind}.csv")
     _write_csv(path, [column, "total_efficiency"], [grid, effs])
+    _write_json(path.replace(".csv", ".json"),
+                {"kind": args.kind, column: grid, "dt_ns": args.dt}, cfg)
     print(path)
     return 0
 

@@ -44,12 +44,12 @@ invariant (the storage/retrieval linear-map view of Gorshkov et al., PRA 76,
 with the exact propagator: a 2x2 matrix exponential in eigen form for
 (a, P) and a scalar exponential for S.  The loss and output integrals over
 the jump are booked in closed form.  The same holds after the read: a
-lane's loop ends at the first grid point at or after its read window
-closes, and the exact propagator carries it over the ring-down to the end
-of its window; what is left there is the residual excitation.  One rule
-places t_mid, the lane's own storage-midpoint grid point, in the loop, the
-jump and the ring-down alike: output before it is leak and after it
-retrieved, and the kernel acts there.  The segment points depend only on
+lane's loop ends at the first grid point at or after its last drive
+window closes, and the exact propagator carries it over the ring-down to
+the end of its window; what is left there is the residual excitation.
+One rule places t_mid, the lane's own storage-midpoint grid point, in the
+loop and the jump alike (it never lies in the ring-down): output before
+it is leak and after it retrieved, and the kernel acts there.  The segment points depend only on
 the lane's pulse windows, so a lane's results do not depend on the other
 lanes of its batch, and a lane without drive-free storage time steps
 through it with RK4.
@@ -311,11 +311,11 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     grid points are t_k = k dt and [t0, t1] must lie on them; it spans
     every lane's window.  Two drive-free segments of a lane skip the loop:
     its storage time from k_free to k_read, and its ring-down from k_close,
-    the first grid point at or after its read close, to its end k_end.  The
-    exact propagator carries a lane over either with one rule for t_mid:
-    output before it is leak and after it retrieved, and the dephasing
-    kernel acts there when it lies inside the segment; elsewhere the loop
-    applies it after the step that lands on it.  At loop index i a lane
+    the first grid point at or after its last drive window closes, to its
+    end k_end.  The exact propagator carries a lane over either with one
+    rule for t_mid: output before it is leak and after it retrieved, and
+    the dephasing kernel acts there when it lies inside the segment;
+    elsewhere the loop applies it after the step that lands on it.  At loop index i a lane
     sits at grid index k_start + i, plus the length J of its jump once it
     has made it.  Chunks of the drive table end at every jump, so each RK4
     stage sees the drives at the lane's true time, and the loop ends once
@@ -361,9 +361,10 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         return k - k_start - np.where(k > k_free, skip, 0)
 
     # the kernel acts after the step that lands a lane on t_mid; -1, which
-    # the loop never reaches, marks a t_mid in the jump or the ring-down,
-    # where drive_free applies it
-    in_loop = ~((k_free < k_mid) & (k_mid <= k_read)) & (k_mid <= k_close)
+    # the loop never reaches, marks a t_mid in the jump, where drive_free
+    # applies it.  t_close closes the write window too, so t_mid never lies
+    # in the ring-down
+    in_loop = ~((k_free < k_mid) & (k_mid <= k_read))
     kernel_at = _lanes_by_step(np.where(in_loop, loop_index(k_mid) - 1, -1))
     jump_at = _lanes_by_step(np.where(skip > 0, k_free - k_start, -1))
     jump_at.pop(-1, None)
@@ -463,7 +464,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         flux[:, 1] = np.abs(ain) ** 2
         flux[:, 2:] = loss_rates * np.abs(states) ** 2
         k_grid = base + 1 + np.arange(m)[:, None]
-        # the state of each lane whose read closes in this chunk
+        # the state of each lane whose drives end in this chunk
         closed = np.flatnonzero((base < k_close) & (k_close <= base + m))
         if closed.size:
             y_close[:, closed] = states[k_close[closed] - base[closed] - 1, :, closed].T
@@ -484,7 +485,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         counts = np.add.accumulate(steps, axis=0)[-1]
         i0 += m
 
-    # the ring-down: after its read closes nothing drives a lane
+    # the ring-down: after k_close nothing drives a lane
     y_end = drive_free(np.arange(b), y_close, k_close, k_end)
     leak, retrieved, n_in, loss_cav, loss_pol, loss_spin = counts
     return dict(ts=ts, out_flux=out_flux, leak=leak, retrieved=retrieved,
@@ -562,7 +563,10 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
     else:
         beat = np.ones_like(tau, dtype=complex)
     kernel = np.exp(-(math.pi ** 2) * nu ** 2 * tau ** 2 / (8 * _LN2)) * beat
-    t_close = np.maximum(r_c + 3 * r_f, sig_c + 4 * sig_f)
+    # drive-free from the end of the write window to the start of the
+    # read window, whatever the pulse energies
+    t_free = np.maximum(sig_c + 4 * sig_f, w_c + 3 * w_f)
+    t_close = np.maximum(r_c + 3 * r_f, t_free)
     tail = 6.0 / (config.kappa / 2) + 3.0
 
     return dict(
@@ -580,14 +584,12 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
         chirp_r=chirp_r,
         # each lane's window: from before its first pulse until its cavity
         # has emptied after the read; the dephasing kernel acts at t_mid.
-        # Nothing drives a lane after t_close, where its read window closes
+        # Nothing drives a lane after t_close, where its last window closes
         t_start=np.minimum(sig_c - 3 * sig_f, w_c - 3 * w_f) - 0.5,
         t_mid=0.5 * (w_c + r_c),
         t_close=t_close,
         t_end=t_close + tail,
-        # drive-free from the end of the write window to the start of the
-        # read window, whatever the pulse energies
-        t_free=np.maximum(sig_c + 4 * sig_f, w_c + 3 * w_f),
+        t_free=t_free,
         t_read=r_c - 3 * r_f,
         kernel=kernel,
     )

@@ -143,21 +143,39 @@ def read_csv(path):
 
 def test_write_csv_matches_csv_writer(tmp_path):
     # byte for byte what csv.writer writes for repr(float) rows, across more
-    # rows than one block
+    # rows than one block, whether a block repeats its values or not
     n = 4099
     x = np.linspace(-1.0, 1.0, n)
     x[[0, 1, 2, 3, 4097]] = [-0.0, 0.0, math.inf, -math.inf, math.nan]
     y = np.geomspace(1e-300, 1e300, n) * np.where(np.arange(n) % 2, -1.0, 1.0)
     flags = np.arange(n) % 3 - 1
-    _write_csv(str(tmp_path / "new.csv"), ["x", "y", "flag"], [x, y, flags])
-    with open(tmp_path / "ref.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "flag"])
-        for row in zip(x.tolist(), y.tolist(), flags.tolist()):
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                             for v in row])
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    assert b"-0.0," in (tmp_path / "new.csv").read_bytes()
+    # signed zeros, nan, infinities and a subnormal, each repeated
+    special = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.5])
+    # a resmap-shaped pair of one grid: 67 x 67 rows cross the block boundary
+    grid = np.linspace(-12.0, 12.0, 67)
+    sig, ctl = np.repeat(grid, 67), np.tile(grid, 67)
+    tables = {
+        "mixed": [x, y, flags],
+        "distinct": [y, flags],
+        "special": [np.tile(special, 600), np.repeat(special, 600),
+                    np.arange(4200) % 3 - 1],
+        "resmap": [sig, ctl, 1.0 / (1.0 + (sig - ctl) ** 2),
+                   (np.abs(sig - ctl) < 1.0).astype(int)],
+        "twin": [x, x.copy(), flags],
+    }
+    for name, columns in tables.items():
+        header = [f"c{j}" for j in range(len(columns))]
+        _write_csv(str(tmp_path / f"{name}.csv"), header, columns)
+        with open(tmp_path / f"{name}_ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in zip(*(c.tolist() for c in columns)):
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v
+                                 for v in row])
+        assert (tmp_path / f"{name}.csv").read_bytes() \
+            == (tmp_path / f"{name}_ref.csv").read_bytes(), name
+    assert b"-0.0," in (tmp_path / "mixed.csv").read_bytes()
+    assert b"\r\n-0.0,-0.0," in (tmp_path / "special.csv").read_bytes()
 
 
 def test_cli_levels_roundtrip(tmp_path, capsys):
@@ -199,6 +217,20 @@ def test_cli_levels_zero_field(tmp_path):
     assert rows.shape[0] == 1
     ground = rows[0, 1:9]
     assert len(np.unique(np.round(ground, 6))) == 2
+
+
+def test_cli_levels_summary(tmp_path):
+    # the field grid and the manifolds of the table, and the provenance
+    assert main(["--out", str(tmp_path), "levels", "--field", "0", "300",
+                 "--points", "7", "--manifolds", "5D5/2", "5S1/2"]) == 0
+    doc = json.loads((tmp_path / "levels.json").read_text(),
+                     parse_constant=_reject_constant)
+    assert set(doc) == {"field_mt", "manifolds", "provenance"}
+    assert doc["field_mt"] == np.linspace(0.0, 300.0, 7).tolist()
+    assert doc["manifolds"] == ["5S1/2", "5D5/2"]
+    _, rows = read_csv(tmp_path / "levels.csv")
+    assert rows.shape == (7, 1 + 8 + 24)
+    assert doc["provenance"] == ExperimentConfig().provenance()
 
 
 def test_cli_levels_bad_manifold(tmp_path, capsys):
@@ -403,6 +435,19 @@ def test_cli_scan_energy(tmp_path):
     header, rows = read_csv(tmp_path / "scan_energy.csv")
     assert header == ["write_energy_nj", "total_efficiency"]
     assert rows.shape == (10, 2)
+
+
+def test_cli_scan_summary(tmp_path):
+    # the scan's kind, grid and step, and the provenance
+    assert main(["--out", str(tmp_path), "scan", "energy", "--lo", "0.05",
+                 "--hi", "0.5", "--points", "4", "--dt", "0.01"]) == 0
+    doc = json.loads((tmp_path / "scan_energy.json").read_text(),
+                     parse_constant=_reject_constant)
+    assert set(doc) == {"kind", "write_energy_nj", "dt_ns", "provenance"}
+    assert doc["kind"] == "energy" and doc["dt_ns"] == 0.01
+    _, rows = read_csv(tmp_path / "scan_energy.csv")
+    assert doc["write_energy_nj"] == rows[:, 0].tolist()
+    assert doc["provenance"] == ExperimentConfig().provenance()
 
 
 def test_cli_optimize_zero_generations_equivalent(tmp_path):

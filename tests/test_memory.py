@@ -369,8 +369,8 @@ def test_jumping_lane_independent_of_batch_companions():
 
 
 def test_dark_read_before_write_independent_of_batch_companions():
-    # t_mid of this lane lies past its read close, after which the loop no
-    # longer counts it; a longer companion must not make it take the kernel
+    # t_mid of this lane lies past its read close, before its write closes;
+    # a longer companion must not move where it takes the kernel
     write, dark_read = replace(WRITE, center_ns=30.0), replace(READ, energy=0.0)
     alone, _, _ = simulate_batch(CFG, [SIG], [write], [dark_read], 0.0, 0.02)
     pair, _, _ = simulate_batch(CFG, [SIG, SIG], [write, WRITE],
@@ -379,18 +379,42 @@ def test_dark_read_before_write_independent_of_batch_companions():
         assert pair[key][0] == alone[key][0], key
 
 
-def test_dark_read_before_write_takes_its_kernel_in_the_ring_down():
-    # t_mid of this lane lies in its ring-down, which applies the kernel
-    # there and books the output before it as leak, as for every other lane
+def test_dark_read_before_write_takes_its_kernel_before_the_ring_down():
+    # the write of this lane closes after its dark read, so its ring-down
+    # starts after t_mid; the kernel acts there and the output before it is
+    # leak, as for every other lane
     from cavmem.memory import _lane_steps, _pulse_par_arrays
     write, dark_read = replace(WRITE, center_ns=30.0), replace(READ, energy=0.0)
     par = _pulse_par_arrays(CFG, [SIG], [write], [dark_read], 0.0)
-    _, k_mid, k_end, _, _ = _lane_steps(par, 0.02)
+    _, k_mid, _, _, _ = _lane_steps(par, 0.02)
     k_close = math.ceil(par["t_close"][0] / 0.02)
-    assert k_close < k_mid[0] <= k_end[0]
+    assert k_mid[0] <= k_close
     main, _, _ = simulate_batch(CFG, [SIG], [write], [dark_read], 0.0, 0.02)
     assert main["loss_dephasing"][0] > 0.0
     assert _closure(main)[0] < 1e-4
+
+
+def test_no_drive_outlasts_t_close():
+    # after t_close, where the drive-free ring-down starts, the signal, the
+    # write and the read are each at most at their own window edge, also for
+    # a write of 5 ns FWHM that closes after a read of 0.4 ns 10 ns later
+    from cavmem.memory import _drives, _pulse_par_arrays
+    signals, writes, reads = _random_lanes(np.random.default_rng(41), 48)
+    sig, write, read = _pulses_from_vector(np.array([0, 0.5, 5, -0.1, 1.5, 5, 10, 0.4]))
+    par = _pulse_par_arrays(CFG, signals + [sig], writes + [write], reads + [read], 0.0)
+    b = len(par["t_close"])
+    after = par["t_close"] + np.linspace(0.0, 30.0, 301)[:, None]
+
+    def drives(p, t):
+        # |a_in| and |Omega| at times t (dt = 1, no lane held at rest)
+        return np.abs(_drives(p, 2 * t, np.full(b, -10 ** 6), 1.0))
+
+    assert np.all(drives(par, after)[0]
+                  <= drives(par, (par["sig_c"] + 4 * par["sig_f"])[None])[0])
+    for role, off, edge in (("write", "omega_r", par["w_c"] + 3 * par["w_f"]),
+                            ("read", "omega_w", par["r_c"] + 3 * par["r_f"])):
+        alone = dict(par, **{off: np.zeros(b)})      # the other control off
+        assert np.all(drives(alone, after)[1] <= drives(alone, edge[None])[1]), role
 
 
 def test_zero_length_drive_free_leg_keeps_state_bits():
