@@ -1,8 +1,10 @@
 """Command-line front end: scenario execution with CSV/JSON outputs.
 
-Every command is deterministic given (config, seed).  Failures exit nonzero
-with a machine-readable JSON error object on stderr: exit code 2 for
-configuration problems, 3 for numerical failures.
+Every command is deterministic given (config, seed).  A command computes its
+table and summary and returns them; `main` alone writes them, prints the
+path and sets the exit code.  Failures exit nonzero with a machine-readable
+JSON error object on stderr: exit code 2 for configuration problems, 3 for
+numerical failures.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -21,12 +23,6 @@ from . import __version__, atomic, cavity, fitting, memory, optimize, vapour
 from .config import ExperimentConfig, read_constants, reject_non_finite
 from .constants import ENV_VAR
 from .errors import CavmemError, ConfigError, DomainError, NumericalError
-
-
-def _out_path(cfg: ExperimentConfig, args, name: str) -> str:
-    base = args.out if args.out else cfg.output_dir
-    os.makedirs(base, exist_ok=True)
-    return os.path.join(base, name)
 
 
 # rows per block of _write_csv, which bounds the text held at once
@@ -97,14 +93,14 @@ def _load_config(args) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command returns (table, summary): table is (CSV file name, header,
+# columns), or None for a command without one; summary is (JSON file name,
+# payload).  Commands write nothing; main writes both files.
 
-def cmd_levels(cfg: ExperimentConfig, args) -> int:
-    lo = min(args.field)
-    hi = max(args.field)
-    if lo == hi:
-        grid = np.array([lo])
-    else:
-        grid = np.linspace(lo, hi, args.points)
+def cmd_levels(cfg: ExperimentConfig, args):
+    lo, hi = min(args.field), max(args.field)
+    grid = np.array([lo]) if lo == hi else np.linspace(lo, hi, args.points)
     manifolds = atomic.all_manifolds(cfg.atom_constants())
     wanted = [m for m in manifolds
               if args.manifolds is None or m.label in args.manifolds]
@@ -114,15 +110,11 @@ def cmd_levels(cfg: ExperimentConfig, args) -> int:
     for man in wanted:
         columns.extend(atomic.breit_rabi_curve(man, grid).T)
         labels.extend(f"state_{n}_mhz" for n in atomic.state_numbers(man))
-    path = _out_path(cfg, args, "levels.csv")
-    _write_csv(path, labels, columns)
-    _write_json(path.replace(".csv", ".json"), {
-        "field_mt": grid, "manifolds": [m.label for m in wanted]}, cfg)
-    print(path)
-    return 0
+    return (("levels.csv", labels, columns),
+            ("levels.json", {"field_mt": grid, "manifolds": [m.label for m in wanted]}))
 
 
-def cmd_spectrum(cfg: ExperimentConfig, args) -> int:
+def cmd_spectrum(cfg: ExperimentConfig, args):
     vap = cfg.vapour_params()
     c = cfg.atom_constants()
     b = cfg.field_mt
@@ -130,95 +122,79 @@ def cmd_spectrum(cfg: ExperimentConfig, args) -> int:
     if args.kind == "one-photon":
         trans = vapour.one_photon_spectrum(vap, b, args.polarization, grid,
                                            constants=c)
-        path = _out_path(cfg, args, "spectrum_one_photon.csv")
-        _write_csv(path, ["detuning_ghz", "transmission"], [grid, trans])
-        meta = {"kind": "one-photon", "field_mt": b,
-                "polarization": args.polarization,
-                "optical_depth": vap.depth()}
-    else:
-        trans, warn = vapour.two_photon_spectrum(
-            vap, b, args.polarization, args.control_polarization,
-            args.signal_detuning, grid, geometry=args.geometry, constants=c)
-        path = _out_path(cfg, args, "spectrum_two_photon.csv")
-        _write_csv(path, ["control_detuning_ghz", "transmission"], [grid, trans])
-        window = (args.signal_detuning + args.lo - 1.0,
-                  args.signal_detuning + args.hi + 1.0)
-        table = []
-        for pol_s, pol_c in (("sigma-", "sigma-"), ("sigma-", "sigma+"),
-                             ("sigma+", "sigma-"), ("sigma+", "sigma+")):
-            lines = atomic.two_photon_lines(
-                b, pol_s, pol_c, total_window_ghz=window,
-                reference_signal_detuning_ghz=args.signal_detuning, constants=c)
-            for pos, strength, best in atomic.group_two_photon_lines(lines):
-                table.append({
-                    "control_detuning_ghz": pos - args.signal_detuning,
-                    "strength": strength,
-                    "signal_pol": pol_s,
-                    "control_pol": pol_c,
-                    "is_loss_channel": best.is_loss_channel,
-                    "ground_index": best.ground.index,
-                    "upper_index": best.doubly_excited.index,
-                })
-        table.sort(key=lambda d: d["control_detuning_ghz"])
-        meta = {"kind": "two-photon", "field_mt": b,
+        return (("spectrum_one_photon.csv", ["detuning_ghz", "transmission"],
+                 [grid, trans]),
+                ("spectrum_one_photon.json", {
+                    "kind": "one-photon", "field_mt": b,
+                    "polarization": args.polarization,
+                    "optical_depth": vap.depth()}))
+    trans, warn = vapour.two_photon_spectrum(
+        vap, b, args.polarization, args.control_polarization,
+        args.signal_detuning, grid, geometry=args.geometry, constants=c)
+    window = vapour.two_photon_window(args.signal_detuning, grid)
+    found = []
+    for pol_s, pol_c in (("sigma-", "sigma-"), ("sigma-", "sigma+"),
+                         ("sigma+", "sigma-"), ("sigma+", "sigma+")):
+        lines = atomic.two_photon_lines(
+            b, pol_s, pol_c, total_window_ghz=window,
+            reference_signal_detuning_ghz=args.signal_detuning, constants=c)
+        for pos, strength, best in atomic.group_two_photon_lines(lines):
+            found.append({
+                "control_detuning_ghz": pos - args.signal_detuning,
+                "strength": strength,
+                "signal_pol": pol_s,
+                "control_pol": pol_c,
+                "is_loss_channel": best.is_loss_channel,
+                "ground_index": best.ground.index,
+                "upper_index": best.doubly_excited.index,
+            })
+    found.sort(key=lambda d: d["control_detuning_ghz"])
+    return (("spectrum_two_photon.csv", ["control_detuning_ghz", "transmission"],
+             [grid, trans]),
+            ("spectrum_two_photon.json", {
+                "kind": "two-photon", "field_mt": b,
                 "signal_detuning_ghz": args.signal_detuning,
                 "geometry": args.geometry,
                 "linear_absorption_warning": bool(warn),
                 "line_fwhm_mhz": vapour.two_photon_linewidth_mhz(
                     vap, args.geometry, constants=c),
-                "lines": table}
-    _write_json(path.replace(".csv", ".json"), meta, cfg)
-    print(path)
-    return 0
+                "lines": found}))
 
 
-def cmd_cavity(cfg: ExperimentConfig, args) -> int:
+def cmd_cavity(cfg: ExperimentConfig, args):
     params = cfg.cavity_params()
     summary = cavity.summary_dict(params)
     grid = np.linspace(args.lo, args.hi, args.points)
     if args.mode == "scan":
         resp = cavity.reflection_response(params, grid)
-        path = _out_path(cfg, args, "cavity_scan.csv")
-        _write_csv(path, ["detuning_ghz", "reflected_power", "transmitted_power",
-                          "reflection_re", "reflection_im"],
-                   [resp.detunings_ghz, resp.reflected_power, resp.transmitted_power,
-                    resp.reflection.real, resp.reflection.imag])
+        header = ["detuning_ghz", "reflected_power", "transmitted_power",
+                  "reflection_re", "reflection_im"]
+        columns = [resp.detunings_ghz, resp.reflected_power, resp.transmitted_power,
+                   resp.reflection.real, resp.reflection.imag]
     else:
         m = cavity.dual_resonance_map(params, grid, grid)
-        path = _out_path(cfg, args, "cavity_resmap.csv")
         n_sig, n_ctl = m.buildup.shape
-        _write_csv(path, ["signal_detuning_ghz", "control_detuning_ghz",
-                          "buildup", "two_photon_line"],
-                   [np.repeat(m.signal_detunings_ghz, n_ctl),
-                    np.tile(m.control_detunings_ghz, n_sig), m.buildup.ravel(),
-                    m.two_photon_mask.ravel().astype(int)])
+        header = ["signal_detuning_ghz", "control_detuning_ghz", "buildup",
+                  "two_photon_line"]
+        columns = [np.repeat(m.signal_detunings_ghz, n_ctl),
+                   np.tile(m.control_detunings_ghz, n_sig), m.buildup.ravel(),
+                   m.two_photon_mask.ravel().astype(int)]
         summary["dual_resonant_pairs"] = m.resonant_pairs
-    _write_json(path.replace(".csv", ".json"), summary, cfg)
-    print(path)
-    return 0
+    return ((f"cavity_{args.mode}.csv", header, columns),
+            (f"cavity_{args.mode}.json", summary))
 
 
-def cmd_store(cfg: ExperimentConfig, args) -> int:
+def cmd_store(cfg: ExperimentConfig, args):
     mem = cfg.memory_config()
     res = memory.simulate_storage_retrieval(
         mem, cfg.pulse("signal"), cfg.pulse("write"), cfg.pulse("read"),
         drift_offset_ghz=args.drift_offset, dt_ns=args.dt)
-    path = _out_path(cfg, args, "store_flux.csv")
-    _write_csv(path, ["time_ns", "output_flux_per_ns", "reference_flux_per_ns"],
-               [res.time_grid_ns, res.output_flux, res.reference_flux])
-    summary = {
-        "input_photons": res.input_photons,
-        "reference_counts": res.reference_counts,
-        "leak_counts": res.leak_counts,
-        "retrieved_counts": res.retrieved_counts,
-        "internal_efficiency": res.internal_efficiency,
-        "total_efficiency": res.total_efficiency,
-        "snr_db": res.snr_db,
-        "bookkeeping": res.bookkeeping,
-    }
-    _write_json(_out_path(cfg, args, "store_summary.json"), summary, cfg)
-    print(path)
-    return 0
+    # the fields after the time grid and the two fluxes
+    summary = {f.name: getattr(res, f.name) for f in fields(res)[3:]}
+    return (("store_flux.csv",
+             ["time_ns", "output_flux_per_ns", "reference_flux_per_ns"],
+             [res.time_grid_ns, res.output_flux, res.reference_flux]),
+            ("store_summary.json", summary))
 
 
 # default grid bounds and the CSV column of each scan kind
@@ -227,7 +203,7 @@ _SCAN_AXES = {"lifetime": (8.0, 100.0, "storage_time_ns"),
               "bandwidth": (0.5, 4.0, "signal_fwhm_ns")}
 
 
-def cmd_scan(cfg: ExperimentConfig, args) -> int:
+def cmd_scan(cfg: ExperimentConfig, args):
     mem = cfg.memory_config()
     sig, wr, rd = (cfg.pulse(n) for n in ("signal", "write", "read"))
     lo, hi, column = _SCAN_AXES[args.kind]
@@ -235,15 +211,12 @@ def cmd_scan(cfg: ExperimentConfig, args) -> int:
                        hi if args.hi is None else args.hi, args.points)
     # memory.lifetime_scan, memory.energy_scan or memory.bandwidth_scan
     effs = getattr(memory, f"{args.kind}_scan")(mem, sig, wr, rd, grid, dt_ns=args.dt)
-    path = _out_path(cfg, args, f"scan_{args.kind}.csv")
-    _write_csv(path, [column, "total_efficiency"], [grid, effs])
-    _write_json(path.replace(".csv", ".json"),
-                {"kind": args.kind, column: grid, "dt_ns": args.dt}, cfg)
-    print(path)
-    return 0
+    return ((f"scan_{args.kind}.csv", [column, "total_efficiency"], [grid, effs]),
+            (f"scan_{args.kind}.json",
+             {"kind": args.kind, column: grid, "dt_ns": args.dt}))
 
 
-def cmd_optimize(cfg: ExperimentConfig, args) -> int:
+def cmd_optimize(cfg: ExperimentConfig, args):
     mem = cfg.memory_config()
     settings = cfg.ga_settings()
     if args.generations is not None:
@@ -251,22 +224,19 @@ def cmd_optimize(cfg: ExperimentConfig, args) -> int:
     drift = cfg.drift_model(enabled=None if args.drift is None else args.drift == "on")
     seed = args.seed if args.seed is not None else cfg.seed
     trace = optimize.run_ga(cfg.parameter_space(), mem, drift, settings, seed)
-    path = _out_path(cfg, args, "optimize_trace.csv")
     recs = trace.iterations
     values = np.array([[*r["parameters"], r["objective"], r["drift_offset_ghz"]]
                        for r in recs])
-    _write_csv(path, ["iteration", *optimize.PARAMETER_NAMES, "objective",
-                      "drift_offset_ghz"],
-               [np.array([r["iteration"] for r in recs]), *values.T])
-    _write_json(_out_path(cfg, args, "optimize_settings.json"), {
-        "seed": seed, **asdict(settings),
-        **{f"drift_{k}": v for k, v in asdict(drift).items()},
-        "bounds": trace.space.bounds}, cfg)
-    print(path)
-    return 0
+    return (("optimize_trace.csv",
+             ["iteration", *optimize.PARAMETER_NAMES, "objective", "drift_offset_ghz"],
+             [np.array([r["iteration"] for r in recs]), *values.T]),
+            ("optimize_settings.json", {
+                "seed": seed, **asdict(settings),
+                **{f"drift_{k}": v for k, v in asdict(drift).items()},
+                "bounds": trace.space.bounds}))
 
 
-def cmd_fit(cfg: ExperimentConfig, args) -> int:
+def cmd_fit(cfg: ExperimentConfig, args):
     try:
         with open(args.data, newline="") as fh:
             reader = csv.reader(fh)
@@ -299,26 +269,27 @@ def cmd_fit(cfg: ExperimentConfig, args) -> int:
     if args.model == "doppler":
         # the probe polarization whose lines the model assumed
         payload["polarization"] = args.polarization
-    path = _out_path(cfg, args, f"fit_{args.model}.json")
-    _write_json(path, payload, cfg)
-    print(path)
-    return 0
+    return None, (f"fit_{args.model}.json", payload)
 
 
 # ------------------------------------------------------------------ parser
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _bounded(name: str, cast, floor, what: str):
+    """The argparse type `name`: the text read by `cast`, refused at or below
+    `floor` as not being `what`.  NaN passes here, for main to refuse as
+    non-finite; argparse names a type it cannot apply by its __name__."""
+    def read(text: str):
+        value = cast(text)
+        if value <= floor:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    read.__name__ = name
+    return read
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+_positive_int = _bounded("_positive_int", int, 0, "a positive integer")
+_non_negative_int = _bounded("_non_negative_int", int, -1, "a non-negative integer")
+_positive_float = _bounded("float", float, 0.0, "a positive number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("store", help="single storage/retrieval run")
     p.add_argument("--drift-offset", type=float, default=0.0)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--dt", type=_positive_float, default=0.01)
     p.set_defaults(func=cmd_store)
 
     p = sub.add_parser("scan", help="lifetime/energy/bandwidth scans")
@@ -370,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
     p.add_argument("--points", type=_positive_int, default=25)
-    p.add_argument("--dt", type=float, default=0.02)
+    p.add_argument("--dt", type=_positive_float, default=0.02)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("optimize", help="genetic-algorithm tuning run")
@@ -392,26 +363,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code and JSON error name of a failed run, by the first class its
+# error is an instance of
+_EXITS = ((ConfigError, 2, "config"), ((NumericalError, DomainError), 3, "numerical"),
+          (CavmemError, 3, "internal"))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: write its table and summary under --out (or the
+    config's output_dir) and print the table's path, or the summary's for a
+    command without a table."""
+    args = build_parser().parse_args(argv)
     try:
         for name, value in vars(args).items():
             reject_non_finite(value, f"argument --{name.replace('_', '-')}")
         cfg = _load_config(args)
-        return args.func(cfg, args)
-    except ConfigError as exc:
-        json.dump({"error": "config", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except (NumericalError, DomainError) as exc:
-        json.dump({"error": "numerical", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        table, (summary_name, payload) = args.func(cfg, args)
     except CavmemError as exc:
-        json.dump({"error": "internal", "message": str(exc)}, sys.stderr)
+        code, kind = next((code, kind) for cls, code, kind in _EXITS
+                          if isinstance(exc, cls))
+        json.dump({"error": kind, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return 3
+        return code
+    base = args.out or cfg.output_dir
+    os.makedirs(base, exist_ok=True)
+    printed = os.path.join(base, summary_name)
+    if table is not None:
+        name, header, columns = table
+        printed = os.path.join(base, name)
+        _write_csv(printed, header, columns)
+    _write_json(os.path.join(base, summary_name), payload, cfg)
+    print(printed)
+    return 0
 
 
 if __name__ == "__main__":

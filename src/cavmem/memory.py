@@ -611,7 +611,8 @@ def simulate_batch(config: MemoryConfig, signals, writes, reads,
 
     The one admission check of a batch: it must hold at least one setting,
     as many signals as writes and reads, and no read window may open before
-    its write window closes.  Returns (results dict from the integrator,
+    its write window closes; the time step must be finite and positive.
+    Returns (results dict from the integrator,
     closed-form control-off reference counts per individual, time bounds).
     The results hold the output flux on the grid only when `keep_flux` is
     set.
@@ -622,6 +623,8 @@ def simulate_batch(config: MemoryConfig, signals, writes, reads,
         raise DomainError("signals, writes and reads must have equal lengths")
     if any(pulses_overlap(w, r) for w, r in zip(writes, reads)):
         raise DomainError("read and write pulse windows overlap")
+    if not (math.isfinite(dt_ns) and dt_ns > 0):
+        raise DomainError(f"time step must be finite and positive, got {dt_ns!r}")
     par = _pulse_par_arrays(config, signals, writes, reads, drift_offset_ghz)
     k_start, _, k_end, _, _ = _lane_steps(par, dt_ns)
     t0, t1 = dt_ns * int(k_start.min()), dt_ns * int(k_end.max())
@@ -833,6 +836,8 @@ def bandwidth_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
     control shapes.
     """
     fwhms = np.asarray(signal_fwhms_ns, dtype=float)
+    if refine_rounds < 1:
+        raise DomainError("at least one refinement round required")
     if np.any(fwhms <= 0):
         raise DomainError("signal widths must be positive")
     if write.energy <= 0:

@@ -128,6 +128,8 @@ class GASettings:
             raise DomainError("at least one generation required")
         if not (0 <= self.crossover_prob <= 1 and 0 <= self.mutation_prob <= 1):
             raise DomainError("probabilities must lie in [0, 1]")
+        if self.dt_ns <= 0:
+            raise DomainError("time step dt_ns must be positive")
 
 
 @dataclass

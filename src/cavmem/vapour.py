@@ -20,7 +20,7 @@ from .errors import DomainError, require_finite
 __all__ = [
     "VapourParams", "doppler_width_rad_s", "doppler_fwhm_ghz", "optical_depth",
     "one_photon_spectrum", "two_photon_spectrum", "residual_doppler_lifetime_ns",
-    "thermal_velocity_sigma", "two_photon_linewidth_mhz",
+    "thermal_velocity_sigma", "two_photon_linewidth_mhz", "two_photon_window",
 ]
 
 ZERO_C_IN_K = 273.15
@@ -142,6 +142,19 @@ def one_photon_spectrum(vapour: VapourParams, b_mt: float, polarization: str,
     return np.exp(-od)
 
 
+def _two_photon_wavevector(wavelength_signal_nm: float, wavelength_control_nm: float,
+                           geometry: str) -> float:
+    """Effective two-photon wavevector (rad/m) that the atoms' motion sees:
+    |k_s - k_c| for counter-propagating beams, k_s + k_c for co-propagating."""
+    k_s = 2 * math.pi / (wavelength_signal_nm * 1e-9)
+    k_c = 2 * math.pi / (wavelength_control_nm * 1e-9)
+    if geometry == "counter":
+        return abs(k_s - k_c)
+    if geometry == "co":
+        return k_s + k_c
+    raise DomainError("geometry must be 'counter' or 'co'")
+
+
 def two_photon_linewidth_mhz(vapour: VapourParams,
                              geometry: str = "counter",
                              constants: AtomConstants | None = None) -> float:
@@ -150,17 +163,22 @@ def two_photon_linewidth_mhz(vapour: VapourParams,
     the sum-wavevector Doppler width (co-propagating)."""
     c = constants or default_constants()
     sigma_v = thermal_velocity_sigma(vapour.temperature_c, c)
-    k_s = 2 * math.pi / (c.wavelength_signal_nm * 1e-9)
-    k_c = 2 * math.pi / (c.wavelength_control_nm * 1e-9)
-    if geometry == "counter":
-        dk = abs(k_s - k_c)
-        residual = dk * sigma_v * math.sqrt(8 * math.log(2)) / (2 * math.pi) / 1e6
-        natural = c.d52.gamma_fwhm_mhz
-        return math.sqrt(residual ** 2 + natural ** 2
-                         + vapour.field_inhomogeneity_mhz ** 2)
+    dk = _two_photon_wavevector(c.wavelength_signal_nm, c.wavelength_control_nm,
+                                geometry)
+    doppler = dk * sigma_v * math.sqrt(8 * math.log(2)) / (2 * math.pi) / 1e6
     if geometry == "co":
-        return (k_s + k_c) * sigma_v * math.sqrt(8 * math.log(2)) / (2 * math.pi) / 1e6
-    raise DomainError("geometry must be 'counter' or 'co'")
+        return doppler
+    return math.sqrt(doppler ** 2 + c.d52.gamma_fwhm_mhz ** 2
+                     + vapour.field_inhomogeneity_mhz ** 2)
+
+
+def two_photon_window(signal_detuning_ghz: float, control_detunings_ghz):
+    """Total-detuning window (GHz) of the two-photon lines that a control scan
+    over `control_detunings_ghz` at a fixed signal detuning can show: the
+    scan's span, in either order, widened by 1 GHz on each side."""
+    deltas = np.asarray(control_detunings_ghz, dtype=float)
+    return (float(signal_detuning_ghz + deltas.min() - 1.0),
+            float(signal_detuning_ghz + deltas.max() + 1.0))
 
 
 def two_photon_spectrum(vapour: VapourParams, b_mt: float,
@@ -185,10 +203,9 @@ def two_photon_spectrum(vapour: VapourParams, b_mt: float,
     warning = abs(signal_detuning_ghz) < gamma_ghz
     if control_depth == 0.0:
         return np.ones_like(deltas), warning
-    window = (signal_detuning_ghz + deltas.min() - 1.0,
-              signal_detuning_ghz + deltas.max() + 1.0)
     lines = atomic.two_photon_lines(
-        b_mt, signal_pol, control_pol, total_window_ghz=window,
+        b_mt, signal_pol, control_pol,
+        total_window_ghz=two_photon_window(signal_detuning_ghz, deltas),
         reference_signal_detuning_ghz=signal_detuning_ghz, constants=c)
     grouped = atomic.group_two_photon_lines(lines)
     if not grouped:
@@ -213,14 +230,7 @@ def residual_doppler_lifetime_ns(t_c: float, wavelength_signal_nm: float,
     (returned as inf).
     """
     sigma_v = thermal_velocity_sigma(t_c, constants)
-    k_s = 2 * math.pi / (wavelength_signal_nm * 1e-9)
-    k_c = 2 * math.pi / (wavelength_control_nm * 1e-9)
-    if geometry == "counter":
-        dk = abs(k_s - k_c)
-    elif geometry == "co":
-        dk = k_s + k_c
-    else:
-        raise DomainError("geometry must be 'counter' or 'co'")
+    dk = _two_photon_wavevector(wavelength_signal_nm, wavelength_control_nm, geometry)
     if dk == 0.0:
         return math.inf
     return 1e9 / (dk * sigma_v)

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from cavmem.cli import _write_csv, main
+from cavmem.cli import _write_csv, build_parser, cmd_levels, main
 from cavmem.config import ExperimentConfig
 from cavmem.errors import ConfigError
 
@@ -278,6 +278,19 @@ def test_cli_spectrum_two_photon_matches_lines(tmp_path):
     smax = max(s for _, s, _ in lines)
     expected = sorted(pos - (-15.0) for pos, s, _ in lines if s > 1e-3 * smax)
     assert np.allclose(sorted(dips), expected, atol=1e-3)
+
+
+def test_cli_spectrum_two_photon_reversed_window(tmp_path):
+    # a grid from high to low shows the lines of the same window, as the
+    # library's spectrum does; the table once used --lo and --hi as given
+    # and refused the reversed window
+    docs = {}
+    for tag, lo, hi in (("up", "-12", "4"), ("down", "4", "-12")):
+        assert main(["--out", str(tmp_path / tag), "spectrum", "two-photon",
+                     "--lo", lo, "--hi", hi, "--points", "11"]) == 0
+        docs[tag] = json.loads((tmp_path / tag / "spectrum_two_photon.json").read_text())
+    assert docs["down"]["lines"]
+    assert docs["down"]["lines"] == docs["up"]["lines"]
 
 
 def test_cli_cavity_scan_summary(tmp_path):
@@ -577,6 +590,55 @@ def test_cli_lifetime_fit_uses_config_spin_width(tmp_path):
     assert params["nu_prime_ghz"] == pytest.approx(0.0126, rel=1e-3)
 
 
+def _line_data(tmp_path):
+    """A two-column CSV of a Gaussian line, for `cavmem fit --model line`."""
+    x = np.linspace(-1.0, 1.0, 41)
+    path = tmp_path / "line.csv"
+    _write_csv(str(path), ["x", "y"], [x, 1.0 - 0.5 * np.exp(-x ** 2 / 0.1)])
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, table, summary", [
+    (["levels", "--points", "3"], "levels.csv", "levels.json"),
+    (["spectrum", "one-photon", "--points", "11"], "spectrum_one_photon.csv",
+     "spectrum_one_photon.json"),
+    (["cavity", "scan", "--points", "11"], "cavity_scan.csv", "cavity_scan.json"),
+    (["store", "--dt", "0.02"], "store_flux.csv", "store_summary.json"),
+    (["scan", "energy", "--points", "2", "--lo", "0.1", "--hi", "0.2"],
+     "scan_energy.csv", "scan_energy.json"),
+    (["optimize", "--generations", "1"], "optimize_trace.csv",
+     "optimize_settings.json"),
+    (["fit", "--model", "line", _line_data], None, "fit_line.json"),
+], ids=["levels", "spectrum", "cavity", "store", "scan", "optimize", "fit"])
+def test_cli_command_writes_table_and_summary_and_prints_path(tmp_path, capsys,
+                                                             argv, table, summary):
+    # every command leaves its table and its summary, with provenance, under
+    # --out and prints the table's path (the summary's when it has no table);
+    # an --out holding ".csv" once sent the summary to a missing directory
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"optimizer": {"population": 8}}))
+    out = tmp_path / "run.csv"
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    assert main(["--config", str(cfg), "--out", str(out), *argv]) == 0
+    printed = capsys.readouterr().out
+    assert printed == os.path.join(str(out), table or summary) + "\n"
+    assert sorted(os.listdir(out)) == sorted(n for n in (table, summary) if n)
+    doc = json.loads((out / summary).read_text(), parse_constant=_reject_constant)
+    assert doc["provenance"] == ExperimentConfig.from_file(str(cfg)).provenance()
+
+
+def test_cli_command_returns_its_outputs_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = build_parser().parse_args(["--out", str(out), "levels", "--points", "3"])
+    (name, header, columns), (summary_name, payload) = cmd_levels(ExperimentConfig(), args)
+    assert (name, summary_name) == ("levels.csv", "levels.json")
+    assert header[0] == "field_mt" and len(header) == len(columns) == 1 + 48
+    assert payload["field_mt"].tolist() == [0.0, 150.0, 300.0]
+    assert "provenance" not in payload
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_exit_code_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"unknown_section": 1}))
@@ -631,6 +693,23 @@ def test_cli_non_positive_points_exits_2_without_output(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["store", "--dt", "0"],
+    ["store", "--dt", "-0.01"],
+    ["scan", "lifetime", "--dt", "0"],
+    ["scan", "energy", "--dt", "-0.02"],
+], ids=["store-zero", "store-negative", "scan-lifetime-zero", "scan-energy-negative"])
+def test_cli_non_positive_dt_exits_2_without_output(tmp_path, capsys, argv):
+    # a zero step once ended in a ZeroDivisionError traceback, and a
+    # negative one in an empty run that reported an efficiency of 0
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out), *argv])
+    assert exc.value.code == 2
+    assert "argument --dt: must be a positive number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", [
     {"memory": {"cooperativity": -1}},
     {"optimizer": {"population": 4}},
@@ -643,10 +722,12 @@ def test_cli_non_positive_points_exits_2_without_output(tmp_path, capsys, argv):
     {"optimizer": {"drift": {"enabled": "no"}}},
     {"field_mt": "x"},
     {"field_mt": -5},
+    {"optimizer": {"dt_ns": -0.02}},
+    {"optimizer": {"dt_ns": 0}},
 ], ids=["cooperativity-negative", "population-4", "cooperativity-text",
         "seed-negative", "seed-float", "read-fwhm-zero", "drift-rate-text",
         "drift-noise-negative", "drift-enabled-text", "field-text",
-        "field-negative"])
+        "field-negative", "ga-dt-negative", "ga-dt-zero"])
 def test_cli_refused_config_value_exits_2_without_output(tmp_path, capsys, override):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(override))

@@ -16,7 +16,8 @@ from cavmem.memory import (MemoryConfig, PulseShape, bandwidth_scan,
                            oscillation_suppression, pulses_overlap,
                            simulate_batch, simulate_storage_retrieval, snr_db,
                            total_efficiency)
-from cavmem.optimize import PARAMETER_NAMES, ParameterSpace, _pulses_from_vector
+from cavmem.optimize import (PARAMETER_NAMES, ParameterSpace, _pulses_from_vector,
+                             objective)
 
 TWO_PI = 2 * math.pi
 
@@ -445,6 +446,27 @@ def test_batch_admission():
     with pytest.raises(DomainError):
         simulate_batch(CFG, [SIG], [WRITE, WRITE], [READ, READ])
     assert batch_efficiency(CFG, [], [], []).shape == (0,)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("run_it", [
+    lambda dt: simulate_batch(CFG, [SIG], [WRITE], [READ], dt_ns=dt),
+    lambda dt: run(dt_ns=dt),
+    lambda dt: lifetime_scan(CFG, SIG, WRITE, READ, [20.0], dt_ns=dt),
+    lambda dt: objective([0.0, 0.5, 5.0, -0.1, 1.5, 5.0, 10.0, 0.4], CFG, dt_ns=dt),
+], ids=["batch", "store", "lifetime", "objective"])
+def test_time_step_must_be_finite_and_positive(run_it, dt):
+    # a zero step once raised ZeroDivisionError, and a negative one gave an
+    # empty run with an objective of 0
+    with pytest.raises(DomainError, match="time step"):
+        run_it(dt)
+
+
+def test_bandwidth_scan_needs_a_refinement_round():
+    # no round left the "no best yet" marker -1 as the efficiency
+    with pytest.raises(DomainError, match="round"):
+        bandwidth_scan(CFG, SIG, WRITE, READ, [1.5], dt_ns=0.02, refine_rounds=0)
 
 
 @pytest.mark.parametrize("run_it", [
