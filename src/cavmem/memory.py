@@ -35,12 +35,15 @@ and no efficiency, so it raises DomainError rather than reading 0.
 
 The RK4 loop evaluates the drives a_in(t) and W(t) once per half step, in
 chunks of steps, and reuses them across the stages that share a time; it
-books the fluxes and counts per chunk.  Every lane runs on its own clock
-over the grid t_k = k dt: it starts from rest at its own window and stops
-counting after it.  Between the end of the write window and the start of
-the read window nothing drives a lane, and the memory is linear and time
-invariant (the storage/retrieval linear-map view of Gorshkov et al., PRA 76,
-033804 (2007)).  There the lane jumps to the read window's first grid point
+books the fluxes and counts per chunk.  A step writes its stages and its
+new state into buffers made once per batch, so it allocates no array, and
+it keeps the operation order of the plain RK4 formulas, so it keeps their
+bits.  Every lane runs on its own clock over the grid t_k = k dt: it
+starts from rest at its own window and stops counting after it.  Between
+the end of the write window and the start of the read window nothing
+drives a lane, and the memory is linear and time invariant (the
+storage/retrieval linear-map view of Gorshkov et al., PRA 76, 033804
+(2007)).  There the lane jumps to the read window's first grid point
 with the exact propagator: a 2x2 matrix exponential in eigen form for
 (a, P) and a scalar exponential for S.  The loss and output integrals over
 the jump are booked in closed form.  The same holds after the read: a
@@ -49,10 +52,10 @@ window closes, and the exact propagator carries it over the ring-down to
 the end of its window; what is left there is the residual excitation.
 One rule places t_mid, the lane's own storage-midpoint grid point, in the
 loop and the jump alike (it never lies in the ring-down): output before
-it is leak and after it retrieved, and the kernel acts there.  The segment points depend only on
-the lane's pulse windows, so a lane's results do not depend on the other
-lanes of its batch, and a lane without drive-free storage time steps
-through it with RK4.
+it is leak and after it retrieved, and the kernel acts there.  The segment
+points depend only on the lane's pulse windows, so a lane's results do not
+depend on the other lanes of its batch, and a lane without drive-free
+storage time steps through it with RK4.
 
 All simulations are pure functions of (config, pulses, drift); scans evaluate
 their points as one vectorized batch (the bandwidth scan one batch over all
@@ -199,6 +202,9 @@ class SimulationResult:
     total_efficiency: float          # (1 - zeta) C_ret / C_ref
     snr_db: float
     bookkeeping: dict
+    # dt_ns, loop and lane steps, lambda_max dt and its stability margin of
+    # the run's batch (the storage lane and its control-off twin)
+    integrator: dict
 
     def __post_init__(self):
         for v in (self.reference_counts, self.leak_counts, self.retrieved_counts):
@@ -315,17 +321,19 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     end k_end.  The exact propagator carries a lane over either with one
     rule for t_mid: output before it is leak and after it retrieved, and
     the dephasing kernel acts there when it lies inside the segment;
-    elsewhere the loop applies it after the step that lands on it.  At loop index i a lane
-    sits at grid index k_start + i, plus the length J of its jump once it
-    has made it.  Chunks of the drive table end at every jump, so each RK4
-    stage sees the drives at the lane's true time, and the loop ends once
-    every lane has reached k_close.  Each lane integrates from rest at its
-    own start and accumulates its counts up to its own end, and its segment
-    points depend only on its own pulses, so its results do not depend on
-    the other lanes of the batch.  Returns integrated counts and loss
-    channels per individual, the loop's step and lane-step counts, and the
-    output flux on the grid when `keep_flux` is set; rows outside a lane's
-    window stay zero.
+    elsewhere the loop applies it after the step that lands on it.  At loop
+    index i a lane sits at grid index k_start + i, plus the length J of its
+    jump once it has made it.  Chunks of the drive table end at every jump,
+    so each RK4 stage sees the drives at the lane's true time, and the loop
+    ends once every lane has reached k_close.  Each lane integrates from
+    rest at its own start and accumulates its counts up to its own end, and
+    its segment points depend only on its own pulses, so its results do not
+    depend on the other lanes of the batch.  Returns integrated counts and
+    loss channels per individual; the loop's step and lane-step counts; the
+    largest lambda_max dt of the batch and its stability margin, the factor
+    by which dt could grow before the guard (lambda_max dt <= 2.5) refuses
+    it; and the output flux on the grid when `keep_flux` is set, whose rows
+    outside a lane's window stay zero.
     """
     # the grid comes from the indices of t0 and t1: ceil of the float
     # (t1 - t0) / dt can land one step past t1
@@ -338,10 +346,11 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                            + np.sqrt(par["g"] ** 2
                                      + 0.25 * (par["delta_c"] - par["delta_p"]) ** 2)
                            + 0.5 * par["kappa"]))
-    if lam_max * dt > 2.5:
+    guard = 2.5
+    if lam_max * dt > guard:
         raise NumericalError(
             f"time step {dt} ns too large for the fastest mode "
-            f"({lam_max:.1f} rad/ns); reduce dt below {2.5 / lam_max:.4f} ns")
+            f"({lam_max:.1f} rad/ns); reduce dt below {guard / lam_max:.4f} ns")
 
     sqrt_kext = np.sqrt(par["kappa_ext"])
     c_a, c_p, s_ap = _ap_eigenvalues(par)
@@ -373,14 +382,40 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     # grid index of each lane at loop index 0; a jump moves it on by J
     offset = k_start.copy()
 
-    def deriv(y, up, down, force):
-        d = diag * y
-        d[:2] += up * y[1:]
-        d[1:] += down * y[:2]
-        d[0] += force
-        return d
+    chunk = max(4, min(64, _CHUNK_LANE_STEPS // b))
+    # every buffer of the loop is made here, once: the four RK4 stages, the
+    # stage input z, a row pair for products, and the chunk's states, whose
+    # row 0 holds the state at the chunk start and row r + 1 the state after
+    # step r.  Each buffer is carried as its views (all rows, rows 0-1, rows
+    # 1-2, row 0), so a step makes no array unless the kernel acts.  Its
+    # ufuncs take `out` by position and its scalars as complex numbers,
+    # which numpy would otherwise convert on every call; the values and the
+    # operation order are those of y + dt/6 (k1 + 2 (k2 + k3) + k4), so
+    # every bit is kept
+    def views(x):
+        return x, x[:2], x[1:], x[0]
 
-    y = np.zeros((3, b), dtype=complex)
+    k1, k2, k3, k4 = (views(np.empty((3, b), dtype=complex)) for _ in range(4))
+    z = views(np.empty((3, b), dtype=complex))
+    z_all = z[0]
+    pair = np.empty((2, b), dtype=complex)
+    states = np.zeros((chunk + 1, 3, b), dtype=complex)
+    rows = [views(s) for s in states]
+    y = states[0]
+    mul, add = np.multiply, np.add
+    c_half, c_dt, c_two, c_sixth = (np.complex128(v) for v in (0.5 * dt, dt, 2, dt / 6))
+
+    def deriv(k, x, up, down, force):
+        """k = diag * x, plus the coupling to each neighbour, plus the drive."""
+        d, d_head, d_tail, d_first = k
+        x_all, x_head, x_tail, _ = x
+        mul(diag, x_all, d)
+        mul(up, x_tail, pair)
+        add(d_head, pair, d_head)
+        mul(down, x_head, pair)
+        add(d_tail, pair, d_tail)
+        add(d_first, force, d_first)
+
     # leak, retrieved, input, cavity-internal, polarization and spin counts
     counts = np.zeros((6, b))
     dephasing = np.zeros(b)
@@ -389,7 +424,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     out_flux = np.zeros((len(ts), b)) if keep_flux else None
     # flux channels at the last grid point: output, input, cavity, P, S
     f_prev = np.zeros((5, b))
-    half, sixth = 0.5 * dt, dt / 6
+    half = 0.5 * dt
 
     def dephase(s, lanes):
         """Spin amplitudes s of `lanes` times the kernel; books what it removes."""
@@ -421,7 +456,6 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                     par["kappa_ext"][lane] * np.abs(a_t) ** 2
         return y_b
 
-    chunk = max(4, min(64, _CHUNK_LANE_STEPS // b))
     i0 = 0
     while i0 < n_iter:
         lanes = jump_at.get(i0)
@@ -444,30 +478,43 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         down[:, 0] = ig
         down[:, 1] = 0.5j * np.conj(om)
         ups, downs, forces = list(up), list(down), list(sqrt_kext * a_in)
-        states = np.empty((m, 3, b), dtype=complex)
         for r in range(m):
             e, o = 2 * r, 2 * r + 1
-            k1 = deriv(y, ups[e], downs[e], forces[e])
-            k2 = deriv(y + half * k1, ups[o], downs[o], forces[o])
-            k3 = deriv(y + half * k2, ups[o], downs[o], forces[o])
-            k4 = deriv(y + dt * k3, ups[e + 2], downs[e + 2], forces[e + 2])
-            y = y + sixth * (k1 + 2 * (k2 + k3) + k4)
+            y_r = rows[r]
+            y_all = y_r[0]
+            deriv(k1, y_r, ups[e], downs[e], forces[e])
+            mul(c_half, k1[0], z_all)            # z = y + (dt/2) k1
+            add(y_all, z_all, z_all)
+            deriv(k2, z, ups[o], downs[o], forces[o])
+            mul(c_half, k2[0], z_all)
+            add(y_all, z_all, z_all)
+            deriv(k3, z, ups[o], downs[o], forces[o])
+            mul(c_dt, k3[0], z_all)
+            add(y_all, z_all, z_all)
+            deriv(k4, z, ups[e + 2], downs[e + 2], forces[e + 2])
+            acc = k2[0]                          # k1 + 2 (k2 + k3) + k4, in k2
+            add(acc, k3[0], acc)
+            mul(c_two, acc, acc)
+            add(k1[0], acc, acc)
+            add(acc, k4[0], acc)
+            mul(c_sixth, acc, acc)
+            add(y_all, acc, states[r + 1])
             lanes = kernel_at.get(i0 + r)
             if lanes is not None:
-                y[2, lanes] = dephase(y[2, lanes], lanes)
-            states[r] = y
+                states[r + 1, 2, lanes] = dephase(states[r + 1, 2, lanes], lanes)
 
         # fluxes at the chunk's grid points, then trapezoids per step
         ain = a_in[2::2]
         flux = np.empty((m, 5, b))
-        flux[:, 0] = np.abs(sqrt_kext * states[:, 0] - ain) ** 2
+        stepped = states[1:m + 1]
+        flux[:, 0] = np.abs(sqrt_kext * stepped[:, 0] - ain) ** 2
         flux[:, 1] = np.abs(ain) ** 2
-        flux[:, 2:] = loss_rates * np.abs(states) ** 2
+        flux[:, 2:] = loss_rates * np.abs(stepped) ** 2
         k_grid = base + 1 + np.arange(m)[:, None]
         # the state of each lane whose drives end in this chunk
         closed = np.flatnonzero((base < k_close) & (k_close <= base + m))
         if closed.size:
-            y_close[:, closed] = states[k_close[closed] - base[closed] - 1, :, closed].T
+            y_close[:, closed] = states[k_close[closed] - base[closed], :, closed].T
         if keep_flux:
             kept = k_grid <= k_end
             out_flux[k_grid[kept] - k0, np.nonzero(kept)[1]] = flux[:, 0][kept]
@@ -483,6 +530,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         # a running sum in step order, so each lane adds its own terms in
         # the same sequence whatever batch it is part of
         counts = np.add.accumulate(steps, axis=0)[-1]
+        y[...] = states[m]            # the next chunk starts from here
         i0 += m
 
     # the ring-down: after k_close nothing drives a lane
@@ -492,7 +540,8 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                 n_in=n_in, loss_pol=loss_pol, loss_spin=loss_spin,
                 loss_cav=loss_cav, loss_dephasing=dephasing,
                 residual=np.sum(np.abs(y_end) ** 2, axis=0),
-                loop_steps=i0, lane_steps=i0 * b)
+                loop_steps=i0, lane_steps=i0 * b, lam_max_dt=lam_max * dt,
+                stability_margin=guard / (lam_max * dt))
 
 
 def _reference_counts(par: dict) -> np.ndarray:
@@ -699,6 +748,9 @@ def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
             "residual_excitation": float(main["residual"][0]),
             "output_total": leak + c_ret,
         },
+        integrator={"dt_ns": dt_ns,
+                    **{k: main[k] for k in ("loop_steps", "lane_steps", "lam_max_dt",
+                                            "stability_margin")}},
     )
 
 

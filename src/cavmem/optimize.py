@@ -159,11 +159,26 @@ def _pulses_from_vector(x, base_write_center: float = 0.1,
     return signal, write, read
 
 
+def _require_finite_genes(vectors, what: str) -> np.ndarray:
+    """`vectors` as a float array; DomainError naming every parameter that
+    holds a NaN or inf, which no pulse setting has and so no objective."""
+    arr = np.asarray(vectors, dtype=float)
+    bad = [n for n, col in zip(PARAMETER_NAMES, np.atleast_2d(arr).T)
+           if not np.all(np.isfinite(col))]
+    if bad:
+        raise DomainError(f"{what} must be finite; non-finite {', '.join(bad)}")
+    return arr
+
+
 def objective(params_vector, config: MemoryConfig, drift_offset_ghz: float = 0.0,
               dt_ns: float = 0.02) -> float:
-    """Retrieved-to-reference count ratio for one parameter vector."""
-    vals = _evaluate_batch([np.asarray(params_vector, dtype=float)], config,
-                           drift_offset_ghz, dt_ns, faults=None)
+    """Retrieved-to-reference count ratio for one parameter vector.
+
+    A finite vector that makes no valid pulse setting scores 0; one with a
+    NaN or inf gene raises DomainError.
+    """
+    vector = _require_finite_genes(params_vector, "parameter vector")
+    vals = _evaluate_batch([vector], config, drift_offset_ghz, dt_ns, faults=None)
     return float(vals[0])
 
 
@@ -243,13 +258,14 @@ def run_ga(space: ParameterSpace, config: MemoryConfig, drift: DriftModel,
                               drift=drift)
 
     if initial_population is not None:
-        pop = np.clip(np.asarray(initial_population, dtype=float), lo, hi)
+        pop = np.clip(_require_finite_genes(initial_population, "initial population"),
+                      lo, hi)
         if pop.shape != (settings.population, len(lo)):
             raise DomainError("initial population shape mismatch")
     else:
         pop = rng.uniform(lo, hi, size=(settings.population, len(lo)))
         if initial is not None:
-            pop[0] = np.clip(np.asarray(initial, dtype=float), lo, hi)
+            pop[0] = np.clip(_require_finite_genes(initial, "initial vector"), lo, hi)
 
     def check_bounds(vectors):
         outside = (vectors < lo - 1e-12) | (vectors > hi + 1e-12)
@@ -340,6 +356,7 @@ def grid_search(space: ParameterSpace, config: MemoryConfig,
     vectors = np.empty((total, len(PARAMETER_NAMES)))
     for col, n in enumerate(PARAMETER_NAMES):
         vectors[:, col] = mesh[n].ravel() if n in mesh else fixed[n]
+    _require_finite_genes(vectors, "grid points")
     values = np.empty(total)
     for start in range(0, total, batch):
         chunk = vectors[start:start + batch]

@@ -347,6 +347,25 @@ def test_cli_store_summary_closes_and_reference_flux_integrates(tmp_path):
     assert integral == pytest.approx(summary["reference_counts"], rel=1e-6)
 
 
+def test_cli_store_summary_reports_the_integrator(tmp_path, capsys):
+    # the storage lane and its control-off twin loop 2592 steps at dt 0.01;
+    # the margin is the factor by which dt could grow before the guard
+    # refuses it
+    assert main(["--out", str(tmp_path / "a"), "store"]) == 0
+    run = json.loads((tmp_path / "a" / "store_summary.json").read_text())["integrator"]
+    assert list(run) == ["dt_ns", "loop_steps", "lane_steps", "lam_max_dt",
+                         "stability_margin"]
+    assert (run["dt_ns"], run["loop_steps"], run["lane_steps"]) == (0.01, 2592, 2 * 2592)
+    assert 1.0 < run["stability_margin"] == pytest.approx(2.5 / run["lam_max_dt"])
+    assert main(["--out", str(tmp_path / "b"), "store", "--dt", "0.02"]) == 0
+    run2 = json.loads((tmp_path / "b" / "store_summary.json").read_text())["integrator"]
+    assert run2["lam_max_dt"] == pytest.approx(2 * run["lam_max_dt"], rel=1e-12)
+    capsys.readouterr()
+    too_large = f"{0.01 * run['stability_margin'] * 1.01:.6f}"
+    assert main(["--out", str(tmp_path / "c"), "store", "--dt", too_large]) == 3
+    assert "too large for the fastest mode" in capsys.readouterr().err
+
+
 def test_cli_store_with_jumped_storage_flux_integrates_to_counts(tmp_path):
     # a 40 ns read delay leaves a drive-free stretch that the integrator
     # jumps over; the flux rows inside it still carry the output

@@ -559,6 +559,52 @@ def _random_lanes(rng, size):
     return [list(c) for c in zip(*lanes)]
 
 
+# sha256 of every array simulate_batch returns for random lanes at dt 0.02:
+# 48 lanes step in chunks of 64, 320 lanes in chunks of 12, so chunk ends
+# fall between jumps; recorded before the RK4 step wrote into fixed buffers
+_PINNED_BATCHES = {
+    (5, 48): (2213, {
+        "ts": "0d211dcd1bdfffbec28e0703ae032df670128174ae6b175735d9a65fdab4cd32",
+        "out_flux": "3ef9282e1a278f8028806b39c2bd1018a89b1bc946cc64a5293bd340274551f7",
+        "leak": "ff0c23531f18c88fd10ebd237a8fe39b883552203ca1ff8eb5d2f8b3c68b2574",
+        "retrieved": "9869828892aeecd97dfc83359447823aa3281f73e54ee26d657b4fa2073a224e",
+        "n_in": "71539b5107e3d6fa5eeedbb699676480424dc65926c68bc49d7da6056842c0f8",
+        "loss_pol": "763eea6e85666f394c6ba02796634d99edbabfaabbe24a9174efa44064d6afeb",
+        "loss_spin": "12bc21322a062812a3aaea236303beb5f94cdc882a565176fa456d0343e963b6",
+        "loss_cav": "e15abf7c48a1999ac47d9decb33801770a821f1f35ccd8e7a311bfb3d07b1f6b",
+        "loss_dephasing": "54cb4afcc468844a7fcccd2a43de1d806f3579b6b165be306734e6961a273814",
+        "residual": "9d2b1586fc05ee5b1e7788a6e4337571a5d8771db435f7f6093ea2ee5397261b",
+        "reference_counts": "311f34c1edf722b867511ce32515db15e7cb93b7b0401a840d2e51e888c1a433",
+    }),
+    (6, 320): (2260, {
+        "ts": "06801551eb01426325e63442a50b731a51b5c84161217b4b46b7772ba4345658",
+        "out_flux": "ed911ceafcfb7944c380083767f2e67bfd78a5caeb06624debfb1f5a4a1a2cc3",
+        "leak": "c9f2a456355ae257ff138bbcf908d9274f4f1df1698efdd8c8b27d72329d8383",
+        "retrieved": "745b0e4836e5ecb1f7122577fc0023bb043ebe11962df3639b09f083c9532b30",
+        "n_in": "5e69a5ba3afdde1f9674776a71b33f9e1f3671665686acec8971404e49738107",
+        "loss_pol": "19499cba07be79685e58b3be1bb2c4a3ac6fa370f6b3c3fa91cf80b1be711c1f",
+        "loss_spin": "22a5ae39cdf88ffaf9e8becd3562c370c17ec83468b2117937a11fe24cf6aee2",
+        "loss_cav": "a8bebf3c279edcca5bc4efd1fb27656542095b45f474f87aa9ff467fa39bf4f3",
+        "loss_dephasing": "7c4ef87a280fce82e00e76e57db2a7c93ccf6f3ec60b24e775fdbafe5a32a7b9",
+        "residual": "3c9a7afe7a583f1eb1e0aad50bc5e5a3d9df7fc172e4fea38681d1376a26bd60",
+        "reference_counts": "76e9c8afbd06bc34e79df8b51d2b2602e18269b92f527f8aaad758075b27af31",
+    }),
+}
+
+
+@pytest.mark.parametrize("seed, size", list(_PINNED_BATCHES), ids=["48-lanes", "320-lanes"])
+def test_random_batch_arrays_pinned(seed, size):
+    steps, pinned = _PINNED_BATCHES[seed, size]
+    signals, writes, reads = _random_lanes(np.random.default_rng(seed), size)
+    main, c_ref, _ = simulate_batch(CFG, signals, writes, reads, 0.0, 0.02,
+                                    keep_flux=True)
+    arrays = {k: v for k, v in main.items() if isinstance(v, np.ndarray)}
+    arrays["reference_counts"] = c_ref
+    assert {k: hashlib.sha256(v.tobytes()).hexdigest()
+            for k, v in arrays.items()} == pinned
+    assert main["loop_steps"] == steps
+
+
 def test_lane_arrays_of_mixed_batch_equal_each_lane_alone():
     # every parameter array of a batch holds, bit for bit, what the lane
     # assembles alone, under a per-lane drift

@@ -91,6 +91,39 @@ def test_overlap_rule_matches_simulator():
     assert faults == ["read/write overlap"]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_gene_rejected_at_each_entry_point(value):
+    # each once read as an objective of 0: the objective of the vector, a
+    # grid search's "best" of 0.0, or a GA seeded with it
+    bad = DEFAULT_VEC.copy()
+    bad[4] = value
+    with pytest.raises(DomainError, match="signal_fwhm_ns"):
+        objective(bad, CFG)
+    fixed = fixed_from_default()
+    scan = {"write_energy_nj": np.array([0.1, 0.2])}
+    with pytest.raises(DomainError, match="signal_fwhm_ns"):
+        grid_search(SPACE, CFG, scan, dict(fixed, signal_fwhm_ns=value))
+    with pytest.raises(DomainError, match="write_energy_nj"):
+        grid_search(SPACE, CFG, {"write_energy_nj": np.array([0.1, value])}, fixed)
+    with pytest.raises(DomainError, match="signal_fwhm_ns"):
+        run_ga(SPACE, CFG, DriftModel(), small_settings(), initial=bad)
+    population = np.tile(DEFAULT_VEC, (10, 1))
+    population[3] = bad
+    with pytest.raises(DomainError, match="signal_fwhm_ns"):
+        run_ga(SPACE, CFG, DriftModel(), small_settings(), initial_population=population)
+
+
+def test_finite_infeasible_ga_vector_still_scores_zero_as_a_fault():
+    # a negative write width inside the GA is a fault, not an error
+    bad = DEFAULT_VEC.copy()
+    bad[5] = -1.0
+    space = ParameterSpace(bounds=dict(SPACE.bounds, write_fwhm_ns=(-2.0, 5.0, 1e-3)))
+    trace = run_ga(space, CFG, DriftModel(), small_settings(generations=1),
+                   initial_population=np.tile(bad, (10, 1)))
+    assert trace.iterations[0]["objective"] == 0.0
+    assert len(trace.faults) >= 10
+
+
 # ----------------------------------------------------------------------- GA
 
 def small_settings(**kw):
