@@ -38,24 +38,22 @@ chunks of steps, and reuses them across the stages that share a time; it
 books the fluxes and counts per chunk.  A step writes its stages and its
 new state into buffers made once per batch, so it allocates no array, and
 it keeps the operation order of the plain RK4 formulas, so it keeps their
-bits.  Every lane runs on its own clock over the grid t_k = k dt: it
-starts from rest at its own window and stops counting after it.  Between
-the end of the write window and the start of the read window nothing
+bits.  Each lane has one clock, its index k on the grid t_k = k dt, and
+each of its events is a grid index: its start, storage midpoint t_mid,
+write-window end, read-window start, last drive-window close, and end.
+It starts from rest at its start and counts only up to its end.  From
+the end of the write window to the start of the read window nothing
 drives a lane, and the memory is linear and time invariant (the
 storage/retrieval linear-map view of Gorshkov et al., PRA 76, 033804
-(2007)).  There the lane jumps to the read window's first grid point
-with the exact propagator: a 2x2 matrix exponential in eigen form for
-(a, P) and a scalar exponential for S.  The loss and output integrals over
-the jump are booked in closed form.  The same holds after the read: a
-lane's loop ends at the first grid point at or after its last drive
-window closes, and the exact propagator carries it over the ring-down to
-the end of its window; what is left there is the residual excitation.
-One rule places t_mid, the lane's own storage-midpoint grid point, in the
-loop and the jump alike (it never lies in the ring-down): output before
-it is leak and after it retrieved, and the kernel acts there.  The segment
-points depend only on the lane's pulse windows, so a lane's results do not
-depend on the other lanes of its batch, and a lane without drive-free
-storage time steps through it with RK4.
+(2007)).  The lane jumps across that segment with the exact propagator, a
+2x2 matrix exponential in eigen form for (a, P) and a scalar exponential
+for S, and books its loss and output integrals in closed form.  The same
+propagator carries it over the ring-down from its close to its end; what
+is left there is the residual excitation.  One rule holds for a chunk of
+RK4 steps, the jump and the ring-down alike: the kernel acts in the
+segment (k_a, k_b] that holds t_mid's grid point, and output before it is
+leak and after it retrieved.  The events depend only on the lane's
+pulses, so a lane's results do not depend on the other lanes of its batch.
 
 All simulations are pure functions of (config, pulses, drift); scans evaluate
 their points as one vectorized batch (the bandwidth scan one batch over all
@@ -64,7 +62,6 @@ widths per refinement round), so results cannot depend on evaluation order.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -226,20 +223,23 @@ def _gauss_flux(t, center, fwhm, n):
 
 
 def _lane_steps(par: dict, dt: float):
-    """Grid indices (t_k = k dt) of each lane's start, storage midpoint and
-    end, and of the first and last point of its drive-free interval."""
+    """Grid indices (t_k = k dt) of each lane's events: its start, its
+    storage midpoint t_mid, the first and last point of its drive-free
+    storage time, the first point at or after its last drive window closes,
+    and its end."""
     return (np.floor(par["t_start"] / dt).astype(int),
             np.ceil(par["t_mid"] / dt).astype(int),
-            np.ceil(par["t_end"] / dt).astype(int),
             np.ceil(par["t_free"] / dt).astype(int),
-            np.floor(par["t_read"] / dt).astype(int))
+            np.floor(par["t_read"] / dt).astype(int),
+            np.ceil(par["t_close"] / dt).astype(int),
+            np.ceil(par["t_end"] / dt).astype(int))
 
 
-def _lanes_by_step(steps) -> dict:
-    """Map each loop index to the lanes that have an event there."""
+def _lanes_by_step(steps, lanes) -> dict:
+    """Map each step to those of `lanes` that have an event there."""
     out: dict[int, list] = {}
-    for lane, k in enumerate(steps.tolist()):
-        out.setdefault(k, []).append(lane)
+    for step, lane in zip(steps.tolist(), lanes.tolist()):
+        out.setdefault(step, []).append(lane)
     return out
 
 
@@ -315,20 +315,17 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
 
     `par` holds per-individual parameter arrays (see simulate_batch).  The
     grid points are t_k = k dt and [t0, t1] must lie on them; it spans
-    every lane's window.  Two drive-free segments of a lane skip the loop:
-    its storage time from k_free to k_read, and its ring-down from k_close,
-    the first grid point at or after its last drive window closes, to its
-    end k_end.  The exact propagator carries a lane over either with one
-    rule for t_mid: output before it is leak and after it retrieved, and
-    the dephasing kernel acts there when it lies inside the segment;
-    elsewhere the loop applies it after the step that lands on it.  At loop
-    index i a lane sits at grid index k_start + i, plus the length J of its
-    jump once it has made it.  Chunks of the drive table end at every jump,
-    so each RK4 stage sees the drives at the lane's true time, and the loop
-    ends once every lane has reached k_close.  Each lane integrates from
-    rest at its own start and accumulates its counts up to its own end, and
-    its segment points depend only on its own pulses, so its results do not
-    depend on the other lanes of the batch.  Returns integrated counts and
+    every lane's window.  A lane's one clock is its grid index, and its
+    events are grid indices (see _lane_steps).  It RK4-steps in chunks
+    from rest at k_start, except over its storage time from k_free to
+    k_read, which it jumps after k_free - k_start steps, and its ring-down
+    from k_close to k_end: there the exact propagator carries it.  In a
+    chunk, the jump and the ring-down alike the kernel acts in the segment
+    (k_a, k_b] that holds k_mid (holds_mid).  Chunks end at every jump, so
+    each RK4 stage sees the drives at the lane's true time, and the loop
+    ends once every lane has reached k_close.  A lane's events depend only
+    on its own pulses, so its results do not depend on the other lanes of
+    the batch.  Returns integrated counts and
     loss channels per individual; the loop's step and lane-step counts; the
     largest lambda_max dt of the batch and its stability margin, the factor
     by which dt could grow before the guard (lambda_max dt <= 2.5) refuses
@@ -361,26 +358,18 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     loss_rates = np.stack([par["kappa"] - par["kappa_ext"], par["gamma_p"],
                            par["gamma_s"]])
     kernel = par["kernel"]
-    k_start, k_mid, k_end, k_free, k_read = _lane_steps(par, dt)
-    k_close = np.ceil(par["t_close"] / dt).astype(int)
-    skip = np.maximum(k_read - k_free, 0)    # J, the steps a lane jumps over
+    k_start, k_mid, k_free, k_read, k_close, k_end = _lane_steps(par, dt)
+    # the jump is the one event scheduled ahead, by the steps before it;
+    # the loop ends when the last lane has stepped to k_close
+    jumps = np.flatnonzero(k_read > k_free)
+    jump_at = _lanes_by_step(k_free[jumps] - k_start[jumps], jumps)
+    n_iter = int(np.max(k_close - k_start - np.maximum(k_read - k_free, 0)))
 
-    def loop_index(k):
-        """Loop index at which each lane sits at grid index k (outside its jump)."""
-        return k - k_start - np.where(k > k_free, skip, 0)
-
-    # the kernel acts after the step that lands a lane on t_mid; -1, which
-    # the loop never reaches, marks a t_mid in the jump, where drive_free
-    # applies it.  t_close closes the write window too, so t_mid never lies
-    # in the ring-down
-    in_loop = ~((k_free < k_mid) & (k_mid <= k_read))
-    kernel_at = _lanes_by_step(np.where(in_loop, loop_index(k_mid) - 1, -1))
-    jump_at = _lanes_by_step(np.where(skip > 0, k_free - k_start, -1))
-    jump_at.pop(-1, None)
-    n_iter = int(np.max(loop_index(k_close)))
-    stops = sorted(jump_at) + [n_iter]
-    # grid index of each lane at loop index 0; a jump moves it on by J
-    offset = k_start.copy()
+    def holds_mid(k_a, k_b, lanes=slice(None)):
+        """Whether each of `lanes` (all by default) has k_mid in its segment
+        (k_a, k_b], where the kernel acts.  t_mid never lies in the
+        ring-down, since t_close closes the write window too."""
+        return (k_a < k_mid[lanes]) & (k_mid[lanes] <= k_b)
 
     chunk = max(4, min(64, _CHUNK_LANE_STEPS // b))
     # every buffer of the loop is made here, once: the four RK4 stages, the
@@ -441,7 +430,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         sub = (diag[:, lanes], ig[lanes], s_ap[:, lanes])
         n_before = np.clip(k_mid[lanes] - k_a, 0, k_b - k_a)
         y_mid, to_mid = _free_evolution(y_a, *sub, n_before * dt)
-        inside = (k_a < k_mid[lanes]) & (k_mid[lanes] <= k_b)
+        inside = holds_mid(k_a, k_b, lanes)
         y_mid[2, inside] = dephase(y_mid[2, inside], lanes[inside])
         y_b, from_mid = _free_evolution(y_mid, *sub, (k_b - k_a - n_before) * dt)
         counts[0, lanes] += par["kappa_ext"][lanes] * to_mid[0]
@@ -456,9 +445,80 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                     par["kappa_ext"][lane] * np.abs(a_t) ** 2
         return y_b
 
-    i0 = 0
-    while i0 < n_iter:
-        lanes = jump_at.get(i0)
+    base = k_start.copy()         # each lane's grid index: the loop's one clock
+    done = 0                      # the steps every lane has taken
+    for stop in sorted(jump_at) + [n_iter]:
+        while done < stop:
+            # the chunk (base, base + m] ends at the next jump, so each
+            # lane's grid indices run on; the kernel acts after the step
+            # that lands a lane on its k_mid
+            m = min(chunk, stop - done)
+            mid = np.flatnonzero(holds_mid(base, base + m))
+            kernel_at = _lanes_by_step(k_mid[mid] - base[mid] - 1, mid)
+            a_in, om = _drives(par, 2 * base + np.arange(2 * m + 1)[:, None], k_start, dt)
+            up = np.empty((2 * m + 1, 2, b), dtype=complex)
+            up[:, 0] = ig
+            up[:, 1] = 0.5j * om
+            down = np.empty_like(up)
+            down[:, 0] = ig
+            down[:, 1] = 0.5j * np.conj(om)
+            ups, downs, forces = list(up), list(down), list(sqrt_kext * a_in)
+            for r in range(m):
+                e, o = 2 * r, 2 * r + 1
+                y_r = rows[r]
+                y_all = y_r[0]
+                deriv(k1, y_r, ups[e], downs[e], forces[e])
+                mul(c_half, k1[0], z_all)            # z = y + (dt/2) k1
+                add(y_all, z_all, z_all)
+                deriv(k2, z, ups[o], downs[o], forces[o])
+                mul(c_half, k2[0], z_all)
+                add(y_all, z_all, z_all)
+                deriv(k3, z, ups[o], downs[o], forces[o])
+                mul(c_dt, k3[0], z_all)
+                add(y_all, z_all, z_all)
+                deriv(k4, z, ups[e + 2], downs[e + 2], forces[e + 2])
+                acc = k2[0]                          # k1 + 2 (k2 + k3) + k4, in k2
+                add(acc, k3[0], acc)
+                mul(c_two, acc, acc)
+                add(k1[0], acc, acc)
+                add(acc, k4[0], acc)
+                mul(c_sixth, acc, acc)
+                add(y_all, acc, states[r + 1])
+                lanes = kernel_at.get(r)
+                if lanes is not None:
+                    states[r + 1, 2, lanes] = dephase(states[r + 1, 2, lanes], lanes)
+
+            # fluxes at the chunk's grid points, then trapezoids per step
+            ain = a_in[2::2]
+            flux = np.empty((m, 5, b))
+            stepped = states[1:m + 1]
+            flux[:, 0] = np.abs(sqrt_kext * stepped[:, 0] - ain) ** 2
+            flux[:, 1] = np.abs(ain) ** 2
+            flux[:, 2:] = loss_rates * np.abs(stepped) ** 2
+            k_grid = base + 1 + np.arange(m)[:, None]
+            # the state of each lane whose drives end in this chunk
+            closed = np.flatnonzero((base < k_close) & (k_close <= base + m))
+            if closed.size:
+                y_close[:, closed] = states[k_close[closed] - base[closed], :, closed].T
+            if keep_flux:
+                kept = k_grid <= k_end
+                out_flux[k_grid[kept] - k0, np.nonzero(kept)[1]] = flux[:, 0][kept]
+            trap = half * (np.concatenate([f_prev[None], flux[:-1]]) + flux)
+            f_prev = flux[-1]
+            live = k_grid <= k_close
+            before = k_grid <= k_mid
+            steps = np.empty((m + 1, 6, b))
+            steps[0] = counts
+            steps[1:, 0] = trap[:, 0] * (live & before)
+            steps[1:, 1] = trap[:, 0] * (live & ~before)
+            steps[1:, 2:] = trap[:, 1:] * live[:, None]
+            # a running sum in step order, so each lane adds its own terms in
+            # the same sequence whatever batch it is part of
+            counts = np.add.accumulate(steps, axis=0)[-1]
+            y[...] = states[m]            # the next chunk starts from here
+            base += m
+            done += m
+        lanes = jump_at.get(stop)
         if lanes is not None:
             # the jump from k_free to k_read, after which the loop goes on
             lanes = np.asarray(lanes)
@@ -466,72 +526,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             f_prev[:, lanes] = np.concatenate([
                 par["kappa_ext"][lanes] * np.abs(y[:1, lanes]) ** 2,
                 np.zeros((1, len(lanes))), loss_rates[:, lanes] * np.abs(y[:, lanes]) ** 2])
-            offset[lanes] += skip[lanes]
-        # the chunk ends at the next jump, so each lane's grid indices run on
-        m = min(chunk, stops[bisect.bisect_right(stops, i0)] - i0)
-        base = offset + i0            # each lane's grid index at the chunk start
-        a_in, om = _drives(par, 2 * base + np.arange(2 * m + 1)[:, None], k_start, dt)
-        up = np.empty((2 * m + 1, 2, b), dtype=complex)
-        up[:, 0] = ig
-        up[:, 1] = 0.5j * om
-        down = np.empty_like(up)
-        down[:, 0] = ig
-        down[:, 1] = 0.5j * np.conj(om)
-        ups, downs, forces = list(up), list(down), list(sqrt_kext * a_in)
-        for r in range(m):
-            e, o = 2 * r, 2 * r + 1
-            y_r = rows[r]
-            y_all = y_r[0]
-            deriv(k1, y_r, ups[e], downs[e], forces[e])
-            mul(c_half, k1[0], z_all)            # z = y + (dt/2) k1
-            add(y_all, z_all, z_all)
-            deriv(k2, z, ups[o], downs[o], forces[o])
-            mul(c_half, k2[0], z_all)
-            add(y_all, z_all, z_all)
-            deriv(k3, z, ups[o], downs[o], forces[o])
-            mul(c_dt, k3[0], z_all)
-            add(y_all, z_all, z_all)
-            deriv(k4, z, ups[e + 2], downs[e + 2], forces[e + 2])
-            acc = k2[0]                          # k1 + 2 (k2 + k3) + k4, in k2
-            add(acc, k3[0], acc)
-            mul(c_two, acc, acc)
-            add(k1[0], acc, acc)
-            add(acc, k4[0], acc)
-            mul(c_sixth, acc, acc)
-            add(y_all, acc, states[r + 1])
-            lanes = kernel_at.get(i0 + r)
-            if lanes is not None:
-                states[r + 1, 2, lanes] = dephase(states[r + 1, 2, lanes], lanes)
-
-        # fluxes at the chunk's grid points, then trapezoids per step
-        ain = a_in[2::2]
-        flux = np.empty((m, 5, b))
-        stepped = states[1:m + 1]
-        flux[:, 0] = np.abs(sqrt_kext * stepped[:, 0] - ain) ** 2
-        flux[:, 1] = np.abs(ain) ** 2
-        flux[:, 2:] = loss_rates * np.abs(stepped) ** 2
-        k_grid = base + 1 + np.arange(m)[:, None]
-        # the state of each lane whose drives end in this chunk
-        closed = np.flatnonzero((base < k_close) & (k_close <= base + m))
-        if closed.size:
-            y_close[:, closed] = states[k_close[closed] - base[closed], :, closed].T
-        if keep_flux:
-            kept = k_grid <= k_end
-            out_flux[k_grid[kept] - k0, np.nonzero(kept)[1]] = flux[:, 0][kept]
-        trap = half * (np.concatenate([f_prev[None], flux[:-1]]) + flux)
-        f_prev = flux[-1]
-        live = k_grid <= k_close
-        before = k_grid <= k_mid
-        steps = np.empty((m + 1, 6, b))
-        steps[0] = counts
-        steps[1:, 0] = trap[:, 0] * (live & before)
-        steps[1:, 1] = trap[:, 0] * (live & ~before)
-        steps[1:, 2:] = trap[:, 1:] * live[:, None]
-        # a running sum in step order, so each lane adds its own terms in
-        # the same sequence whatever batch it is part of
-        counts = np.add.accumulate(steps, axis=0)[-1]
-        y[...] = states[m]            # the next chunk starts from here
-        i0 += m
+            base[lanes] = k_read[lanes]
 
     # the ring-down: after k_close nothing drives a lane
     y_end = drive_free(np.arange(b), y_close, k_close, k_end)
@@ -540,7 +535,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                 n_in=n_in, loss_pol=loss_pol, loss_spin=loss_spin,
                 loss_cav=loss_cav, loss_dephasing=dephasing,
                 residual=np.sum(np.abs(y_end) ** 2, axis=0),
-                loop_steps=i0, lane_steps=i0 * b, lam_max_dt=lam_max * dt,
+                loop_steps=done, lane_steps=done * b, lam_max_dt=lam_max * dt,
                 stability_margin=guard / (lam_max * dt))
 
 
@@ -675,7 +670,7 @@ def simulate_batch(config: MemoryConfig, signals, writes, reads,
     if not (math.isfinite(dt_ns) and dt_ns > 0):
         raise DomainError(f"time step must be finite and positive, got {dt_ns!r}")
     par = _pulse_par_arrays(config, signals, writes, reads, drift_offset_ghz)
-    k_start, _, k_end, _, _ = _lane_steps(par, dt_ns)
+    k_start, *_, k_end = _lane_steps(par, dt_ns)
     t0, t1 = dt_ns * int(k_start.min()), dt_ns * int(k_end.max())
     main = _integrate_batch(par, t0, t1, dt_ns, keep_flux)
     return main, _reference_counts(par), (t0, t1)

@@ -160,10 +160,15 @@ def _pulses_from_vector(x, base_write_center: float = 0.1,
 
 
 def _require_finite_genes(vectors, what: str) -> np.ndarray:
-    """`vectors` as a float array; DomainError naming every parameter that
-    holds a NaN or inf, which no pulse setting has and so no objective."""
+    """`vectors` as a float array; DomainError unless each vector holds one
+    gene per parameter, naming every parameter that holds a NaN or inf,
+    which no pulse setting has and so no objective."""
     arr = np.asarray(vectors, dtype=float)
-    bad = [n for n, col in zip(PARAMETER_NAMES, np.atleast_2d(arr).T)
+    rows = np.atleast_2d(arr)
+    if rows.shape[-1] != len(PARAMETER_NAMES):
+        raise DomainError(f"{what} must hold {len(PARAMETER_NAMES)} genes "
+                          f"({', '.join(PARAMETER_NAMES)}), got shape {arr.shape}")
+    bad = [n for n, col in zip(PARAMETER_NAMES, rows.T)
            if not np.all(np.isfinite(col))]
     if bad:
         raise DomainError(f"{what} must be finite; non-finite {', '.join(bad)}")
@@ -258,10 +263,10 @@ def run_ga(space: ParameterSpace, config: MemoryConfig, drift: DriftModel,
                               drift=drift)
 
     if initial_population is not None:
-        pop = np.clip(_require_finite_genes(initial_population, "initial population"),
-                      lo, hi)
+        pop = _require_finite_genes(initial_population, "initial population")
         if pop.shape != (settings.population, len(lo)):
             raise DomainError("initial population shape mismatch")
+        pop = np.clip(pop, lo, hi)
     else:
         pop = rng.uniform(lo, hi, size=(settings.population, len(lo)))
         if initial is not None:
@@ -345,6 +350,8 @@ def grid_search(space: ParameterSpace, config: MemoryConfig,
     names = list(scan)
     grids = [np.asarray(scan[n], dtype=float) for n in names]
     shape = tuple(len(g) for g in grids)
+    if 0 in shape:
+        raise DomainError(f"empty grid for {names[shape.index(0)]}")
     total = int(np.prod(shape))
     if total > 1_000_000:
         raise DomainError("grid too large (over 1e6 points)")

@@ -351,7 +351,7 @@ def test_jumping_lane_independent_of_batch_companions():
     from cavmem.memory import _lane_steps, _pulse_par_arrays, batch_efficiency
     read = replace(READ, center_ns=WRITE.center_ns + 40.0)
     k_free, k_read = _lane_steps(_pulse_par_arrays(CFG, [SIG], [WRITE], [read], 0.0),
-                                 0.02)[3:]
+                                 0.02)[2:4]
     assert k_read[0] > k_free[0]          # the lane does jump
     alone = batch_efficiency(CFG, [SIG], [WRITE], [read], 0.0, 0.02)[0]
     rng = np.random.default_rng(11)
@@ -387,12 +387,47 @@ def test_dark_read_before_write_takes_its_kernel_before_the_ring_down():
     from cavmem.memory import _lane_steps, _pulse_par_arrays
     write, dark_read = replace(WRITE, center_ns=30.0), replace(READ, energy=0.0)
     par = _pulse_par_arrays(CFG, [SIG], [write], [dark_read], 0.0)
-    _, k_mid, _, _, _ = _lane_steps(par, 0.02)
-    k_close = math.ceil(par["t_close"][0] / 0.02)
-    assert k_mid[0] <= k_close
+    _, k_mid, _, _, k_close, _ = _lane_steps(par, 0.02)
+    assert k_mid[0] <= k_close[0]
     main, _, _ = simulate_batch(CFG, [SIG], [write], [dark_read], 0.0, 0.02)
     assert main["loss_dephasing"][0] > 0.0
     assert _closure(main)[0] < 1e-4
+
+
+@pytest.mark.parametrize("event", ["free", "read"])
+def test_kernel_acts_where_t_mid_meets_a_jump_end(event):
+    # t_mid on the last point before the jump (k_free) is taken by the RK4
+    # chunk, t_mid on the jump's last point (k_read) by the jump; either way
+    # the lane takes its kernel once, closes its bookkeeping and keeps its
+    # bits beside a companion that jumps elsewhere
+    from cavmem.memory import _lane_steps, _pulse_par_arrays
+    read, t_mid = replace(READ, center_ns=60.1), 0.5 * (WRITE.center_ns + 60.1)
+    if event == "free":
+        write = replace(WRITE, fwhm_ns=(t_mid - WRITE.center_ns) / 3)
+    else:
+        write, read = WRITE, replace(read, fwhm_ns=(60.1 - t_mid) / 3)
+    _, k_mid, k_free, k_read, _, _ = _lane_steps(
+        _pulse_par_arrays(CFG, [SIG], [write], [read], 0.0), 0.02)
+    assert k_mid[0] == {"free": k_free, "read": k_read}[event][0]
+    assert k_free[0] < k_read[0]
+    alone, _, _ = simulate_batch(CFG, [SIG], [write], [read], 0.0, 0.02)
+    assert alone["loss_dephasing"][0] > 0.0
+    assert _closure(alone)[0] < 1e-4
+    pair, _, _ = simulate_batch(CFG, [SIG, SIG], [write, WRITE],
+                                [read, replace(READ, center_ns=90.0)], 0.0, 0.02)
+    for key in _COUNTS:
+        assert pair[key][0] == alone[key][0], key
+
+
+def test_integrate_batch_keeps_the_benchmark_hook_shape():
+    # perfbench/tracing.py reads (par, t0, t1, dt) by position and the step
+    # counts from the result
+    import inspect
+
+    from cavmem.memory import _integrate_batch
+    assert list(inspect.signature(_integrate_batch).parameters)[:4] == ["par", "t0", "t1", "dt"]
+    main, _, _ = simulate_batch(CFG, [SIG], [WRITE], [READ], 0.0, 0.02)
+    assert {"loop_steps", "lane_steps"} <= set(main)
 
 
 def test_no_drive_outlasts_t_close():
@@ -603,6 +638,16 @@ def test_random_batch_arrays_pinned(seed, size):
     assert {k: hashlib.sha256(v.tobytes()).hexdigest()
             for k, v in arrays.items()} == pinned
     assert main["loop_steps"] == steps
+
+
+@pytest.mark.parametrize("lane_steps", [48 * 4, 48 * 5, 48 * 17, 4096],
+                         ids=["chunk-4", "chunk-5", "chunk-17", "chunk-64"])
+def test_chunk_ends_move_no_bits(lane_steps, monkeypatch):
+    # where a drive table ends is bookkeeping: every chunk length of the
+    # 48-lane batch gives its pinned arrays and step count
+    from cavmem import memory
+    monkeypatch.setattr(memory, "_CHUNK_LANE_STEPS", lane_steps)
+    test_random_batch_arrays_pinned(5, 48)
 
 
 def test_lane_arrays_of_mixed_batch_equal_each_lane_alone():

@@ -113,6 +113,22 @@ def test_non_finite_gene_rejected_at_each_entry_point(value):
         run_ga(SPACE, CFG, DriftModel(), small_settings(), initial_population=population)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: objective(DEFAULT_VEC[:7], CFG),
+    lambda: objective(np.append(DEFAULT_VEC, 1.0), CFG),
+    lambda: run_ga(SPACE, CFG, DriftModel(), small_settings(), initial=DEFAULT_VEC[:7]),
+    lambda: run_ga(SPACE, CFG, DriftModel(), small_settings(population=8),
+                   initial_population=np.tile(DEFAULT_VEC[:7], (8, 1))),
+    lambda: grid_search(SPACE, CFG, {"write_energy_nj": np.array([])},
+                        fixed_from_default()),
+], ids=["objective-7", "objective-9", "ga-initial-7", "ga-population-8x7",
+        "grid-empty-axis"])
+def test_malformed_input_rejected_at_each_entry_point(call):
+    # each once raised a bare ValueError from unpacking, clipping or argmax
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_finite_infeasible_ga_vector_still_scores_zero_as_a_fault():
     # a negative write width inside the GA is a fault, not an error
     bad = DEFAULT_VEC.copy()
