@@ -241,13 +241,17 @@ def cmd_fit(cfg: ExperimentConfig, args):
         with open(args.data, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            rows = [[float(v) for v in row] for row in reader if row]
+            rows = [(reader.line_num, [float(v) for v in row]) for row in reader if row]
     except (OSError, ValueError, StopIteration) as exc:
         raise ConfigError(f"cannot read fit data {args.data}: {exc}") from exc
     if len(header) < 2 or len(rows) < 3:
         raise ConfigError("fit data must be a two-column CSV with a header")
-    x = np.array([r[0] for r in rows])
-    y = np.array([r[1] for r in rows])
+    for line, row in rows:
+        if len(row) < 2:
+            raise ConfigError(f"fit data {args.data} line {line} holds {row}; "
+                              "each row needs an x and a y value")
+    x = np.array([row[0] for _, row in rows])
+    y = np.array([row[1] for _, row in rows])
     if args.model == "cavity":
         cav = cfg.cavity_params()
         fit = fitting.fit_cavity_reflection(x, y, r1=cav.r1, r2=cav.r2)

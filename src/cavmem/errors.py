@@ -1,6 +1,9 @@
-"""Exception hierarchy shared across the toolkit, and its finite-field check."""
+"""Exception hierarchy shared across the toolkit, and its field type rule."""
 
 import math
+import numbers
+from dataclasses import fields
+from functools import cache
 
 import numpy as np
 
@@ -25,10 +28,44 @@ class ConfigError(CavmemError):
     """Invalid experiment configuration (unknown keys, bad values)."""
 
 
+# what each annotation admits: (type, whether None is allowed, what it is)
+_KINDS = {"float": (numbers.Real, False, "a real number"),
+          "float | None": (numbers.Real, True, "a real number or null"),
+          "int": (numbers.Integral, False, "an integer"),
+          "bool": (bool, False, "true or false")}
+_FLOATS = frozenset((float, np.float64))
+
+
+@cache
+def _field_kinds(cls) -> tuple:
+    """(name, kind) of each field of a dataclass whose annotation, a string
+    under postponed evaluation, is in _KINDS."""
+    names = ((f.name, f.type if isinstance(f.type, str) else f.type.__name__)
+             for f in fields(cls))
+    return tuple((name, _KINDS[ann]) for name, ann in names if ann in _KINDS)
+
+
+def _holds(value, kind, optional: bool) -> bool:
+    """Whether value is what a field of this kind admits."""
+    if value is None:
+        return optional
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, kind) and (kind is not numbers.Real or math.isfinite(value))
+
+
 def require_finite(obj, what: str) -> None:
-    """DomainError unless every floating-point field of obj is finite.  Other
-    fields are left alone: integers, None for an unset optional value and
-    nested parameter sets, which check their own fields."""
-    for name, value in vars(obj).items():
-        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-            raise DomainError(f"{what} {name} must be finite, got {value!r}")
+    """DomainError unless every field of the dataclass obj holds what its
+    annotation says: a float field a finite real number, an int field an
+    integer, a bool field a bool (a bool is no number), and an optional
+    field may hold None.  Fields of other types, such as nested parameter
+    sets, which check their own fields, are left alone."""
+    values = vars(obj)
+    for name, (kind, optional, wanted) in _field_kinds(type(obj)):
+        value = values[name]
+        # a Python or numpy float in a float field is the common case
+        if not (math.isfinite(value) if type(value) in _FLOATS and kind is numbers.Real
+                else _holds(value, kind, optional)):
+            if kind is numbers.Real and isinstance(value, (float, np.floating)):
+                wanted = "finite"
+            raise DomainError(f"{what} {name} must be {wanted}, got {value!r}")

@@ -34,14 +34,15 @@ stated once, in `total_efficiency`: a signal without photons has C_ref = 0
 and no efficiency, so it raises DomainError rather than reading 0.
 
 The RK4 loop evaluates the drives a_in(t) and W(t) once per half step, in
-chunks of steps, and reuses them across the stages that share a time; it
-books the fluxes and counts per chunk.  A step writes its stages and its
-new state into buffers made once per batch, so it allocates no array, and
-it keeps the operation order of the plain RK4 formulas, so it keeps their
-bits.  Each lane has one clock, its index k on the grid t_k = k dt, and
-each of its events is a grid index: its start, storage midpoint t_mid,
-write-window end, read-window start, last drive-window close, and end.
-It starts from rest at its start and counts only up to its end.  From
+chunks of steps, and reuses them across the stages that share a time.  The
+tables a chunk fills (stages, states, coupling rows, force, fluxes, count
+steps) are made once per batch, so a step allocates no array, and it keeps
+the operation order of the plain RK4 formulas, so it keeps their bits.
+Each lane has one clock, its index k on the grid t_k = k dt, and each of
+its events is a grid index: its start, storage midpoint t_mid, write-window
+end, read-window start, last drive-window close, and end.  It rests at zero
+at its start, the one point whose drives the loop zeroes; the chunks count
+it up to its close and the ring-down to its end.  From
 the end of the write window to the start of the read window nothing
 drives a lane, and the memory is linear and time invariant (the
 storage/retrieval linear-map view of Gorshkov et al., PRA 76, 033804
@@ -243,12 +244,11 @@ def _lanes_by_step(steps, lanes) -> dict:
     return out
 
 
-def _drives(par: dict, half_steps, k_start, dt: float):
+def _drives(par: dict, half_steps, dt: float):
     """Input amplitude a_in and control Rabi frequency W on half-step points.
 
-    `half_steps` counts half steps from t = 0, one column per lane.  A
-    lane's drives are zero up to and including its own start, so it rests
-    exactly at zero until then.
+    `half_steps` counts half steps from t = 0, one column per lane; the
+    loop zeroes the point at a lane's own start, where it rests at zero.
     """
     t = (0.5 * half_steps) * dt
     a_in = np.sqrt(_gauss_flux(t, par["sig_c"], par["sig_f"], par["sig_n"])) \
@@ -256,8 +256,7 @@ def _drives(par: dict, half_steps, k_start, dt: float):
     om = par["omega_w"] * np.exp(-2 * _LN2 * ((t - par["w_c"]) / par["w_f"]) ** 2) \
         + par["omega_r"] * np.exp(-2 * _LN2 * ((t - par["r_c"]) / par["r_f"]) ** 2
                                   - 1j * par["chirp_r"] * (t - par["r_c"]))
-    live = half_steps > 2 * k_start
-    return np.where(live, a_in, 0.0), np.where(live, om, 0.0)
+    return a_in, om
 
 
 def _ap_eigenvalues(par: dict):
@@ -325,12 +324,12 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     each RK4 stage sees the drives at the lane's true time, and the loop
     ends once every lane has reached k_close.  A lane's events depend only
     on its own pulses, so its results do not depend on the other lanes of
-    the batch.  Returns integrated counts and
-    loss channels per individual; the loop's step and lane-step counts; the
-    largest lambda_max dt of the batch and its stability margin, the factor
-    by which dt could grow before the guard (lambda_max dt <= 2.5) refuses
-    it; and the output flux on the grid when `keep_flux` is set, whose rows
-    outside a lane's window stay zero.
+    the batch.  Returns integrated counts and loss channels per individual;
+    the loop's step and lane-step counts; the largest lambda_max dt of the
+    batch and its stability margin, the factor by which dt could grow
+    before the guard (lambda_max dt <= 2.5) refuses it; and the output flux
+    on the grid when `keep_flux` is set, whose rows outside a lane's window
+    stay zero.
     """
     # the grid comes from the indices of t0 and t1: ceil of the float
     # (t1 - t0) / dt can land one step past t1
@@ -372,15 +371,18 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         return (k_a < k_mid[lanes]) & (k_mid[lanes] <= k_b)
 
     chunk = max(4, min(64, _CHUNK_LANE_STEPS // b))
-    # every buffer of the loop is made here, once: the four RK4 stages, the
-    # stage input z, a row pair for products, and the chunk's states, whose
-    # row 0 holds the state at the chunk start and row r + 1 the state after
-    # step r.  Each buffer is carried as its views (all rows, rows 0-1, rows
-    # 1-2, row 0), so a step makes no array unless the kernel acts.  Its
-    # ufuncs take `out` by position and its scalars as complex numbers,
-    # which numpy would otherwise convert on every call; the values and the
-    # operation order are those of y + dt/6 (k1 + 2 (k2 + k3) + k4), so
-    # every bit is kept
+    # every table of the loop is made here, once: the four RK4 stages, the
+    # stage input z, a row pair for products; the chunk's states, its fluxes
+    # at its grid points (output, input, cavity, P, S) and its count steps,
+    # each with row 0 at the chunk start and row r + 1 after step r; and its
+    # drive side on 2 chunk + 1 half-step points: the coupling rows up
+    # (ig, W/2) and down (ig, W*/2), whose ig rows never change, and the
+    # force sqrt(kappa_ext) a_in.  Each is carried as its views (all rows,
+    # rows 0-1, rows 1-2, row 0), so a step makes no array unless the kernel
+    # acts.  Its ufuncs take `out` by position and its scalars as complex
+    # numbers, which numpy would otherwise convert on every call; the values
+    # and the operation order are those of y + dt/6 (k1 + 2 (k2 + k3) + k4),
+    # so every bit is kept
     def views(x):
         return x, x[:2], x[1:], x[0]
 
@@ -391,6 +393,12 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     states = np.zeros((chunk + 1, 3, b), dtype=complex)
     rows = [views(s) for s in states]
     y = states[0]
+    fluxes = np.zeros((chunk + 1, 5, b))          # every lane rests at first
+    up, down = np.empty((2, 2 * chunk + 1, 2, b), dtype=complex)
+    up[:, 0] = down[:, 0] = ig
+    force = np.empty((2 * chunk + 1, b), dtype=complex)
+    ups, downs, forces = list(up), list(down), list(force)
+    steps = np.empty((chunk + 1, 6, b))
     mul, add = np.multiply, np.add
     c_half, c_dt, c_two, c_sixth = (np.complex128(v) for v in (0.5 * dt, dt, 2, dt / 6))
 
@@ -409,10 +417,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     counts = np.zeros((6, b))
     dephasing = np.zeros(b)
     y_close = np.zeros((3, b), dtype=complex)
-    # every lane rests at the first grid point
     out_flux = np.zeros((len(ts), b)) if keep_flux else None
-    # flux channels at the last grid point: output, input, cavity, P, S
-    f_prev = np.zeros((5, b))
     half = 0.5 * dt
 
     def dephase(s, lanes):
@@ -455,14 +460,13 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             m = min(chunk, stop - done)
             mid = np.flatnonzero(holds_mid(base, base + m))
             kernel_at = _lanes_by_step(k_mid[mid] - base[mid] - 1, mid)
-            a_in, om = _drives(par, 2 * base + np.arange(2 * m + 1)[:, None], k_start, dt)
-            up = np.empty((2 * m + 1, 2, b), dtype=complex)
-            up[:, 0] = ig
-            up[:, 1] = 0.5j * om
-            down = np.empty_like(up)
-            down[:, 0] = ig
-            down[:, 1] = 0.5j * np.conj(om)
-            ups, downs, forces = list(up), list(down), list(sqrt_kext * a_in)
+            n = 2 * m + 1
+            a_in, om = _drives(par, 2 * base + np.arange(n)[:, None], dt)
+            if done == 0:     # each lane rests at its k_start; all else lies past it
+                a_in[0] = om[0] = 0
+            mul(0.5j, om, up[:n, 1])
+            mul(0.5j, np.conj(om), down[:n, 1])
+            mul(sqrt_kext, a_in, force[:n])
             for r in range(m):
                 e, o = 2 * r, 2 * r + 1
                 y_r = rows[r]
@@ -488,9 +492,10 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                 if lanes is not None:
                     states[r + 1, 2, lanes] = dephase(states[r + 1, 2, lanes], lanes)
 
-            # fluxes at the chunk's grid points, then trapezoids per step
+            # fluxes at the chunk's grid points, then trapezoids per step; a
+            # lane counts and keeps its flux up to k_close, the ring-down after
             ain = a_in[2::2]
-            flux = np.empty((m, 5, b))
+            flux = fluxes[1:m + 1]
             stepped = states[1:m + 1]
             flux[:, 0] = np.abs(sqrt_kext * stepped[:, 0] - ain) ** 2
             flux[:, 1] = np.abs(ain) ** 2
@@ -500,21 +505,19 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             closed = np.flatnonzero((base < k_close) & (k_close <= base + m))
             if closed.size:
                 y_close[:, closed] = states[k_close[closed] - base[closed], :, closed].T
-            if keep_flux:
-                kept = k_grid <= k_end
-                out_flux[k_grid[kept] - k0, np.nonzero(kept)[1]] = flux[:, 0][kept]
-            trap = half * (np.concatenate([f_prev[None], flux[:-1]]) + flux)
-            f_prev = flux[-1]
             live = k_grid <= k_close
+            if keep_flux:
+                out_flux[k_grid[live] - k0, np.nonzero(live)[1]] = flux[:, 0][live]
+            trap = half * (fluxes[:m] + flux)
+            fluxes[0] = flux[-1]
             before = k_grid <= k_mid
-            steps = np.empty((m + 1, 6, b))
             steps[0] = counts
-            steps[1:, 0] = trap[:, 0] * (live & before)
-            steps[1:, 1] = trap[:, 0] * (live & ~before)
-            steps[1:, 2:] = trap[:, 1:] * live[:, None]
-            # a running sum in step order, so each lane adds its own terms in
-            # the same sequence whatever batch it is part of
-            counts = np.add.accumulate(steps, axis=0)[-1]
+            steps[1:m + 1, 0] = trap[:, 0] * (live & before)
+            steps[1:m + 1, 1] = trap[:, 0] * (live & ~before)
+            steps[1:m + 1, 2:] = trap[:, 1:] * live[:, None]
+            # a sum in step order, so each lane adds its own terms in the
+            # same sequence whatever batch it is part of
+            counts = np.add.reduce(steps[:m + 1], axis=0)
             y[...] = states[m]            # the next chunk starts from here
             base += m
             done += m
@@ -523,9 +526,10 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             # the jump from k_free to k_read, after which the loop goes on
             lanes = np.asarray(lanes)
             y[:, lanes] = drive_free(lanes, y[:, lanes], k_free[lanes], k_read[lanes])
-            f_prev[:, lanes] = np.concatenate([
-                par["kappa_ext"][lanes] * np.abs(y[:1, lanes]) ** 2,
-                np.zeros((1, len(lanes))), loss_rates[:, lanes] * np.abs(y[:, lanes]) ** 2])
+            f_start = fluxes[0]
+            f_start[0, lanes] = par["kappa_ext"][lanes] * np.abs(y[0, lanes]) ** 2
+            f_start[1, lanes] = 0.0
+            f_start[2:, lanes] = loss_rates[:, lanes] * np.abs(y[:, lanes]) ** 2
             base[lanes] = k_read[lanes]
 
     # the ring-down: after k_close nothing drives a lane
@@ -859,8 +863,6 @@ def energy_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
                 dt_ns: float = 0.01) -> np.ndarray:
     """Total efficiency versus write energy at fixed read/write energy ratio."""
     energies = np.asarray(write_energies_nj, dtype=float)
-    if np.any(energies < 0):
-        raise DomainError("energies must be non-negative")
     if write.energy <= 0:
         raise DomainError("the template write pulse must carry energy")
     ratio = read.energy / write.energy
@@ -885,8 +887,6 @@ def bandwidth_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
     fwhms = np.asarray(signal_fwhms_ns, dtype=float)
     if refine_rounds < 1:
         raise DomainError("at least one refinement round required")
-    if np.any(fwhms <= 0):
-        raise DomainError("signal widths must be positive")
     if write.energy <= 0:
         raise DomainError("the template write pulse must carry energy")
     ratio = read.energy / write.energy

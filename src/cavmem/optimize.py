@@ -14,7 +14,6 @@ reproducible bit-for-bit regardless of how the batch is executed.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,11 +91,6 @@ class DriftModel:
     noise_sd_ghz: float = 0.002
 
     def __post_init__(self):
-        if not isinstance(self.enabled, bool):
-            raise DomainError(f"drift enabled must be true or false, got {self.enabled!r}")
-        rates = (self.rate_ghz_per_iteration, self.noise_sd_ghz)
-        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in rates):
-            raise DomainError(f"drift rates must be numbers, got {rates!r}")
         require_finite(self, "drift")
         if self.noise_sd_ghz < 0:
             raise DomainError("drift noise_sd_ghz must be non-negative")
@@ -126,6 +120,10 @@ class GASettings:
             raise DomainError("population must be at least 8")
         if self.generations < 1:
             raise DomainError("at least one generation required")
+        if self.tournament < 1:
+            raise DomainError("tournament must hold at least one individual")
+        if self.crossover_eta < 0 or self.mutation_eta < 0:
+            raise DomainError("crossover and mutation eta must be non-negative")
         if not (0 <= self.crossover_prob <= 1 and 0 <= self.mutation_prob <= 1):
             raise DomainError("probabilities must lie in [0, 1]")
         if self.dt_ns <= 0:

@@ -758,6 +758,29 @@ def test_cli_refused_config_value_exits_2_without_output(tmp_path, capsys, overr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", [
+    {"optimizer": {"tournament": 0}},
+    {"optimizer": {"population": 24.5}},
+    {"optimizer": {"generations": 1.5}},
+    {"optimizer": {"mutation_eta": -1.0}},
+    {"pulses": {"read": {"center_ns": "12.6"}}},
+    {"memory": {"cooperativity": True}},
+], ids=["tournament-zero", "population-fraction", "generations-fraction",
+        "mutation-eta-negative", "read-centre-text", "cooperativity-bool"])
+def test_cli_config_value_of_wrong_kind_exits_2_without_output(tmp_path, capsys,
+                                                                override):
+    # each field holds what its annotation says, so a fraction in a count,
+    # text or a bool in a number and a count that the GA cannot use are all
+    # refused when the config loads, before any command runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(override))
+    out = tmp_path / "out"
+    rc = main(["--config", str(cfg), "--out", str(out), "store", "--dt", "0.02"])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
+
+
 def test_parameter_sets_refuse_what_they_cannot_use():
     from cavmem.errors import DomainError
     from cavmem.optimize import DriftModel, GASettings
@@ -814,6 +837,18 @@ def test_cli_fit_missing_file(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "fit", "--model", "line",
                str(tmp_path / "nope.csv")])
     assert rc == 2
+
+
+def test_cli_fit_short_row_exits_2_without_output(tmp_path, capsys):
+    data = tmp_path / "short.csv"
+    data.write_text("x,y\n1,2\n3\n4,5\n6,7\n")
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), "fit", "--model", "line", str(data)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "line 3" in err["message"]
+    assert not out.exists()
 
 
 def test_cli_constants_override(tmp_path):

@@ -443,7 +443,7 @@ def test_no_drive_outlasts_t_close():
 
     def drives(p, t):
         # |a_in| and |Omega| at times t (dt = 1, no lane held at rest)
-        return np.abs(_drives(p, 2 * t, np.full(b, -10 ** 6), 1.0))
+        return np.abs(_drives(p, 2 * t, 1.0))
 
     assert np.all(drives(par, after)[0]
                   <= drives(par, (par["sig_c"] + 4 * par["sig_f"])[None])[0])
@@ -502,6 +502,17 @@ def test_bandwidth_scan_needs_a_refinement_round():
     # no round left the "no best yet" marker -1 as the efficiency
     with pytest.raises(DomainError, match="round"):
         bandwidth_scan(CFG, SIG, WRITE, READ, [1.5], dt_ns=0.02, refine_rounds=0)
+
+
+@pytest.mark.parametrize("scan, value", [
+    (energy_scan, -0.1), (energy_scan, math.nan),
+    (bandwidth_scan, 0.0), (bandwidth_scan, -0.1), (bandwidth_scan, math.nan),
+], ids=["energy-negative", "energy-nan", "width-zero", "width-negative", "width-nan"])
+def test_scans_refuse_their_grid_through_the_pulses_they_build(scan, value):
+    # a negative or NaN write energy and a non-positive or NaN signal width
+    # are refused by PulseShape, from which each scan builds its points
+    with pytest.raises(DomainError):
+        scan(CFG, SIG, WRITE, READ, [1.0, value], dt_ns=0.02)
 
 
 @pytest.mark.parametrize("run_it", [
