@@ -33,16 +33,13 @@ _KINDS = {"float": (numbers.Real, False, "a real number"),
           "float | None": (numbers.Real, True, "a real number or null"),
           "int": (numbers.Integral, False, "an integer"),
           "bool": (bool, False, "true or false")}
-_FLOATS = frozenset((float, np.float64))
 
 
 @cache
 def _field_kinds(cls) -> tuple:
     """(name, kind) of each field of a dataclass whose annotation, a string
     under postponed evaluation, is in _KINDS."""
-    names = ((f.name, f.type if isinstance(f.type, str) else f.type.__name__)
-             for f in fields(cls))
-    return tuple((name, _KINDS[ann]) for name, ann in names if ann in _KINDS)
+    return tuple((f.name, _KINDS[f.type]) for f in fields(cls) if f.type in _KINDS)
 
 
 def _holds(value, kind, optional: bool) -> bool:
@@ -63,9 +60,7 @@ def require_finite(obj, what: str) -> None:
     values = vars(obj)
     for name, (kind, optional, wanted) in _field_kinds(type(obj)):
         value = values[name]
-        # a Python or numpy float in a float field is the common case
-        if not (math.isfinite(value) if type(value) in _FLOATS and kind is numbers.Real
-                else _holds(value, kind, optional)):
+        if not _holds(value, kind, optional):
             if kind is numbers.Real and isinstance(value, (float, np.floating)):
                 wanted = "finite"
             raise DomainError(f"{what} {name} must be {wanted}, got {value!r}")

@@ -13,6 +13,7 @@ import pytest
 
 from cavmem import atomic, cavity, fitting, memory, optimize, vapour
 from cavmem.config import ExperimentConfig
+from record_bench import criterion_5_lines
 
 TWO_PI = 2 * math.pi
 
@@ -139,16 +140,8 @@ def test_criterion_4_residual_doppler():
 
 def test_criterion_5_zeeman_structure():
     c = Checker("criterion 5 zeeman structure")
-    lines = atomic.two_photon_lines(169.0, "sigma-", "sigma-",
-                                    total_window_ghz=(-20.0, 5.0))
-    grouped = atomic.group_two_photon_lines(lines)
-    smax = max(s for _, s, _ in grouped)
-    main = max(grouped, key=lambda t: t[1])
-    near = [t for t in grouped
-            if abs(t[0] - main[0]) <= 0.5 and t[1] > 0.05 * smax]
-    c.check("two_strong_lines", len(near) == 2, f"{len(near)} lines")
-    others = [t for t in near if t is not main]
-    sep_mhz = min(abs(t[0] - main[0]) for t in others) * 1e3 if others else 0.0
+    n_near, sep_mhz = criterion_5_lines()
+    c.check("two_strong_lines", n_near == 2, f"{n_near} lines")
     c.check("separation", abs(sep_mhz - 175.0) <= 15.0, f"{sep_mhz:.1f} MHz")
 
     worst = 0.0

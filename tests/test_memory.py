@@ -18,6 +18,7 @@ from cavmem.memory import (MemoryConfig, PulseShape, bandwidth_scan,
                            total_efficiency)
 from cavmem.optimize import (PARAMETER_NAMES, ParameterSpace, _pulses_from_vector,
                              objective)
+from record_bench import pinned_batch, random_lanes
 
 TWO_PI = 2 * math.pi
 
@@ -435,7 +436,7 @@ def test_no_drive_outlasts_t_close():
     # write and the read are each at most at their own window edge, also for
     # a write of 5 ns FWHM that closes after a read of 0.4 ns 10 ns later
     from cavmem.memory import _drives, _pulse_par_arrays
-    signals, writes, reads = _random_lanes(np.random.default_rng(41), 48)
+    signals, writes, reads = random_lanes(np.random.default_rng(41), 48)
     sig, write, read = _pulses_from_vector(np.array([0, 0.5, 5, -0.1, 1.5, 5, 10, 0.4]))
     par = _pulse_par_arrays(CFG, signals + [sig], writes + [write], reads + [read], 0.0)
     b = len(par["t_close"])
@@ -455,7 +456,7 @@ def test_no_drive_outlasts_t_close():
 
 def test_zero_length_drive_free_leg_keeps_state_bits():
     from cavmem.memory import _ap_eigenvalues, _free_evolution, _pulse_par_arrays
-    signals, writes, reads = _random_lanes(np.random.default_rng(31), 16)
+    signals, writes, reads = random_lanes(np.random.default_rng(31), 16)
     par = _pulse_par_arrays(CFG, signals, writes, reads, 0.0)
     c_a, c_p, s = _ap_eigenvalues(par)
     diag = np.stack([c_a, c_p, -(par["gamma_s"] / 2 + 1j * par["delta_2"])])
@@ -591,20 +592,6 @@ def test_storage_run_fingerprints_pinned():
     assert _store_fingerprint(res, _PINNED_STORE_60) == _PINNED_STORE_60
 
 
-def _random_lanes(rng, size):
-    """Pulses of random GA vectors with random phases and carriers."""
-    space = ParameterSpace()
-    lanes = []
-    for x in rng.uniform(space.lower(), space.upper(), size=(size, len(PARAMETER_NAMES))):
-        sig, write, read = _pulses_from_vector(x)
-        lanes.append((replace(sig, phase_rad=float(rng.uniform(-3.0, 3.0)),
-                              carrier_detuning_ghz=float(rng.uniform(-0.2, 0.2))),
-                      replace(write, phase_rad=float(rng.uniform(-3.0, 3.0))),
-                      replace(read, phase_rad=float(rng.uniform(-3.0, 3.0)),
-                              carrier_detuning_ghz=float(rng.uniform(-0.5, 0.5)))))
-    return [list(c) for c in zip(*lanes)]
-
-
 # sha256 of every array simulate_batch returns for random lanes at dt 0.02:
 # 48 lanes step in chunks of 64, 320 lanes in chunks of 12, so chunk ends
 # fall between jumps; recorded before the RK4 step wrote into fixed buffers
@@ -641,14 +628,7 @@ _PINNED_BATCHES = {
 @pytest.mark.parametrize("seed, size", list(_PINNED_BATCHES), ids=["48-lanes", "320-lanes"])
 def test_random_batch_arrays_pinned(seed, size):
     steps, pinned = _PINNED_BATCHES[seed, size]
-    signals, writes, reads = _random_lanes(np.random.default_rng(seed), size)
-    main, c_ref, _ = simulate_batch(CFG, signals, writes, reads, 0.0, 0.02,
-                                    keep_flux=True)
-    arrays = {k: v for k, v in main.items() if isinstance(v, np.ndarray)}
-    arrays["reference_counts"] = c_ref
-    assert {k: hashlib.sha256(v.tobytes()).hexdigest()
-            for k, v in arrays.items()} == pinned
-    assert main["loop_steps"] == steps
+    assert pinned_batch(seed, size) == {"loop_steps": steps, "sha256": pinned}
 
 
 @pytest.mark.parametrize("lane_steps", [48 * 4, 48 * 5, 48 * 17, 4096],
@@ -666,7 +646,7 @@ def test_lane_arrays_of_mixed_batch_equal_each_lane_alone():
     # assembles alone, under a per-lane drift
     from cavmem.memory import _pulse_par_arrays
     rng = np.random.default_rng(23)
-    signals, writes, reads = _random_lanes(rng, 40)
+    signals, writes, reads = random_lanes(rng, 40)
     drift = rng.uniform(-0.05, 0.05, 40)
     par = _pulse_par_arrays(CFG, signals, writes, reads, drift)
     for i in range(40):
@@ -686,7 +666,7 @@ def test_lane_arrays_take_three_buildup_calls(width, monkeypatch):
     real = cavity.buildup_factor
     monkeypatch.setattr(cavity, "buildup_factor",
                         lambda *a: calls.append(a) or real(*a))
-    signals, writes, reads = _random_lanes(np.random.default_rng(3), width)
+    signals, writes, reads = random_lanes(np.random.default_rng(3), width)
     _pulse_par_arrays(CFG, signals, writes, reads, 0.0)
     assert len(calls) == 3
 

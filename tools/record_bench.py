@@ -16,6 +16,9 @@ The record holds two sections:
 It needs only the standard library, numpy and the package (scipy is used by
 the package itself), and times nothing.  The slice GA's fixed genes and box
 are read from `perfbench/workloads.py`, whose `tuning` workload runs it.
+The test suite imports `random_lanes`, `pinned_batch` and
+`criterion_5_lines` from here, so a pin and its record entry are one
+computation.
 """
 
 from __future__ import annotations
@@ -31,12 +34,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-sys.dont_write_bytecode = True      # leave no cache files in the benchmark's folder
+sys.path.insert(0, str(ROOT / "src"))
 
 from cavmem import atomic, fitting, memory, optimize, vapour  # noqa: E402
 from cavmem.config import ExperimentConfig  # noqa: E402
-from workloads import SLICE_BOX, SLICE_FIXED  # noqa: E402
 
 OBJECTIVE_VECTOR = [0.0, 0.2, 5.0, -0.1, 1.5, 1.6, 12.5, 2.7]
 LIFETIMES_NS = [20.0, 60.0, 104.0]
@@ -58,6 +59,10 @@ def _store(ec: ExperimentConfig) -> dict:
 
 def _slice_ga(ec: ExperimentConfig) -> dict:
     """Best of the `tuning` workload's slice GA from the configured seed."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    sys.dont_write_bytecode = True      # leave no cache files in the benchmark's folder
+    from workloads import SLICE_BOX, SLICE_FIXED
+
     bounds = ec.doc["optimizer"]["bounds"]
     slice_bounds = dict(ec.parameter_space().restrict(**SLICE_FIXED).bounds)
     for name, (lo, hi) in SLICE_BOX.items():
@@ -79,20 +84,22 @@ def _doppler_fit(ec: ExperimentConfig) -> dict:
             "iterations": fit.iterations}
 
 
-def _criterion_5_separation_mhz() -> float:
-    """The two strong lines' separation that criterion 5 checks at 169 mT."""
+def criterion_5_lines() -> tuple[int, float]:
+    """Criterion 5 at 169 mT: how many strong two-photon lines lie within
+    0.5 GHz of the strongest one, itself included, and the nearest one's
+    separation from it in MHz (0 when there is none)."""
     grouped = atomic.group_two_photon_lines(atomic.two_photon_lines(
         169.0, "sigma-", "sigma-", total_window_ghz=(-20.0, 5.0)))
     smax = max(s for _, s, _ in grouped)
     main = max(grouped, key=lambda t: t[1])
-    near = [t for t in grouped
-            if t is not main and abs(t[0] - main[0]) <= 0.5 and t[1] > 0.05 * smax]
-    return min(abs(t[0] - main[0]) for t in near) * 1e3
+    near = [t for t in grouped if abs(t[0] - main[0]) <= 0.5 and t[1] > 0.05 * smax]
+    others = [t for t in near if t is not main]
+    return len(near), min(abs(t[0] - main[0]) for t in others) * 1e3 if others else 0.0
 
 
-def _random_lanes(rng, size):
-    """Pulses of random GA vectors with random phases and carriers, drawn as
-    the pinned-batch test of the memory draws them."""
+def random_lanes(rng, size):
+    """Signal, write and read pulse lists of `size` random GA vectors with
+    random phases and carriers."""
     space = optimize.ParameterSpace()
     lanes = []
     for x in rng.uniform(space.lower(), space.upper(),
@@ -106,10 +113,11 @@ def _random_lanes(rng, size):
     return [list(c) for c in zip(*lanes)]
 
 
-def _pinned_batch() -> dict:
-    """Loop steps and the sha256 of every array of the seed-5, 48-lane batch
-    at dt 0.02, with its output flux."""
-    signals, writes, reads = _random_lanes(np.random.default_rng(5), 48)
+def pinned_batch(seed: int, size: int) -> dict:
+    """Loop steps and the sha256 of every array of the default memory's
+    batch of `size` random lanes drawn from `seed`, at dt 0.02 with its
+    output flux."""
+    signals, writes, reads = random_lanes(np.random.default_rng(seed), size)
     main, c_ref, _ = memory.simulate_batch(memory.MemoryConfig(), signals, writes, reads,
                                            0.0, 0.02, keep_flux=True)
     arrays = {k: v for k, v in main.items() if isinstance(v, np.ndarray)}
@@ -133,8 +141,8 @@ def record() -> dict:
             "lifetime_scan": dict(zip(map(repr, LIFETIMES_NS), lifetimes.tolist())),
             "slice_ga": _slice_ga(ec),
             "doppler_fit": _doppler_fit(ec),
-            "criterion_5_separation_mhz": _criterion_5_separation_mhz(),
-            "pinned_batch": _pinned_batch(),
+            "criterion_5_separation_mhz": criterion_5_lines()[1],
+            "pinned_batch": pinned_batch(5, 48),
         },
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "cpus": os.cpu_count()},
