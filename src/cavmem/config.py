@@ -120,6 +120,8 @@ class ExperimentConfig:
         ConfigError at load; the atom constants stay unread."""
         cfg = cls(doc=_merge_strict(DEFAULT_CONFIG, override))
         builds = {"field_mt": lambda: cfg.field_mt, "seed": lambda: cfg.seed,
+                  "output_dir": lambda: cfg.output_dir,
+                  "constants_path": lambda: cfg.constants_path,
                   "cavity": cfg.cavity_params,
                   "memory": cfg.memory_config, "vapour": cfg.vapour_params,
                   "optimizer": cfg.ga_settings, "optimizer.drift": cfg.drift_model,
@@ -159,11 +161,17 @@ class ExperimentConfig:
 
     @property
     def output_dir(self) -> str:
-        return self.doc["output_dir"]
+        out = self.doc["output_dir"]
+        if type(out) is not str or not out:
+            raise DomainError(f"must be a non-empty path string, got {out!r}")
+        return out
 
     @property
-    def constants_path(self):
-        return self.doc["constants_path"]
+    def constants_path(self) -> str | None:
+        path = self.doc["constants_path"]
+        if path is not None and (type(path) is not str or not path):
+            raise DomainError(f"must be null or a non-empty path string, got {path!r}")
+        return path
 
     def atom_constants(self) -> AtomConstants:
         """The run's atom constants: the constants field when set, else the

@@ -34,19 +34,24 @@ stated once, in `total_efficiency`: a signal without photons has C_ref = 0
 and no efficiency, so it raises DomainError rather than reading 0.
 
 The RK4 loop evaluates the drives a_in(t) and W(t) once per half step, in
-chunks of steps, and reuses them across the stages that share a time.  The
-tables a chunk fills (stages, states, coupling rows, force, fluxes, count
-steps) are made once per batch, so a step allocates no array, and it keeps
-the operation order of the plain RK4 formulas, so it keeps their bits.
-Each lane has one clock, its index k on the grid t_k = k dt, and each of
-its events is a grid index: its start, storage midpoint t_mid, write-window
-end, read-window start, last drive-window close, and end.  It rests at zero
-at its start, the one point whose drives the loop zeroes; the chunks count
-it up to its close and the ring-down to its end.  From
-the end of the write window to the start of the read window nothing
-drives a lane, and the memory is linear and time invariant (the
-storage/retrieval linear-map view of Gorshkov et al., PRA 76, 033804
-(2007)).  The lane jumps across that segment with the exact propagator, a
+chunks of steps, and reuses them across the stages that share a time.  Each
+drive is a per-lane coefficient times a real Gaussian; only a read whose
+carrier differs from the write's takes a complex chirp phase.  The step is
+RK4 in scaled form: each stage is dt/2 times the derivative (dt times it for
+the third), from coupling tables scaled once per chunk, and a state carries
+a constant row that makes the input drive one more coupling.  That moves
+bits from the plain RK4 formulas by a few ulps; the budget of a fingerprint
+is 1e-12 relative to the committed benchmark record.  The tables a chunk
+fills (stages, states, coupling rows, fluxes, count steps) are made once
+per batch, so a step allocates no array.  Each lane has one clock, its
+index k on the grid t_k = k dt, and each of its events is a grid index: its
+start, storage midpoint t_mid, write-window end, read-window start, last
+drive-window close, and end.  It rests at zero at its start, the one point
+whose drives the loop zeroes; the chunks count it up to its close and the
+ring-down to its end.  From the end of the write window to the start of the
+read window nothing drives a lane, and the memory is linear and time
+invariant (the storage/retrieval linear-map view of Gorshkov et al., PRA 76,
+033804 (2007)).  The lane jumps across that segment with the exact propagator, a
 2x2 matrix exponential in eigen form for (a, P) and a scalar exponential
 for S, and books its loss and output integrals in closed form.  The same
 propagator carries it over the ring-down from its close to its end; what
@@ -217,12 +222,6 @@ class SimulationResult:
 _CHUNK_LANE_STEPS = 4096
 
 
-def _gauss_flux(t, center, fwhm, n):
-    sigma = fwhm / (2 * math.sqrt(2 * _LN2))
-    return n * np.exp(-((t - center) ** 2) / (2 * sigma ** 2)) \
-        / (sigma * math.sqrt(TWO_PI))
-
-
 def _lane_steps(par: dict, dt: float):
     """Grid indices (t_k = k dt) of each lane's events: its start, its
     storage midpoint t_mid, the first and last point of its drive-free
@@ -245,18 +244,28 @@ def _lanes_by_step(steps, lanes) -> dict:
 
 
 def _drives(par: dict, half_steps, dt: float):
-    """Input amplitude a_in and control Rabi frequency W on half-step points.
+    """Envelopes of the signal amplitude, the write and the read on half-step
+    points, t = half_steps dt/2 with one column per lane.
 
-    `half_steps` counts half steps from t = 0, one column per lane; the
-    loop zeroes the point at a lane's own start, where it rests at zero.
+    Each is the real Gaussian exp(q (t - centre)^2) of its pulse, whose
+    exponent coefficient q is a per-lane array of `par`; the read takes its
+    chirp phase e^{-i chirp_r (t - r_c)}, and is complex, only where the
+    batch holds a lane whose chirp_r is not 0, and then only on those lanes.
+    So a_in = sig_amp times the first and W = omega_w times the second plus
+    omega_r times the third.  The loop zeroes the point at a lane's own
+    start, where it rests at zero.
     """
     t = (0.5 * half_steps) * dt
-    a_in = np.sqrt(_gauss_flux(t, par["sig_c"], par["sig_f"], par["sig_n"])) \
-        * np.exp(1j * par["sig_phase"])
-    om = par["omega_w"] * np.exp(-2 * _LN2 * ((t - par["w_c"]) / par["w_f"]) ** 2) \
-        + par["omega_r"] * np.exp(-2 * _LN2 * ((t - par["r_c"]) / par["r_f"]) ** 2
-                                  - 1j * par["chirp_r"] * (t - par["r_c"]))
-    return a_in, om
+    sig, write, read = (np.exp((t - par[c]) ** 2 * par[q])
+                        for c, q in (("sig_c", "sig_q"), ("w_c", "w_q"), ("r_c", "r_q")))
+    chirped = np.flatnonzero(par["chirp_r"])
+    if chirped.size:
+        if chirped.size == t.shape[1]:
+            chirped = slice(None)         # every lane: no copies of columns
+        read = read.astype(complex)
+        read[:, chirped] *= np.exp(-1j * par["chirp_r"][chirped]
+                                   * (t[:, chirped] - par["r_c"][chirped]))
+    return sig, write, read
 
 
 def _ap_eigenvalues(par: dict):
@@ -371,54 +380,78 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         return (k_a < k_mid[lanes]) & (k_mid[lanes] <= k_b)
 
     chunk = max(4, min(64, _CHUNK_LANE_STEPS // b))
-    # every table of the loop is made here, once: the four RK4 stages, the
-    # stage input z, a row pair for products; the chunk's states, its fluxes
-    # at its grid points (output, input, cavity, P, S) and its count steps,
-    # each with row 0 at the chunk start and row r + 1 after step r; and its
-    # drive side on 2 chunk + 1 half-step points: the coupling rows up
-    # (ig, W/2) and down (ig, W*/2), whose ig rows never change, and the
-    # force sqrt(kappa_ext) a_in.  Each is carried as its views (all rows,
-    # rows 0-1, rows 1-2, row 0), so a step makes no array unless the kernel
-    # acts.  Its ufuncs take `out` by position and its scalars as complex
-    # numbers, which numpy would otherwise convert on every call; the values
-    # and the operation order are those of y + dt/6 (k1 + 2 (k2 + k3) + k4),
-    # so every bit is kept
-    def views(x):
-        return x, x[:2], x[1:], x[0]
+    # The step in scaled form: each stage K is h = dt/2 times the
+    # derivative (dt times it for the third), so a stage input is y + K and
+    # the step ends as y + (K1 + 2 K2 + K3 + K4) / 3.  A state is carried as
+    # (1, a, P, S): its constant row 0 makes the force h sqrt(kappa_ext) a_in
+    # the lower coupling of row a, so K = (h diag) (a, P, S) + up (P, S)
+    # + down (1, a, P), with up = h (ig, W/2) and
+    # down = h (sqrt(kappa_ext) a_in, ig, W*/2): five ufunc calls a stage
+    # and 29 a step.  This moves bits from the plain RK4 formulas; the
+    # budget in tests/test_record_bench.py bounds how far (1e-12 relative on
+    # every fingerprint of the committed record).
+    # Every table of the loop is made here, once: the stages, the stage
+    # input z, the states, a row block for products, the chunk's fluxes at
+    # its grid points (output, input, cavity, P, S) and its count steps, each
+    # with row 0 at the chunk start and row r + 1 after step r; and up and
+    # down on 2 chunk + 1 half-step points and, doubled, on the chunk's odd
+    # points for the third stage, whose ig rows never change.  The drives
+    # enter through per-lane coefficients of the Gaussians of _drives:
+    # h sqrt(kappa_ext) sig_amp and h 0.5j omega.  Each table is carried as
+    # its row views, so a step makes no array unless the kernel acts; its
+    # ufuncs take `out` by position and its scalar as a complex number,
+    # which numpy would otherwise convert on every call
+    h = 0.5 * dt
+    diag_h = h * diag
+    diag_dt = diag_h + diag_h
+    c_in = (h * sqrt_kext) * par["sig_amp"]
+    c_up = (h * 0.5j) * np.stack([par["omega_w"], par["omega_r"]])
 
-    k1, k2, k3, k4 = (views(np.empty((3, b), dtype=complex)) for _ in range(4))
-    z = views(np.empty((3, b), dtype=complex))
-    z_all = z[0]
-    pair = np.empty((2, b), dtype=complex)
-    states = np.zeros((chunk + 1, 3, b), dtype=complex)
+    def stage():
+        k = np.empty((3, b), dtype=complex)
+        return k, k[:2]
+
+    def views(x):
+        """Rows (a, P, S), (P, S) and (1, a, P) of a state."""
+        return x[1:], x[2:], x[:3]
+
+    k1, k2, k3, k4 = (stage() for _ in range(4))
+    z = views(np.ones((4, b), dtype=complex))
+    z_body = z[0]
+    pair = np.empty((3, b), dtype=complex)
+    pair_head = pair[:2]
+    states = np.ones((chunk + 1, 4, b), dtype=complex)
+    states[0, 1:] = 0.0                           # every lane rests at first
     rows = [views(s) for s in states]
     y = states[0]
-    fluxes = np.zeros((chunk + 1, 5, b))          # every lane rests at first
-    up, down = np.empty((2, 2 * chunk + 1, 2, b), dtype=complex)
-    up[:, 0] = down[:, 0] = ig
-    force = np.empty((2 * chunk + 1, b), dtype=complex)
-    ups, downs, forces = list(up), list(down), list(force)
+    fluxes = np.zeros((chunk + 1, 5, b))
+    up = np.empty((2 * chunk + 1, 2, b), dtype=complex)
+    down = np.empty((2 * chunk + 1, 3, b), dtype=complex)
+    up3 = np.empty((chunk, 2, b), dtype=complex)
+    down3 = np.empty((chunk, 3, b), dtype=complex)
+    up[:, 0] = down[:, 1] = h * ig
+    up3[:, 0] = down3[:, 1] = h * ig + h * ig
+    ups, downs, ups3, downs3 = list(up), list(down), list(up3), list(down3)
     steps = np.empty((chunk + 1, 6, b))
     mul, add = np.multiply, np.add
-    c_half, c_dt, c_two, c_sixth = (np.complex128(v) for v in (0.5 * dt, dt, 2, dt / 6))
+    c_third = np.complex128(1 / 3)
 
-    def deriv(k, x, up, down, force):
-        """k = diag * x, plus the coupling to each neighbour, plus the drive."""
-        d, d_head, d_tail, d_first = k
-        x_all, x_head, x_tail, _ = x
-        mul(diag, x_all, d)
-        mul(up, x_tail, pair)
-        add(d_head, pair, d_head)
-        mul(down, x_head, pair)
-        add(d_tail, pair, d_tail)
-        add(d_first, force, d_first)
+    def deriv(k, x, rates, up, down):
+        """k = rates * x, plus the coupling to each neighbour, the force
+        included as row a's coupling to the constant row."""
+        k_all, k_head = k
+        x_body, x_tail, x_lead = x
+        mul(rates, x_body, k_all)
+        mul(up, x_tail, pair_head)
+        add(k_head, pair_head, k_head)
+        mul(down, x_lead, pair)
+        add(k_all, pair, k_all)
 
     # leak, retrieved, input, cavity-internal, polarization and spin counts
     counts = np.zeros((6, b))
     dephasing = np.zeros(b)
     y_close = np.zeros((3, b), dtype=complex)
     out_flux = np.zeros((len(ts), b)) if keep_flux else None
-    half = 0.5 * dt
 
     def dephase(s, lanes):
         """Spin amplitudes s of `lanes` times the kernel; books what it removes."""
@@ -461,42 +494,42 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             mid = np.flatnonzero(holds_mid(base, base + m))
             kernel_at = _lanes_by_step(k_mid[mid] - base[mid] - 1, mid)
             n = 2 * m + 1
-            a_in, om = _drives(par, 2 * base + np.arange(n)[:, None], dt)
+            g_sig, g_w, g_r = _drives(par, 2 * base + np.arange(n)[:, None], dt)
             if done == 0:     # each lane rests at its k_start; all else lies past it
-                a_in[0] = om[0] = 0
-            mul(0.5j, om, up[:n, 1])
-            mul(0.5j, np.conj(om), down[:n, 1])
-            mul(sqrt_kext, a_in, force[:n])
+                g_sig[0] = g_w[0] = g_r[0] = 0
+            mul(c_in, g_sig, down[:n, 0])
+            mul(c_up[0], g_w, up[:n, 1])
+            add(up[:n, 1], c_up[1] * g_r, up[:n, 1])
+            np.negative(np.conj(up[:n, 1]), down[:n, 2])   # h 0.5j W* = -(h 0.5j W)*
+            add(up[1:n:2, 1], up[1:n:2, 1], up3[:m, 1])
+            add(down[1:n:2, ::2], down[1:n:2, ::2], down3[:m, ::2])
             for r in range(m):
-                e, o = 2 * r, 2 * r + 1
+                e = 2 * r
                 y_r = rows[r]
-                y_all = y_r[0]
-                deriv(k1, y_r, ups[e], downs[e], forces[e])
-                mul(c_half, k1[0], z_all)            # z = y + (dt/2) k1
-                add(y_all, z_all, z_all)
-                deriv(k2, z, ups[o], downs[o], forces[o])
-                mul(c_half, k2[0], z_all)
-                add(y_all, z_all, z_all)
-                deriv(k3, z, ups[o], downs[o], forces[o])
-                mul(c_dt, k3[0], z_all)
-                add(y_all, z_all, z_all)
-                deriv(k4, z, ups[e + 2], downs[e + 2], forces[e + 2])
-                acc = k2[0]                          # k1 + 2 (k2 + k3) + k4, in k2
+                y_body = y_r[0]
+                deriv(k1, y_r, diag_h, ups[e], downs[e])
+                add(y_body, k1[0], z_body)           # z = y + K1
+                deriv(k2, z, diag_h, ups[e + 1], downs[e + 1])
+                add(y_body, k2[0], z_body)
+                deriv(k3, z, diag_dt, ups3[r], downs3[r])
+                add(y_body, k3[0], z_body)
+                deriv(k4, z, diag_h, ups[e + 2], downs[e + 2])
+                acc = k2[0]                          # (K1 + 2 K2 + K3 + K4) / 3, in K2
+                add(acc, acc, acc)
+                add(acc, k1[0], acc)
                 add(acc, k3[0], acc)
-                mul(c_two, acc, acc)
-                add(k1[0], acc, acc)
                 add(acc, k4[0], acc)
-                mul(c_sixth, acc, acc)
-                add(y_all, acc, states[r + 1])
+                mul(c_third, acc, acc)
+                add(y_body, acc, rows[r + 1][0])
                 lanes = kernel_at.get(r)
                 if lanes is not None:
-                    states[r + 1, 2, lanes] = dephase(states[r + 1, 2, lanes], lanes)
+                    states[r + 1, 3, lanes] = dephase(states[r + 1, 3, lanes], lanes)
 
             # fluxes at the chunk's grid points, then trapezoids per step; a
             # lane counts and keeps its flux up to k_close, the ring-down after
-            ain = a_in[2::2]
+            ain = par["sig_amp"] * g_sig[2::2]
             flux = fluxes[1:m + 1]
-            stepped = states[1:m + 1]
+            stepped = states[1:m + 1, 1:]
             flux[:, 0] = np.abs(sqrt_kext * stepped[:, 0] - ain) ** 2
             flux[:, 1] = np.abs(ain) ** 2
             flux[:, 2:] = loss_rates * np.abs(stepped) ** 2
@@ -504,11 +537,11 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             # the state of each lane whose drives end in this chunk
             closed = np.flatnonzero((base < k_close) & (k_close <= base + m))
             if closed.size:
-                y_close[:, closed] = states[k_close[closed] - base[closed], :, closed].T
+                y_close[:, closed] = states[k_close[closed] - base[closed], 1:, closed].T
             live = k_grid <= k_close
             if keep_flux:
                 out_flux[k_grid[live] - k0, np.nonzero(live)[1]] = flux[:, 0][live]
-            trap = half * (fluxes[:m] + flux)
+            trap = h * (fluxes[:m] + flux)
             fluxes[0] = flux[-1]
             before = k_grid <= k_mid
             steps[0] = counts
@@ -525,11 +558,13 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         if lanes is not None:
             # the jump from k_free to k_read, after which the loop goes on
             lanes = np.asarray(lanes)
-            y[:, lanes] = drive_free(lanes, y[:, lanes], k_free[lanes], k_read[lanes])
+            y_body = y[1:]
+            y_body[:, lanes] = drive_free(lanes, y_body[:, lanes], k_free[lanes],
+                                          k_read[lanes])
             f_start = fluxes[0]
-            f_start[0, lanes] = par["kappa_ext"][lanes] * np.abs(y[0, lanes]) ** 2
+            f_start[0, lanes] = par["kappa_ext"][lanes] * np.abs(y_body[0, lanes]) ** 2
             f_start[1, lanes] = 0.0
-            f_start[2:, lanes] = loss_rates[:, lanes] * np.abs(y[:, lanes]) ** 2
+            f_start[2:, lanes] = loss_rates[:, lanes] * np.abs(y_body[:, lanes]) ** 2
             base[lanes] = k_read[lanes]
 
     # the ring-down: after k_close nothing drives a lane
@@ -602,6 +637,7 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
     d2 = TWO_PI * (sig_carrier + w_carrier)
     chirp_r = TWO_PI * (r_carrier - w_carrier)
 
+    sigma = sig_f / (2 * math.sqrt(2 * _LN2))
     tau = r_c - w_c
     nu = config.dephasing_width_mhz * 1e-3   # GHz
     omega_beat = TWO_PI * config.line_splitting_mhz * 1e-3
@@ -630,6 +666,12 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
         omega_w=rabi(w_e, w_carrier, w_phase), w_c=w_c, w_f=w_f,
         omega_r=rabi(r_e, r_carrier, r_phase), r_c=r_c, r_f=r_f,
         chirp_r=chirp_r,
+        # the drives' Gaussians exp(q (t - centre)^2) (see _drives): the
+        # signal's is the amplitude of its flux n e^{-(t - c)^2 / 2 sigma^2}
+        # / (sigma sqrt(2 pi)), and W's is at half the exponent of the
+        # intensity's, 4 ln2 ((t - c) / fwhm)^2
+        sig_amp=np.sqrt(sig_n / (sigma * math.sqrt(TWO_PI))) * np.exp(1j * sig_phase),
+        sig_q=-0.25 / sigma ** 2, w_q=-2 * _LN2 / w_f ** 2, r_q=-2 * _LN2 / r_f ** 2,
         # each lane's window: from before its first pulse until its cavity
         # has emptied after the read; the dephasing kernel acts at t_mid.
         # Nothing drives a lane after t_close, where its last window closes

@@ -124,6 +124,8 @@ class GASettings:
             raise DomainError("tournament must hold at least one individual")
         if self.crossover_eta < 0 or self.mutation_eta < 0:
             raise DomainError("crossover and mutation eta must be non-negative")
+        if self.objective_noise_sd < 0:
+            raise DomainError("objective_noise_sd must be non-negative")
         if not (0 <= self.crossover_prob <= 1 and 0 <= self.mutation_prob <= 1):
             raise DomainError("probabilities must lie in [0, 1]")
         if self.dt_ns <= 0:

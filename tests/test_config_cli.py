@@ -743,10 +743,11 @@ def test_cli_non_positive_dt_exits_2_without_output(tmp_path, capsys, argv):
     {"field_mt": -5},
     {"optimizer": {"dt_ns": -0.02}},
     {"optimizer": {"dt_ns": 0}},
+    {"optimizer": {"objective_noise_sd": -1}},
 ], ids=["cooperativity-negative", "population-4", "cooperativity-text",
         "seed-negative", "seed-float", "read-fwhm-zero", "drift-rate-text",
         "drift-noise-negative", "drift-enabled-text", "field-text",
-        "field-negative", "ga-dt-negative", "ga-dt-zero"])
+        "field-negative", "ga-dt-negative", "ga-dt-zero", "ga-noise-negative"])
 def test_cli_refused_config_value_exits_2_without_output(tmp_path, capsys, override):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(override))
@@ -779,6 +780,26 @@ def test_cli_config_value_of_wrong_kind_exits_2_without_output(tmp_path, capsys,
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("output_dir", 5), ("output_dir", ""), ("constants_path", 3),
+    ("constants_path", 0), ("constants_path", ""),
+], ids=["output-dir-number", "output-dir-empty", "constants-number",
+        "constants-zero", "constants-empty"])
+def test_cli_config_path_of_wrong_kind_exits_2_naming_the_key(tmp_path, capsys,
+                                                               monkeypatch, key, value):
+    # a path is a non-empty string (constants_path may also be null): a
+    # number would reach os.makedirs as a TypeError, or open() as a file
+    # descriptor, and a 0 or "" would fall back to the bundled constants
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc = main(["--config", str(cfg), "levels"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and key in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_parameter_sets_refuse_what_they_cannot_use():

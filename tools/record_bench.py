@@ -4,17 +4,19 @@
 
 Each fingerprint is a cheap, deterministic output of the physics that a
 speed-up must not move; two records are compared value by value with `==`.
-The record holds two sections:
+The record holds three sections:
 
 - `fingerprints`: the GA objective at one vector, the default `store` run's
   total efficiency and photon-closure residual, three lifetime-scan points,
   the best of a 4-generation slice GA, the noise-free default Doppler fit,
   criterion 5's two-line separation and the sha256 of every array of a
   pinned random 48-lane batch;
+- `timings`: per-layer wall times, which vary from run to run and are
+  never compared with `==`: one RK4 loop step at 1, 24 and 192 lanes;
 - `environment`: Python, numpy and scipy versions and the CPU count.
 
 It needs only the standard library, numpy and the package (scipy is used by
-the package itself), and times nothing.  The slice GA's fixed genes and box
+the package itself).  The slice GA's fixed genes and box
 are read from `perfbench/workloads.py`, whose `tuning` workload runs it.
 The test suite imports `random_lanes`, `pinned_batch` and
 `criterion_5_lines` from here, so a pin and its record entry are one
@@ -25,9 +27,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -127,6 +131,25 @@ def pinned_batch(seed: int, size: int) -> dict:
                        for k, v in arrays.items()}}
 
 
+def step_timings() -> dict:
+    """Microseconds per RK4 loop step at 1, 24 and 192 lanes: the best of 5
+    wall times of `_integrate_batch` over random lanes (seed 5) at dt 0.02,
+    divided by the loop steps that the run returns."""
+    out = {}
+    for size in (1, 24, 192):
+        signals, writes, reads = random_lanes(np.random.default_rng(5), size)
+        par = memory._pulse_par_arrays(memory.MemoryConfig(), signals, writes, reads, 0.0)
+        k_start, *_, k_end = memory._lane_steps(par, 0.02)
+        t0, t1 = 0.02 * int(k_start.min()), 0.02 * int(k_end.max())
+        best = math.inf
+        for _ in range(5):
+            begin = time.perf_counter()
+            run = memory._integrate_batch(par, t0, t1, 0.02)
+            best = min(best, time.perf_counter() - begin)
+        out[str(size)] = best / run["loop_steps"] * 1e6
+    return out
+
+
 def record() -> dict:
     import scipy
 
@@ -144,6 +167,7 @@ def record() -> dict:
             "criterion_5_separation_mhz": criterion_5_lines()[1],
             "pinned_batch": pinned_batch(5, 48),
         },
+        "timings": {"rk4_step_us": step_timings()},
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "cpus": os.cpu_count()},
     }
