@@ -250,7 +250,8 @@ def _drives(par: dict, half_steps, dt: float):
     Each is the real Gaussian exp(q (t - centre)^2) of its pulse, whose
     exponent coefficient q is a per-lane array of `par`; the read takes its
     chirp phase e^{-i chirp_r (t - r_c)}, and is complex, only where the
-    batch holds a lane whose chirp_r is not 0, and then only on those lanes.
+    batch holds a lane whose chirp_r is not 0.  The phase of a chirp-free
+    lane in such a batch is exactly 1, so its read keeps its bits.
     So a_in = sig_amp times the first and W = omega_w times the second plus
     omega_r times the third.  The loop zeroes the point at a lane's own
     start, where it rests at zero.
@@ -258,13 +259,8 @@ def _drives(par: dict, half_steps, dt: float):
     t = (0.5 * half_steps) * dt
     sig, write, read = (np.exp((t - par[c]) ** 2 * par[q])
                         for c, q in (("sig_c", "sig_q"), ("w_c", "w_q"), ("r_c", "r_q")))
-    chirped = np.flatnonzero(par["chirp_r"])
-    if chirped.size:
-        if chirped.size == t.shape[1]:
-            chirped = slice(None)         # every lane: no copies of columns
-        read = read.astype(complex)
-        read[:, chirped] *= np.exp(-1j * par["chirp_r"][chirped]
-                                   * (t[:, chirped] - par["r_c"][chirped]))
+    if par["chirp_r"].any():
+        read = read * np.exp(-1j * par["chirp_r"] * (t - par["r_c"]))
     return sig, write, read
 
 

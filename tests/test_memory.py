@@ -666,14 +666,14 @@ def test_rk4_step_makes_at_most_30_multiply_and_add_calls(monkeypatch):
     numpy.multiply, numpy.add = Counted(np.multiply), Counted(np.add)
     monkeypatch.setattr(memory, "np", numpy)
     main, _, _ = simulate_batch(CFG, [SIG], [WRITE], [READ], 0.0, 0.02)
-    assert 29 <= len(calls) / main["loop_steps"] <= 30
+    assert len(calls) / main["loop_steps"] <= 30
 
 
 @pytest.mark.parametrize("at", [0, 1, 3])
 def test_chirp_free_lane_keeps_its_bits_beside_chirped_companions(at):
     # a GA vector gives the write and the read one carrier, so its read
-    # takes no chirp phase; chirped companions, which give the read its
-    # phase on their own lanes, move no bit of any of its arrays
+    # takes no chirp phase alone; beside chirped companions its phase is
+    # exactly 1, which moves no bit of any of its arrays
     from cavmem.memory import _drives, _pulse_par_arrays
     lane = _pulses_from_vector(np.array([0.0, 0.2, 5.0, -0.1, 1.5, 1.6, 12.5, 2.7]))
     alone, c_alone, _ = simulate_batch(CFG, *([p] for p in lane), 0.0, 0.02,
