@@ -268,7 +268,7 @@ def cmd_fit(cfg: ExperimentConfig, args):
     else:
         fit = fitting.fit_gaussian_line(x, y)
         extra = {}
-    payload = fit.to_dict()
+    payload = asdict(fit)
     payload["derived"] = extra
     if args.model == "doppler":
         # the probe polarization whose lines the model assumed
@@ -383,20 +383,23 @@ def main(argv=None) -> int:
             reject_non_finite(value, f"argument --{name.replace('_', '-')}")
         cfg = _load_config(args)
         table, (summary_name, payload) = args.func(cfg, args)
+        base = args.out or cfg.output_dir
+        printed = os.path.join(base, summary_name)
+        try:
+            os.makedirs(base, exist_ok=True)
+            if table is not None:
+                name, header, columns = table
+                printed = os.path.join(base, name)
+                _write_csv(printed, header, columns)
+            _write_json(os.path.join(base, summary_name), payload, cfg)
+        except OSError as exc:
+            raise ConfigError(f"cannot write to output directory {base}: {exc}") from exc
     except CavmemError as exc:
         code, kind = next((code, kind) for cls, code, kind in _EXITS
                           if isinstance(exc, cls))
         json.dump({"error": kind, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return code
-    base = args.out or cfg.output_dir
-    os.makedirs(base, exist_ok=True)
-    printed = os.path.join(base, summary_name)
-    if table is not None:
-        name, header, columns = table
-        printed = os.path.join(base, name)
-        _write_csv(printed, header, columns)
-    _write_json(os.path.join(base, summary_name), payload, cfg)
     print(printed)
     return 0
 

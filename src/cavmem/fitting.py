@@ -42,16 +42,6 @@ class FitResult:
     def __getitem__(self, name: str) -> float:
         return self.parameters[name]
 
-    def to_dict(self) -> dict:
-        return {
-            "parameters": self.parameters,
-            "uncertainties": self.uncertainties,
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "flags": self.flags,
-        }
-
 
 def _numeric_jacobian(model, x, theta, bounds):
     n = len(theta)

@@ -22,7 +22,10 @@ Slow spin-wave dephasing (inhomogeneous broadening and the two-line beat) is
 applied to S as a multiplicative analytic kernel at the storage midpoint
 rather than through velocity ensembles, reproducing the damped oscillatory
 decay law exactly.  The excitation the kernel removes is booked as its own
-loss channel, so the photon bookkeeping closes.
+loss channel, so the photon bookkeeping closes: the input photons are the
+signal's photon number, the RK4 chunks book the rest, each from the fluxes
+at all of its own grid points, and `closure_residual` in
+`SimulationResult.integrator` is the share of them that no channel books.
 
 The efficiency (1 - zeta) C_ret / C_ref needs the control-off reference
 counts C_ref.  With the control off S decouples and (a, P) is a linear
@@ -206,7 +209,8 @@ class SimulationResult:
     snr_db: float
     bookkeeping: dict
     # dt_ns, loop and lane steps, lambda_max dt and its stability margin of
-    # the run's batch (the storage lane and its control-off twin)
+    # the run's batch (the storage lane and its control-off twin), and the
+    # storage lane's photon-closure residual
     integrator: dict
 
     def __post_init__(self):
@@ -329,12 +333,12 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     each RK4 stage sees the drives at the lane's true time, and the loop
     ends once every lane has reached k_close.  A lane's events depend only
     on its own pulses, so its results do not depend on the other lanes of
-    the batch.  Returns integrated counts and loss channels per individual;
-    the loop's step and lane-step counts; the largest lambda_max dt of the
-    batch and its stability margin, the factor by which dt could grow
-    before the guard (lambda_max dt <= 2.5) refuses it; and the output flux
-    on the grid when `keep_flux` is set, whose rows outside a lane's window
-    stay zero.
+    the batch.  Returns per individual the booked counts and losses, n_in =
+    sig_n and the closure residual (nan where n_in = 0); the loop's step and
+    lane-step counts; the largest lambda_max dt of the batch and its
+    stability margin, the factor by which dt could grow before the guard
+    (lambda_max dt <= 2.5) refuses it; and the output flux on the grid when
+    `keep_flux` is set, whose rows outside a lane's window stay zero.
     """
     # the grid comes from the indices of t0 and t1: ceil of the float
     # (t1 - t0) / dt can land one step past t1
@@ -388,7 +392,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     # every fingerprint of the committed record).
     # Every table of the loop is made here, once: the stages, the stage
     # input z, the states, a row block for products, the chunk's fluxes at
-    # its grid points (output, input, cavity, P, S) and its count steps, each
+    # its grid points (output, cavity, P, S) and its count steps, each
     # with row 0 at the chunk start and row r + 1 after step r; and up and
     # down on 2 chunk + 1 half-step points and, doubled, on the chunk's odd
     # points for the third stage, whose ig rows never change.  The drives
@@ -420,7 +424,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     states[0, 1:] = 0.0                           # every lane rests at first
     rows = [views(s) for s in states]
     y = states[0]
-    fluxes = np.zeros((chunk + 1, 5, b))
+    fluxes = np.empty((chunk + 1, 4, b))
     up = np.empty((2 * chunk + 1, 2, b), dtype=complex)
     down = np.empty((2 * chunk + 1, 3, b), dtype=complex)
     up3 = np.empty((chunk, 2, b), dtype=complex)
@@ -428,7 +432,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     up[:, 0] = down[:, 1] = h * ig
     up3[:, 0] = down3[:, 1] = h * ig + h * ig
     ups, downs, ups3, downs3 = list(up), list(down), list(up3), list(down3)
-    steps = np.empty((chunk + 1, 6, b))
+    steps = np.empty((chunk + 1, 5, b))
     mul, add = np.multiply, np.add
     c_third = np.complex128(1 / 3)
 
@@ -443,8 +447,8 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         mul(down, x_lead, pair)
         add(k_all, pair, k_all)
 
-    # leak, retrieved, input, cavity-internal, polarization and spin counts
-    counts = np.zeros((6, b))
+    # leak, retrieved, cavity-internal, polarization and spin counts
+    counts = np.zeros((5, b))
     dephasing = np.zeros(b)
     y_close = np.zeros((3, b), dtype=complex)
     out_flux = np.zeros((len(ts), b)) if keep_flux else None
@@ -469,7 +473,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         y_b, from_mid = _free_evolution(y_mid, *sub, (k_b - k_a - n_before) * dt)
         counts[0, lanes] += par["kappa_ext"][lanes] * to_mid[0]
         counts[1, lanes] += par["kappa_ext"][lanes] * from_mid[0]
-        counts[3:, lanes] += loss_rates[:, lanes] * (to_mid + from_mid)
+        counts[2:, lanes] += loss_rates[:, lanes] * (to_mid + from_mid)
         if keep_flux:
             for j, lane in enumerate(lanes.tolist()):
                 one = slice(lane, lane + 1)
@@ -521,14 +525,13 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                 if lanes is not None:
                     states[r + 1, 3, lanes] = dephase(states[r + 1, 3, lanes], lanes)
 
-            # fluxes at the chunk's grid points, then trapezoids per step; a
-            # lane counts and keeps its flux up to k_close, the ring-down after
-            ain = par["sig_amp"] * g_sig[2::2]
-            flux = fluxes[1:m + 1]
-            stepped = states[1:m + 1, 1:]
-            flux[:, 0] = np.abs(sqrt_kext * stepped[:, 0] - ain) ** 2
-            flux[:, 1] = np.abs(ain) ** 2
-            flux[:, 2:] = loss_rates * np.abs(stepped) ** 2
+            # fluxes at all of the chunk's grid points, its start included,
+            # then a trapezoid per step; a lane counts and keeps its flux up
+            # to k_close, the ring-down after
+            flux = fluxes[:m + 1]
+            stepped = states[:m + 1, 1:]
+            flux[:, 0] = np.abs(sqrt_kext * stepped[:, 0] - par["sig_amp"] * g_sig[::2]) ** 2
+            flux[:, 1:] = loss_rates * np.abs(stepped) ** 2
             k_grid = base + 1 + np.arange(m)[:, None]
             # the state of each lane whose drives end in this chunk
             closed = np.flatnonzero((base < k_close) & (k_close <= base + m))
@@ -536,9 +539,8 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                 y_close[:, closed] = states[k_close[closed] - base[closed], 1:, closed].T
             live = k_grid <= k_close
             if keep_flux:
-                out_flux[k_grid[live] - k0, np.nonzero(live)[1]] = flux[:, 0][live]
-            trap = h * (fluxes[:m] + flux)
-            fluxes[0] = flux[-1]
+                out_flux[k_grid[live] - k0, np.nonzero(live)[1]] = flux[1:, 0][live]
+            trap = h * (flux[:-1] + flux[1:])
             before = k_grid <= k_mid
             steps[0] = counts
             steps[1:m + 1, 0] = trap[:, 0] * (live & before)
@@ -557,21 +559,22 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             y_body = y[1:]
             y_body[:, lanes] = drive_free(lanes, y_body[:, lanes], k_free[lanes],
                                           k_read[lanes])
-            f_start = fluxes[0]
-            f_start[0, lanes] = par["kappa_ext"][lanes] * np.abs(y_body[0, lanes]) ** 2
-            f_start[1, lanes] = 0.0
-            f_start[2:, lanes] = loss_rates[:, lanes] * np.abs(y_body[:, lanes]) ** 2
             base[lanes] = k_read[lanes]
 
     # the ring-down: after k_close nothing drives a lane
     y_end = drive_free(np.arange(b), y_close, k_close, k_end)
-    leak, retrieved, n_in, loss_cav, loss_pol, loss_spin = counts
+    leak, retrieved, loss_cav, loss_pol, loss_spin = counts
+    residual = np.sum(np.abs(y_end) ** 2, axis=0)
+    n_in = par["sig_n"]
+    # the one closure rule: the share of the input photons that no channel
+    # books; a lane without input photons has none, nan
+    booked = leak + retrieved + loss_pol + loss_spin + loss_cav + dephasing + residual
+    closure = 1.0 - np.divide(booked, n_in, out=np.full(b, np.nan), where=n_in > 0)
     return dict(ts=ts, out_flux=out_flux, leak=leak, retrieved=retrieved,
                 n_in=n_in, loss_pol=loss_pol, loss_spin=loss_spin,
-                loss_cav=loss_cav, loss_dephasing=dephasing,
-                residual=np.sum(np.abs(y_end) ** 2, axis=0),
-                loop_steps=done, lane_steps=done * b, lam_max_dt=lam_max * dt,
-                stability_margin=guard / (lam_max * dt))
+                loss_cav=loss_cav, loss_dephasing=dephasing, residual=residual,
+                closure=closure, loop_steps=done, lane_steps=done * b,
+                lam_max_dt=lam_max * dt, stability_margin=guard / (lam_max * dt))
 
 
 def _reference_counts(par: dict) -> np.ndarray:
@@ -658,7 +661,7 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
         delta_p=np.full(b, TWO_PI * config.intermediate_detuning_ghz),
         gamma_s=np.full(b, config.gamma_m),
         delta_2=d2,
-        sig_n=sig_n, sig_c=sig_c, sig_f=sig_f, sig_phase=sig_phase,
+        sig_n=sig_n, sig_c=sig_c, sig_f=sig_f,
         omega_w=rabi(w_e, w_carrier, w_phase), w_c=w_c, w_f=w_f,
         omega_r=rabi(r_e, r_carrier, r_phase), r_c=r_c, r_f=r_f,
         chirp_r=chirp_r,
@@ -787,7 +790,8 @@ def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
         },
         integrator={"dt_ns": dt_ns,
                     **{k: main[k] for k in ("loop_steps", "lane_steps", "lam_max_dt",
-                                            "stability_margin")}},
+                                            "stability_margin")},
+                    "closure_residual": float(main["closure"][0])},
     )
 
 

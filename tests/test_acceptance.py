@@ -193,11 +193,7 @@ def test_criterion_6_memory_dynamics():
 
     neutral = replace(MEM, dephasing_width_mhz=0.0, line_amp_beat=0.0)
     res_n = memory.simulate_storage_retrieval(neutral, SIG, WRITE, READ)
-    b = res_n.bookkeeping
-    total = (res_n.leak_counts + res_n.retrieved_counts + b["loss_polarization"]
-             + b["loss_spin"] + b["loss_cavity_internal"]
-             + b["residual_excitation"])
-    closure = abs(res_n.input_photons - total) / res_n.input_photons
+    closure = abs(res_n.integrator["closure_residual"])
     c.check("passivity", closure < 1e-4, f"closure {closure:.1e}")
 
     res_half = memory.simulate_storage_retrieval(MEM, SIG, WRITE, READ,

@@ -335,13 +335,18 @@ def test_cli_store_defaults(tmp_path):
 
 
 def test_cli_store_summary_closes_and_reference_flux_integrates(tmp_path):
+    # the summary's closure residual is the share of its input photons that
+    # its own channels leave unbooked
     assert main(["--out", str(tmp_path), "store"]) == 0
     summary = json.loads((tmp_path / "store_summary.json").read_text())
     b = summary["bookkeeping"]
     total = (b["output_total"] + b["loss_polarization"] + b["loss_spin"]
              + b["loss_cavity_internal"] + b["loss_dephasing"]
              + b["residual_excitation"])
-    assert total == pytest.approx(summary["input_photons"], rel=1e-4)
+    residual = summary["integrator"]["closure_residual"]
+    assert residual == pytest.approx(1.0 - total / summary["input_photons"],
+                                     rel=0.0, abs=1e-15)
+    assert abs(residual) <= 1e-4
     _, rows = read_csv(tmp_path / "store_flux.csv")
     integral = np.trapezoid(rows[:, 2], rows[:, 0])
     assert integral == pytest.approx(summary["reference_counts"], rel=1e-6)
@@ -354,7 +359,7 @@ def test_cli_store_summary_reports_the_integrator(tmp_path, capsys):
     assert main(["--out", str(tmp_path / "a"), "store"]) == 0
     run = json.loads((tmp_path / "a" / "store_summary.json").read_text())["integrator"]
     assert list(run) == ["dt_ns", "loop_steps", "lane_steps", "lam_max_dt",
-                         "stability_margin"]
+                         "stability_margin", "closure_residual"]
     assert (run["dt_ns"], run["loop_steps"], run["lane_steps"]) == (0.01, 2592, 2 * 2592)
     assert 1.0 < run["stability_margin"] == pytest.approx(2.5 / run["lam_max_dt"])
     assert main(["--out", str(tmp_path / "b"), "store", "--dt", "0.02"]) == 0
@@ -378,11 +383,7 @@ def test_cli_store_with_jumped_storage_flux_integrates_to_counts(tmp_path):
         summary["leak_counts"] + summary["retrieved_counts"], rel=1e-6)
     assert np.trapezoid(rows[:, 2], rows[:, 0]) == pytest.approx(
         summary["reference_counts"], rel=1e-6)
-    b = summary["bookkeeping"]
-    total = (b["output_total"] + b["loss_polarization"] + b["loss_spin"]
-             + b["loss_cavity_internal"] + b["loss_dephasing"]
-             + b["residual_excitation"])
-    assert total == pytest.approx(summary["input_photons"], rel=1e-4)
+    assert abs(summary["integrator"]["closure_residual"]) <= 1e-4
 
 
 def test_cli_store_flux_ends_at_last_counted_grid_point(tmp_path):
@@ -800,6 +801,29 @@ def test_cli_config_path_of_wrong_kind_exits_2_naming_the_key(tmp_path, capsys,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and key in err["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_cli_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
+    # a directory under a plain file cannot be made
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    assert main(["--out", str(out), "levels", "--points", "3"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and str(out) in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_cli_unwritable_config_output_dir_exits_2_naming_the_path(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output_dir": str(out)}))
+    assert main(["--config", str(cfg), "levels", "--points", "3"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and str(out) in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
 
 
 def test_parameter_sets_refuse_what_they_cannot_use():

@@ -103,12 +103,22 @@ def test_default_store_photon_bookkeeping_closes():
     # every channel, the dephasing kernel's removal included, adds back up
     # to the input photons
     res = run()
-    b = res.bookkeeping
-    total = (res.leak_counts + res.retrieved_counts + b["loss_polarization"]
-             + b["loss_spin"] + b["loss_cavity_internal"] + b["loss_dephasing"]
-             + b["residual_excitation"])
-    assert b["loss_dephasing"] > 0
-    assert total == pytest.approx(res.input_photons, rel=1e-4)
+    assert res.bookkeeping["loss_dephasing"] > 0
+    assert abs(res.integrator["closure_residual"]) <= 1e-4
+
+
+def test_lane_without_input_photons_reports_no_closure_residual():
+    # a dark signal books nothing and has no share of input photons to
+    # leave unbooked: its residual is nan, made without a warning, and its
+    # companion's is a number
+    import warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        main, _, _ = simulate_batch(CFG, [replace(SIG, energy=0.0), SIG], [WRITE] * 2,
+                                    [READ] * 2, 0.0, 0.02)
+    assert main["n_in"][0] == 0.0
+    assert np.isnan(main["closure"][0])
+    assert abs(main["closure"][1]) <= 1e-4
 
 
 def test_closed_form_reference_matches_control_off_rk4():
@@ -283,9 +293,7 @@ def test_simulated_scan_fit_recovers_configured_dephasing():
 # --------------------------------------------------- segmented integrator
 
 def _closure(main):
-    total = sum(main[k] for k in ("leak", "retrieved", "loss_pol", "loss_spin",
-                                  "loss_cav", "loss_dephasing", "residual"))
-    return np.abs(total - main["n_in"]) / main["n_in"]
+    return np.abs(main["closure"])
 
 
 @pytest.mark.parametrize("dt, worst_at_parent", [(0.02, 2.6e-5), (0.01, 1.3e-5)])
@@ -596,32 +604,35 @@ def test_storage_run_fingerprints_pinned():
 
 # sha256 of every array simulate_batch returns for random lanes at dt 0.02:
 # 48 lanes step in chunks of 64, 320 lanes in chunks of 12, so chunk ends
-# fall between jumps; recorded from the step with scaled stage tables
+# fall between jumps; recorded with the input photons in closed form and
+# each chunk computing the fluxes at all of its own grid points
 _PINNED_BATCHES = {
     (5, 48): (2213, {
         "ts": "0d211dcd1bdfffbec28e0703ae032df670128174ae6b175735d9a65fdab4cd32",
         "out_flux": "145d2c3009d03d25f30f819ddd7c4b1a8f229dc61f55c5ba90e63e0d7299912a",
         "leak": "83bc1fe94fcfb9c1bd63e595e6986950d85f6a719bd504685677c5b48002288e",
         "retrieved": "56d9d0c02c43c97aa24e8ace12be2807af7588a4e94d275deb5fcb2959c35a1f",
-        "n_in": "bd14cc520050dc372d7dd87a0c4ee46822497cc8db06513452a72a51dc597771",
+        "n_in": "f022e0e2126316adbdcfda5d5bdfa9767ecb1d575851a22989bc329fbf628865",
         "loss_pol": "8505541904be1237082adb8bb378a1bc2beb20eb738feb0e8d99c508009b90f9",
         "loss_spin": "bf4c2f7019d36973824fced0e62003ea750f779688714e3a5063aebd7acd5abf",
         "loss_cav": "0e6a39a20d9e2a509fdbf9224fad4e8a9e312b844dd06a231808b77a9d451f03",
         "loss_dephasing": "cef2656ca55dcf6e86743014da6fc1a7d0dac9364b53ddc3e9cd11d3caf93808",
         "residual": "d6c0e90ee93ae83f266bd461a3db135fb6390298cdb7a22b8a0383421d865516",
+        "closure": "af11a160ad6670c6f568edb971336b8442658d5f5333e748ab1ce4b0f0ffdad3",
         "reference_counts": "311f34c1edf722b867511ce32515db15e7cb93b7b0401a840d2e51e888c1a433",
     }),
     (6, 320): (2260, {
         "ts": "06801551eb01426325e63442a50b731a51b5c84161217b4b46b7772ba4345658",
         "out_flux": "f5fefcc27cc863bc429c358dec6c4c9f91de553d2ba5e25a3be3d34994132645",
         "leak": "136cdc6e903d84852da2663f26573a9a9adc990cfeb55bdd1827d15d87af467e",
-        "retrieved": "1a9c214fc5931f22762922ed8ba4d441db49522c8e8d4e2c270cfc9ad0fd9019",
-        "n_in": "20e1b23628edc12ad9b3766471f11b7edd87bfb25cd82e84ba6cbeca8cd64342",
+        "retrieved": "88c2d9899d5d24f3da1d0541f90ab6a701fc9e3fa724b789d0a1f03f162065e8",
+        "n_in": "5400e45cb37a8824845276343c4006b3f0eeef611488e7de417993df2fd3365c",
         "loss_pol": "5bab4f53b3ef2cda72ee9224b039bd13d3cfe3ae0cf05b95a90b13e3a1bdee19",
         "loss_spin": "1d249c33404116d7d624418b4fffb6ff53563262ac46f8ac4dccd46a54f3c05f",
         "loss_cav": "fbf019db0454282d29aa39af6152982bfc0925966f3cd280295e325029fd7fd9",
         "loss_dephasing": "b085cdd4e2cb4233e304c6395c42dedd19d3c09c17fb82fd9bdb47ce821be37e",
         "residual": "a7046413c607e54ce2644bedf22dbebbedf3da3588dae4af87fef68a632fd1eb",
+        "closure": "52b6c6a767944b7881cdc2a2ce578819fd6b07373df7248a4b39fd0af9c1f8f9",
         "reference_counts": "76e9c8afbd06bc34e79df8b51d2b2602e18269b92f527f8aaad758075b27af31",
     }),
 }

@@ -189,6 +189,27 @@ def test_ga_improves_on_seeded_default():
     assert trace.best["objective"] >= objective(DEFAULT_VEC, CFG) - 1e-9
 
 
+def test_noisy_ga_reproducible_and_its_first_best_replays_the_noise():
+    # objective_noise_sd > 0 jitters every fitness with draws from the run's
+    # one generator: the run repeats bit for bit from its seed, and its
+    # generation-0 best is the best of the noise-free values of the seeded
+    # population plus the seeded draws, replayed here in the run's order
+    from cavmem.optimize import _evaluate_batch
+    settings = small_settings(generations=2, objective_noise_sd=0.05)
+    a = run_ga(SPACE, CFG, DriftModel(enabled=False), settings, seed=4)
+    b = run_ga(SPACE, CFG, DriftModel(enabled=False), settings, seed=4)
+    assert a.iterations == b.iterations
+    assert np.array_equal(a.final_population, b.final_population)
+    rng = np.random.default_rng(4)
+    pop = rng.uniform(SPACE.lower(), SPACE.upper(),
+                      size=(settings.population, len(PARAMETER_NAMES)))
+    noisy = _evaluate_batch(list(pop), CFG, 0.0, settings.dt_ns, None) \
+        + rng.normal(0, settings.objective_noise_sd, settings.population)
+    k = int(np.argmax(noisy))
+    assert a.iterations[0]["objective"] == noisy[k]
+    assert a.iterations[0]["parameters"] == pop[k].tolist()
+
+
 def test_trace_records_reproducible_objectives():
     trace = run_ga(SPACE, CFG, DriftModel(enabled=False), small_settings(),
                    seed=8)

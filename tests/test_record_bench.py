@@ -38,6 +38,15 @@ def test_record_times_one_rk4_step_per_batch_width(record):
     assert all(value > 0 for value in steps.values())
 
 
+def test_record_times_every_other_layer(record):
+    timings = dict(record["timings"])
+    del timings["rk4_step_us"]
+    assert set(timings) == {"eigh_blockwise_ms", "transition_lines_ms",
+                            "one_photon_spectrum_ms", "ga_generation_ms",
+                            "doppler_fit_ms"}
+    assert all(value > 0 for value in timings.values())
+
+
 def test_fingerprints_within_the_budget_of_the_committed_record(record):
     # the budget: every scalar within 1e-12 relative; the closure residual,
     # a difference of sums of order 1, within 1e-14 absolute; the GA's best

@@ -12,7 +12,9 @@ The record holds three sections:
   criterion 5's two-line separation and the sha256 of every array of a
   pinned random 48-lane batch;
 - `timings`: per-layer wall times, which vary from run to run and are
-  never compared with `==`: one RK4 loop step at 1, 24 and 192 lanes;
+  never compared with `==`: one RK4 loop step at 1, 24 and 192 lanes, the
+  blockwise eigensolve over 1024 fields, `transition_lines`,
+  `one_photon_spectrum`, one GA generation and one Doppler fit;
 - `environment`: Python, numpy and scipy versions and the CPU count.
 
 It needs only the standard library, numpy and the package (scipy is used by
@@ -53,12 +55,8 @@ def _store(ec: ExperimentConfig) -> dict:
     res = memory.simulate_storage_retrieval(
         ec.memory_config(), ec.pulse("signal"), ec.pulse("write"), ec.pulse("read"),
         dt_ns=0.01)
-    book = res.bookkeeping
-    accounted = book["output_total"] + book["loss_polarization"] + book["loss_spin"] \
-        + book["loss_cavity_internal"] + book["loss_dephasing"] \
-        + book["residual_excitation"]
     return {"total_efficiency": res.total_efficiency,
-            "closure_residual": 1.0 - accounted / res.input_photons}
+            "closure_residual": res.integrator["closure_residual"]}
 
 
 def _slice_ga(ec: ExperimentConfig) -> dict:
@@ -131,6 +129,19 @@ def pinned_batch(seed: int, size: int) -> dict:
                        for k, v in arrays.items()}}
 
 
+def _best_ms(run, repeats: int = 5, before=None) -> float:
+    """The best of `repeats` wall times of `run()` in milliseconds, each
+    after `before()` when it is given."""
+    best = math.inf
+    for _ in range(repeats):
+        if before is not None:
+            before()
+        begin = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - begin)
+    return best * 1e3
+
+
 def step_timings() -> dict:
     """Microseconds per RK4 loop step at 1, 24 and 192 lanes: the best of 5
     wall times of `_integrate_batch` over random lanes (seed 5) at dt 0.02,
@@ -141,13 +152,40 @@ def step_timings() -> dict:
         par = memory._pulse_par_arrays(memory.MemoryConfig(), signals, writes, reads, 0.0)
         k_start, *_, k_end = memory._lane_steps(par, 0.02)
         t0, t1 = 0.02 * int(k_start.min()), 0.02 * int(k_end.max())
-        best = math.inf
-        for _ in range(5):
-            begin = time.perf_counter()
-            run = memory._integrate_batch(par, t0, t1, 0.02)
-            best = min(best, time.perf_counter() - begin)
-        out[str(size)] = best / run["loop_steps"] * 1e6
+
+        def run():
+            return memory._integrate_batch(par, t0, t1, 0.02)
+        out[str(size)] = _best_ms(run) * 1e3 / run()["loop_steps"]
     return out
+
+
+def layer_timings(ec: ExperimentConfig) -> dict:
+    """Milliseconds of the other layers, each the best of a few runs:
+    `atomic._eigh_blockwise` of every manifold over 1024 fields from 0 to
+    300 mT; `transition_lines` from 5S1/2 to 5P3/2 and `one_photon_spectrum`
+    on the Doppler grid, both at the configured field and each after the
+    per-field eigensystem cache is emptied, as at a new field; one GA
+    generation, a 2-generation `run_ga` at the configured settings divided
+    by the 3 populations it evaluates; and the default Doppler fit."""
+    fields = np.linspace(0.0, 300.0, 1024)
+    manifolds = atomic.all_manifolds()
+    lower, upper = (atomic.manifold_spec(m) for m in ("5S1/2", "5P3/2"))
+    settings = replace(ec.ga_settings(), generations=2)
+    fresh = atomic._labelled_system.cache_clear
+    return {
+        "eigh_blockwise_ms": _best_ms(
+            lambda: [atomic._eigh_blockwise(m, fields) for m in manifolds]),
+        "transition_lines_ms": _best_ms(
+            lambda: atomic.transition_lines(lower, upper, ec.field_mt), before=fresh),
+        "one_photon_spectrum_ms": _best_ms(
+            lambda: vapour.one_photon_spectrum(ec.vapour_params(), ec.field_mt, "sigma-",
+                                               DOPPLER_GRID), before=fresh),
+        "ga_generation_ms": _best_ms(
+            lambda: optimize.run_ga(ec.parameter_space(), ec.memory_config(),
+                                    optimize.DriftModel(enabled=False), settings,
+                                    ec.seed), repeats=3) / (settings.generations + 1),
+        "doppler_fit_ms": _best_ms(lambda: _doppler_fit(ec), repeats=3),
+    }
 
 
 def record() -> dict:
@@ -167,7 +205,7 @@ def record() -> dict:
             "criterion_5_separation_mhz": criterion_5_lines()[1],
             "pinned_batch": pinned_batch(5, 48),
         },
-        "timings": {"rk4_step_us": step_timings()},
+        "timings": {"rk4_step_us": step_timings(), **layer_timings(ec)},
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "cpus": os.cpu_count()},
     }
