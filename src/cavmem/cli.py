@@ -247,9 +247,9 @@ def cmd_fit(cfg: ExperimentConfig, args):
     if len(header) < 2 or len(rows) < 3:
         raise ConfigError("fit data must be a two-column CSV with a header")
     for line, row in rows:
-        if len(row) < 2:
+        if len(row) < 2 or not all(map(math.isfinite, row[:2])):
             raise ConfigError(f"fit data {args.data} line {line} holds {row}; "
-                              "each row needs an x and a y value")
+                              "each row needs a finite x and y value")
     x = np.array([row[0] for _, row in rows])
     y = np.array([row[1] for _, row in rows])
     if args.model == "cavity":

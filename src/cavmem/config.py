@@ -89,7 +89,7 @@ def _merge_strict(defaults, override, path=""):
     for key, value in override.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(defaults[key], dict) and key != "bounds":
+        if isinstance(defaults[key], dict):
             merged[key] = _merge_strict(defaults[key], value, path + key + ".")
         else:
             reject_non_finite(value, f"config value {path + key}")
@@ -208,7 +208,9 @@ class ExperimentConfig:
         return DriftModel(**d)
 
     def parameter_space(self) -> ParameterSpace:
-        bounds = {k: tuple(v) for k, v in self.doc["optimizer"]["bounds"].items()}
+        # a bound that is not a list is left for ParameterSpace to refuse
+        bounds = {k: tuple(v) if isinstance(v, list) else v
+                  for k, v in self.doc["optimizer"]["bounds"].items()}
         return ParameterSpace(bounds=bounds)
 
     # ------------------------------------------------------ provenance

@@ -88,11 +88,16 @@ __all__ = [
     "pulses_overlap", "total_efficiency",
     "lifetime_model", "one_over_e_lifetime_ns", "lifetime_scan",
     "oscillation_suppression", "snr_db", "bandwidth_scan", "energy_scan",
-    "mean_photon_from_counts",
+    "mean_photon_from_counts", "CHANNELS",
 ]
 
 TWO_PI = 2 * math.pi
 _LN2 = math.log(2)
+
+# the photon ledger's booked channels as simulate_batch names them, in the
+# order the closure residual sums them; the last five are the bookkeeping's
+CHANNELS = ("leak_counts", "retrieved_counts", "loss_polarization", "loss_spin",
+            "loss_cavity_internal", "loss_dephasing", "residual_excitation")
 
 
 @dataclass(frozen=True)
@@ -140,8 +145,9 @@ class MemoryConfig:
             raise DomainError("polarization width must be positive")
         if self.insertion_loss is not None and not (0.0 <= self.insertion_loss < 1.0):
             raise DomainError("insertion loss must lie in [0, 1)")
-        if self.line_amp_main < 0 or self.line_amp_beat < 0:
-            raise DomainError("line amplitudes must be non-negative")
+        if min(self.line_amp_main, self.line_amp_beat) < 0 \
+                or self.line_amp_main + self.line_amp_beat == 0:
+            raise DomainError("line amplitudes must be non-negative and not both zero")
         if self.cavity.r1 >= 1.0:
             raise DomainError("the in-coupler must transmit (r1 < 1)")
 
@@ -333,12 +339,13 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     each RK4 stage sees the drives at the lane's true time, and the loop
     ends once every lane has reached k_close.  A lane's events depend only
     on its own pulses, so its results do not depend on the other lanes of
-    the batch.  Returns per individual the booked counts and losses, n_in =
-    sig_n and the closure residual (nan where n_in = 0); the loop's step and
-    lane-step counts; the largest lambda_max dt of the batch and its
-    stability margin, the factor by which dt could grow before the guard
-    (lambda_max dt <= 2.5) refuses it; and the output flux on the grid when
-    `keep_flux` is set, whose rows outside a lane's window stay zero.
+    the batch.  Returns the grid `ts`; per individual the channels of
+    CHANNELS, `input_photons` = sig_n and `closure_residual` (nan where
+    there are no input photons); the loop's step and lane-step counts; the
+    largest lambda_max dt of the batch and its stability margin, the factor
+    by which dt could grow before the guard (lambda_max dt <= 2.5) refuses
+    it; and the output flux on the grid `out_flux` when `keep_flux` is set,
+    whose rows outside a lane's window stay zero.
     """
     # the grid comes from the indices of t0 and t1: ceil of the float
     # (t1 - t0) / dt can land one step past t1
@@ -355,7 +362,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     if lam_max * dt > guard:
         raise NumericalError(
             f"time step {dt} ns too large for the fastest mode "
-            f"({lam_max:.1f} rad/ns); reduce dt below {guard / lam_max:.4f} ns")
+            f"({lam_max:.1f} rad/ns); reduce dt below {guard / lam_max:.3g} ns")
 
     sqrt_kext = np.sqrt(par["kappa_ext"])
     c_a, c_p, s_ap = _ap_eigenvalues(par)
@@ -564,16 +571,15 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     # the ring-down: after k_close nothing drives a lane
     y_end = drive_free(np.arange(b), y_close, k_close, k_end)
     leak, retrieved, loss_cav, loss_pol, loss_spin = counts
-    residual = np.sum(np.abs(y_end) ** 2, axis=0)
+    ledger = dict(zip(CHANNELS, (leak, retrieved, loss_pol, loss_spin, loss_cav,
+                                 dephasing, np.sum(np.abs(y_end) ** 2, axis=0))))
     n_in = par["sig_n"]
     # the one closure rule: the share of the input photons that no channel
     # books; a lane without input photons has none, nan
-    booked = leak + retrieved + loss_pol + loss_spin + loss_cav + dephasing + residual
-    closure = 1.0 - np.divide(booked, n_in, out=np.full(b, np.nan), where=n_in > 0)
-    return dict(ts=ts, out_flux=out_flux, leak=leak, retrieved=retrieved,
-                n_in=n_in, loss_pol=loss_pol, loss_spin=loss_spin,
-                loss_cav=loss_cav, loss_dephasing=dephasing, residual=residual,
-                closure=closure, loop_steps=done, lane_steps=done * b,
+    unbooked = 1.0 - np.divide(sum(ledger[k] for k in CHANNELS), n_in,
+                               out=np.full(b, np.nan), where=n_in > 0)
+    return dict(ts=ts, out_flux=out_flux, **ledger, input_photons=n_in,
+                closure_residual=unbooked, loop_steps=done, lane_steps=done * b,
                 lam_max_dt=lam_max * dt, stability_margin=guard / (lam_max * dt))
 
 
@@ -641,10 +647,7 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
     nu = config.dephasing_width_mhz * 1e-3   # GHz
     omega_beat = TWO_PI * config.line_splitting_mhz * 1e-3
     amp_a, amp_b = config.line_amp_main, config.line_amp_beat
-    if amp_a + amp_b > 0:
-        beat = (amp_a + amp_b * np.exp(1j * omega_beat * tau)) / (amp_a + amp_b)
-    else:
-        beat = np.ones_like(tau, dtype=complex)
+    beat = (amp_a + amp_b * np.exp(1j * omega_beat * tau)) / (amp_a + amp_b)
     kernel = np.exp(-(math.pi ** 2) * nu ** 2 * tau ** 2 / (8 * _LN2)) * beat
     # drive-free from the end of the write window to the start of the
     # read window, whatever the pulse energies
@@ -701,10 +704,10 @@ def simulate_batch(config: MemoryConfig, signals, writes, reads,
     The one admission check of a batch: it must hold at least one setting,
     as many signals as writes and reads, and no read window may open before
     its write window closes; the time step must be finite and positive.
-    Returns (results dict from the integrator,
-    closed-form control-off reference counts per individual, time bounds).
-    The results hold the output flux on the grid only when `keep_flux` is
-    set.
+    Returns the integrator's result (see _integrate_batch), on the grid
+    `ts` that spans every lane's window, with each lane's closed-form
+    control-off reference counts added as `reference_counts`.  It holds the
+    output flux on the grid only when `keep_flux` is set.
     """
     if len(signals) == len(writes) == len(reads) == 0:
         raise DomainError("the batch holds no pulse settings")
@@ -717,8 +720,8 @@ def simulate_batch(config: MemoryConfig, signals, writes, reads,
     par = _pulse_par_arrays(config, signals, writes, reads, drift_offset_ghz)
     k_start, *_, k_end = _lane_steps(par, dt_ns)
     t0, t1 = dt_ns * int(k_start.min()), dt_ns * int(k_end.max())
-    main = _integrate_batch(par, t0, t1, dt_ns, keep_flux)
-    return main, _reference_counts(par), (t0, t1)
+    return {**_integrate_batch(par, t0, t1, dt_ns, keep_flux),
+            "reference_counts": _reference_counts(par)}
 
 
 def total_efficiency(c_ret, c_ref, zeta: float):
@@ -749,9 +752,9 @@ def batch_efficiency(config: MemoryConfig, signals, writes, reads,
     """
     if len(signals) == len(writes) == len(reads) == 0:
         return np.empty(0)
-    main, c_ref, _ = simulate_batch(config, signals, writes, reads,
-                                    drift_offset_ghz, dt_ns)
-    return total_efficiency(main["retrieved"], c_ref, 0.0 if internal else config.zeta())
+    result = simulate_batch(config, signals, writes, reads, drift_offset_ghz, dt_ns)
+    return total_efficiency(result["retrieved_counts"], result["reference_counts"],
+                            0.0 if internal else config.zeta())
 
 
 def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
@@ -765,33 +768,26 @@ def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
     same call.
     """
     dark_write, dark_read = replace(write, energy=0.0), replace(read, energy=0.0)
-    main, c_refs, _ = simulate_batch(config, [signal, signal], [write, dark_write],
-                                     [read, dark_read], drift_offset_ghz, dt_ns,
-                                     keep_flux=True)
-    c_ref, leak, c_ret = float(c_refs[0]), float(main["leak"][0]), float(main["retrieved"][0])
+    result = simulate_batch(config, [signal, signal], [write, dark_write],
+                            [read, dark_read], drift_offset_ghz, dt_ns, keep_flux=True)
+    # the storage lane's ledger; lane 1 is its control-off twin
+    lane = {k: float(result[k][0]) for k in ("input_photons", "reference_counts",
+                                             *CHANNELS, "closure_residual")}
+    c_ref, c_ret = lane["reference_counts"], lane["retrieved_counts"]
     return SimulationResult(
-        time_grid_ns=main["ts"],
-        output_flux=main["out_flux"][:, 0],
-        reference_flux=main["out_flux"][:, 1],
-        input_photons=float(main["n_in"][0]),
-        reference_counts=c_ref,
-        leak_counts=leak,
-        retrieved_counts=c_ret,
+        time_grid_ns=result["ts"],
+        output_flux=result["out_flux"][:, 0],
+        reference_flux=result["out_flux"][:, 1],
+        **{k: lane[k] for k in ("input_photons", "reference_counts", *CHANNELS[:2])},
         internal_efficiency=total_efficiency(c_ret, c_ref, 0.0),
         total_efficiency=total_efficiency(c_ret, c_ref, config.zeta()),
         snr_db=snr_db(c_ret, config.noise_photons_per_pulse),
-        bookkeeping={
-            "loss_polarization": float(main["loss_pol"][0]),
-            "loss_spin": float(main["loss_spin"][0]),
-            "loss_cavity_internal": float(main["loss_cav"][0]),
-            "loss_dephasing": float(main["loss_dephasing"][0]),
-            "residual_excitation": float(main["residual"][0]),
-            "output_total": leak + c_ret,
-        },
+        bookkeeping={**{k: lane[k] for k in CHANNELS[2:]},
+                     "output_total": lane["leak_counts"] + c_ret},
         integrator={"dt_ns": dt_ns,
-                    **{k: main[k] for k in ("loop_steps", "lane_steps", "lam_max_dt",
-                                            "stability_margin")},
-                    "closure_residual": float(main["closure"][0])},
+                    **{k: result[k] for k in ("loop_steps", "lane_steps", "lam_max_dt",
+                                              "stability_margin")},
+                    "closure_residual": lane["closure_residual"]},
     )
 
 

@@ -14,11 +14,12 @@ reproducible bit-for-bit regardless of how the batch is executed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, _holds, require_finite
 from .memory import MemoryConfig, PulseShape, batch_efficiency, pulses_overlap
 
 __all__ = [
@@ -57,13 +58,13 @@ class ParameterSpace:
     def __post_init__(self):
         if set(self.bounds) != set(PARAMETER_NAMES):
             raise DomainError(f"parameter names must be exactly {PARAMETER_NAMES}")
-        for name, (lo, hi, _res) in self.bounds.items():
-            if lo >= hi:
+        for name, bound in self.bounds.items():
+            if not (isinstance(bound, (tuple, list)) and len(bound) == 3
+                    and all(_holds(v, numbers.Real, False) for v in bound)):
+                raise DomainError(f"bound of {name} must be three finite numbers "
+                                  f"[lower, upper, resolution], got {bound!r}")
+            if bound[0] >= bound[1]:
                 raise DomainError(f"empty range for {name}")
-
-    @property
-    def names(self):
-        return PARAMETER_NAMES
 
     def lower(self):
         return np.array([self.bounds[n][0] for n in PARAMETER_NAMES])
@@ -148,13 +149,15 @@ class OptimizationTrace:
         return max(self.iterations, key=lambda r: r["objective"])
 
 
-def _pulses_from_vector(x, base_write_center: float = 0.1,
-                        signal_photons: float = 0.8):
+_WRITE_CENTER_NS = 0.1    # the write centre, which a vector's delays count from
+_SIGNAL_PHOTONS = 0.8     # the signal's photon number, which the GA does not tune
+
+
+def _pulses_from_vector(x):
     delta, e_w, ratio, s_delay, s_fwhm, w_fwhm, rw_delay, r_fwhm = x
-    signal = PulseShape(base_write_center + s_delay, s_fwhm, signal_photons)
-    write = PulseShape(base_write_center, w_fwhm, e_w,
-                       carrier_detuning_ghz=delta)
-    read = PulseShape(base_write_center + rw_delay, r_fwhm, e_w * ratio,
+    signal = PulseShape(_WRITE_CENTER_NS + s_delay, s_fwhm, _SIGNAL_PHOTONS)
+    write = PulseShape(_WRITE_CENTER_NS, w_fwhm, e_w, carrier_detuning_ghz=delta)
+    read = PulseShape(_WRITE_CENTER_NS + rw_delay, r_fwhm, e_w * ratio,
                       carrier_detuning_ghz=delta)
     return signal, write, read
 
@@ -233,8 +236,6 @@ def _polynomial_mutation(rng, x, lo, hi, eta, prob):
             continue
         u = rng.random()
         span = hi[k] - lo[k]
-        if span <= 0:
-            continue
         if u < 0.5:
             delta = (2 * u) ** (1 / (eta + 1)) - 1
         else:

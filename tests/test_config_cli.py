@@ -45,6 +45,30 @@ def test_partial_override_fills_defaults():
     assert cfg.memory_config().cooperativity == 3800.0
 
 
+def test_partial_bounds_override_merges_per_parameter():
+    # a bound left out keeps its default, as every other missing field does
+    from cavmem.optimize import ParameterSpace
+    cfg = ExperimentConfig.from_dict(
+        {"optimizer": {"bounds": {"write_energy_nj": [0.01, 1.0, 1e-4]}}})
+    bounds = dict(ParameterSpace().bounds, write_energy_nj=(0.01, 1.0, 1e-4))
+    assert cfg.parameter_space() == ParameterSpace(bounds=bounds)
+
+
+def test_unknown_bound_name_refused():
+    with pytest.raises(ConfigError, match="optimizer.bounds.write_energy"):
+        ExperimentConfig.from_dict({"optimizer": {"bounds": {"write_energy": [0, 1, 1e-3]}}})
+
+
+@pytest.mark.parametrize("bound", [[0.01, 1.0], [0.01, 1.0, 1e-4, 5.0], 0.5, "abc", None,
+                                   [0.01, "1", 1e-4], [False, True, 1e-4]],
+                         ids=["two", "four", "number", "text", "null", "text-entry",
+                              "bools"])
+def test_bound_that_is_not_three_numbers_refused_by_name(bound):
+    with pytest.raises(ConfigError,
+                       match="bound of write_energy_nj must be three finite numbers"):
+        ExperimentConfig.from_dict({"optimizer": {"bounds": {"write_energy_nj": bound}}})
+
+
 def test_config_hash_stable_and_sensitive():
     a = ExperimentConfig()
     b = ExperimentConfig.from_dict({})
@@ -395,10 +419,9 @@ def test_cli_store_flux_ends_at_last_counted_grid_point(tmp_path):
     _, rows = read_csv(tmp_path / "store_flux.csv")
     cfg = ExperimentConfig()
     sig, wr, rd = (cfg.pulse(n) for n in ("signal", "write", "read"))
-    _, _, (_, t1) = simulate_batch(cfg.memory_config(), [sig, sig],
-                                   [wr, replace(wr, energy=0.0)],
-                                   [rd, replace(rd, energy=0.0)], 0.0, 0.01)
-    assert rows[-1, 0] == t1
+    ts = simulate_batch(cfg.memory_config(), [sig, sig], [wr, replace(wr, energy=0.0)],
+                        [rd, replace(rd, energy=0.0)], 0.0, 0.01)["ts"]
+    assert rows[-1, 0] == ts[-1]
 
 
 def test_cli_store_deterministic(tmp_path):
@@ -745,10 +768,12 @@ def test_cli_non_positive_dt_exits_2_without_output(tmp_path, capsys, argv):
     {"optimizer": {"dt_ns": -0.02}},
     {"optimizer": {"dt_ns": 0}},
     {"optimizer": {"objective_noise_sd": -1}},
+    {"memory": {"line_amp_main": 0.0, "line_amp_beat": 0.0}},
 ], ids=["cooperativity-negative", "population-4", "cooperativity-text",
         "seed-negative", "seed-float", "read-fwhm-zero", "drift-rate-text",
         "drift-noise-negative", "drift-enabled-text", "field-text",
-        "field-negative", "ga-dt-negative", "ga-dt-zero", "ga-noise-negative"])
+        "field-negative", "ga-dt-negative", "ga-dt-zero", "ga-noise-negative",
+        "line-amplitudes-zero"])
 def test_cli_refused_config_value_exits_2_without_output(tmp_path, capsys, override):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(override))
@@ -878,6 +903,17 @@ def test_cli_exit_code_numerical_error(tmp_path, capsys):
     assert err["error"] == "numerical"
 
 
+def test_cli_stability_guard_prints_a_positive_limit_below_dt(tmp_path, capsys):
+    # a far cavity offset makes the fastest mode fast enough that the limit
+    # is well below 1e-4 ns; four decimals printed it as 0.0000
+    import re
+    rc = main(["--out", str(tmp_path), "store", "--drift-offset", "1e6"])
+    assert rc == 3
+    message = json.loads(capsys.readouterr().err)["message"]
+    limit = float(re.search(r"reduce dt below (\S+) ns", message).group(1))
+    assert 0.0 < limit < 0.01
+
+
 def test_cli_fit_missing_file(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "fit", "--model", "line",
                str(tmp_path / "nope.csv")])
@@ -893,6 +929,20 @@ def test_cli_fit_short_row_exits_2_without_output(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert "line 3" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_cli_fit_non_finite_cell_exits_2_naming_the_line(tmp_path, capsys, cell):
+    # the LM engine would refuse it as a numerical failure (exit 3)
+    data = tmp_path / "bad.csv"
+    data.write_text(f"x,y\n0,1\n1,2\n2,5\n3,{cell}\n4,5\n5,2\n6,1\n7,1\n")
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), "fit", "--model", "line", str(data)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "line 5" in err["message"] and "finite" in err["message"]
     assert not out.exists()
 
 

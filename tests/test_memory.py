@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cavmem.errors import DomainError
-from cavmem.memory import (MemoryConfig, PulseShape, bandwidth_scan,
+from cavmem.memory import (CHANNELS, MemoryConfig, PulseShape, bandwidth_scan,
                            energy_scan, lifetime_model, lifetime_scan,
                            mean_photon_from_counts, one_over_e_lifetime_ns,
                            oscillation_suppression, pulses_overlap,
@@ -114,11 +114,11 @@ def test_lane_without_input_photons_reports_no_closure_residual():
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        main, _, _ = simulate_batch(CFG, [replace(SIG, energy=0.0), SIG], [WRITE] * 2,
-                                    [READ] * 2, 0.0, 0.02)
-    assert main["n_in"][0] == 0.0
-    assert np.isnan(main["closure"][0])
-    assert abs(main["closure"][1]) <= 1e-4
+        main = simulate_batch(CFG, [replace(SIG, energy=0.0), SIG], [WRITE] * 2,
+                              [READ] * 2, 0.0, 0.02)
+    assert main["input_photons"][0] == 0.0
+    assert np.isnan(main["closure_residual"][0])
+    assert abs(main["closure_residual"][1]) <= 1e-4
 
 
 def test_closed_form_reference_matches_control_off_rk4():
@@ -127,10 +127,9 @@ def test_closed_form_reference_matches_control_off_rk4():
                                                        carrier_detuning_ghz=0.3)]
     dark_w, dark_r = replace(WRITE, energy=0.0), replace(READ, energy=0.0)
     for drift in (0.0, 0.4):
-        main, c_ref, _ = simulate_batch(CFG, signals, [dark_w] * 3, [dark_r] * 3,
-                                        drift, dt_ns=0.005)
-        rk4 = main["leak"] + main["retrieved"]
-        assert np.allclose(c_ref, rk4, rtol=1e-8, atol=0.0)
+        main = simulate_batch(CFG, signals, [dark_w] * 3, [dark_r] * 3, drift, dt_ns=0.005)
+        rk4 = main["leak_counts"] + main["retrieved_counts"]
+        assert np.allclose(main["reference_counts"], rk4, rtol=1e-8, atol=0.0)
 
 
 def test_reference_flux_integrates_to_reference_counts():
@@ -293,7 +292,7 @@ def test_simulated_scan_fit_recovers_configured_dephasing():
 # --------------------------------------------------- segmented integrator
 
 def _closure(main):
-    return np.abs(main["closure"])
+    return np.abs(main["closure_residual"])
 
 
 @pytest.mark.parametrize("dt, worst_at_parent", [(0.02, 2.6e-5), (0.01, 1.3e-5)])
@@ -302,7 +301,7 @@ def test_lifetime_lanes_close_photon_bookkeeping(dt, worst_at_parent):
     # close at least as well as the worst lane did when RK4 stepped through it
     taus = np.linspace(8.0, 104.0, 7)
     reads = [replace(READ, center_ns=WRITE.center_ns + t) for t in taus]
-    main, _, _ = simulate_batch(CFG, [SIG] * 7, [WRITE] * 7, reads, 0.0, dt)
+    main = simulate_batch(CFG, [SIG] * 7, [WRITE] * 7, reads, 0.0, dt)
     assert np.all(_closure(main) <= worst_at_parent)
 
 
@@ -347,12 +346,12 @@ def test_loop_ends_at_read_close():
     # the loop stops where the last lane's read window closes, not where its
     # cavity has emptied; it stepped 3111 and 1632 times when it ran on
     dark_w, dark_r = replace(WRITE, energy=0.0), replace(READ, energy=0.0)
-    store, _, _ = simulate_batch(CFG, [SIG] * 2, [WRITE, dark_w], [READ, dark_r],
-                                 0.0, 0.01, keep_flux=True)
+    store = simulate_batch(CFG, [SIG] * 2, [WRITE, dark_w], [READ, dark_r],
+                           0.0, 0.01, keep_flux=True)
     assert (store["loop_steps"], store["lane_steps"]) == (2592, 2 * 2592)
     taus = np.linspace(8.0, 104.0, 192)
     reads = [replace(READ, center_ns=WRITE.center_ns + t) for t in taus]
-    scan, _, _ = simulate_batch(CFG, [SIG] * 192, [WRITE] * 192, reads, 0.0, 0.02)
+    scan = simulate_batch(CFG, [SIG] * 192, [WRITE] * 192, reads, 0.0, 0.02)
     assert (scan["loop_steps"], scan["lane_steps"]) == (1372, 192 * 1372)
 
 
@@ -382,10 +381,10 @@ def test_dark_read_before_write_independent_of_batch_companions():
     # t_mid of this lane lies past its read close, before its write closes;
     # a longer companion must not move where it takes the kernel
     write, dark_read = replace(WRITE, center_ns=30.0), replace(READ, energy=0.0)
-    alone, _, _ = simulate_batch(CFG, [SIG], [write], [dark_read], 0.0, 0.02)
-    pair, _, _ = simulate_batch(CFG, [SIG, SIG], [write, WRITE],
-                                [dark_read, replace(READ, center_ns=60.0)], 0.0, 0.02)
-    for key in _COUNTS:
+    alone = simulate_batch(CFG, [SIG], [write], [dark_read], 0.0, 0.02)
+    pair = simulate_batch(CFG, [SIG, SIG], [write, WRITE],
+                          [dark_read, replace(READ, center_ns=60.0)], 0.0, 0.02)
+    for key in CHANNELS:
         assert pair[key][0] == alone[key][0], key
 
 
@@ -398,7 +397,7 @@ def test_dark_read_before_write_takes_its_kernel_before_the_ring_down():
     par = _pulse_par_arrays(CFG, [SIG], [write], [dark_read], 0.0)
     _, k_mid, _, _, k_close, _ = _lane_steps(par, 0.02)
     assert k_mid[0] <= k_close[0]
-    main, _, _ = simulate_batch(CFG, [SIG], [write], [dark_read], 0.0, 0.02)
+    main = simulate_batch(CFG, [SIG], [write], [dark_read], 0.0, 0.02)
     assert main["loss_dephasing"][0] > 0.0
     assert _closure(main)[0] < 1e-4
 
@@ -419,12 +418,12 @@ def test_kernel_acts_where_t_mid_meets_a_jump_end(event):
         _pulse_par_arrays(CFG, [SIG], [write], [read], 0.0), 0.02)
     assert k_mid[0] == {"free": k_free, "read": k_read}[event][0]
     assert k_free[0] < k_read[0]
-    alone, _, _ = simulate_batch(CFG, [SIG], [write], [read], 0.0, 0.02)
+    alone = simulate_batch(CFG, [SIG], [write], [read], 0.0, 0.02)
     assert alone["loss_dephasing"][0] > 0.0
     assert _closure(alone)[0] < 1e-4
-    pair, _, _ = simulate_batch(CFG, [SIG, SIG], [write, WRITE],
-                                [read, replace(READ, center_ns=90.0)], 0.0, 0.02)
-    for key in _COUNTS:
+    pair = simulate_batch(CFG, [SIG, SIG], [write, WRITE],
+                          [read, replace(READ, center_ns=90.0)], 0.0, 0.02)
+    for key in CHANNELS:
         assert pair[key][0] == alone[key][0], key
 
 
@@ -435,7 +434,7 @@ def test_integrate_batch_keeps_the_benchmark_hook_shape():
 
     from cavmem.memory import _integrate_batch
     assert list(inspect.signature(_integrate_batch).parameters)[:4] == ["par", "t0", "t1", "dt"]
-    main, _, _ = simulate_batch(CFG, [SIG], [WRITE], [READ], 0.0, 0.02)
+    main = simulate_batch(CFG, [SIG], [WRITE], [READ], 0.0, 0.02)
     assert {"loop_steps", "lane_steps"} <= set(main)
 
 
@@ -610,29 +609,29 @@ _PINNED_BATCHES = {
     (5, 48): (2213, {
         "ts": "0d211dcd1bdfffbec28e0703ae032df670128174ae6b175735d9a65fdab4cd32",
         "out_flux": "145d2c3009d03d25f30f819ddd7c4b1a8f229dc61f55c5ba90e63e0d7299912a",
-        "leak": "83bc1fe94fcfb9c1bd63e595e6986950d85f6a719bd504685677c5b48002288e",
-        "retrieved": "56d9d0c02c43c97aa24e8ace12be2807af7588a4e94d275deb5fcb2959c35a1f",
-        "n_in": "f022e0e2126316adbdcfda5d5bdfa9767ecb1d575851a22989bc329fbf628865",
-        "loss_pol": "8505541904be1237082adb8bb378a1bc2beb20eb738feb0e8d99c508009b90f9",
+        "leak_counts": "83bc1fe94fcfb9c1bd63e595e6986950d85f6a719bd504685677c5b48002288e",
+        "retrieved_counts": "56d9d0c02c43c97aa24e8ace12be2807af7588a4e94d275deb5fcb2959c35a1f",
+        "input_photons": "f022e0e2126316adbdcfda5d5bdfa9767ecb1d575851a22989bc329fbf628865",
+        "loss_polarization": "8505541904be1237082adb8bb378a1bc2beb20eb738feb0e8d99c508009b90f9",
         "loss_spin": "bf4c2f7019d36973824fced0e62003ea750f779688714e3a5063aebd7acd5abf",
-        "loss_cav": "0e6a39a20d9e2a509fdbf9224fad4e8a9e312b844dd06a231808b77a9d451f03",
+        "loss_cavity_internal": "0e6a39a20d9e2a509fdbf9224fad4e8a9e312b844dd06a231808b77a9d451f03",
         "loss_dephasing": "cef2656ca55dcf6e86743014da6fc1a7d0dac9364b53ddc3e9cd11d3caf93808",
-        "residual": "d6c0e90ee93ae83f266bd461a3db135fb6390298cdb7a22b8a0383421d865516",
-        "closure": "af11a160ad6670c6f568edb971336b8442658d5f5333e748ab1ce4b0f0ffdad3",
+        "residual_excitation": "d6c0e90ee93ae83f266bd461a3db135fb6390298cdb7a22b8a0383421d865516",
+        "closure_residual": "af11a160ad6670c6f568edb971336b8442658d5f5333e748ab1ce4b0f0ffdad3",
         "reference_counts": "311f34c1edf722b867511ce32515db15e7cb93b7b0401a840d2e51e888c1a433",
     }),
     (6, 320): (2260, {
         "ts": "06801551eb01426325e63442a50b731a51b5c84161217b4b46b7772ba4345658",
         "out_flux": "f5fefcc27cc863bc429c358dec6c4c9f91de553d2ba5e25a3be3d34994132645",
-        "leak": "136cdc6e903d84852da2663f26573a9a9adc990cfeb55bdd1827d15d87af467e",
-        "retrieved": "88c2d9899d5d24f3da1d0541f90ab6a701fc9e3fa724b789d0a1f03f162065e8",
-        "n_in": "5400e45cb37a8824845276343c4006b3f0eeef611488e7de417993df2fd3365c",
-        "loss_pol": "5bab4f53b3ef2cda72ee9224b039bd13d3cfe3ae0cf05b95a90b13e3a1bdee19",
+        "leak_counts": "136cdc6e903d84852da2663f26573a9a9adc990cfeb55bdd1827d15d87af467e",
+        "retrieved_counts": "88c2d9899d5d24f3da1d0541f90ab6a701fc9e3fa724b789d0a1f03f162065e8",
+        "input_photons": "5400e45cb37a8824845276343c4006b3f0eeef611488e7de417993df2fd3365c",
+        "loss_polarization": "5bab4f53b3ef2cda72ee9224b039bd13d3cfe3ae0cf05b95a90b13e3a1bdee19",
         "loss_spin": "1d249c33404116d7d624418b4fffb6ff53563262ac46f8ac4dccd46a54f3c05f",
-        "loss_cav": "fbf019db0454282d29aa39af6152982bfc0925966f3cd280295e325029fd7fd9",
+        "loss_cavity_internal": "fbf019db0454282d29aa39af6152982bfc0925966f3cd280295e325029fd7fd9",
         "loss_dephasing": "b085cdd4e2cb4233e304c6395c42dedd19d3c09c17fb82fd9bdb47ce821be37e",
-        "residual": "a7046413c607e54ce2644bedf22dbebbedf3da3588dae4af87fef68a632fd1eb",
-        "closure": "52b6c6a767944b7881cdc2a2ce578819fd6b07373df7248a4b39fd0af9c1f8f9",
+        "residual_excitation": "a7046413c607e54ce2644bedf22dbebbedf3da3588dae4af87fef68a632fd1eb",
+        "closure_residual": "52b6c6a767944b7881cdc2a2ce578819fd6b07373df7248a4b39fd0af9c1f8f9",
         "reference_counts": "76e9c8afbd06bc34e79df8b51d2b2602e18269b92f527f8aaad758075b27af31",
     }),
 }
@@ -676,7 +675,7 @@ def test_rk4_step_makes_at_most_30_multiply_and_add_calls(monkeypatch):
     numpy = types.SimpleNamespace(**vars(np))
     numpy.multiply, numpy.add = Counted(np.multiply), Counted(np.add)
     monkeypatch.setattr(memory, "np", numpy)
-    main, _, _ = simulate_batch(CFG, [SIG], [WRITE], [READ], 0.0, 0.02)
+    main = simulate_batch(CFG, [SIG], [WRITE], [READ], 0.0, 0.02)
     assert len(calls) / main["loop_steps"] <= 30
 
 
@@ -687,8 +686,7 @@ def test_chirp_free_lane_keeps_its_bits_beside_chirped_companions(at):
     # exactly 1, which moves no bit of any of its arrays
     from cavmem.memory import _drives, _pulse_par_arrays
     lane = _pulses_from_vector(np.array([0.0, 0.2, 5.0, -0.1, 1.5, 1.6, 12.5, 2.7]))
-    alone, c_alone, _ = simulate_batch(CFG, *([p] for p in lane), 0.0, 0.02,
-                                       keep_flux=True)
+    alone = simulate_batch(CFG, *([p] for p in lane), 0.0, 0.02, keep_flux=True)
     par = _pulse_par_arrays(CFG, *([p] for p in lane), 0.0)
     assert par["chirp_r"][0] == 0.0
     assert all(g.dtype == float for g in _drives(par, np.arange(8)[:, None], 0.02))
@@ -697,8 +695,7 @@ def test_chirp_free_lane_keeps_its_bits_beside_chirped_companions(at):
     signals, writes, reads = (list(c) for c in zip(*lanes))
     chirps = _pulse_par_arrays(CFG, signals, writes, reads, 0.0)["chirp_r"]
     assert np.count_nonzero(chirps) == 3
-    pair, c_pair, _ = simulate_batch(CFG, signals, writes, reads, 0.0, 0.02, keep_flux=True)
-    assert c_pair[at] == c_alone[0]
+    pair = simulate_batch(CFG, signals, writes, reads, 0.0, 0.02, keep_flux=True)
     for key, value in alone.items():
         if key == "out_flux":          # on the batch's grid, which spans wider
             shift = round((alone["ts"][0] - pair["ts"][0]) / 0.02)
@@ -878,11 +875,17 @@ def test_non_finite_inputs_rejected(make, value):
         make(value)
 
 
+def test_line_amplitudes_both_zero_refused():
+    # the decay law reads 0 for them at every storage time, which no
+    # normalized beat kernel reproduces; one line alone is a decay law
+    with pytest.raises(DomainError, match="not both zero"):
+        MemoryConfig(line_amp_main=0.0, line_amp_beat=0.0)
+    assert MemoryConfig(line_amp_main=0.0).line_amp_beat > 0
+
+
 # ------------------------------------------------- simulator properties
 
 _SPACE_BOUNDS = ParameterSpace().bounds
-_COUNTS = ("leak", "retrieved", "loss_pol", "loss_spin", "loss_cav",
-           "loss_dephasing", "residual")
 
 
 @settings(max_examples=15)
@@ -895,11 +898,10 @@ def test_random_ga_settings_passive_closed_and_linear(vector):
     sig, write, read = _pulses_from_vector(np.array(vector))
     assume(not pulses_overlap(write, read))
     sig3 = replace(sig, energy=3 * sig.energy)
-    main, c_ref, _ = simulate_batch(CFG, [sig, sig3], [write] * 2, [read] * 2,
-                                    0.0, 0.02)
-    n_in = main["n_in"]
-    assert np.all(main["leak"] + main["retrieved"] <= n_in)
-    assert np.all(c_ref <= n_in)
+    main = simulate_batch(CFG, [sig, sig3], [write] * 2, [read] * 2, 0.0, 0.02)
+    n_in = main["input_photons"]
+    assert np.all(main["leak_counts"] + main["retrieved_counts"] <= n_in)
+    assert np.all(main["reference_counts"] <= n_in)
     assert np.all(_closure(main) <= 1e-4)
-    for counts in [main[k] for k in _COUNTS] + [c_ref]:
+    for counts in (main[k] for k in (*CHANNELS, "reference_counts")):
         assert counts[1] / 3 == pytest.approx(counts[0], abs=1e-9 * sig.energy)

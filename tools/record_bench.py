@@ -116,17 +116,15 @@ def random_lanes(rng, size):
 
 
 def pinned_batch(seed: int, size: int) -> dict:
-    """Loop steps and the sha256 of every array of the default memory's
-    batch of `size` random lanes drawn from `seed`, at dt 0.02 with its
-    output flux."""
+    """Loop steps and the sha256 of every array that `simulate_batch`
+    returns for the default memory's batch of `size` random lanes drawn
+    from `seed`, at dt 0.02 with its output flux."""
     signals, writes, reads = random_lanes(np.random.default_rng(seed), size)
-    main, c_ref, _ = memory.simulate_batch(memory.MemoryConfig(), signals, writes, reads,
-                                           0.0, 0.02, keep_flux=True)
-    arrays = {k: v for k, v in main.items() if isinstance(v, np.ndarray)}
-    arrays["reference_counts"] = c_ref
-    return {"loop_steps": main["loop_steps"],
+    result = memory.simulate_batch(memory.MemoryConfig(), signals, writes, reads,
+                                   0.0, 0.02, keep_flux=True)
+    return {"loop_steps": result["loop_steps"],
             "sha256": {k: hashlib.sha256(v.tobytes()).hexdigest()
-                       for k, v in arrays.items()}}
+                       for k, v in result.items() if isinstance(v, np.ndarray)}}
 
 
 def _best_ms(run, repeats: int = 5, before=None) -> float:
@@ -145,16 +143,16 @@ def _best_ms(run, repeats: int = 5, before=None) -> float:
 def step_timings() -> dict:
     """Microseconds per RK4 loop step at 1, 24 and 192 lanes: the best of 5
     wall times of `_integrate_batch` over random lanes (seed 5) at dt 0.02,
-    divided by the loop steps that the run returns."""
+    on the grid of an untimed `simulate_batch` of the same lanes, divided
+    by the loop steps that the run returns."""
     out = {}
     for size in (1, 24, 192):
-        signals, writes, reads = random_lanes(np.random.default_rng(5), size)
-        par = memory._pulse_par_arrays(memory.MemoryConfig(), signals, writes, reads, 0.0)
-        k_start, *_, k_end = memory._lane_steps(par, 0.02)
-        t0, t1 = 0.02 * int(k_start.min()), 0.02 * int(k_end.max())
+        lanes = random_lanes(np.random.default_rng(5), size)
+        par = memory._pulse_par_arrays(memory.MemoryConfig(), *lanes, 0.0)
+        ts = memory.simulate_batch(memory.MemoryConfig(), *lanes, 0.0, 0.02)["ts"]
 
         def run():
-            return memory._integrate_batch(par, t0, t1, 0.02)
+            return memory._integrate_batch(par, ts[0], ts[-1], 0.02)
         out[str(size)] = _best_ms(run) * 1e3 / run()["loop_steps"]
     return out
 
