@@ -82,17 +82,19 @@ def reject_non_finite(value, path):
 
 def _merge_strict(defaults, override, path=""):
     """Fill missing keys from defaults; unknown keys and non-finite numbers
-    are an error."""
+    are an error.  path is the dotted name of the section being merged, ""
+    at the root."""
     if not isinstance(override, dict):
         raise ConfigError(f"section {path or '<root>'} must be an object")
     merged = copy.deepcopy(defaults)
     for key, value in override.items():
+        name = f"{path}.{key}" if path else key
         if key not in defaults:
-            raise ConfigError(f"unknown config key {path + key!r}")
+            raise ConfigError(f"unknown config key {name!r}")
         if isinstance(defaults[key], dict):
-            merged[key] = _merge_strict(defaults[key], value, path + key + ".")
+            merged[key] = _merge_strict(defaults[key], value, name)
         else:
-            reject_non_finite(value, f"config value {path + key}")
+            reject_non_finite(value, f"config value {name}")
             merged[key] = copy.deepcopy(value)
     return merged
 

@@ -65,8 +65,9 @@ leak and after it retrieved.  The events depend only on the lane's
 pulses, so a lane's results do not depend on the other lanes of its batch.
 
 All simulations are pure functions of (config, pulses, drift); scans evaluate
-their points as one vectorized batch (the bandwidth scan one batch over all
-widths per refinement round), so results cannot depend on evaluation order.
+their points as one vectorized batch (the bandwidth scan one batch per
+refinement round, over the widths whose centre energy moved in the round
+before), so results cannot depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -921,6 +922,13 @@ def bandwidth_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
     bandwidth limited.  The curve therefore measures the acceptance
     bandwidth of the operating configuration, not the envelope over all
     control shapes.
+
+    A width is settled once a round leaves its centre energy where it was:
+    the next round would integrate the same lanes, and since a lane's
+    results do not depend on the rest of its batch it would return the same
+    bits and change neither the centre nor the best.  So each round
+    integrates only the widths whose centre moved in the round before, and
+    the scan stops early when none did; `refine_rounds` caps the rounds.
     """
     fwhms = np.asarray(signal_fwhms_ns, dtype=float)
     if refine_rounds < 1:
@@ -929,23 +937,29 @@ def bandwidth_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
         raise DomainError("the template write pulse must carry energy")
     ratio = read.energy / write.energy
     scales = np.array([0.4, 0.63, 0.8, 0.9, 1.0, 1.12, 1.25, 1.6, 2.5])
-    # each width keeps its own centre energy and best; a round evaluates
-    # every width's scales in one batch
+    # each width keeps its own centre energy and best; a round evaluates the
+    # scales of the widths still moving in one batch
     centers = np.full(len(fwhms), write.energy)
     best = np.full(len(fwhms), -1.0)
-    signals = [replace(signal, fwhm_ns=float(fw)) for fw in fwhms
-               for _ in scales]
+    moving = np.arange(len(fwhms))
     for _ in range(refine_rounds):
-        energies = (centers[:, None] * scales).ravel()
+        if not len(moving):
+            break
+        energies = (centers[moving, None] * scales).ravel()
+        signals = [replace(signal, fwhm_ns=float(fw)) for fw in fwhms[moving]
+                   for _ in scales]
         writes = [replace(write, energy=float(e)) for e in energies]
         reads = [replace(read, energy=float(e * ratio)) for e in energies]
         effs = batch_efficiency(config, signals, writes, reads, 0.0,
-                                dt_ns).reshape(len(fwhms), len(scales))
+                                dt_ns).reshape(len(moving), len(scales))
         k = np.argmax(effs, axis=1)
-        top = effs[np.arange(len(fwhms)), k]
-        better = top > best
-        best = np.where(better, top, best)
-        centers = np.where(better, centers * scales[k], centers)
+        top = effs[np.arange(len(moving)), k]
+        better = top > best[moving]
+        best[moving] = np.where(better, top, best[moving])
+        new = np.where(better, centers[moving] * scales[k], centers[moving])
+        moved = new != centers[moving]
+        centers[moving] = new
+        moving = moving[moved]
     return best
 
 

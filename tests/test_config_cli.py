@@ -38,6 +38,19 @@ def test_unknown_keys_rejected():
         ExperimentConfig.from_dict({"pulses": {"write": {"amplitude": 2}}})
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"memory": 5}, "section memory must be an object"),
+    ({"optimizer": {"drift": []}}, "section optimizer.drift must be an object"),
+    ({"memory": {"foo": 1}}, "unknown config key 'memory.foo'"),
+    ({"optimizer": {"drift": {"foo": 1}}}, "unknown config key 'optimizer.drift.foo'"),
+], ids=["section", "nested-section", "key", "nested-key"])
+def test_refused_section_or_key_named_by_its_dotted_path(override, message):
+    # a section that is not an object was named with a trailing dot
+    with pytest.raises(ConfigError) as refused:
+        ExperimentConfig.from_dict(override)
+    assert str(refused.value) == message
+
+
 def test_partial_override_fills_defaults():
     cfg = ExperimentConfig.from_dict({"cavity": {"zeta_rt": 0.05}})
     assert cfg.cavity_params().zeta_rt == 0.05

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cavmem.errors import DomainError
 from cavmem.memory import (CHANNELS, MemoryConfig, PulseShape, bandwidth_scan,
-                           energy_scan, lifetime_model, lifetime_scan,
+                           batch_efficiency, energy_scan, lifetime_model, lifetime_scan,
                            mean_photon_from_counts, one_over_e_lifetime_ns,
                            oscillation_suppression, pulses_overlap,
                            simulate_batch, simulate_storage_retrieval, snr_db,
@@ -484,7 +484,6 @@ def test_scan_of_empty_grid_is_empty(scan):
 
 
 def test_batch_admission():
-    from cavmem.memory import batch_efficiency
     with pytest.raises(DomainError):
         simulate_batch(CFG, [], [], [])
     with pytest.raises(DomainError):
@@ -786,13 +785,80 @@ def test_bandwidth_scan_plateau():
 
 
 def test_bandwidth_scan_batches_widths_without_changing_them():
-    # every width's refinement runs in one batch per round; each width
+    # the moving widths' refinement runs in one batch per round; each width
     # keeps its own centre and best, bit for bit
     fwhms = [0.6, 1.0, 1.5, 3.0]
     together = bandwidth_scan(CFG, SIG, WRITE, READ, fwhms, dt_ns=0.02)
     alone = [bandwidth_scan(CFG, SIG, WRITE, READ, [fw], dt_ns=0.02)[0]
              for fw in fwhms]
     assert together.tolist() == alone
+
+
+def _every_width_every_round(fwhms, refine_rounds):
+    """The bandwidth scan that integrates every width in every round: its
+    best per width and its centres after each round."""
+    fwhms = np.asarray(fwhms, dtype=float)
+    ratio = READ.energy / WRITE.energy
+    scales = np.array([0.4, 0.63, 0.8, 0.9, 1.0, 1.12, 1.25, 1.6, 2.5])
+    centers = np.full(len(fwhms), WRITE.energy)
+    best = np.full(len(fwhms), -1.0)
+    history = []
+    signals = [replace(SIG, fwhm_ns=float(fw)) for fw in fwhms for _ in scales]
+    for _ in range(refine_rounds):
+        energies = (centers[:, None] * scales).ravel()
+        writes = [replace(WRITE, energy=float(e)) for e in energies]
+        reads = [replace(READ, energy=float(e * ratio)) for e in energies]
+        effs = batch_efficiency(CFG, signals, writes, reads, 0.0,
+                                0.02).reshape(len(fwhms), len(scales))
+        k = np.argmax(effs, axis=1)
+        top = effs[np.arange(len(fwhms)), k]
+        better = top > best
+        best = np.where(better, top, best)
+        centers = np.where(better, centers * scales[k], centers)
+        history.append(centers)
+    return best, history
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3, 4])
+def test_bandwidth_scan_equals_the_every_width_every_round_scan(rounds):
+    # a width whose centre stayed put would integrate the same lanes again,
+    # so skipping it moves no bit
+    fwhms = [0.6, 1.0, 1.5, 3.0]
+    best, _ = _every_width_every_round(fwhms, rounds)
+    assert bandwidth_scan(CFG, SIG, WRITE, READ, fwhms, dt_ns=0.02,
+                          refine_rounds=rounds).tolist() == best.tolist()
+
+
+@pytest.fixture
+def lanes_per_call(monkeypatch):
+    import cavmem.memory as memory
+    calls = []
+    integrate = memory.batch_efficiency
+
+    def counted(config, signals, *rest):
+        calls.append(len(signals))
+        return integrate(config, signals, *rest)
+    monkeypatch.setattr(memory, "batch_efficiency", counted)
+    return calls
+
+
+def test_settled_width_costs_one_batch(lanes_per_call):
+    bandwidth_scan(CFG, SIG, WRITE, READ, [1.5], dt_ns=0.02)
+    assert lanes_per_call == [9]
+
+
+def test_each_round_integrates_the_widths_whose_centre_moved(lanes_per_call):
+    fwhms = [0.6, 1.0, 1.5, 3.0]
+    _, history = _every_width_every_round(fwhms, 4)
+    bandwidth_scan(CFG, SIG, WRITE, READ, fwhms, dt_ns=0.02, refine_rounds=4)
+    centres = [np.full(len(fwhms), WRITE.energy)] + history
+    moved = [np.count_nonzero(after != before)
+             for before, after in zip(centres, centres[1:])]
+    # round 1 integrates every width, each later round the widths whose
+    # centre moved in the round before, and none is left once none moved
+    assert lanes_per_call == [9 * n for n in [len(fwhms)] + moved[:-1] if n]
+    # the grid holds widths whose centre moves and one (1.5 ns) that stays put
+    assert lanes_per_call[:2] == [36, 27]
 
 
 def test_narrower_cavity_needs_longer_pulses():

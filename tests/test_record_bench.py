@@ -26,6 +26,10 @@ def record(tmp_path_factory):
 def test_record_holds_the_pinned_fingerprints(record):
     prints = record["fingerprints"]
     assert prints["objective"] == 1.0872241089227768
+    assert prints["bandwidth_scan"] == {"0.6": 0.12527423086055092,
+                                        "1.0": 0.19808656862149432,
+                                        "1.5": 0.2491559029965402,
+                                        "3.0": 0.25181059304402775}
     steps, pinned = _PINNED_BATCHES[5, 48]
     assert prints["pinned_batch"] == {"loop_steps": steps, "sha256": pinned}
     assert round(prints["criterion_5_separation_mhz"], 1) == 246.9
@@ -43,7 +47,7 @@ def test_record_times_every_other_layer(record):
     del timings["rk4_step_us"]
     assert set(timings) == {"eigh_blockwise_ms", "transition_lines_ms",
                             "one_photon_spectrum_ms", "ga_generation_ms",
-                            "doppler_fit_ms"}
+                            "doppler_fit_ms", "bandwidth_scan_ms"}
     assert all(value > 0 for value in timings.values())
 
 

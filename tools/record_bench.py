@@ -8,13 +8,14 @@ The record holds three sections:
 
 - `fingerprints`: the GA objective at one vector, the default `store` run's
   total efficiency and photon-closure residual, three lifetime-scan points,
-  the best of a 4-generation slice GA, the noise-free default Doppler fit,
-  criterion 5's two-line separation and the sha256 of every array of a
-  pinned random 48-lane batch;
+  four bandwidth-scan points, the best of a 4-generation slice GA, the
+  noise-free default Doppler fit, criterion 5's two-line separation and the
+  sha256 of every array of a pinned random 48-lane batch;
 - `timings`: per-layer wall times, which vary from run to run and are
   never compared with `==`: one RK4 loop step at 1, 24 and 192 lanes, the
   blockwise eigensolve over 1024 fields, `transition_lines`,
-  `one_photon_spectrum`, one GA generation and one Doppler fit;
+  `one_photon_spectrum`, one GA generation, one Doppler fit and the
+  four-point bandwidth scan;
 - `environment`: Python, numpy and scipy versions and the CPU count.
 
 It needs only the standard library, numpy and the package (scipy is used by
@@ -47,6 +48,7 @@ from cavmem.config import ExperimentConfig  # noqa: E402
 
 OBJECTIVE_VECTOR = [0.0, 0.2, 5.0, -0.1, 1.5, 1.6, 12.5, 2.7]
 LIFETIMES_NS = [20.0, 60.0, 104.0]
+BANDWIDTH_FWHMS_NS = [0.6, 1.0, 1.5, 3.0]
 DOPPLER_GRID = np.linspace(-12.0, 4.0, 400)     # the spectroscopy workload's
 
 
@@ -57,6 +59,15 @@ def _store(ec: ExperimentConfig) -> dict:
         dt_ns=0.01)
     return {"total_efficiency": res.total_efficiency,
             "closure_residual": res.integrator["closure_residual"]}
+
+
+def _bandwidth_scan(ec: ExperimentConfig) -> dict:
+    """The default pulses' bandwidth scan over BANDWIDTH_FWHMS_NS at dt 0.02,
+    keyed by width."""
+    effs = memory.bandwidth_scan(ec.memory_config(), ec.pulse("signal"),
+                                 ec.pulse("write"), ec.pulse("read"),
+                                 BANDWIDTH_FWHMS_NS, dt_ns=0.02)
+    return dict(zip(map(repr, BANDWIDTH_FWHMS_NS), effs.tolist()))
 
 
 def _slice_ga(ec: ExperimentConfig) -> dict:
@@ -164,7 +175,8 @@ def layer_timings(ec: ExperimentConfig) -> dict:
     on the Doppler grid, both at the configured field and each after the
     per-field eigensystem cache is emptied, as at a new field; one GA
     generation, a 2-generation `run_ga` at the configured settings divided
-    by the 3 populations it evaluates; and the default Doppler fit."""
+    by the 3 populations it evaluates; the default Doppler fit; and the
+    bandwidth-scan fingerprint."""
     fields = np.linspace(0.0, 300.0, 1024)
     manifolds = atomic.all_manifolds()
     lower, upper = (atomic.manifold_spec(m) for m in ("5S1/2", "5P3/2"))
@@ -183,6 +195,7 @@ def layer_timings(ec: ExperimentConfig) -> dict:
                                     optimize.DriftModel(enabled=False), settings,
                                     ec.seed), repeats=3) / (settings.generations + 1),
         "doppler_fit_ms": _best_ms(lambda: _doppler_fit(ec), repeats=3),
+        "bandwidth_scan_ms": _best_ms(lambda: _bandwidth_scan(ec)),
     }
 
 
@@ -198,6 +211,7 @@ def record() -> dict:
             "objective": optimize.objective(OBJECTIVE_VECTOR, mem),
             "store": _store(ec),
             "lifetime_scan": dict(zip(map(repr, LIFETIMES_NS), lifetimes.tolist())),
+            "bandwidth_scan": _bandwidth_scan(ec),
             "slice_ga": _slice_ga(ec),
             "doppler_fit": _doppler_fit(ec),
             "criterion_5_separation_mhz": criterion_5_lines()[1],
