@@ -939,7 +939,7 @@ def bandwidth_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
     scales = np.array([0.4, 0.63, 0.8, 0.9, 1.0, 1.12, 1.25, 1.6, 2.5])
     # each width keeps its own centre energy and best; a round evaluates the
     # scales of the widths still moving in one batch
-    centers = np.full(len(fwhms), write.energy)
+    centers = np.full(len(fwhms), float(write.energy))
     best = np.full(len(fwhms), -1.0)
     moving = np.arange(len(fwhms))
     for _ in range(refine_rounds):

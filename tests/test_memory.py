@@ -794,19 +794,19 @@ def test_bandwidth_scan_batches_widths_without_changing_them():
     assert together.tolist() == alone
 
 
-def _every_width_every_round(fwhms, refine_rounds):
+def _every_width_every_round(fwhms, refine_rounds, write=WRITE):
     """The bandwidth scan that integrates every width in every round: its
     best per width and its centres after each round."""
     fwhms = np.asarray(fwhms, dtype=float)
-    ratio = READ.energy / WRITE.energy
+    ratio = READ.energy / write.energy
     scales = np.array([0.4, 0.63, 0.8, 0.9, 1.0, 1.12, 1.25, 1.6, 2.5])
-    centers = np.full(len(fwhms), WRITE.energy)
+    centers = np.full(len(fwhms), write.energy)
     best = np.full(len(fwhms), -1.0)
     history = []
     signals = [replace(SIG, fwhm_ns=float(fw)) for fw in fwhms for _ in scales]
     for _ in range(refine_rounds):
         energies = (centers[:, None] * scales).ravel()
-        writes = [replace(WRITE, energy=float(e)) for e in energies]
+        writes = [replace(write, energy=float(e)) for e in energies]
         reads = [replace(READ, energy=float(e * ratio)) for e in energies]
         effs = batch_efficiency(CFG, signals, writes, reads, 0.0,
                                 0.02).reshape(len(fwhms), len(scales))
@@ -820,12 +820,15 @@ def _every_width_every_round(fwhms, refine_rounds):
 
 
 @pytest.mark.parametrize("rounds", [1, 2, 3, 4])
-def test_bandwidth_scan_equals_the_every_width_every_round_scan(rounds):
+@pytest.mark.parametrize("write", [WRITE, replace(WRITE, energy=1)],
+                         ids=["float_energy", "int_energy"])
+def test_bandwidth_scan_equals_the_every_width_every_round_scan(rounds, write):
     # a width whose centre stayed put would integrate the same lanes again,
-    # so skipping it moves no bit
+    # so skipping it moves no bit; an integer template energy (as a JSON
+    # config may give) must not truncate the refined centres
     fwhms = [0.6, 1.0, 1.5, 3.0]
-    best, _ = _every_width_every_round(fwhms, rounds)
-    assert bandwidth_scan(CFG, SIG, WRITE, READ, fwhms, dt_ns=0.02,
+    best, _ = _every_width_every_round(fwhms, rounds, write)
+    assert bandwidth_scan(CFG, SIG, write, READ, fwhms, dt_ns=0.02,
                           refine_rounds=rounds).tolist() == best.tolist()
 
 
