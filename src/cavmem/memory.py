@@ -64,6 +64,22 @@ segment (k_a, k_b] that holds t_mid's grid point, and output before it is
 leak and after it retrieved.  The events depend only on the lane's
 pulses, so a lane's results do not depend on the other lanes of its batch.
 
+The loop runs on one of two schedules.  Every batch keeps the lane
+schedule, which steps its lanes chunk by chunk from their own states, so a
+lane's bits are the same alone and in any batch; the GA's reproducibility
+rests on that, and at wide batches blocks would cost 2.5-4 times the
+arithmetic.  The single storage run, two lanes over thousands of steps
+whose cost is the numpy calls of a step and not its arithmetic, steps its
+time axis in blocks side by side instead.  The memory is linear, so each
+block after the first steps from the unit states of a, P and S without the
+input drive and from rest with it, and one pass joins the blocks exactly by
+superposition (parallel-in-time integration of a linear system; Gander,
+"50 years of time parallel time integration", 2015) before the same code
+books the ledger.  The join moves bits by a few ulps, within the budget of
+the benchmark record.  A batch may take at most a fixed number of grid
+points and lane-steps, counted from its lanes' events before anything is
+allocated.
+
 All simulations are pure functions of (config, pulses, drift); scans evaluate
 their points as one vectorized batch (the bandwidth scan one batch per
 refinement round, over the widths whose centre energy moved in the round
@@ -215,9 +231,10 @@ class SimulationResult:
     total_efficiency: float          # (1 - zeta) C_ret / C_ref
     snr_db: float
     bookkeeping: dict
-    # dt_ns, loop and lane steps, lambda_max dt and its stability margin of
-    # the run's batch (the storage lane and its control-off twin), and the
-    # storage lane's photon-closure residual
+    # dt_ns, loop and lane steps, the steps of its longest time block,
+    # lambda_max dt and its stability margin of the run's batch (the storage
+    # lane and its control-off twin), and the storage lane's photon-closure
+    # residual
     integrator: dict
 
     def __post_init__(self):
@@ -231,6 +248,15 @@ class SimulationResult:
 # lane-steps whose drives and fluxes are evaluated together: 64 steps of a
 # narrow batch, fewer for wide ones so that memory stays bounded
 _CHUNK_LANE_STEPS = 4096
+# steps of a chunk of the time-block schedule (see _integrate_batch), and
+# the lane-steps of the blocks that it steps together, so that memory stays
+# bounded
+_BLOCK_STEPS = 48
+_WAVE_LANE_STEPS = 1 << 15
+# the most lane-steps, and grid points, that a batch may take: over five
+# times the largest batch that a test or a benchmark workload runs (320
+# random lanes, 723 200 lane-steps at dt 0.02)
+_MAX_LANE_STEPS = 4_000_000
 
 
 def _lane_steps(par: dict, dt: float):
@@ -324,11 +350,17 @@ def _free_evolution(y, diag, ig, s, t):
     return state, integrals
 
 
+def _loop_steps(k_start, k_free, k_read, k_close) -> int:
+    """The RK4 steps of a batch's loop: its longest lane's, from its start
+    to its close less the storage time that it jumps."""
+    return int(np.max(k_close - k_start - np.maximum(k_read - k_free, 0)))
+
+
 def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
-                     keep_flux: bool = False) -> dict:
+                     keep_flux: bool = False, blocks: bool = False) -> dict:
     """Vectorized RK4 for a batch of simulations, each lane on its own clock.
 
-    `par` holds per-individual parameter arrays (see simulate_batch).  The
+    `par` holds per-individual parameter arrays (see _pulse_par_arrays).  The
     grid points are t_k = k dt and [t0, t1] must lie on them; it spans
     every lane's window.  A lane's one clock is its grid index, and its
     events are grid indices (see _lane_steps).  It RK4-steps in chunks
@@ -338,15 +370,36 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     chunk, the jump and the ring-down alike the kernel acts in the segment
     (k_a, k_b] that holds k_mid (holds_mid).  Chunks end at every jump, so
     each RK4 stage sees the drives at the lane's true time, and the loop
-    ends once every lane has reached k_close.  A lane's events depend only
-    on its own pulses, so its results do not depend on the other lanes of
-    the batch.  Returns the grid `ts`; per individual the channels of
-    CHANNELS, `input_photons` = sig_n and `closure_residual` (nan where
-    there are no input photons); the loop's step and lane-step counts; the
-    largest lambda_max dt of the batch and its stability margin, the factor
-    by which dt could grow before the guard (lambda_max dt <= 2.5) refuses
-    it; and the output flux on the grid `out_flux` when `keep_flux` is set,
-    whose rows outside a lane's window stay zero.
+    ends once every lane has reached k_close.
+
+    Two schedules step the chunks, and the same code books them in order
+    from the lanes' states at their grid points.  The lane schedule steps
+    each chunk from the lanes' own states, so each lane is one block.  A
+    lane's events depend only on its own pulses, so its results do not
+    depend on the other lanes of the batch, nor on its width: every batch
+    keeps this schedule.  With `blocks` (the single storage run) the
+    time-block schedule cuts the loop into chunks of _BLOCK_STEPS steps
+    and steps them side by side, as the memory is linear: the first chunk
+    from the lanes' rest, each later one from rest under the input drive
+    and from the unit states of a, P and S without it, each under the
+    control drives and the kernel of its own time.  A pass over the chunks
+    joins them by superposition, y = Phi y_start + p with y_start the
+    joined state at the chunk's start (after the jump where one ends
+    there), and books the kernel's loss from the joined S before it.  The
+    join moves bits by a few ulps, and a block costs about four times the
+    arithmetic of its lane, so blocks pay only where a step costs its numpy
+    calls rather than its lanes; a run of one chunk keeps every bit of the
+    lane schedule.
+
+    Returns the grid `ts`; per individual the channels of CHANNELS,
+    `input_photons` = sig_n and `closure_residual` (nan where there are no
+    input photons); the grid steps each lane advances (`loop_steps`), their
+    sum over the batch (`lane_steps`) and the steps of the longest block
+    (`block_steps`); the largest lambda_max dt of the batch and its
+    stability margin, the factor by which dt could grow before the guard
+    (lambda_max dt <= 2.5) refuses it; and the output flux on the grid
+    `out_flux` when `keep_flux` is set, whose rows outside a lane's window
+    stay zero.
     """
     # the grid comes from the indices of t0 and t1: ceil of the float
     # (t1 - t0) / dt can land one step past t1
@@ -379,7 +432,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     # the loop ends when the last lane has stepped to k_close
     jumps = np.flatnonzero(k_read > k_free)
     jump_at = _lanes_by_step(k_free[jumps] - k_start[jumps], jumps)
-    n_iter = int(np.max(k_close - k_start - np.maximum(k_read - k_free, 0)))
+    n_iter = _loop_steps(k_start, k_free, k_read, k_close)
 
     def holds_mid(k_a, k_b, lanes=slice(None)):
         """Whether each of `lanes` (all by default) has k_mid in its segment
@@ -387,7 +440,27 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         ring-down, since t_close closes the write window too."""
         return (k_a < k_mid[lanes]) & (k_mid[lanes] <= k_b)
 
-    chunk = max(4, min(64, _CHUNK_LANE_STEPS // b))
+    def schedule(size):
+        """The loop's chunks of at most `size` steps, each as its steps m,
+        every lane's grid index at its start and the lanes that jump after
+        it (None where none does).  The chunk (base, base + m] ends at the
+        next jump, so each lane's grid indices run on."""
+        base, done, chunks = k_start.copy(), 0, []
+        for stop in sorted(jump_at) + [n_iter]:
+            while done < stop:
+                m = min(size, stop - done)
+                chunks.append([m, base.copy(), None])
+                base += m
+                done += m
+            lanes = jump_at.get(stop)
+            if lanes is not None:
+                chunks[-1][2] = np.asarray(lanes)
+                base[lanes] = k_read[lanes]
+        return chunks
+
+    chunks = schedule(_BLOCK_STEPS if blocks else
+                      max(4, min(64, _CHUNK_LANE_STEPS // b)))
+    size = max(m for m, _, _ in chunks)
     # The step in scaled form: each stage K is h = dt/2 times the
     # derivative (dt times it for the third), so a stage input is y + K and
     # the step ends as y + (K1 + 2 K2 + K3 + K4) / 3.  A state is carried as
@@ -395,75 +468,163 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     # the lower coupling of row a, so K = (h diag) (a, P, S) + up (P, S)
     # + down (1, a, P), with up = h (ig, W/2) and
     # down = h (sqrt(kappa_ext) a_in, ig, W*/2): five ufunc calls a stage
-    # and 29 a step.  This moves bits from the plain RK4 formulas; the
-    # budget in tests/test_record_bench.py bounds how far (1e-12 relative on
-    # every fingerprint of the committed record).
-    # Every table of the loop is made here, once: the stages, the stage
-    # input z, the states, a row block for products, the chunk's fluxes at
-    # its grid points (output, cavity, P, S) and its count steps, each
-    # with row 0 at the chunk start and row r + 1 after step r; and up and
-    # down on 2 chunk + 1 half-step points and, doubled, on the chunk's odd
-    # points for the third stage, whose ig rows never change.  The drives
-    # enter through per-lane coefficients of the Gaussians of _drives:
-    # h sqrt(kappa_ext) sig_amp and h 0.5j omega.  Each table is carried as
-    # its row views, so a step makes no array unless the kernel acts; its
-    # ufuncs take `out` by position and its scalar as a complex number,
-    # which numpy would otherwise convert on every call
+    # and 29 a step.  A block's columns without the input drive carry 0 in
+    # that row.  This moves bits from the plain RK4 formulas; the budget in
+    # tests/test_record_bench.py bounds how far (1e-12 relative on every
+    # fingerprint of the committed record).
+    # Every table of a stepper is made once: the stages, the stage input z,
+    # the states, a row block for products; and up and down on 2 size + 1
+    # half-step points and, doubled, on the odd points for the third stage,
+    # whose ig rows never change.  The drives enter through per-lane
+    # coefficients of the Gaussians of _drives: h sqrt(kappa_ext) sig_amp and
+    # h 0.5j omega.  Each table is carried as its row views, so a step makes
+    # no array unless the kernel acts; its ufuncs take `out` by position and
+    # its scalar as a complex number, which numpy would otherwise convert
+    # on every call
     h = 0.5 * dt
     diag_h = h * diag
     diag_dt = diag_h + diag_h
     c_in = (h * sqrt_kext) * par["sig_amp"]
     c_up = (h * 0.5j) * np.stack([par["omega_w"], par["omega_r"]])
-
-    def stage():
-        k = np.empty((3, b), dtype=complex)
-        return k, k[:2]
+    mul, add = np.multiply, np.add
+    c_third = np.complex128(1 / 3)
 
     def views(x):
         """Rows (a, P, S), (P, S) and (1, a, P) of a state."""
         return x[1:], x[2:], x[:3]
 
-    k1, k2, k3, k4 = (stage() for _ in range(4))
-    z = views(np.ones((4, b), dtype=complex))
-    z_body = z[0]
-    pair = np.empty((3, b), dtype=complex)
-    pair_head = pair[:2]
-    states = np.ones((chunk + 1, 4, b), dtype=complex)
-    states[0, 1:] = 0.0                           # every lane rests at first
-    rows = [views(s) for s in states]
-    y = states[0]
-    fluxes = np.empty((chunk + 1, 4, b))
-    up = np.empty((2 * chunk + 1, 2, b), dtype=complex)
-    down = np.empty((2 * chunk + 1, 3, b), dtype=complex)
-    up3 = np.empty((chunk, 2, b), dtype=complex)
-    down3 = np.empty((chunk, 3, b), dtype=complex)
-    up[:, 0] = down[:, 1] = h * ig
-    up3[:, 0] = down3[:, 1] = h * ig + h * ig
-    ups, downs, ups3, downs3 = list(up), list(down), list(up3), list(down3)
-    steps = np.empty((chunk + 1, 5, b))
-    mul, add = np.multiply, np.add
-    c_third = np.complex128(1 / 3)
+    def stepper(cols, copies):
+        """RK4 over `copies` copies of the columns `cols` of the lanes, which
+        share their drives and their kernel.  Copy 0 takes the input drive
+        through its constant row 1; the others carry 0 there and leave it
+        out.  Returns the table of the states, copy-major, each column's S
+        before its kernel, and advance(base, m, rest): m steps from the
+        states in row 0 of the table and the columns' grid indices `base`,
+        with the drives of the columns `rest` zeroed at that first point.
+        It fills rows 1..m, the kernel acting after the step that lands a
+        column on its k_mid, and returns the signal's Gaussian on its
+        half-step points."""
+        lane_par = {k: par[k][cols] for k in ("sig_c", "sig_q", "w_c", "w_q",
+                                              "r_c", "r_q", "chirp_r")}
+        n_cols = len(lane_par["sig_c"])
+        width = copies * n_cols
 
-    def deriv(k, x, rates, up, down):
-        """k = rates * x, plus the coupling to each neighbour, the force
-        included as row a's coupling to the constant row."""
-        k_all, k_head = k
-        x_body, x_tail, x_lead = x
-        mul(rates, x_body, k_all)
-        mul(up, x_tail, pair_head)
-        add(k_head, pair_head, k_head)
-        mul(down, x_lead, pair)
-        add(k_all, pair, k_all)
+        def each(x):
+            """x of the columns for every copy, as (..., copies, n_cols)."""
+            return np.broadcast_to(x[..., None, cols], x.shape[:-1] + (copies, n_cols))
 
-    # leak, retrieved, cavity-internal, polarization and spin counts
+        rates_h, rates_dt = (each(d).reshape(3, width) for d in (diag_h, diag_dt))
+        coef_in, coef_up, kern = each(c_in), each(c_up), each(kernel).ravel()
+        mids, copy_at = k_mid[cols], n_cols * np.arange(copies)[:, None]
+        ig_h = each(h * ig).ravel()
+        const = np.zeros((copies, n_cols))
+        const[0] = 1.0
+
+        def stage():
+            k = np.empty((3, width), dtype=complex)
+            return k, k[:2]
+
+        k1, k2, k3, k4 = (stage() for _ in range(4))
+        z_all = np.empty((4, width), dtype=complex)
+        z_all[0] = const.ravel()
+        z = views(z_all)
+        z_body = z[0]
+        pair = np.empty((3, width), dtype=complex)
+        pair_head = pair[:2]
+        states = np.empty((size + 1, 4, width), dtype=complex)
+        states[:, 0] = const.ravel()
+        rows = [views(s) for s in states]
+        up = np.empty((2 * size + 1, 2, width), dtype=complex)
+        down = np.empty((2 * size + 1, 3, width), dtype=complex)
+        up3 = np.empty((size, 2, width), dtype=complex)
+        down3 = np.empty((size, 3, width), dtype=complex)
+        up[:, 0] = down[:, 1] = ig_h
+        up3[:, 0] = down3[:, 1] = ig_h + ig_h
+        # the drive rows with the copies apart, to broadcast the Gaussians
+        up_w = up[:, 1].reshape(-1, copies, n_cols)
+        down_in = down[:, 0].reshape(-1, copies, n_cols)
+        ups, downs, ups3, downs3 = list(up), list(down), list(up3), list(down3)
+        spin = np.zeros(width, dtype=complex)
+
+        def deriv(k, x, rates, up, down):
+            """k = rates * x, plus the coupling to each neighbour, the force
+            included as row a's coupling to the constant row."""
+            k_all, k_head = k
+            x_body, x_tail, x_lead = x
+            mul(rates, x_body, k_all)
+            mul(up, x_tail, pair_head)
+            add(k_head, pair_head, k_head)
+            mul(down, x_lead, pair)
+            add(k_all, pair, k_all)
+
+        def advance(base, m, rest):
+            # every copy of a column takes its kernel at the same step
+            mid = np.flatnonzero((base < mids) & (mids <= base + m))
+            kernel_at = _lanes_by_step(np.tile(mids[mid] - base[mid] - 1, copies),
+                                       (mid + copy_at).ravel()) if mid.size else {}
+            n = 2 * m + 1
+            g_sig, g_w, g_r = _drives(lane_par, 2 * base + np.arange(n)[:, None], dt)
+            if rest is not None:      # a column that rests at its k_start
+                g_sig[0, rest] = g_w[0, rest] = g_r[0, rest] = 0
+            mul(coef_in, g_sig[:, None], down_in[:n])
+            mul(coef_up[0], g_w[:, None], up_w[:n])
+            add(up_w[:n], coef_up[1] * g_r[:, None], up_w[:n])
+            np.negative(np.conj(up[:n, 1]), down[:n, 2])   # h 0.5j W* = -(h 0.5j W)*
+            add(up[1:n:2, 1], up[1:n:2, 1], up3[:m, 1])
+            add(down[1:n:2, ::2], down[1:n:2, ::2], down3[:m, ::2])
+            for r in range(m):
+                e = 2 * r
+                y_r = rows[r]
+                y_body = y_r[0]
+                deriv(k1, y_r, rates_h, ups[e], downs[e])
+                add(y_body, k1[0], z_body)           # z = y + K1
+                deriv(k2, z, rates_h, ups[e + 1], downs[e + 1])
+                add(y_body, k2[0], z_body)
+                deriv(k3, z, rates_dt, ups3[r], downs3[r])
+                add(y_body, k3[0], z_body)
+                deriv(k4, z, rates_h, ups[e + 2], downs[e + 2])
+                acc = k2[0]                          # (K1 + 2 K2 + K3 + K4) / 3, in K2
+                add(acc, acc, acc)
+                add(acc, k1[0], acc)
+                add(acc, k3[0], acc)
+                add(acc, k4[0], acc)
+                mul(c_third, acc, acc)
+                add(y_body, acc, rows[r + 1][0])
+                at = kernel_at.get(r)
+                if at is not None:
+                    spin[at] = states[r + 1, 3, at]
+                    states[r + 1, 3, at] = spin[at] * kern[at]
+            return g_sig
+
+        return states, spin, advance
+
+    # each lane's leak, retrieved, cavity-internal, polarization and spin
+    # counts, and its state at k_close
     counts = np.zeros((5, b))
-    dephasing = np.zeros(b)
     y_close = np.zeros((3, b), dtype=complex)
     out_flux = np.zeros((len(ts), b)) if keep_flux else None
+    # What one booking takes, the lanes' states, fluxes (output, cavity, P,
+    # S) and count steps at its grid points, row 0 at its start: a chunk of
+    # the lane schedule, or the blocks of a wave up to the next jump, a wave
+    # being the blocks stepped together, so that memory stays bounded.  And
+    # each lane's S before the kernel, where a chunk or the jump takes it
+    if blocks:
+        wave = max(1, _WAVE_LANE_STEPS // (4 * b * size))
+        span = wave * size
+        states = np.empty((span + 1, 4, b), dtype=complex)
+        spin_mid = np.zeros(b, dtype=complex)
+    else:
+        span = size
+        states, spin_mid, advance = stepper(slice(None), 1)
+    states[0, 1:] = 0.0                           # every lane rests at first
+    y = states[0]
+    fluxes = np.empty((span + 1, 4, b))
+    steps = np.empty((span + 1, 5, b))
 
     def dephase(s, lanes):
-        """Spin amplitudes s of `lanes` times the kernel; books what it removes."""
-        dephasing[lanes] = np.abs(s) ** 2 * (1 - np.abs(kernel[lanes]) ** 2)
+        """Spin amplitudes s of `lanes` times the kernel; keeps them for the
+        loss it books."""
+        spin_mid[lanes] = s
         return s * kernel[lanes]
 
     def drive_free(lanes, y_a, k_a, k_b):
@@ -491,86 +652,91 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                     par["kappa_ext"][lane] * np.abs(a_t) ** 2
         return y_b
 
-    base = k_start.copy()         # each lane's grid index: the loop's one clock
-    done = 0                      # the steps every lane has taken
-    for stop in sorted(jump_at) + [n_iter]:
-        while done < stop:
-            # the chunk (base, base + m] ends at the next jump, so each
-            # lane's grid indices run on; the kernel acts after the step
-            # that lands a lane on its k_mid
-            m = min(chunk, stop - done)
-            mid = np.flatnonzero(holds_mid(base, base + m))
-            kernel_at = _lanes_by_step(k_mid[mid] - base[mid] - 1, mid)
-            n = 2 * m + 1
-            g_sig, g_w, g_r = _drives(par, 2 * base + np.arange(n)[:, None], dt)
-            if done == 0:     # each lane rests at its k_start; all else lies past it
-                g_sig[0] = g_w[0] = g_r[0] = 0
-            mul(c_in, g_sig, down[:n, 0])
-            mul(c_up[0], g_w, up[:n, 1])
-            add(up[:n, 1], c_up[1] * g_r, up[:n, 1])
-            np.negative(np.conj(up[:n, 1]), down[:n, 2])   # h 0.5j W* = -(h 0.5j W)*
-            add(up[1:n:2, 1], up[1:n:2, 1], up3[:m, 1])
-            add(down[1:n:2, ::2], down[1:n:2, ::2], down3[:m, ::2])
-            for r in range(m):
-                e = 2 * r
-                y_r = rows[r]
-                y_body = y_r[0]
-                deriv(k1, y_r, diag_h, ups[e], downs[e])
-                add(y_body, k1[0], z_body)           # z = y + K1
-                deriv(k2, z, diag_h, ups[e + 1], downs[e + 1])
-                add(y_body, k2[0], z_body)
-                deriv(k3, z, diag_dt, ups3[r], downs3[r])
-                add(y_body, k3[0], z_body)
-                deriv(k4, z, diag_h, ups[e + 2], downs[e + 2])
-                acc = k2[0]                          # (K1 + 2 K2 + K3 + K4) / 3, in K2
-                add(acc, acc, acc)
-                add(acc, k1[0], acc)
-                add(acc, k3[0], acc)
-                add(acc, k4[0], acc)
-                mul(c_third, acc, acc)
-                add(y_body, acc, rows[r + 1][0])
-                lanes = kernel_at.get(r)
-                if lanes is not None:
-                    states[r + 1, 3, lanes] = dephase(states[r + 1, 3, lanes], lanes)
-
-            # fluxes at all of the chunk's grid points, its start included,
-            # then a trapezoid per step; a lane counts and keeps its flux up
-            # to k_close, the ring-down after
-            flux = fluxes[:m + 1]
-            stepped = states[:m + 1, 1:]
-            flux[:, 0] = np.abs(sqrt_kext * stepped[:, 0] - par["sig_amp"] * g_sig[::2]) ** 2
-            flux[:, 1:] = loss_rates * np.abs(stepped) ** 2
-            k_grid = base + 1 + np.arange(m)[:, None]
-            # the state of each lane whose drives end in this chunk
-            closed = np.flatnonzero((base < k_close) & (k_close <= base + m))
-            if closed.size:
-                y_close[:, closed] = states[k_close[closed] - base[closed], 1:, closed].T
-            live = k_grid <= k_close
-            if keep_flux:
-                out_flux[k_grid[live] - k0, np.nonzero(live)[1]] = flux[1:, 0][live]
-            trap = h * (flux[:-1] + flux[1:])
-            before = k_grid <= k_mid
-            steps[0] = counts
-            steps[1:m + 1, 0] = trap[:, 0] * (live & before)
-            steps[1:m + 1, 1] = trap[:, 0] * (live & ~before)
-            steps[1:m + 1, 2:] = trap[:, 1:] * live[:, None]
-            # a sum in step order, so each lane adds its own terms in the
-            # same sequence whatever batch it is part of
-            counts = np.add.reduce(steps[:m + 1], axis=0)
-            y[...] = states[m]            # the next chunk starts from here
-            base += m
-            done += m
-        lanes = jump_at.get(stop)
-        if lanes is not None:
+    def book(m, base, g_sig, jumping):
+        """Book the m steps (base, base + m] from states[:m + 1] and the
+        signal's Gaussian g_sig at their grid points: the fluxes at all of
+        them, the start included, then a trapezoid per step; a lane counts
+        and keeps its flux up to k_close, the ring-down after.  Then carry
+        the lanes on to the next start, over the jump of `jumping`."""
+        flux = fluxes[:m + 1]
+        stepped = states[:m + 1, 1:]
+        flux[:, 0] = np.abs(sqrt_kext * stepped[:, 0] - par["sig_amp"] * g_sig) ** 2
+        flux[:, 1:] = loss_rates * np.abs(stepped) ** 2
+        k_grid = base + 1 + np.arange(m)[:, None]
+        # the state of each lane whose drives end in these steps
+        closed = np.flatnonzero((base < k_close) & (k_close <= base + m))
+        if closed.size:
+            y_close[:, closed] = states[k_close[closed] - base[closed], 1:, closed].T
+        live = k_grid <= k_close
+        if keep_flux:
+            out_flux[k_grid[live] - k0, np.nonzero(live)[1]] = flux[1:, 0][live]
+        trap = h * (flux[:-1] + flux[1:])
+        before = k_grid <= k_mid
+        steps[0] = counts
+        steps[1:m + 1, 0] = trap[:, 0] * (live & before)
+        steps[1:m + 1, 1] = trap[:, 0] * (live & ~before)
+        steps[1:m + 1, 2:] = trap[:, 1:] * live[:, None]
+        # a sum in step order, so each lane adds its own terms in the same
+        # sequence whatever batch it is part of
+        counts[...] = np.add.reduce(steps[:m + 1], axis=0)
+        y[...] = states[m]            # the next steps start from here
+        if jumping is not None:
             # the jump from k_free to k_read, after which the loop goes on
-            lanes = np.asarray(lanes)
             y_body = y[1:]
-            y_body[:, lanes] = drive_free(lanes, y_body[:, lanes], k_free[lanes],
-                                          k_read[lanes])
-            base[lanes] = k_read[lanes]
+            y_body[:, jumping] = drive_free(jumping, y_body[:, jumping], k_free[jumping],
+                                            k_read[jumping])
+
+    def step_blocks(first, last):
+        """Step the chunks first..last-1 side by side, four copies of the
+        lanes each: from rest with the input drive and from the unit states
+        of a, P and S without it.  Returns per chunk its states p and Phi
+        ([step, row, unit state, lane]; the first chunk's p starts from the
+        lanes' rest, where their drives are zeroed), the signal's Gaussian
+        at its grid points, and both S before the kernel."""
+        n = last - first
+        table, spin, advance = stepper(np.tile(np.arange(b), n), 4)
+        table[0, 1:] = 0.0
+        for j in range(3):
+            table[0, 1 + j, (1 + j) * n * b:(2 + j) * n * b] = 1.0
+        g_sig = advance(np.concatenate([chunks[i][1] for i in range(first, last)]),
+                        max(chunks[i][0] for i in range(first, last)),
+                        slice(0, b) if first == 0 else None)[::2]
+        table = table[:, 1:].reshape(size + 1, 3, 4, n, b)
+        spin = spin.reshape(4, n, b)
+        return [(table[:, :, 0, c], table[:, :, 1:, c], g_sig[:, c * b:(c + 1) * b],
+                 spin[0, c], spin[1:, c]) for c in range(n)]
+
+    if not blocks:
+        for i, (m, base, jumping) in enumerate(chunks):
+            book(m, base, advance(base, m, slice(None) if i == 0 else None)[::2],
+                 jumping)
+    else:
+        # join the blocks by superposition, y = Phi y_start + p, into the
+        # lanes' states, and book them up to each jump and at each wave's end
+        g_sig = np.empty((span + 1, b))
+        at = 0
+        for i, (m, base, jumping) in enumerate(chunks):
+            if i % wave == 0:
+                blocked = step_blocks(i, min(i + wave, len(chunks)))
+            p, phi, g_block, spin_p, spin_phi = blocked[i % wave]
+            if at == 0:
+                start, g_sig[0] = base, g_block[0]
+            y_start = states[at, 1:]
+            states[at + 1:at + m + 1, 1:] = p[1:m + 1] + np.einsum(
+                "rijl,jl->ril", phi[1:m + 1], y_start)
+            g_sig[at + 1:at + m + 1] = g_block[1:m + 1]
+            inside = holds_mid(base, base + m)
+            if inside.any():
+                spin_mid[inside] = spin_p[inside] + np.sum(
+                    spin_phi[:, inside] * y_start[:, inside], axis=0)
+            at += m
+            if jumping is not None or (i + 1) % wave == 0 or i + 1 == len(chunks):
+                book(at, start, g_sig[:at + 1], jumping)
+                at = 0
 
     # the ring-down: after k_close nothing drives a lane
     y_end = drive_free(np.arange(b), y_close, k_close, k_end)
+    dephasing = np.abs(spin_mid) ** 2 * (1 - np.abs(kernel) ** 2)
     leak, retrieved, loss_cav, loss_pol, loss_spin = counts
     ledger = dict(zip(CHANNELS, (leak, retrieved, loss_pol, loss_spin, loss_cav,
                                  dephasing, np.sum(np.abs(y_end) ** 2, axis=0))))
@@ -580,7 +746,8 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     unbooked = 1.0 - np.divide(sum(ledger[k] for k in CHANNELS), n_in,
                                out=np.full(b, np.nan), where=n_in > 0)
     return dict(ts=ts, out_flux=out_flux, **ledger, input_photons=n_in,
-                closure_residual=unbooked, loop_steps=done, lane_steps=done * b,
+                closure_residual=unbooked, loop_steps=n_iter, lane_steps=n_iter * b,
+                block_steps=size if blocks else n_iter,
                 lam_max_dt=lam_max * dt, stability_margin=guard / (lam_max * dt))
 
 
@@ -697,18 +864,19 @@ def pulses_overlap(write: PulseShape, read: PulseShape) -> bool:
         read.center_ns - read.fwhm_ns < write.center_ns + write.fwhm_ns
 
 
-def simulate_batch(config: MemoryConfig, signals, writes, reads,
-                   drift_offset_ghz=0.0, dt_ns: float = 0.01,
-                   keep_flux: bool = False):
-    """Integrate a batch of pulse settings on a common grid.
+def _simulate(config: MemoryConfig, signals, writes, reads, drift_offset_ghz,
+              dt_ns: float, keep_flux: bool, blocks: bool) -> dict:
+    """Admit a batch of pulse settings and integrate it on a common grid.
 
     The one admission check of a batch: it must hold at least one setting,
     as many signals as writes and reads, and no read window may open before
-    its write window closes; the time step must be finite and positive.
-    Returns the integrator's result (see _integrate_batch), on the grid
-    `ts` that spans every lane's window, with each lane's closed-form
-    control-off reference counts added as `reference_counts`.  It holds the
-    output flux on the grid only when `keep_flux` is set.
+    its write window closes; the time step must be finite and positive;
+    and the batch may take at most _MAX_LANE_STEPS grid points and
+    lane-steps, counted from its lanes' events before anything is
+    allocated.  Returns the integrator's result (see _integrate_batch, on
+    the schedule `blocks` picks), on the grid `ts` that spans every lane's
+    window, with each lane's closed-form control-off reference counts
+    added as `reference_counts`.
     """
     if len(signals) == len(writes) == len(reads) == 0:
         raise DomainError("the batch holds no pulse settings")
@@ -719,10 +887,40 @@ def simulate_batch(config: MemoryConfig, signals, writes, reads,
     if not (math.isfinite(dt_ns) and dt_ns > 0):
         raise DomainError(f"time step must be finite and positive, got {dt_ns!r}")
     par = _pulse_par_arrays(config, signals, writes, reads, drift_offset_ghz)
-    k_start, *_, k_end = _lane_steps(par, dt_ns)
+
+    def refuse(work: str):
+        wide = int(np.argmax(par["t_end"] - par["t_start"]))
+        raise DomainError(
+            f"the batch would take {work} at dt {dt_ns} ns, more than the cap of "
+            f"{_MAX_LANE_STEPS}: lane {wide}'s window runs from "
+            f"{par['t_start'][wide]:.6g} to {par['t_end'][wide]:.6g} ns")
+
+    points = (np.max(par["t_end"]) - np.min(par["t_start"])) / dt_ns
+    if not points < _MAX_LANE_STEPS:
+        refuse(f"a grid of {points:.4g} points")
+    k_start, _, k_free, k_read, k_close, k_end = _lane_steps(par, dt_ns)
+    lane_steps = len(k_start) * _loop_steps(k_start, k_free, k_read, k_close)
+    if lane_steps > _MAX_LANE_STEPS:
+        refuse(f"{lane_steps} lane-steps")
     t0, t1 = dt_ns * int(k_start.min()), dt_ns * int(k_end.max())
-    return {**_integrate_batch(par, t0, t1, dt_ns, keep_flux),
+    return {**_integrate_batch(par, t0, t1, dt_ns, keep_flux, blocks),
             "reference_counts": _reference_counts(par)}
+
+
+def simulate_batch(config: MemoryConfig, signals, writes, reads,
+                   drift_offset_ghz=0.0, dt_ns: float = 0.01,
+                   keep_flux: bool = False):
+    """Integrate a batch of pulse settings on a common grid.
+
+    Admits the batch (see _simulate) and integrates it on the lane schedule,
+    so each lane's results keep their bits alone and in any batch.
+    Returns the integrator's result (see _integrate_batch), on the grid
+    `ts` that spans every lane's window, with each lane's closed-form
+    control-off reference counts added as `reference_counts`.  It holds the
+    output flux on the grid only when `keep_flux` is set.
+    """
+    return _simulate(config, signals, writes, reads, drift_offset_ghz, dt_ns,
+                     keep_flux, False)
 
 
 def total_efficiency(c_ret, c_ref, zeta: float):
@@ -766,11 +964,13 @@ def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
 
     The reference counts come in closed form; the reference flux comes from
     a second lane with the control pulses switched off, integrated in the
-    same call.
+    same call.  The one single run steps on the time-block schedule (see
+    _integrate_batch): two lanes over thousands of steps cost their numpy
+    calls, which the blocks share.
     """
     dark_write, dark_read = replace(write, energy=0.0), replace(read, energy=0.0)
-    result = simulate_batch(config, [signal, signal], [write, dark_write],
-                            [read, dark_read], drift_offset_ghz, dt_ns, keep_flux=True)
+    result = _simulate(config, [signal, signal], [write, dark_write],
+                       [read, dark_read], drift_offset_ghz, dt_ns, True, True)
     # the storage lane's ledger; lane 1 is its control-off twin
     lane = {k: float(result[k][0]) for k in ("input_photons", "reference_counts",
                                              *CHANNELS, "closure_residual")}
@@ -786,8 +986,8 @@ def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
         bookkeeping={**{k: lane[k] for k in CHANNELS[2:]},
                      "output_total": lane["leak_counts"] + c_ret},
         integrator={"dt_ns": dt_ns,
-                    **{k: result[k] for k in ("loop_steps", "lane_steps", "lam_max_dt",
-                                              "stability_margin")},
+                    **{k: result[k] for k in ("loop_steps", "lane_steps", "block_steps",
+                                              "lam_max_dt", "stability_margin")},
                     "closure_residual": lane["closure_residual"]},
     )
 

@@ -390,14 +390,15 @@ def test_cli_store_summary_closes_and_reference_flux_integrates(tmp_path):
 
 
 def test_cli_store_summary_reports_the_integrator(tmp_path, capsys):
-    # the storage lane and its control-off twin loop 2592 steps at dt 0.01;
-    # the margin is the factor by which dt could grow before the guard
-    # refuses it
+    # the storage lane and its control-off twin loop 2592 steps at dt 0.01,
+    # stepped in time blocks of 48; the margin is the factor by which dt
+    # could grow before the guard refuses it
     assert main(["--out", str(tmp_path / "a"), "store"]) == 0
     run = json.loads((tmp_path / "a" / "store_summary.json").read_text())["integrator"]
-    assert list(run) == ["dt_ns", "loop_steps", "lane_steps", "lam_max_dt",
+    assert list(run) == ["dt_ns", "loop_steps", "lane_steps", "block_steps", "lam_max_dt",
                          "stability_margin", "closure_residual"]
-    assert (run["dt_ns"], run["loop_steps"], run["lane_steps"]) == (0.01, 2592, 2 * 2592)
+    assert (run["dt_ns"], run["loop_steps"], run["lane_steps"], run["block_steps"]) \
+        == (0.01, 2592, 2 * 2592, 48)
     assert 1.0 < run["stability_margin"] == pytest.approx(2.5 / run["lam_max_dt"])
     assert main(["--out", str(tmp_path / "b"), "store", "--dt", "0.02"]) == 0
     run2 = json.loads((tmp_path / "b" / "store_summary.json").read_text())["integrator"]
@@ -907,6 +908,19 @@ def test_cli_optimize_drift_follows_config_unless_given(tmp_path):
 
     assert np.all(drift_offsets("config") != 0.0)
     assert np.all(drift_offsets("off", "--drift", "off") == 0.0)
+
+
+def test_cli_store_beyond_the_work_cap_exits_3_naming_the_window(tmp_path, capsys):
+    # a cavity this narrow rings down for about 1.8e10 ns: 1.8e12 grid
+    # points, which the run would allocate before it could fail
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cavity": {"fsr_ghz": 1e-9}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "store"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert "cap" in err["message"] and "window runs from" in err["message"]
+    assert not out.exists()
 
 
 def test_cli_exit_code_numerical_error(tmp_path, capsys):

@@ -438,6 +438,99 @@ def test_integrate_batch_keeps_the_benchmark_hook_shape():
     assert {"loop_steps", "lane_steps"} <= set(main)
 
 
+def _store_and_its_lanes(read, dt):
+    """The store run of SIG, WRITE and `read`, and the lane schedule's
+    batch of its storage lane and control-off twin."""
+    store = run(r=read, dt_ns=dt)
+    dark_w, dark_r = replace(WRITE, energy=0.0), replace(read, energy=0.0)
+    lanes = simulate_batch(CFG, [SIG, SIG], [WRITE, dark_w], [read, dark_r], 0.0, dt,
+                           keep_flux=True)
+    return store, lanes
+
+
+def _store_channels(res):
+    return {"leak_counts": res.leak_counts, "retrieved_counts": res.retrieved_counts,
+            **{k: res.bookkeeping[k] for k in CHANNELS[2:]}}
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.02])
+@pytest.mark.parametrize("read_at, mid_block", [
+    (12.6, "later"), (12.6, "first"), (12.6, "ends"), (8.1, "later"), (60.0, "later"),
+    (60.0, "first")], ids=["default-later", "default-first", "default-ends", "tau8-later",
+                           "jump-later", "jump-first"])
+def test_blocked_store_equals_its_lane_schedule(read_at, mid_block, dt, monkeypatch):
+    # the store steps its time axis in blocks joined by superposition; its
+    # storage lane agrees with the lane schedule to a few ulps wherever
+    # t_mid falls: in a later block, in the first, on a block's last point,
+    # or (read at 60 ns) in the jump, with blocks of 48 steps or as long
+    # as the steps before t_mid
+    from cavmem import memory
+    from cavmem.memory import _lane_steps, _pulse_par_arrays
+    read = replace(READ, center_ns=read_at)
+    k_start, k_mid = _lane_steps(_pulse_par_arrays(CFG, [SIG], [WRITE], [read], 0.0),
+                                 dt)[:2]
+    to_mid = int(k_mid[0] - k_start[0])
+    blocks = {"later": memory._BLOCK_STEPS, "first": to_mid + 7, "ends": to_mid}[mid_block]
+    monkeypatch.setattr(memory, "_BLOCK_STEPS", blocks)
+    store, lanes = _store_and_its_lanes(read, dt)
+    # blocks end at the jump too, so the run always has more than one
+    assert store.integrator["block_steps"] <= blocks
+    assert store.integrator["block_steps"] < store.integrator["loop_steps"]
+    assert (mid_block == "later") == (to_mid > blocks)
+    for key, value in _store_channels(store).items():
+        assert value == pytest.approx(lanes[key][0], rel=1e-12, abs=0.0), key
+    assert store.bookkeeping["loss_dephasing"] > 0.0
+    assert store.integrator["closure_residual"] == pytest.approx(
+        lanes["closure_residual"][0], rel=0.0, abs=1e-14)
+    assert abs(store.integrator["closure_residual"]) < 1e-4
+    assert np.array_equal(store.time_grid_ns, lanes["ts"])
+    for flux, lane in ((store.output_flux, 0), (store.reference_flux, 1)):
+        scale = np.max(lanes["out_flux"][:, lane])
+        assert np.max(np.abs(flux - lanes["out_flux"][:, lane])) <= 1e-12 * scale
+
+
+def test_store_of_one_block_keeps_the_lane_schedule_bits(monkeypatch):
+    # a run no longer than one block is that block alone, stepped from rest
+    from cavmem import memory
+    monkeypatch.setattr(memory, "_BLOCK_STEPS", 2592)
+    store, lanes = _store_and_its_lanes(READ, 0.01)
+    assert store.integrator["block_steps"] == store.integrator["loop_steps"] == 2592
+    for key, value in _store_channels(store).items():
+        assert value == lanes[key][0], key
+    assert store.integrator["closure_residual"] == lanes["closure_residual"][0]
+    assert store.output_flux.tobytes() == lanes["out_flux"][:, 0].tobytes()
+    assert store.reference_flux.tobytes() == lanes["out_flux"][:, 1].tobytes()
+
+
+def test_blocks_stepped_in_waves_keep_their_join(monkeypatch):
+    # waves of a few blocks each bound the memory of a long run; they step
+    # the same blocks, so the store keeps its bits
+    from cavmem import memory
+    whole = run()
+    monkeypatch.setattr(memory, "_WAVE_LANE_STEPS", 4 * 2 * memory._BLOCK_STEPS * 5)
+    waves = run()
+    assert _store_channels(waves) == _store_channels(whole)
+    assert waves.output_flux.tobytes() == whole.output_flux.tobytes()
+
+
+def test_batch_beyond_the_work_cap_is_refused_before_allocation(monkeypatch):
+    # a 10 us signal spans 7e6 grid points at dt 0.01, and 2000 default
+    # lanes take 5.2e6 lane-steps; the admission counts both from the
+    # lanes' events and refuses them before the integrator runs
+    from cavmem import memory
+
+    def never(*args, **kwargs):
+        raise AssertionError("the integrator ran")
+
+    monkeypatch.setattr(memory, "_integrate_batch", never)
+    with pytest.raises(DomainError, match=r"grid of 7\.001e\+06 points.*window runs from"):
+        simulate_batch(CFG, [replace(SIG, fwhm_ns=1e4)], [WRITE], [READ])
+    with pytest.raises(DomainError, match=r"5184000 lane-steps.*window runs from"):
+        simulate_batch(CFG, [SIG] * 2000, [WRITE] * 2000, [READ] * 2000)
+    with pytest.raises(DomainError, match="cap"):
+        run(sig=replace(SIG, fwhm_ns=1e4))
+
+
 def test_no_drive_outlasts_t_close():
     # after t_close, where the drive-free ring-down starts, the signal, the
     # write and the read are each at most at their own window edge, also for
@@ -544,38 +637,39 @@ def test_total_efficiency_elementwise():
         total_efficiency(c_ret, np.array([0.4, 0.0]), 0.5)
 
 
-# recorded from the step with scaled stage tables; a change that moves them
-# stays within the budget that tests/test_record_bench.py states
+# recorded from the step with scaled stage tables, the run stepped in time
+# blocks; a change that moves them stays within the budget that
+# tests/test_record_bench.py states
 _PINNED_STORE = {
-    "total_efficiency": 0.24916089281644574,
-    "internal_efficiency": 0.807282160875533,
+    "total_efficiency": 0.24916089281644405,
+    "internal_efficiency": 0.8072821608755275,
     "reference_counts": 0.35138114494462436,
-    "leak_counts": 0.09336187571544048,
-    "retrieved_counts": 0.2836637299818152,
+    "leak_counts": 0.09336187571544045,
+    "retrieved_counts": 0.2836637299818133,
     "bookkeeping": {
-        "loss_polarization": 0.007272470624539687,
-        "loss_spin": 0.03290268456157055,
-        "loss_cavity_internal": 0.19318871149007646,
-        "loss_dephasing": 0.0724682861440818,
-        "residual_excitation": 0.11714023361976185,
-        "output_total": 0.3770256056972557,
+        "loss_polarization": 0.007272470624539668,
+        "loss_spin": 0.03290268456157047,
+        "loss_cavity_internal": 0.19318871149007605,
+        "loss_dephasing": 0.07246828614408159,
+        "residual_excitation": 0.11714023361976106,
+        "output_total": 0.37702560569725374,
     },
-    "output_flux": "a01d4b3b0281f38ffc2d3a6e453635948e9f8558853db1ffda968acb0c4d143b",
-    "reference_flux": "6601d227cd498d6f81a20a96cc20191f536ecffdba600ddd40506e9e9c79a4c4",
+    "output_flux": "542be0cb5d7bd7f9b508b19e5a8e7360f2890b150362ff3cf988ee4dd7e05f81",
+    "reference_flux": "e62cefdebe437b3cf957bead7882afa48cae42f7595c4f86458efe195d8a7495",
 }
 _PINNED_STORE_60 = {
-    "total_efficiency": 0.027026258825401994,
-    "leak_counts": 0.09336197165061183,
-    "retrieved_counts": 0.03076875066230886,
+    "total_efficiency": 0.02702625882540207,
+    "leak_counts": 0.09336197165061179,
+    "retrieved_counts": 0.030768750662308948,
     "bookkeeping": {
-        "loss_polarization": 0.004348262456464126,
-        "loss_spin": 0.07614861919781599,
-        "loss_cavity_internal": 0.12129165300906936,
-        "loss_dephasing": 0.46137458987162,
-        "residual_excitation": 0.012706100102464389,
-        "output_total": 0.12413072231292069,
+        "loss_polarization": 0.004348262456464128,
+        "loss_spin": 0.07614861919781607,
+        "loss_cavity_internal": 0.12129165300906934,
+        "loss_dephasing": 0.46137458987162056,
+        "residual_excitation": 0.012706100102464465,
+        "output_total": 0.12413072231292074,
     },
-    "output_flux": "a128af870269048558d72002a8a849f1c98b64f4e2ae4ca99c4da19e3cf8eb6b",
+    "output_flux": "a68936e96155c8dd21d50ac5ad4415cbafcbbf336e1a755ab4dec699ba7bd16f",
 }
 
 
@@ -974,3 +1068,24 @@ def test_random_ga_settings_passive_closed_and_linear(vector):
     assert np.all(_closure(main) <= 1e-4)
     for counts in (main[k] for k in (*CHANNELS, "reference_counts")):
         assert counts[1] / 3 == pytest.approx(counts[0], abs=1e-9 * sig.energy)
+
+
+@settings(max_examples=15)
+@given(st.tuples(*(st.floats(lo, hi) for lo, hi, _ in
+                   (_SPACE_BOUNDS[n] for n in PARAMETER_NAMES))))
+def test_random_ga_settings_store_equals_its_lane_schedule(vector):
+    # wherever a GA vector puts t_mid, the jump and the chirp, the store's
+    # time blocks join to its lanes' results within a few ulps
+    sig, write, read = _pulses_from_vector(np.array(vector))
+    assume(not pulses_overlap(write, read))
+    store = simulate_storage_retrieval(CFG, sig, write, read, dt_ns=0.02)
+    lanes = simulate_batch(CFG, [sig, sig], [write, replace(write, energy=0.0)],
+                           [read, replace(read, energy=0.0)], 0.0, 0.02, keep_flux=True)
+    for key, value in _store_channels(store).items():
+        assert value == pytest.approx(lanes[key][0], rel=1e-12,
+                                      abs=1e-15 * sig.energy), key
+    assert store.integrator["closure_residual"] == pytest.approx(
+        lanes["closure_residual"][0], rel=0.0, abs=1e-14)
+    for flux, lane in ((store.output_flux, 0), (store.reference_flux, 1)):
+        scale = np.max(lanes["out_flux"][:, lane])
+        assert np.max(np.abs(flux - lanes["out_flux"][:, lane])) <= 1e-12 * scale

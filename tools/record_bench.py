@@ -14,8 +14,8 @@ The record holds three sections:
 - `timings`: per-layer wall times, which vary from run to run and are
   never compared with `==`: one RK4 loop step at 1, 24 and 192 lanes, the
   blockwise eigensolve over 1024 fields, `transition_lines`,
-  `one_photon_spectrum`, one GA generation, one Doppler fit and the
-  four-point bandwidth scan;
+  `one_photon_spectrum`, one GA generation, one Doppler fit, the
+  four-point bandwidth scan and the default `store` run;
 - `environment`: Python, numpy and scipy versions and the CPU count.
 
 It needs only the standard library, numpy and the package (scipy is used by
@@ -175,8 +175,9 @@ def layer_timings(ec: ExperimentConfig) -> dict:
     on the Doppler grid, both at the configured field and each after the
     per-field eigensystem cache is emptied, as at a new field; one GA
     generation, a 2-generation `run_ga` at the configured settings divided
-    by the 3 populations it evaluates; the default Doppler fit; and the
-    bandwidth-scan fingerprint."""
+    by the 3 populations it evaluates; the default Doppler fit; the
+    bandwidth-scan fingerprint; and the store fingerprint's run, the
+    default `store` at dt 0.01."""
     fields = np.linspace(0.0, 300.0, 1024)
     manifolds = atomic.all_manifolds()
     lower, upper = (atomic.manifold_spec(m) for m in ("5S1/2", "5P3/2"))
@@ -196,6 +197,7 @@ def layer_timings(ec: ExperimentConfig) -> dict:
                                     ec.seed), repeats=3) / (settings.generations + 1),
         "doppler_fit_ms": _best_ms(lambda: _doppler_fit(ec), repeats=3),
         "bandwidth_scan_ms": _best_ms(lambda: _bandwidth_scan(ec)),
+        "store_ms": _best_ms(lambda: _store(ec)),
     }
 
 
