@@ -34,7 +34,7 @@ __all__ = [
     "POLARIZATIONS", "manifold_spec", "all_manifolds", "basis_labels", "state_numbers",
     "clebsch_gordan", "build_hamiltonian", "diagonalize_manifold",
     "breit_rabi_curve", "transition_lines", "dipole_strength_sums",
-    "two_photon_lines", "group_two_photon_lines",
+    "two_photon_lines", "group_two_photon_lines", "memory_line_companions",
 ]
 
 POLARIZATIONS = ("sigma-", "pi", "sigma+")   # q = -1, 0, +1
@@ -462,3 +462,24 @@ def group_two_photon_lines(lines: list[TwoPhotonLine]
         out.append((pos, total, best))
     out.sort(key=lambda t: t[0])
     return out
+
+
+def memory_line_companions(b_mt: float, constants: AtomConstants | None = None
+                           ) -> tuple[float, list[tuple[float, float]]]:
+    """The memory line at field b_mt and its companions: the one rule that
+    picks them.
+
+    The memory line is the strongest composite sigma- sigma- two-photon line
+    (see group_two_photon_lines, raw path strengths) within (-30, 10) GHz of
+    the field-free 5S -> 5D interval; its companions are the other composite
+    lines within 3 GHz of it.  Returns the memory line's total detuning in
+    GHz and one (offset GHz, strength ratio) pair per companion, in
+    ascending detuning: its offset from the memory line and its strength
+    over the memory line's.  Each caller weights or selects the companions
+    by its own measure.
+    """
+    grouped = group_two_photon_lines(two_photon_lines(
+        b_mt, "sigma-", "sigma-", total_window_ghz=(-30.0, 10.0), constants=constants))
+    main = max(grouped, key=lambda t: t[1])
+    return main[0], [(t[0] - main[0], t[1] / main[1]) for t in grouped
+                     if t is not main and abs(t[0] - main[0]) < 3.0]

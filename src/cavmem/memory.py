@@ -29,12 +29,13 @@ at all of its own grid points, and `closure_residual` in
 
 The efficiency (1 - zeta) C_ret / C_ref needs the control-off reference
 counts C_ref.  With the control off S decouples and (a, P) is a linear
-time-invariant filter, so C_ref has a closed form: the Gaussian input
-spectrum weighted by |r(w)|^2, whose two poles integrate to Faddeeva
-functions.  Only the control-on run is integrated; `store` gets its
-reference flux from a control-off lane in the same batch.  The formula is
-stated once, in `total_efficiency`: a signal without photons has C_ref = 0
-and no efficiency, so it raises DomainError rather than reading 0.
+time-invariant filter, so the reference has a closed form from the two
+poles of its reflection r(w): C_ref is the Gaussian input spectrum weighted
+by |r(w)|^2, and the reference flux that `store` reports is the Gaussian
+input convolved with the two poles' decays; both integrate to Faddeeva
+functions.  Only the control-on run is integrated.  The formula is stated
+once, in `total_efficiency`: a signal without photons has C_ref = 0 and no
+efficiency, so it raises DomainError rather than reading 0.
 
 The RK4 loop evaluates the drives a_in(t) and W(t) once per half step, in
 chunks of steps, and reuses them across the stages that share a time.  Each
@@ -68,7 +69,7 @@ The loop runs on one of two schedules.  Every batch keeps the lane
 schedule, which steps its lanes chunk by chunk from their own states, so a
 lane's bits are the same alone and in any batch; the GA's reproducibility
 rests on that, and at wide batches blocks would cost 2.5-4 times the
-arithmetic.  The single storage run, two lanes over thousands of steps
+arithmetic.  The single storage run, one lane over thousands of steps
 whose cost is the numpy calls of a step and not its arithmetic, steps its
 time axis in blocks side by side instead.  The memory is linear, so each
 block after the first steps from the unit states of a, P and S without the
@@ -160,6 +161,12 @@ class MemoryConfig:
             raise DomainError("cooperativity must be non-negative")
         if self.polarization_fwhm_ghz <= 0:
             raise DomainError("polarization width must be positive")
+        # a negative width would make its damping a gain, and the memory
+        # would emit more photons than it receives
+        if min(self.spin_fwhm_mhz, self.intermediate_natural_fwhm_mhz) < 0:
+            raise DomainError("spin and intermediate natural widths must be non-negative")
+        if self.noise_photons_per_pulse < 0:
+            raise DomainError("noise photons per pulse must be non-negative")
         if self.insertion_loss is not None and not (0.0 <= self.insertion_loss < 1.0):
             raise DomainError("insertion loss must lie in [0, 1)")
         if min(self.line_amp_main, self.line_amp_beat) < 0 \
@@ -232,9 +239,8 @@ class SimulationResult:
     snr_db: float
     bookkeeping: dict
     # dt_ns, loop and lane steps, the steps of its longest time block,
-    # lambda_max dt and its stability margin of the run's batch (the storage
-    # lane and its control-off twin), and the storage lane's photon-closure
-    # residual
+    # lambda_max dt and its stability margin of the run's one storage lane,
+    # and its photon-closure residual
     integrator: dict
 
     def __post_init__(self):
@@ -751,17 +757,25 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                 lam_max_dt=lam_max * dt, stability_margin=guard / (lam_max * dt))
 
 
-def _reference_counts(par: dict) -> np.ndarray:
-    """Control-off output counts of every lane, in closed form.
+def _control_off(par: dict, ts=None):
+    """Control-off output of every lane, in closed form: its counts C_ref
+    and, on the grid `ts` when it is given, its flux |a_out|^2 (None
+    otherwise), one column per lane.
 
     With the control off S decouples and (a, P) is a linear time-invariant
-    filter, so C_ref = n int |r(w)|^2 W(w) dw with
-    r(w) = kappa_ext / ((-iw - c_a) + g^2 / (-iw - c_p)) - 1 and W the
-    normalized power spectrum of the Gaussian input amplitude,
-    exp(-2 sigma^2 w^2).  r has one pole w_j = i s_j per eigenvalue s_j of
-    the (a, P) block, all in the lower half plane, so
-    |r|^2 = 1 + 2 Re sum_j C_j / (w - w_j) and each term integrates against
-    the Gaussian to a Faddeeva function.
+    filter, r(w) = kappa_ext / ((-iw - c_a) + g^2 / (-iw - c_p)) - 1, with
+    one pole w_j = i s_j per eigenvalue s_j of the (a, P) block, all in the
+    lower half plane: r = -1 + sum_j beta_j / (w - w_j).
+    - C_ref = n int |r(w)|^2 W(w) dw, with W the normalized power spectrum
+      of the Gaussian input amplitude, exp(-2 sigma^2 w^2).  Since
+      |r|^2 = 1 + 2 Re sum_j C_j / (w - w_j), each term integrates against
+      the Gaussian to a Faddeeva function w(z).
+    - The flux: pole j answers a_in = sig_amp e^{-x^2 / 4 sigma^2}, with
+      x = t - sig_c, by -i beta_j int_0^inf e^{s_j u} a_in(t - u) du
+      = -i beta_j sig_amp sigma sqrt(pi) e^{-x^2 / 4 sigma^2}
+      w(-i sigma (x / 2 sigma^2 + s_j)) (Abramowitz & Stegun 7.4.2), and
+      a_out = -a_in + the sum over j.  Where Im z < 0, w(z) = 2 e^{-z^2}
+      - w(-z), with the Gaussian folded into the exponent.
     """
     from scipy.special import wofz   # lazy: commands that never simulate skip scipy
 
@@ -776,7 +790,22 @@ def _reference_counts(par: dict) -> np.ndarray:
     z = math.sqrt(2) * sigma * poles
     gauss = -1j * math.sqrt(2 * math.pi) * sigma * np.conj(wofz(np.conj(z)))
     terms = beta * conj_r * gauss
-    return par["sig_n"] * (1.0 + 2.0 * np.real(terms[0] + terms[1]))
+    counts = par["sig_n"] * (1.0 + 2.0 * np.real(terms[0] + terms[1]))
+    if ts is None:
+        return counts, None
+    x = ts[:, None] - par["sig_c"]
+    envelope = np.exp(-x ** 2 / (4 * sigma ** 2))
+    s = s[:, None]
+    z = -1j * sigma * (x / (2 * sigma ** 2) + s)
+    lower = z.imag < 0
+    # e^{-x^2 / 4 sigma^2} w(z), where each Faddeeva argument has Im >= 0;
+    # the folded exponent s x + sigma^2 s^2 has a negative real part where
+    # Im z < 0, and is left out (e^{-inf}) elsewhere, where it could overflow
+    folded = np.exp(np.where(lower, s * x + (sigma * s) ** 2, -np.inf))
+    w = 2 * folded + np.where(lower, -envelope, envelope) * wofz(np.where(lower, -z, z))
+    a_out = par["sig_amp"] * (math.sqrt(math.pi) * sigma
+                              * np.sum(-1j * beta[:, None] * w, axis=0) - envelope)
+    return counts, np.abs(a_out) ** 2
 
 
 def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
@@ -864,19 +893,18 @@ def pulses_overlap(write: PulseShape, read: PulseShape) -> bool:
         read.center_ns - read.fwhm_ns < write.center_ns + write.fwhm_ns
 
 
-def _simulate(config: MemoryConfig, signals, writes, reads, drift_offset_ghz,
-              dt_ns: float, keep_flux: bool, blocks: bool) -> dict:
-    """Admit a batch of pulse settings and integrate it on a common grid.
+def _admit(config: MemoryConfig, signals, writes, reads, drift_offset_ghz,
+           dt_ns: float):
+    """Admit a batch of pulse settings: its parameter arrays (see
+    _pulse_par_arrays) and the ends t0, t1 of the grid that spans every
+    lane's window.
 
     The one admission check of a batch: it must hold at least one setting,
     as many signals as writes and reads, and no read window may open before
     its write window closes; the time step must be finite and positive;
     and the batch may take at most _MAX_LANE_STEPS grid points and
     lane-steps, counted from its lanes' events before anything is
-    allocated.  Returns the integrator's result (see _integrate_batch, on
-    the schedule `blocks` picks), on the grid `ts` that spans every lane's
-    window, with each lane's closed-form control-off reference counts
-    added as `reference_counts`.
+    allocated.
     """
     if len(signals) == len(writes) == len(reads) == 0:
         raise DomainError("the batch holds no pulse settings")
@@ -902,9 +930,7 @@ def _simulate(config: MemoryConfig, signals, writes, reads, drift_offset_ghz,
     lane_steps = len(k_start) * _loop_steps(k_start, k_free, k_read, k_close)
     if lane_steps > _MAX_LANE_STEPS:
         refuse(f"{lane_steps} lane-steps")
-    t0, t1 = dt_ns * int(k_start.min()), dt_ns * int(k_end.max())
-    return {**_integrate_batch(par, t0, t1, dt_ns, keep_flux, blocks),
-            "reference_counts": _reference_counts(par)}
+    return par, dt_ns * int(k_start.min()), dt_ns * int(k_end.max())
 
 
 def simulate_batch(config: MemoryConfig, signals, writes, reads,
@@ -912,15 +938,16 @@ def simulate_batch(config: MemoryConfig, signals, writes, reads,
                    keep_flux: bool = False):
     """Integrate a batch of pulse settings on a common grid.
 
-    Admits the batch (see _simulate) and integrates it on the lane schedule,
+    Admits the batch (see _admit) and integrates it on the lane schedule,
     so each lane's results keep their bits alone and in any batch.
     Returns the integrator's result (see _integrate_batch), on the grid
     `ts` that spans every lane's window, with each lane's closed-form
     control-off reference counts added as `reference_counts`.  It holds the
     output flux on the grid only when `keep_flux` is set.
     """
-    return _simulate(config, signals, writes, reads, drift_offset_ghz, dt_ns,
-                     keep_flux, False)
+    par, t0, t1 = _admit(config, signals, writes, reads, drift_offset_ghz, dt_ns)
+    return {**_integrate_batch(par, t0, t1, dt_ns, keep_flux),
+            "reference_counts": _control_off(par)[0]}
 
 
 def total_efficiency(c_ret, c_ref, zeta: float):
@@ -962,23 +989,22 @@ def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
                                dt_ns: float = 0.01) -> SimulationResult:
     """Full storage/retrieval run plus its control-off reference.
 
-    The reference counts come in closed form; the reference flux comes from
-    a second lane with the control pulses switched off, integrated in the
-    same call.  The one single run steps on the time-block schedule (see
-    _integrate_batch): two lanes over thousands of steps cost their numpy
-    calls, which the blocks share.
+    One lane is integrated, on the time-block schedule (see
+    _integrate_batch): a single run over thousands of steps costs its numpy
+    calls, which the blocks share.  The control-off reference, its counts
+    and its flux on the run's grid, comes in closed form (see _control_off).
     """
-    dark_write, dark_read = replace(write, energy=0.0), replace(read, energy=0.0)
-    result = _simulate(config, [signal, signal], [write, dark_write],
-                       [read, dark_read], drift_offset_ghz, dt_ns, True, True)
-    # the storage lane's ledger; lane 1 is its control-off twin
-    lane = {k: float(result[k][0]) for k in ("input_photons", "reference_counts",
-                                             *CHANNELS, "closure_residual")}
+    par, t0, t1 = _admit(config, [signal], [write], [read], drift_offset_ghz, dt_ns)
+    result = _integrate_batch(par, t0, t1, dt_ns, True, True)
+    reference_counts, reference_flux = _control_off(par, result["ts"])
+    lane = {k: float(result[k][0]) for k in ("input_photons", *CHANNELS,
+                                             "closure_residual")}
+    lane["reference_counts"] = float(reference_counts[0])
     c_ref, c_ret = lane["reference_counts"], lane["retrieved_counts"]
     return SimulationResult(
         time_grid_ns=result["ts"],
         output_flux=result["out_flux"][:, 0],
-        reference_flux=result["out_flux"][:, 1],
+        reference_flux=reference_flux[:, 0],
         **{k: lane[k] for k in ("input_photons", "reference_counts", *CHANNELS[:2])},
         internal_efficiency=total_efficiency(c_ret, c_ref, 0.0),
         total_efficiency=total_efficiency(c_ret, c_ref, config.zeta()),
@@ -1060,26 +1086,19 @@ def oscillation_suppression(b_mt: float, config: MemoryConfig,
     """
     if b_mt <= 0:
         raise DomainError("field must be positive")
-    # raw strengths identify the operating line (the strongest transition);
-    # near-resonant-intermediate paths are excluded by construction since the
-    # memory operates far from the one-photon line
-    lines = atomic.two_photon_lines(
-        b_mt, "sigma-", "sigma-", total_window_ghz=(-30.0, 10.0), constants=constants)
-    grouped = atomic.group_two_photon_lines(lines)
-    main = max(grouped, key=lambda t: t[1])
+    # the memory operates far from the one-photon line, so the raw strengths
+    # of atomic.memory_line_companions identify its line and companions
+    _, companions = atomic.memory_line_companions(b_mt, constants)
     kappa_fwhm = cavity.linewidth_ghz(config.cavity)
 
-    def weighted(entry):
-        sep_ghz = abs(entry[0] - main[0])
+    def weighted(offset_ghz, ratio):
+        sep_ghz = abs(offset_ghz)
         pulse = math.exp(-(math.pi * sep_ghz * config.excitation_fwhm_ns) ** 2
                          / _LN2)
         cav = 1.0 / (1.0 + (2 * sep_ghz / kappa_fwhm) ** 2)
-        return (entry[1] / main[1]) * pulse * cav
+        return ratio * pulse * cav
 
-    others = [t for t in grouped if t is not main and abs(t[0] - main[0]) < 3.0]
-    if not others:
-        return 0.0
-    return max(weighted(t) for t in others)
+    return max((weighted(*c) for c in companions), default=0.0)
 
 
 def snr_db(signal_counts: float, noise_rate: float) -> float:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from cavmem.atomic import (_labelled_system, all_manifolds, basis_labels,
                            breit_rabi_curve, build_hamiltonian, clebsch_gordan,
                            diagonalize_manifold, group_two_photon_lines,
-                           manifold_spec, transition_lines, two_photon_lines)
+                           manifold_spec, memory_line_companions, transition_lines,
+                           two_photon_lines)
 from cavmem.constants import default_constants
 from cavmem.errors import DomainError, StructuralError
 
@@ -415,6 +416,33 @@ def test_pair_separation_matches_measured_beat_near_154_mt():
     others = [t for t in near if t is not main]
     sep_mhz = min(abs(t[0] - main[0]) for t in others) * 1e3
     assert sep_mhz == pytest.approx(175.0, abs=15.0)
+
+
+@pytest.mark.parametrize("b", [50.0, 100.0, 169.0, 250.0, 300.0])
+def test_memory_line_companions_do_not_depend_on_the_window(b):
+    # the one companion-line rule reads the (-30, 10) GHz window; the
+    # narrower (-20, 5) GHz one gives the same memory line and the same
+    # companions within 3 GHz, offsets and strength ratios bit for bit
+    grouped = group_two_photon_lines(two_photon_lines(
+        b, "sigma-", "sigma-", total_window_ghz=(-20.0, 5.0)))
+    main = max(grouped, key=lambda t: t[1])
+    pos, companions = memory_line_companions(b)
+    assert pos == main[0]
+    assert companions == [(t[0] - main[0], t[1] / main[1]) for t in grouped
+                          if t is not main and abs(t[0] - main[0]) < 3.0]
+
+
+def test_memory_line_companions_at_169_mt():
+    # eight companions within 3 GHz; the nearest strong one, criterion 5's,
+    # lies 246.9 MHz below the memory line at 0.169 of its strength
+    pos, companions = memory_line_companions(169.0)
+    assert pos == pytest.approx(-7.320, abs=1e-3)
+    offsets = [offset for offset, _ in companions]
+    assert len(companions) == 8 and offsets == sorted(offsets)
+    assert all(0 < abs(offset) < 3.0 for offset in offsets)
+    offset, ratio = min((c for c in companions if c[1] > 0.05), key=lambda c: abs(c[0]))
+    assert (offset * 1e3, ratio) == (pytest.approx(-246.9, abs=0.05),
+                                     pytest.approx(0.169, abs=1e-3))
 
 
 def test_two_photon_bookkeeping_exact():

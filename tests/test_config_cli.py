@@ -386,19 +386,19 @@ def test_cli_store_summary_closes_and_reference_flux_integrates(tmp_path):
     assert abs(residual) <= 1e-4
     _, rows = read_csv(tmp_path / "store_flux.csv")
     integral = np.trapezoid(rows[:, 2], rows[:, 0])
-    assert integral == pytest.approx(summary["reference_counts"], rel=1e-6)
+    assert integral == pytest.approx(summary["reference_counts"], rel=1e-12)
 
 
 def test_cli_store_summary_reports_the_integrator(tmp_path, capsys):
-    # the storage lane and its control-off twin loop 2592 steps at dt 0.01,
-    # stepped in time blocks of 48; the margin is the factor by which dt
-    # could grow before the guard refuses it
+    # the storage lane loops 2592 steps at dt 0.01, stepped in time blocks
+    # of 48; the margin is the factor by which dt could grow before the
+    # guard refuses it
     assert main(["--out", str(tmp_path / "a"), "store"]) == 0
     run = json.loads((tmp_path / "a" / "store_summary.json").read_text())["integrator"]
     assert list(run) == ["dt_ns", "loop_steps", "lane_steps", "block_steps", "lam_max_dt",
                          "stability_margin", "closure_residual"]
     assert (run["dt_ns"], run["loop_steps"], run["lane_steps"], run["block_steps"]) \
-        == (0.01, 2592, 2 * 2592, 48)
+        == (0.01, 2592, 2592, 48)
     assert 1.0 < run["stability_margin"] == pytest.approx(2.5 / run["lam_max_dt"])
     assert main(["--out", str(tmp_path / "b"), "store", "--dt", "0.02"]) == 0
     run2 = json.loads((tmp_path / "b" / "store_summary.json").read_text())["integrator"]
@@ -420,21 +420,19 @@ def test_cli_store_with_jumped_storage_flux_integrates_to_counts(tmp_path):
     assert np.trapezoid(rows[:, 1], rows[:, 0]) == pytest.approx(
         summary["leak_counts"] + summary["retrieved_counts"], rel=1e-6)
     assert np.trapezoid(rows[:, 2], rows[:, 0]) == pytest.approx(
-        summary["reference_counts"], rel=1e-6)
+        summary["reference_counts"], rel=1e-12)
     assert abs(summary["integrator"]["closure_residual"]) <= 1e-4
 
 
 def test_cli_store_flux_ends_at_last_counted_grid_point(tmp_path):
-    # the flux table stops at the last grid point any lane counts, t1 of
-    # the storage lane and its control-off twin integrated together
-    from dataclasses import replace
+    # the flux table stops at the last grid point that the storage lane
+    # counts, t1 of its lane integrated alone
     from cavmem.memory import simulate_batch
     assert main(["--out", str(tmp_path), "store"]) == 0
     _, rows = read_csv(tmp_path / "store_flux.csv")
     cfg = ExperimentConfig()
     sig, wr, rd = (cfg.pulse(n) for n in ("signal", "write", "read"))
-    ts = simulate_batch(cfg.memory_config(), [sig, sig], [wr, replace(wr, energy=0.0)],
-                        [rd, replace(rd, energy=0.0)], 0.0, 0.01)["ts"]
+    ts = simulate_batch(cfg.memory_config(), [sig], [wr], [rd], 0.0, 0.01)["ts"]
     assert rows[-1, 0] == ts[-1]
 
 
@@ -783,11 +781,15 @@ def test_cli_non_positive_dt_exits_2_without_output(tmp_path, capsys, argv):
     {"optimizer": {"dt_ns": 0}},
     {"optimizer": {"objective_noise_sd": -1}},
     {"memory": {"line_amp_main": 0.0, "line_amp_beat": 0.0}},
+    {"memory": {"spin_fwhm_mhz": -50}},
+    {"memory": {"intermediate_natural_fwhm_mhz": -600}},
+    {"memory": {"noise_photons_per_pulse": -1e-4}},
 ], ids=["cooperativity-negative", "population-4", "cooperativity-text",
         "seed-negative", "seed-float", "read-fwhm-zero", "drift-rate-text",
         "drift-noise-negative", "drift-enabled-text", "field-text",
         "field-negative", "ga-dt-negative", "ga-dt-zero", "ga-noise-negative",
-        "line-amplitudes-zero"])
+        "line-amplitudes-zero", "spin-width-negative", "natural-width-negative",
+        "noise-photons-negative"])
 def test_cli_refused_config_value_exits_2_without_output(tmp_path, capsys, override):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(override))

@@ -133,9 +133,32 @@ def test_closed_form_reference_matches_control_off_rk4():
 
 
 def test_reference_flux_integrates_to_reference_counts():
+    # the flux and the counts come from the same poles in closed form
     res = run()
     integral = np.trapezoid(res.reference_flux, res.time_grid_ns)
-    assert integral == pytest.approx(res.reference_counts, rel=1e-6)
+    assert integral == pytest.approx(res.reference_counts, rel=1e-12)
+
+
+@pytest.mark.parametrize("sig, drift, coarse_dt", [
+    (SIG, 0.0, 0.01),
+    (replace(SIG, fwhm_ns=0.7, carrier_detuning_ghz=0.2), 0.4, 0.005),
+], ids=["default", "drifted-narrow"])
+def test_closed_form_reference_flux_matches_control_off_rk4(sig, drift, coarse_dt):
+    # the RK4 lane with dark control pulses is the reference implementation:
+    # its flux converges to the closed form at fourth order, so the largest
+    # deviation over the maximum falls by 8x or more per halving of dt and
+    # is within 3e-8 from `coarse_dt` down (the 0.7 ns signal is resolved
+    # by fewer steps and reads 1.8e-7 at dt 0.01)
+    dark_w, dark_r = replace(WRITE, energy=0.0), replace(READ, energy=0.0)
+    devs = {}
+    for dt in (0.01, 0.005, 0.0025):
+        store = run(sig=sig, drift_offset_ghz=drift, dt_ns=dt)
+        lane = simulate_batch(CFG, [sig], [dark_w], [dark_r], drift, dt, keep_flux=True)
+        assert np.array_equal(store.time_grid_ns, lane["ts"])
+        rk4 = lane["out_flux"][:, 0]
+        devs[dt] = np.max(np.abs(store.reference_flux - rk4)) / np.max(rk4)
+    assert devs[coarse_dt] <= 3e-8
+    assert devs[0.01] >= 8 * devs[0.005] >= 64 * devs[0.0025]
 
 
 def test_internal_efficiency_monotone_in_cooperativity():
@@ -345,10 +368,8 @@ def test_closed_form_ring_down_matches_stepped_tail():
 def test_loop_ends_at_read_close():
     # the loop stops where the last lane's read window closes, not where its
     # cavity has emptied; it stepped 3111 and 1632 times when it ran on
-    dark_w, dark_r = replace(WRITE, energy=0.0), replace(READ, energy=0.0)
-    store = simulate_batch(CFG, [SIG] * 2, [WRITE, dark_w], [READ, dark_r],
-                           0.0, 0.01, keep_flux=True)
-    assert (store["loop_steps"], store["lane_steps"]) == (2592, 2 * 2592)
+    store = simulate_batch(CFG, [SIG], [WRITE], [READ], 0.0, 0.01, keep_flux=True)
+    assert (store["loop_steps"], store["lane_steps"]) == (2592, 2592)
     taus = np.linspace(8.0, 104.0, 192)
     reads = [replace(READ, center_ns=WRITE.center_ns + t) for t in taus]
     scan = simulate_batch(CFG, [SIG] * 192, [WRITE] * 192, reads, 0.0, 0.02)
@@ -438,14 +459,12 @@ def test_integrate_batch_keeps_the_benchmark_hook_shape():
     assert {"loop_steps", "lane_steps"} <= set(main)
 
 
-def _store_and_its_lanes(read, dt):
-    """The store run of SIG, WRITE and `read`, and the lane schedule's
-    batch of its storage lane and control-off twin."""
+def _store_and_its_lane(read, dt):
+    """The store run of SIG, WRITE and `read`, and its storage lane on the
+    lane schedule."""
     store = run(r=read, dt_ns=dt)
-    dark_w, dark_r = replace(WRITE, energy=0.0), replace(read, energy=0.0)
-    lanes = simulate_batch(CFG, [SIG, SIG], [WRITE, dark_w], [read, dark_r], 0.0, dt,
-                           keep_flux=True)
-    return store, lanes
+    lane = simulate_batch(CFG, [SIG], [WRITE], [read], 0.0, dt, keep_flux=True)
+    return store, lane
 
 
 def _store_channels(res):
@@ -472,34 +491,32 @@ def test_blocked_store_equals_its_lane_schedule(read_at, mid_block, dt, monkeypa
     to_mid = int(k_mid[0] - k_start[0])
     blocks = {"later": memory._BLOCK_STEPS, "first": to_mid + 7, "ends": to_mid}[mid_block]
     monkeypatch.setattr(memory, "_BLOCK_STEPS", blocks)
-    store, lanes = _store_and_its_lanes(read, dt)
+    store, lane = _store_and_its_lane(read, dt)
     # blocks end at the jump too, so the run always has more than one
     assert store.integrator["block_steps"] <= blocks
     assert store.integrator["block_steps"] < store.integrator["loop_steps"]
     assert (mid_block == "later") == (to_mid > blocks)
     for key, value in _store_channels(store).items():
-        assert value == pytest.approx(lanes[key][0], rel=1e-12, abs=0.0), key
+        assert value == pytest.approx(lane[key][0], rel=1e-12, abs=0.0), key
     assert store.bookkeeping["loss_dephasing"] > 0.0
     assert store.integrator["closure_residual"] == pytest.approx(
-        lanes["closure_residual"][0], rel=0.0, abs=1e-14)
+        lane["closure_residual"][0], rel=0.0, abs=1e-14)
     assert abs(store.integrator["closure_residual"]) < 1e-4
-    assert np.array_equal(store.time_grid_ns, lanes["ts"])
-    for flux, lane in ((store.output_flux, 0), (store.reference_flux, 1)):
-        scale = np.max(lanes["out_flux"][:, lane])
-        assert np.max(np.abs(flux - lanes["out_flux"][:, lane])) <= 1e-12 * scale
+    assert np.array_equal(store.time_grid_ns, lane["ts"])
+    scale = np.max(lane["out_flux"][:, 0])
+    assert np.max(np.abs(store.output_flux - lane["out_flux"][:, 0])) <= 1e-12 * scale
 
 
 def test_store_of_one_block_keeps_the_lane_schedule_bits(monkeypatch):
     # a run no longer than one block is that block alone, stepped from rest
     from cavmem import memory
     monkeypatch.setattr(memory, "_BLOCK_STEPS", 2592)
-    store, lanes = _store_and_its_lanes(READ, 0.01)
+    store, lane = _store_and_its_lane(READ, 0.01)
     assert store.integrator["block_steps"] == store.integrator["loop_steps"] == 2592
     for key, value in _store_channels(store).items():
-        assert value == lanes[key][0], key
-    assert store.integrator["closure_residual"] == lanes["closure_residual"][0]
-    assert store.output_flux.tobytes() == lanes["out_flux"][:, 0].tobytes()
-    assert store.reference_flux.tobytes() == lanes["out_flux"][:, 1].tobytes()
+        assert value == lane[key][0], key
+    assert store.integrator["closure_residual"] == lane["closure_residual"][0]
+    assert store.output_flux.tobytes() == lane["out_flux"][:, 0].tobytes()
 
 
 def test_blocks_stepped_in_waves_keep_their_join(monkeypatch):
@@ -507,7 +524,7 @@ def test_blocks_stepped_in_waves_keep_their_join(monkeypatch):
     # the same blocks, so the store keeps its bits
     from cavmem import memory
     whole = run()
-    monkeypatch.setattr(memory, "_WAVE_LANE_STEPS", 4 * 2 * memory._BLOCK_STEPS * 5)
+    monkeypatch.setattr(memory, "_WAVE_LANE_STEPS", 4 * memory._BLOCK_STEPS * 5)
     waves = run()
     assert _store_channels(waves) == _store_channels(whole)
     assert waves.output_flux.tobytes() == whole.output_flux.tobytes()
@@ -638,8 +655,8 @@ def test_total_efficiency_elementwise():
 
 
 # recorded from the step with scaled stage tables, the run stepped in time
-# blocks; a change that moves them stays within the budget that
-# tests/test_record_bench.py states
+# blocks and the reference flux in closed form; a change that moves them
+# stays within the budget that tests/test_record_bench.py states
 _PINNED_STORE = {
     "total_efficiency": 0.24916089281644405,
     "internal_efficiency": 0.8072821608755275,
@@ -655,7 +672,7 @@ _PINNED_STORE = {
         "output_total": 0.37702560569725374,
     },
     "output_flux": "542be0cb5d7bd7f9b508b19e5a8e7360f2890b150362ff3cf988ee4dd7e05f81",
-    "reference_flux": "e62cefdebe437b3cf957bead7882afa48cae42f7595c4f86458efe195d8a7495",
+    "reference_flux": "2696291da95523e00ddb19a1aac0aeb1232644d6185adc104dd097907ef14ba1",
 }
 _PINNED_STORE_60 = {
     "total_efficiency": 0.02702625882540207,
@@ -1075,17 +1092,19 @@ def test_random_ga_settings_passive_closed_and_linear(vector):
                    (_SPACE_BOUNDS[n] for n in PARAMETER_NAMES))))
 def test_random_ga_settings_store_equals_its_lane_schedule(vector):
     # wherever a GA vector puts t_mid, the jump and the chirp, the store's
-    # time blocks join to its lanes' results within a few ulps
+    # time blocks join to its lane's results within a few ulps, and its
+    # closed-form reference flux integrates to its reference counts (over
+    # 40 seeded vectors within 5.7e-14)
     sig, write, read = _pulses_from_vector(np.array(vector))
     assume(not pulses_overlap(write, read))
     store = simulate_storage_retrieval(CFG, sig, write, read, dt_ns=0.02)
-    lanes = simulate_batch(CFG, [sig, sig], [write, replace(write, energy=0.0)],
-                           [read, replace(read, energy=0.0)], 0.0, 0.02, keep_flux=True)
+    lane = simulate_batch(CFG, [sig], [write], [read], 0.0, 0.02, keep_flux=True)
     for key, value in _store_channels(store).items():
-        assert value == pytest.approx(lanes[key][0], rel=1e-12,
+        assert value == pytest.approx(lane[key][0], rel=1e-12,
                                       abs=1e-15 * sig.energy), key
     assert store.integrator["closure_residual"] == pytest.approx(
-        lanes["closure_residual"][0], rel=0.0, abs=1e-14)
-    for flux, lane in ((store.output_flux, 0), (store.reference_flux, 1)):
-        scale = np.max(lanes["out_flux"][:, lane])
-        assert np.max(np.abs(flux - lanes["out_flux"][:, lane])) <= 1e-12 * scale
+        lane["closure_residual"][0], rel=0.0, abs=1e-14)
+    scale = np.max(lane["out_flux"][:, 0])
+    assert np.max(np.abs(store.output_flux - lane["out_flux"][:, 0])) <= 1e-12 * scale
+    assert np.trapezoid(store.reference_flux, store.time_grid_ns) == pytest.approx(
+        store.reference_counts, rel=1e-12)

@@ -99,15 +99,14 @@ def _doppler_fit(ec: ExperimentConfig) -> dict:
 
 def criterion_5_lines() -> tuple[int, float]:
     """Criterion 5 at 169 mT: how many strong two-photon lines lie within
-    0.5 GHz of the strongest one, itself included, and the nearest one's
-    separation from it in MHz (0 when there is none)."""
-    grouped = atomic.group_two_photon_lines(atomic.two_photon_lines(
-        169.0, "sigma-", "sigma-", total_window_ghz=(-20.0, 5.0)))
-    smax = max(s for _, s, _ in grouped)
-    main = max(grouped, key=lambda t: t[1])
-    near = [t for t in grouped if abs(t[0] - main[0]) <= 0.5 and t[1] > 0.05 * smax]
-    others = [t for t in near if t is not main]
-    return len(near), min(abs(t[0] - main[0]) for t in others) * 1e3 if others else 0.0
+    0.5 GHz of the memory line, itself included, and the nearest one's
+    separation from it in MHz (0 when there is none).  A companion of
+    atomic.memory_line_companions is strong above 5% of the memory line's
+    strength."""
+    _, companions = atomic.memory_line_companions(169.0)
+    near = [abs(offset) for offset, ratio in companions
+            if abs(offset) <= 0.5 and ratio > 0.05]
+    return 1 + len(near), min(near) * 1e3 if near else 0.0
 
 
 def random_lanes(rng, size):
