@@ -151,8 +151,9 @@ def dual_resonance_map(params: CavityParams, signal_grid_ghz, control_grid_ghz,
     b_ctl = buildup_factor(params, ctl - params.mode_offset_control_ghz)
     buildup = np.outer(b_sig, b_ctl)
     if mask_tol_ghz is None:
-        step = max(np.min(np.diff(sig)) if sig.size > 1 else params.fsr_ghz,
-                   np.min(np.diff(ctl)) if ctl.size > 1 else params.fsr_ghz)
+        # the grid spacing, in either direction
+        step = max(np.min(np.abs(np.diff(sig))) if sig.size > 1 else params.fsr_ghz,
+                   np.min(np.abs(np.diff(ctl))) if ctl.size > 1 else params.fsr_ghz)
         mask_tol_ghz = 0.5 * step
     mask = np.abs(sig[:, None] + ctl[None, :]) <= mask_tol_ghz
 

@@ -153,6 +153,22 @@ def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
     )
 
 
+def _samples(x_data, y_data):
+    """The samples as float arrays in ascending order of x, which the
+    initial-guess heuristics assume; a stable sort, so ascending data keeps
+    its bits.  Refuses x and y of different lengths, and data with fewer
+    than two distinct x values."""
+    x = np.asarray(x_data, dtype=float)
+    y = np.asarray(y_data, dtype=float)
+    if x.shape != y.shape:
+        raise DomainError(f"fit data hold {x.shape} x and {y.shape} y values")
+    order = np.argsort(x, kind="stable")
+    x, y = x[order], y[order]
+    if not np.any(x[1:] > x[:-1]):
+        raise DomainError("fit data need at least two distinct x values")
+    return x, y
+
+
 # ------------------------------------------------------------ cavity fit
 
 def fit_cavity_reflection(detunings_ghz, reflected_power,
@@ -163,8 +179,7 @@ def fit_cavity_reflection(detunings_ghz, reflected_power,
     Mirror reflectivities are held fixed.  The fsr initial guess comes from
     the autocorrelation peak spacing of the inverted trace.
     """
-    x = np.asarray(detunings_ghz, dtype=float)
-    y = np.asarray(reflected_power, dtype=float)
+    x, y = _samples(detunings_ghz, reflected_power)
 
     # documented heuristic: dip spacing from the first secondary peak of the
     # autocorrelation of the inverted, mean-subtracted trace
@@ -216,8 +231,7 @@ def fit_doppler_absorption(detunings_ghz, transmission,
     of `constants` (the bundled file when None); the initial field comes
     from a deterministic coarse scan.
     """
-    x = np.asarray(detunings_ghz, dtype=float)
-    y = np.asarray(transmission, dtype=float)
+    x, y = _samples(detunings_ghz, transmission)
 
     def model(xx, th):
         b, off, depth = th
@@ -249,13 +263,13 @@ def fit_lifetime(times_ns, efficiencies,
     the FFT peak of the detrended curve; an unresolved beat (no significant
     FFT peak) is flagged and the frequency reported as unidentifiable.
     """
-    t = np.asarray(times_ns, dtype=float)
-    y = np.asarray(efficiencies, dtype=float)
+    t, y = _samples(times_ns, efficiencies)
     if t.max() - t.min() < 2.0:
         raise DomainError("lifetime data must span multiple oscillation periods")
 
-    # FFT heuristic for the beat frequency
-    dt = np.median(np.diff(t))
+    # FFT heuristic for the beat frequency, on the spacing of the distinct
+    # times
+    dt = np.median(np.diff(np.unique(t)))
     grid = np.arange(t.min(), t.max(), dt)
     yg = np.interp(grid, t, y)
     envelope = np.poly1d(np.polyfit(grid, np.log(np.maximum(yg, 1e-12)), 2))
@@ -300,8 +314,7 @@ def derived_lifetime_metrics(fit: FitResult,
 
 def fit_gaussian_line(x_data, y_data) -> FitResult:
     """Gaussian absorption dip: centre, FWHM, depth and flat offset."""
-    x = np.asarray(x_data, dtype=float)
-    y = np.asarray(y_data, dtype=float)
+    x, y = _samples(x_data, y_data)
     off0 = float(np.median(y))
     k = int(np.argmin(y))
     depth0 = off0 - float(y[k])

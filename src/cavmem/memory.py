@@ -65,21 +65,23 @@ segment (k_a, k_b] that holds t_mid's grid point, and output before it is
 leak and after it retrieved.  The events depend only on the lane's
 pulses, so a lane's results do not depend on the other lanes of its batch.
 
-The loop runs on one of two schedules.  Every batch keeps the lane
-schedule, which steps its lanes chunk by chunk from their own states, so a
+One loop runs over the chunks.  A pass of it steps chunks, each chunk is
+joined into one table of the lanes' states, and one booking books the table
+at each jump and at the pass's end.  A batch passes one chunk at a time,
+stepped from its lanes' own states, so the join is the chunk itself and a
 lane's bits are the same alone and in any batch; the GA's reproducibility
 rests on that, and at wide batches blocks would cost 2.5-4 times the
 arithmetic.  The single storage run, one lane over thousands of steps
-whose cost is the numpy calls of a step and not its arithmetic, steps its
-time axis in blocks side by side instead.  The memory is linear, so each
-block after the first steps from the unit states of a, P and S without the
-input drive and from rest with it, and one pass joins the blocks exactly by
-superposition (parallel-in-time integration of a linear system; Gander,
-"50 years of time parallel time integration", 2015) before the same code
-books the ledger.  The join moves bits by a few ulps, within the budget of
-the benchmark record.  A batch may take at most a fixed number of grid
-points and lane-steps, counted from its lanes' events before anything is
-allocated.
+whose cost is the numpy calls of a step and not its arithmetic, passes a
+wave of its time axis in blocks side by side instead.  The memory is
+linear, so each block steps from rest with the input drive and from the
+unit states of a, P and S without it, and the join adds the block's
+propagator applied to the state joined at its start: superposition makes
+it exact (parallel-in-time integration of a linear system; Gander, "50
+years of time parallel time integration", 2015).  The join moves bits by a
+few ulps, within the budget of the benchmark record.  A batch may take at
+most a fixed number of grid points and lane-steps, counted from its lanes'
+events before anything is allocated.
 
 All simulations are pure functions of (config, pulses, drift); scans evaluate
 their points as one vectorized batch (the bandwidth scan one batch per
@@ -378,20 +380,22 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     each RK4 stage sees the drives at the lane's true time, and the loop
     ends once every lane has reached k_close.
 
-    Two schedules step the chunks, and the same code books them in order
-    from the lanes' states at their grid points.  The lane schedule steps
-    each chunk from the lanes' own states, so each lane is one block.  A
-    lane's events depend only on its own pulses, so its results do not
-    depend on the other lanes of the batch, nor on its width: every batch
-    keeps this schedule.  With `blocks` (the single storage run) the
-    time-block schedule cuts the loop into chunks of _BLOCK_STEPS steps
-    and steps them side by side, as the memory is linear: the first chunk
-    from the lanes' rest, each later one from rest under the input drive
-    and from the unit states of a, P and S without it, each under the
-    control drives and the kernel of its own time.  A pass over the chunks
-    joins them by superposition, y = Phi y_start + p with y_start the
-    joined state at the chunk's start (after the jump where one ends
-    there), and books the kernel's loss from the joined S before it.  The
+    One loop runs over the chunks.  Each pass steps chunks (step_pass), the
+    loop joins each into one table of the lanes' states at its grid points,
+    y_start being the joined state at the chunk's start (after the jump
+    where one ends there), and one call of `book` books the table at each
+    jump and at the pass's end.  The lane schedule passes one chunk, one
+    copy of the lanes stepped from y_start by the batch's one stepper in
+    that table itself, so its join y = p copies nothing.  A lane's events
+    depend only on its own pulses, so its results do not depend on the other
+    lanes of the batch, nor on its width: every batch keeps this schedule.
+    With `blocks` (the single storage run) the loop takes chunks of
+    _BLOCK_STEPS steps and passes a wave of them side by side, as the memory
+    is linear: four copies of the lanes each, from rest under the input
+    drive (the first chunk from the lanes' rest) and from the unit states of
+    a, P and S without it, each under the control drives and the kernel of
+    its own time.  It joins them by superposition, y = Phi y_start + p, and
+    the S before the kernel, whose loss is booked, by the same join.  The
     join moves bits by a few ulps, and a block costs about four times the
     arithmetic of its lane, so blocks pay only where a step costs its numpy
     calls rather than its lanes; a run of one chunk keeps every bit of the
@@ -609,42 +613,38 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     counts = np.zeros((5, b))
     y_close = np.zeros((3, b), dtype=complex)
     out_flux = np.zeros((len(ts), b)) if keep_flux else None
-    # What one booking takes, the lanes' states, fluxes (output, cavity, P,
-    # S) and count steps at its grid points, row 0 at its start: a chunk of
-    # the lane schedule, or the blocks of a wave up to the next jump, a wave
-    # being the blocks stepped together, so that memory stays bounded.  And
-    # each lane's S before the kernel, where a chunk or the jump takes it
-    if blocks:
-        wave = max(1, _WAVE_LANE_STEPS // (4 * b * size))
-        span = wave * size
-        states = np.empty((span + 1, 4, b), dtype=complex)
-        spin_mid = np.zeros(b, dtype=complex)
-    else:
-        span = size
-        states, spin_mid, advance = stepper(slice(None), 1)
+    # A pass steps one chunk from the lanes' own states, one copy of them
+    # with the batch's one stepper; or, with `blocks`, a wave of chunks side
+    # by side, four copies each, a wave bounding the memory.  What one
+    # booking takes, the chunks joined up to the next jump or the pass's
+    # end: the lanes' states, signal Gaussians, fluxes (output, cavity, P, S)
+    # and count steps at their grid points, row 0 at its start; and each
+    # lane's S before the kernel.  The lane stepper keeps both in its own
+    # tables, so that its join, y = p, copies nothing
+    copies, wave = (4, max(1, _WAVE_LANE_STEPS // (4 * b * size))) if blocks else (1, 1)
+    lane_stepper = None if blocks else stepper(slice(None), 1)
+    span = wave * size
+    states, spin_mid = lane_stepper[:2] if lane_stepper else (
+        np.empty((span + 1, 4, b), dtype=complex), np.zeros(b, dtype=complex))
     states[0, 1:] = 0.0                           # every lane rests at first
     y = states[0]
+    g_sig = np.empty((span + 1, b))
     fluxes = np.empty((span + 1, 4, b))
     steps = np.empty((span + 1, 5, b))
-
-    def dephase(s, lanes):
-        """Spin amplitudes s of `lanes` times the kernel; keeps them for the
-        loss it books."""
-        spin_mid[lanes] = s
-        return s * kernel[lanes]
 
     def drive_free(lanes, y_a, k_a, k_b):
         """Carry `lanes` without drive from their states y_a at grid index k_a
         to k_b and return their states there.  Output up to t_mid is leak and
         after it retrieved; the kernel acts at t_mid when it lies in
-        (k_a, k_b].  Books the loss integrals and fills the flux rows
-        k_a+1..k_b, which follow from y_a alone since a does not see the
-        kernel."""
+        (k_a, k_b], after S there is kept for the loss it books.  Books the
+        loss integrals and fills the flux rows k_a+1..k_b, which follow from
+        y_a alone since a does not see the kernel."""
         sub = (diag[:, lanes], ig[lanes], s_ap[:, lanes])
         n_before = np.clip(k_mid[lanes] - k_a, 0, k_b - k_a)
         y_mid, to_mid = _free_evolution(y_a, *sub, n_before * dt)
         inside = holds_mid(k_a, k_b, lanes)
-        y_mid[2, inside] = dephase(y_mid[2, inside], lanes[inside])
+        spin_mid[lanes[inside]] = y_mid[2, inside]
+        y_mid[2, inside] = y_mid[2, inside] * kernel[lanes[inside]]
         y_b, from_mid = _free_evolution(y_mid, *sub, (k_b - k_a - n_before) * dt)
         counts[0, lanes] += par["kappa_ext"][lanes] * to_mid[0]
         counts[1, lanes] += par["kappa_ext"][lanes] * from_mid[0]
@@ -658,15 +658,15 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                     par["kappa_ext"][lane] * np.abs(a_t) ** 2
         return y_b
 
-    def book(m, base, g_sig, jumping):
+    def book(m, base, jumping):
         """Book the m steps (base, base + m] from states[:m + 1] and the
-        signal's Gaussian g_sig at their grid points: the fluxes at all of
-        them, the start included, then a trapezoid per step; a lane counts
-        and keeps its flux up to k_close, the ring-down after.  Then carry
-        the lanes on to the next start, over the jump of `jumping`."""
+        signal's Gaussian g_sig[:m + 1] at their grid points: the fluxes at
+        all of them, the start included, then a trapezoid per step; a lane
+        counts and keeps its flux up to k_close, the ring-down after.  Then
+        carry the lanes on to the next start, over the jump of `jumping`."""
         flux = fluxes[:m + 1]
         stepped = states[:m + 1, 1:]
-        flux[:, 0] = np.abs(sqrt_kext * stepped[:, 0] - par["sig_amp"] * g_sig) ** 2
+        flux[:, 0] = np.abs(sqrt_kext * stepped[:, 0] - par["sig_amp"] * g_sig[:m + 1]) ** 2
         flux[:, 1:] = loss_rates * np.abs(stepped) ** 2
         k_grid = base + 1 + np.arange(m)[:, None]
         # the state of each lane whose drives end in these steps
@@ -692,53 +692,51 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             y_body[:, jumping] = drive_free(jumping, y_body[:, jumping], k_free[jumping],
                                             k_read[jumping])
 
-    def step_blocks(first, last):
-        """Step the chunks first..last-1 side by side, four copies of the
-        lanes each: from rest with the input drive and from the unit states
-        of a, P and S without it.  Returns per chunk its states p and Phi
-        ([step, row, unit state, lane]; the first chunk's p starts from the
-        lanes' rest, where their drives are zeroed), the signal's Gaussian
-        at its grid points, and both S before the kernel."""
+    def step_pass(first, last):
+        """Step the chunks first..last-1 side by side, `copies` copies of the
+        lanes each: one from their states y, or four, from rest with the
+        input drive and from the unit states of a, P and S without it.
+        Returns per chunk its states p and Phi ([step, row, unit state,
+        lane]; the first chunk's p starts from the lanes' rest, where their
+        drives are zeroed), the signal's Gaussian at its grid points, and
+        both S before the kernel."""
         n = last - first
-        table, spin, advance = stepper(np.tile(np.arange(b), n), 4)
-        table[0, 1:] = 0.0
-        for j in range(3):
-            table[0, 1 + j, (1 + j) * n * b:(2 + j) * n * b] = 1.0
-        g_sig = advance(np.concatenate([chunks[i][1] for i in range(first, last)]),
-                        max(chunks[i][0] for i in range(first, last)),
-                        slice(0, b) if first == 0 else None)[::2]
-        table = table[:, 1:].reshape(size + 1, 3, 4, n, b)
-        spin = spin.reshape(4, n, b)
-        return [(table[:, :, 0, c], table[:, :, 1:, c], g_sig[:, c * b:(c + 1) * b],
+        table, spin, advance = lane_stepper or stepper(np.tile(np.arange(b), n), copies)
+        if copies > 1:      # the lane stepper's table starts at y already
+            table[0, 1:] = 0.0
+            for j in range(3):
+                table[0, 1 + j, (1 + j) * n * b:(2 + j) * n * b] = 1.0
+        g_pass = advance(np.concatenate([chunks[i][1] for i in range(first, last)]),
+                         max(chunks[i][0] for i in range(first, last)),
+                         slice(0, b) if first == 0 else None)[::2]
+        table = table[:, 1:].reshape(size + 1, 3, copies, n, b)
+        spin = spin.reshape(copies, n, b)
+        return [(table[:, :, 0, c], table[:, :, 1:, c], g_pass[:, c * b:(c + 1) * b],
                  spin[0, c], spin[1:, c]) for c in range(n)]
 
-    if not blocks:
-        for i, (m, base, jumping) in enumerate(chunks):
-            book(m, base, advance(base, m, slice(None) if i == 0 else None)[::2],
-                 jumping)
-    else:
-        # join the blocks by superposition, y = Phi y_start + p, into the
-        # lanes' states, and book them up to each jump and at each wave's end
-        g_sig = np.empty((span + 1, b))
-        at = 0
-        for i, (m, base, jumping) in enumerate(chunks):
-            if i % wave == 0:
-                blocked = step_blocks(i, min(i + wave, len(chunks)))
-            p, phi, g_block, spin_p, spin_phi = blocked[i % wave]
-            if at == 0:
-                start, g_sig[0] = base, g_block[0]
+    at = 0
+    for i, (m, base, jumping) in enumerate(chunks):
+        if i % wave == 0:
+            passed = step_pass(i, min(i + wave, len(chunks)))
+        p, phi, g_chunk, spin_p, spin_phi = passed[i % wave]
+        if at == 0:
+            start, g_sig[0] = base, g_chunk[0]
+        # join the chunk to the joined state y_start at its start (after the
+        # jump where one ends there), S before the kernel alike: y = p where
+        # the chunk stepped from y_start, y = Phi y_start + p for time blocks
+        g_sig[at + 1:at + m + 1] = g_chunk[1:m + 1]
+        if copies > 1:
             y_start = states[at, 1:]
             states[at + 1:at + m + 1, 1:] = p[1:m + 1] + np.einsum(
                 "rijl,jl->ril", phi[1:m + 1], y_start)
-            g_sig[at + 1:at + m + 1] = g_block[1:m + 1]
             inside = holds_mid(base, base + m)
             if inside.any():
                 spin_mid[inside] = spin_p[inside] + np.sum(
                     spin_phi[:, inside] * y_start[:, inside], axis=0)
-            at += m
-            if jumping is not None or (i + 1) % wave == 0 or i + 1 == len(chunks):
-                book(at, start, g_sig[:at + 1], jumping)
-                at = 0
+        at += m
+        if jumping is not None or (i + 1) % wave == 0 or i + 1 == len(chunks):
+            book(at, start, jumping)
+            at = 0
 
     # the ring-down: after k_close nothing drives a lane
     y_end = drive_free(np.arange(b), y_close, k_close, k_end)

@@ -40,6 +40,10 @@ PARAMETER_NAMES = (
 )
 
 
+# grid points that grid_search evaluates in one simulator batch
+_GRID_BATCH = 1024
+
+
 @dataclass(frozen=True)
 class ParameterSpace:
     """Box bounds and resolution for each tuned parameter."""
@@ -340,7 +344,7 @@ def _record(trace, iteration, pop, fitness, drift_offset):
 
 def grid_search(space: ParameterSpace, config: MemoryConfig,
                 scan: dict[str, np.ndarray], fixed: dict[str, float],
-                dt_ns: float = 0.02, batch: int = 1024):
+                dt_ns: float = 0.02):
     """Exhaustive objective evaluation over one or two parameter grids.
 
     `scan` maps up to two parameter names to their grids; `fixed` pins the
@@ -366,8 +370,8 @@ def grid_search(space: ParameterSpace, config: MemoryConfig,
         vectors[:, col] = mesh[n].ravel() if n in mesh else fixed[n]
     _require_finite_genes(vectors, "grid points")
     values = np.empty(total)
-    for start in range(0, total, batch):
-        chunk = vectors[start:start + batch]
+    for start in range(0, total, _GRID_BATCH):
+        chunk = vectors[start:start + _GRID_BATCH]
         values[start:start + len(chunk)] = _evaluate_batch(
             chunk, config, 0.0, dt_ns, None)
     value_map = values.reshape(shape)

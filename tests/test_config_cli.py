@@ -51,6 +51,11 @@ def test_refused_section_or_key_named_by_its_dotted_path(override, message):
     assert str(refused.value) == message
 
 
+def test_unknown_pulse_name_refused():
+    with pytest.raises(ConfigError, match="unknown pulse 'probe'"):
+        ExperimentConfig().pulse("probe")
+
+
 def test_partial_override_fills_defaults():
     cfg = ExperimentConfig.from_dict({"cavity": {"zeta_rt": 0.05}})
     assert cfg.cavity_params().zeta_rt == 0.05
@@ -330,6 +335,15 @@ def test_cli_spectrum_two_photon_reversed_window(tmp_path):
     assert docs["down"]["lines"] == docs["up"]["lines"]
 
 
+def test_cli_spectrum_two_photon_window_without_a_line(tmp_path):
+    # far from every two-photon resonance the signal passes untouched
+    assert main(["--out", str(tmp_path), "spectrum", "two-photon",
+                 "--lo", "100", "--hi", "101", "--points", "11"]) == 0
+    _, rows = read_csv(tmp_path / "spectrum_two_photon.csv")
+    assert np.all(rows[:, 1] == 1.0)
+    assert json.loads((tmp_path / "spectrum_two_photon.json").read_text())["lines"] == []
+
+
 def test_cli_cavity_scan_summary(tmp_path):
     rc = main(["--out", str(tmp_path), "cavity", "scan"])
     assert rc == 0
@@ -360,6 +374,19 @@ def test_cli_cavity_resmap_spacing(tmp_path):
     peaks = sig[1:-1][(diag[1:-1] > diag[:-2]) & (diag[1:-1] > diag[2:])]
     assert np.allclose(np.diff(peaks), 8.3, atol=0.2)
     assert summary["dual_resonant_pairs"]
+
+
+def test_cli_cavity_resmap_descending_grid_marks_the_two_photon_line(tmp_path):
+    # the mask's default tolerance is half the grid spacing; a descending
+    # grid once took it negative and marked no point
+    marked = {}
+    for tag, lo, hi in (("up", "-12", "12"), ("down", "12", "-12")):
+        assert main(["--out", str(tmp_path / tag), "cavity", "resmap",
+                     "--lo", lo, "--hi", hi, "--points", "101"]) == 0
+        _, rows = read_csv(tmp_path / tag / "cavity_resmap.csv")
+        marked[tag] = rows[rows[:, 3] == 1, :2]
+    assert len(marked["up"]) == len(marked["down"]) == 101
+    assert np.allclose(marked["down"][::-1], marked["up"], rtol=0.0, atol=1e-12)
 
 
 def test_cli_store_defaults(tmp_path):
@@ -643,6 +670,61 @@ def test_cli_lifetime_fit_uses_config_spin_width(tmp_path):
     assert derived == derived_lifetime_metrics(expected, gamma_m_rad_ns=gamma_m)
     assert params != fit_lifetime(t, y).parameters
     assert params["nu_prime_ghz"] == pytest.approx(0.0126, rel=1e-3)
+
+
+def _fit_doc(tmp_path, model, data):
+    """The summary of `cavmem fit --model model data`, which must exit 0."""
+    assert main(["--out", str(tmp_path), "fit", "--model", model, str(data)]) == 0
+    return json.loads((tmp_path / f"fit_{model}.json").read_text())
+
+
+def test_cli_lifetime_fit_of_a_descending_scan(tmp_path):
+    # the scan writes its rows in the order of its grid; the fit's FFT
+    # heuristic once took a negative spacing and died in np.polyfit
+    assert main(["--out", str(tmp_path), "scan", "lifetime",
+                 "--lo", "100", "--hi", "8"]) == 0
+    _, rows = read_csv(tmp_path / "scan_lifetime.csv")
+    assert rows[0, 0] == 100.0 and rows[-1, 0] == 8.0
+    fit = _fit_doc(tmp_path, "lifetime", tmp_path / "scan_lifetime.csv")
+    assert fit["parameters"]["nu_prime_ghz"] * 1e3 == pytest.approx(12.6, abs=0.7)
+
+
+def test_cli_lifetime_fit_of_repeated_times(tmp_path):
+    # every time twice: the median spacing of the samples is 0, which once
+    # asked np.arange for an unbounded grid
+    from cavmem.memory import lifetime_model
+    t = np.repeat(np.linspace(8.0, 98.0, 91), 2)
+    params, _ = _fit_via_cli(tmp_path, "lifetime", t, lifetime_model(t))
+    assert params["nu_prime_ghz"] == pytest.approx(0.0126, rel=1e-3)
+
+
+def test_cli_cavity_fit_of_a_descending_scan(tmp_path):
+    # a negative spacing once made the initial fsr negative, outside its
+    # own bounds (exit 3)
+    assert main(["--out", str(tmp_path), "cavity", "scan",
+                 "--lo", "12", "--hi", "-12"]) == 0
+    fit = _fit_doc(tmp_path, "cavity", tmp_path / "cavity_scan.csv")
+    assert fit["parameters"]["fsr_ghz"] == pytest.approx(8.3, abs=0.01)
+    assert fit["parameters"]["zeta_rt"] == pytest.approx(0.135, abs=0.005)
+
+
+@pytest.mark.parametrize("model, argv, table", [
+    ("cavity", ["cavity", "scan"], "cavity_scan.csv"),
+    ("lifetime", ["scan", "lifetime"], "scan_lifetime.csv"),
+    ("doppler", ["spectrum", "one-photon", "--points", "201"], "spectrum_one_photon.csv"),
+    ("line", ["spectrum", "two-photon", "--signal-detuning", "-15", "--lo", "7.18",
+              "--hi", "7.68", "--points", "201"], "spectrum_two_photon.csv"),
+], ids=["cavity", "lifetime", "doppler", "line"])
+def test_cli_fit_of_reversed_rows_keeps_its_bits(tmp_path, model, argv, table):
+    # each fit orders its samples by x first, so the row order of its data
+    # cannot move a bit of its result
+    assert main(["--out", str(tmp_path), *argv]) == 0
+    lines = (tmp_path / table).read_text().splitlines(keepends=True)
+    reversed_rows = tmp_path / "reversed.csv"
+    reversed_rows.write_text("".join([lines[0], *lines[:0:-1]]))
+    forward = _fit_doc(tmp_path / "forward", model, tmp_path / table)
+    backward = _fit_doc(tmp_path / "backward", model, reversed_rows)
+    assert backward == forward
 
 
 def _line_data(tmp_path):
@@ -947,6 +1029,22 @@ def test_cli_fit_missing_file(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "fit", "--model", "line",
                str(tmp_path / "nope.csv")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("text, code, kind, message", [
+    ("x,y\n1,2\n3,4\n", 2, "config", "two-column CSV with a header"),
+    ("x,y\n1,2\n1,3\n1,4\n1,5\n1,6\n", 3, "numerical", "two distinct x values"),
+], ids=["two-rows", "one-x"])
+def test_cli_fit_of_too_few_samples_exits_without_output(tmp_path, capsys, text, code,
+                                                          kind, message):
+    data = tmp_path / "few.csv"
+    data.write_text(text)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "fit", "--model", "line", str(data)]) == code
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == kind
+    assert message in err["message"]
+    assert not out.exists()
 
 
 def test_cli_fit_short_row_exits_2_without_output(tmp_path, capsys):

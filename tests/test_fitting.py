@@ -234,6 +234,18 @@ def test_lifetime_fit_requires_span():
         fit_lifetime([1.0, 1.5], [0.3, 0.29])
 
 
+@pytest.mark.parametrize("fit", [fit_cavity_reflection, fit_doppler_absorption,
+                                 fit_lifetime, fit_gaussian_line],
+                         ids=["cavity", "doppler", "lifetime", "line"])
+def test_fits_refuse_a_single_x_or_unpaired_samples(fit):
+    # the initial guesses read the spacing and span of x, which one
+    # repeated value does not have; and each x needs its y
+    with pytest.raises(DomainError, match="two distinct x values"):
+        fit(np.full(8, 4.0), np.linspace(0.2, 0.9, 8))
+    with pytest.raises(DomainError, match=r"\(8,\) x and \(9,\) y values"):
+        fit(np.linspace(0.0, 20.0, 8), np.linspace(0.2, 0.9, 9))
+
+
 # -------------------------------------------------------- gaussian line
 
 def synthetic_line(fwhm=11.8, noise=0.01, seed=17):

@@ -210,6 +210,8 @@ def test_mean_photon_from_counts():
     assert mean_photon_from_counts(0.696, 0.87) == pytest.approx(0.8)
     with pytest.raises(DomainError):
         mean_photon_from_counts(1.0, 0.0)
+    with pytest.raises(DomainError, match="counts must be non-negative"):
+        mean_photon_from_counts(-0.1, 0.5)
 
 
 def test_snr():
@@ -217,6 +219,11 @@ def test_snr():
     assert snr_db(1.0, 1.0) == 0.0
     assert snr_db(10.0, 1.0) == pytest.approx(10.0)
     assert snr_db(1.0, 0.0) == math.inf
+    assert snr_db(0.0, 3e-4) == -math.inf
+    with pytest.raises(DomainError, match="noise rate"):
+        snr_db(1.0, -3e-4)
+    with pytest.raises(DomainError, match="signal counts"):
+        snr_db(-1.0, 3e-4)
 
 
 # ------------------------------------------------------------- decay law
@@ -232,6 +239,20 @@ def test_decay_law_constant_limit():
     eta = lifetime_model(t, gamma_m_rad_ns=0.0, nu_prime_ghz=0.0,
                          amp_main=0.7, amp_beat=0.0, omega_rad_ns=1.0)
     assert np.allclose(eta, 0.49, atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [-1.0, np.array([0.0, 5.0, -1e-9])], ids=["scalar", "array"])
+def test_decay_law_refuses_a_negative_time(t):
+    with pytest.raises(DomainError, match="storage time must be non-negative"):
+        lifetime_model(t)
+
+
+def test_one_over_e_lifetime_without_dephasing():
+    # without dephasing only the spin decay is left, e^{-gm t}; without
+    # that too nothing decays
+    gamma = TWO_PI * 0.66e-3
+    assert one_over_e_lifetime_ns(gamma, 0.0) == 1.0 / gamma
+    assert one_over_e_lifetime_ns(0.0, 0.0) == math.inf
 
 
 def test_one_over_e_lifetime_against_bisection_oracle():
@@ -519,14 +540,20 @@ def test_store_of_one_block_keeps_the_lane_schedule_bits(monkeypatch):
     assert store.output_flux.tobytes() == lane["out_flux"][:, 0].tobytes()
 
 
-def test_blocks_stepped_in_waves_keep_their_join(monkeypatch):
+@pytest.mark.parametrize("wave", [1, 2, 5])
+@pytest.mark.parametrize("dt", [0.01, 0.02])
+@pytest.mark.parametrize("read_at", [12.6, 60.0], ids=["default", "jump"])
+def test_blocks_stepped_in_waves_keep_their_join(read_at, dt, wave, monkeypatch):
     # waves of a few blocks each bound the memory of a long run; they step
-    # the same blocks, so the store keeps its bits
+    # the same blocks, so the store keeps its bits, also where the read at
+    # 60 ns puts a jump, and so a booking, inside a wave
     from cavmem import memory
-    whole = run()
-    monkeypatch.setattr(memory, "_WAVE_LANE_STEPS", 4 * memory._BLOCK_STEPS * 5)
-    waves = run()
+    read = replace(READ, center_ns=read_at)
+    whole = run(r=read, dt_ns=dt)
+    monkeypatch.setattr(memory, "_WAVE_LANE_STEPS", 4 * memory._BLOCK_STEPS * wave)
+    waves = run(r=read, dt_ns=dt)
     assert _store_channels(waves) == _store_channels(whole)
+    assert waves.integrator["closure_residual"] == whole.integrator["closure_residual"]
     assert waves.output_flux.tobytes() == whole.output_flux.tobytes()
 
 
@@ -614,6 +641,15 @@ def test_time_step_must_be_finite_and_positive(run_it, dt):
     # empty run with an objective of 0
     with pytest.raises(DomainError, match="time step"):
         run_it(dt)
+
+
+@pytest.mark.parametrize("scan, grid", [(energy_scan, [0.2]), (bandwidth_scan, [1.5])],
+                         ids=["energy", "bandwidth"])
+def test_scans_refuse_a_dark_template_write(scan, grid):
+    # each scan keeps the template's read/write energy ratio, which a dark
+    # write leaves undefined
+    with pytest.raises(DomainError, match="template write pulse must carry energy"):
+        scan(CFG, SIG, replace(WRITE, energy=0.0), READ, grid, dt_ns=0.02)
 
 
 def test_bandwidth_scan_needs_a_refinement_round():

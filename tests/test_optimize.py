@@ -310,6 +310,26 @@ def test_grid_search_dimension_guard():
         grid_search(SPACE, CFG, scan, fixed)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ParameterSpace(bounds=dict(SPACE.bounds, read_fwhm_ns=(5.0, 0.4, 1e-3))),
+     "empty range for read_fwhm_ns"),
+    (lambda: SPACE.restrict(read_fwhm=1.0), "unknown parameter read_fwhm"),
+    (lambda: GASettings(crossover_prob=1.5), r"probabilities must lie in \[0, 1\]"),
+    (lambda: GASettings(mutation_prob=-0.1), r"probabilities must lie in \[0, 1\]"),
+    (lambda: grid_search(SPACE, CFG, {"write_energy_nj": np.array([0.2])},
+                         {n: v for n, v in fixed_from_default().items()
+                          if n != "read_fwhm_ns"}),
+     r"unpinned parameters: \['read_fwhm_ns'\]"),
+    (lambda: grid_search(SPACE, CFG, {"write_energy_nj": np.linspace(0.1, 1.0, 1001),
+                                      "read_fwhm_ns": np.linspace(1.0, 3.0, 1000)},
+                         fixed_from_default()), "grid too large"),
+], ids=["space-empty-range", "restrict-unknown", "crossover-prob", "mutation-prob",
+        "grid-unpinned", "grid-over-1e6"])
+def test_refusal_names_its_cause(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_grid_search_matches_energy_scan():
     from cavmem.memory import PulseShape, energy_scan
     energies = np.linspace(0.05, 0.8, 16)
