@@ -35,6 +35,7 @@ __all__ = [
     "clebsch_gordan", "build_hamiltonian", "diagonalize_manifold",
     "breit_rabi_curve", "transition_lines", "dipole_strength_sums",
     "two_photon_lines", "group_two_photon_lines", "memory_line_companions",
+    "criterion_5_lines",
 ]
 
 POLARIZATIONS = ("sigma-", "pi", "sigma+")   # q = -1, 0, +1
@@ -483,3 +484,15 @@ def memory_line_companions(b_mt: float, constants: AtomConstants | None = None
     main = max(grouped, key=lambda t: t[1])
     return main[0], [(t[0] - main[0], t[1] / main[1]) for t in grouped
                      if t is not main and abs(t[0] - main[0]) < 3.0]
+
+
+def criterion_5_lines() -> tuple[int, float]:
+    """Criterion 5 at 169 mT: how many strong two-photon lines lie within
+    0.5 GHz of the memory line, itself included, and the nearest one's
+    separation from it in MHz (0 when there is none).  A companion of
+    memory_line_companions is strong above 5% of the memory line's
+    strength."""
+    _, companions = memory_line_companions(169.0)
+    near = [abs(offset) for offset, ratio in companions
+            if abs(offset) <= 0.5 and ratio > 0.05]
+    return 1 + len(near), min(near) * 1e3 if near else 0.0

@@ -177,15 +177,20 @@ def fit_cavity_reflection(detunings_ghz, reflected_power,
     """Recover (fsr, round-trip loss, amplitude, offset) from a reflection scan.
 
     Mirror reflectivities are held fixed.  The fsr initial guess comes from
-    the autocorrelation peak spacing of the inverted trace.
+    the autocorrelation peak spacing of the inverted trace, averaged over
+    each detuning that the scan repeats.
     """
     x, y = _samples(detunings_ghz, reflected_power)
 
     # documented heuristic: dip spacing from the first secondary peak of the
-    # autocorrelation of the inverted, mean-subtracted trace
-    sig = (y.max() - y) - np.mean(y.max() - y)
+    # autocorrelation of the inverted, mean-subtracted trace, read on y
+    # averaged over each distinct x, whose lag a sample spacing measures
+    # (a repeated x would count as a spacing of 0); distinct x keep their bits
+    xs, at, repeats = np.unique(x, return_inverse=True, return_counts=True)
+    trace = np.bincount(at, weights=y) / repeats
+    sig = (trace.max() - trace) - np.mean(trace.max() - trace)
     ac = np.correlate(sig, sig, mode="full")[len(sig) - 1:]
-    dx = float(np.median(np.diff(x)))
+    dx = float(np.median(np.diff(xs)))
     negative = np.flatnonzero(ac < 0)
     if len(negative) == 0:
         raise DomainError("data must span at least one free spectral range")

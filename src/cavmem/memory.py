@@ -59,11 +59,14 @@ invariant (the storage/retrieval linear-map view of Gorshkov et al., PRA 76,
 2x2 matrix exponential in eigen form for (a, P) and a scalar exponential
 for S, and books its loss and output integrals in closed form.  The same
 propagator carries it over the ring-down from its close to its end; what
-is left there is the residual excitation.  One rule holds for a chunk of
-RK4 steps, the jump and the ring-down alike: the kernel acts in the
-segment (k_a, k_b] that holds t_mid's grid point, and output before it is
-leak and after it retrieved.  The events depend only on the lane's
-pulses, so a lane's results do not depend on the other lanes of its batch.
+is left there is the residual excitation.  One rule places the kernel
+and the jump: both act between chunks of RK4 steps.  A chunk ends where a
+lane steps onto t_mid's grid point, and the kernel acts on the state
+there before it is booked; a chunk ends at each jump too, and the jump
+applies the kernel itself where t_mid lies inside it.  Output up to t_mid
+is leak and after it retrieved.  The events depend only on the lane's
+pulses, and a chunk's end moves no bit, so a lane's results do not depend
+on the other lanes of its batch.
 
 One loop runs over the chunks.  A pass of it steps chunks, each chunk is
 joined into one table of the lanes' states, and one booking books the table
@@ -73,14 +76,15 @@ lane's bits are the same alone and in any batch; the GA's reproducibility
 rests on that, and at wide batches blocks would cost 2.5-4 times the
 arithmetic.  The single storage run, one lane over thousands of steps
 whose cost is the numpy calls of a step and not its arithmetic, passes a
-wave of its time axis in blocks side by side instead.  The memory is
-linear, so each block steps from rest with the input drive and from the
-unit states of a, P and S without it, and the join adds the block's
-propagator applied to the state joined at its start: superposition makes
-it exact (parallel-in-time integration of a linear system; Gander, "50
-years of time parallel time integration", 2015).  The join moves bits by a
-few ulps, within the budget of the benchmark record.  A batch may take at
-most a fixed number of grid points and lane-steps, counted from its lanes'
+wave of its time axis in blocks side by side instead.  Blocks end at
+t_mid like any chunk, so none holds the kernel.  The memory is linear, so
+each block steps from rest with the input drive and from the unit states
+of a, P and S without it, and the join adds the block's propagator
+applied to the state joined at its start: superposition makes it exact
+(parallel-in-time integration of a linear system; Gander, "50 years of
+time parallel time integration", 2015).  The join moves bits by a few
+ulps, within the budget of the benchmark record.  A batch may take at most
+a fixed number of grid points and lane-steps, counted from its lanes'
 events before anything is allocated.
 
 All simulations are pure functions of (config, pulses, drift); scans evaluate
@@ -281,11 +285,12 @@ def _lane_steps(par: dict, dt: float):
 
 
 def _lanes_by_step(steps, lanes) -> dict:
-    """Map each step to those of `lanes` that have an event there."""
+    """Map each step to the array of those of `lanes` that have an event
+    there."""
     out: dict[int, list] = {}
     for step, lane in zip(steps.tolist(), lanes.tolist()):
         out.setdefault(step, []).append(lane)
-    return out
+    return {step: np.array(at) for step, at in out.items()}
 
 
 def _drives(par: dict, half_steps, dt: float):
@@ -374,32 +379,34 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     events are grid indices (see _lane_steps).  It RK4-steps in chunks
     from rest at k_start, except over its storage time from k_free to
     k_read, which it jumps after k_free - k_start steps, and its ring-down
-    from k_close to k_end: there the exact propagator carries it.  In a
-    chunk, the jump and the ring-down alike the kernel acts in the segment
-    (k_a, k_b] that holds k_mid (holds_mid).  Chunks end at every jump, so
-    each RK4 stage sees the drives at the lane's true time, and the loop
+    from k_close to k_end: there the exact propagator carries it.  The
+    kernel and the jump act between chunks: a chunk ends where a lane steps
+    onto k_mid, where the loop applies the kernel to its last row, and at
+    every jump, after which the lane goes on from k_read; a k_mid inside
+    the jump, (k_free, k_read], is the jump's.  So each RK4 stage sees the
+    drives at the lane's true time, no stage sees the kernel, and the loop
     ends once every lane has reached k_close.
 
     One loop runs over the chunks.  Each pass steps chunks (step_pass), the
     loop joins each into one table of the lanes' states at its grid points,
-    y_start being the joined state at the chunk's start (after the jump
-    where one ends there), and one call of `book` books the table at each
-    jump and at the pass's end.  The lane schedule passes one chunk, one
-    copy of the lanes stepped from y_start by the batch's one stepper in
-    that table itself, so its join y = p copies nothing.  A lane's events
-    depend only on its own pulses, so its results do not depend on the other
-    lanes of the batch, nor on its width: every batch keeps this schedule.
-    With `blocks` (the single storage run) the loop takes chunks of
-    _BLOCK_STEPS steps and passes a wave of them side by side, as the memory
-    is linear: four copies of the lanes each, from rest under the input
-    drive (the first chunk from the lanes' rest) and from the unit states of
-    a, P and S without it, each under the control drives and the kernel of
-    its own time.  It joins them by superposition, y = Phi y_start + p, and
-    the S before the kernel, whose loss is booked, by the same join.  The
-    join moves bits by a few ulps, and a block costs about four times the
-    arithmetic of its lane, so blocks pay only where a step costs its numpy
-    calls rather than its lanes; a run of one chunk keeps every bit of the
-    lane schedule.
+    y_start being the joined state at the chunk's start (after the event
+    that ended the chunk before), and one call of `book` books the table at
+    each jump and at the pass's end.  The lane schedule passes one chunk,
+    one copy of the lanes stepped from y_start by the batch's one stepper
+    in that table itself, so its join y = p copies nothing.  A lane's events
+    depend only on its own pulses, and a chunk's end moves no bit of a
+    lane, so its results do not depend on the other lanes of the batch, nor
+    on its width: every batch keeps this schedule.  With `blocks` (the
+    single storage run) the loop takes chunks of at most _BLOCK_STEPS steps
+    and passes a wave of them side by side, as the memory is linear: four
+    copies of the lanes each, from rest under the input drive (the first
+    chunk from the lanes' rest) and from the unit states of a, P and S
+    without it, each under the control drives of its own time.  It joins
+    them by superposition, y = Phi y_start + p.  The join moves bits by a
+    few ulps, and a block costs about four times the arithmetic of its
+    lane, so blocks pay only where a step costs its numpy calls rather than
+    its lanes; the first chunk, stepped from the lanes' rest, keeps every
+    bit of the lane schedule.
 
     Returns the grid `ts`; per individual the channels of CHANNELS,
     `input_photons` = sig_n and `closure_residual` (nan where there are no
@@ -438,39 +445,40 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                            par["gamma_s"]])
     kernel = par["kernel"]
     k_start, k_mid, k_free, k_read, k_close, k_end = _lane_steps(par, dt)
-    # the jump is the one event scheduled ahead, by the steps before it;
+    # the events scheduled ahead, by the loop steps before them: the jump,
+    # and the kernel where a lane steps onto k_mid (less the jumped steps
+    # after a jump; a k_mid inside the jump is the jump's, and one at or
+    # before a lane's start, behind a dark read, is never stepped onto);
     # the loop ends when the last lane has stepped to k_close
-    jumps = np.flatnonzero(k_read > k_free)
+    jumped = np.maximum(k_read - k_free, 0)
+    jumps = np.flatnonzero(jumped)
     jump_at = _lanes_by_step(k_free[jumps] - k_start[jumps], jumps)
+    mids = np.flatnonzero((k_start < k_mid) & ((k_mid <= k_free) | (k_mid > k_read)))
+    mid_at = _lanes_by_step((k_mid - k_start - jumped * (k_mid > k_free))[mids], mids)
     n_iter = _loop_steps(k_start, k_free, k_read, k_close)
-
-    def holds_mid(k_a, k_b, lanes=slice(None)):
-        """Whether each of `lanes` (all by default) has k_mid in its segment
-        (k_a, k_b], where the kernel acts.  t_mid never lies in the
-        ring-down, since t_close closes the write window too."""
-        return (k_a < k_mid[lanes]) & (k_mid[lanes] <= k_b)
 
     def schedule(size):
         """The loop's chunks of at most `size` steps, each as its steps m,
-        every lane's grid index at its start and the lanes that jump after
-        it (None where none does).  The chunk (base, base + m] ends at the
-        next jump, so each lane's grid indices run on."""
+        every lane's grid index at its start, the lanes that jump after it
+        and those that take the kernel at its end (None where none does).
+        The chunk (base, base + m] ends at the next event, so each lane's
+        grid indices run on."""
         base, done, chunks = k_start.copy(), 0, []
-        for stop in sorted(jump_at) + [n_iter]:
+        for stop in sorted(set(jump_at) | set(mid_at) | {n_iter}):
             while done < stop:
                 m = min(size, stop - done)
-                chunks.append([m, base.copy(), None])
+                chunks.append([m, base.copy(), None, None])
                 base += m
                 done += m
-            lanes = jump_at.get(stop)
-            if lanes is not None:
-                chunks[-1][2] = np.asarray(lanes)
-                base[lanes] = k_read[lanes]
+            jumping = jump_at.get(stop)
+            chunks[-1][2:] = jumping, mid_at.get(stop)
+            if jumping is not None:
+                base[jumping] = k_read[jumping]
         return chunks
 
     chunks = schedule(_BLOCK_STEPS if blocks else
                       max(4, min(64, _CHUNK_LANE_STEPS // b)))
-    size = max(m for m, _, _ in chunks)
+    size = max(chunk[0] for chunk in chunks)
     # The step in scaled form: each stage K is h = dt/2 times the
     # derivative (dt times it for the third), so a stage input is y + K and
     # the step ends as y + (K1 + 2 K2 + K3 + K4) / 3.  A state is carried as
@@ -488,9 +496,8 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     # whose ig rows never change.  The drives enter through per-lane
     # coefficients of the Gaussians of _drives: h sqrt(kappa_ext) sig_amp and
     # h 0.5j omega.  Each table is carried as its row views, so a step makes
-    # no array unless the kernel acts; its ufuncs take `out` by position and
-    # its scalar as a complex number, which numpy would otherwise convert
-    # on every call
+    # no array; its ufuncs take `out` by position and its scalar as a
+    # complex number, which numpy would otherwise convert on every call
     h = 0.5 * dt
     diag_h = h * diag
     diag_dt = diag_h + diag_h
@@ -505,15 +512,13 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
 
     def stepper(cols, copies):
         """RK4 over `copies` copies of the columns `cols` of the lanes, which
-        share their drives and their kernel.  Copy 0 takes the input drive
-        through its constant row 1; the others carry 0 there and leave it
-        out.  Returns the table of the states, copy-major, each column's S
-        before its kernel, and advance(base, m, rest): m steps from the
-        states in row 0 of the table and the columns' grid indices `base`,
-        with the drives of the columns `rest` zeroed at that first point.
-        It fills rows 1..m, the kernel acting after the step that lands a
-        column on its k_mid, and returns the signal's Gaussian on its
-        half-step points."""
+        share their drives.  Copy 0 takes the input drive through its
+        constant row 1; the others carry 0 there and leave it out.  Returns
+        the table of the states, copy-major, and advance(base, m, rest): m
+        steps from the states in row 0 of the table and the columns' grid
+        indices `base`, with the drives of the columns `rest` zeroed at that
+        first point.  It fills rows 1..m and returns the signal's Gaussian
+        on its half-step points.  No event acts inside a chunk."""
         lane_par = {k: par[k][cols] for k in ("sig_c", "sig_q", "w_c", "w_q",
                                               "r_c", "r_q", "chirp_r")}
         n_cols = len(lane_par["sig_c"])
@@ -524,8 +529,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             return np.broadcast_to(x[..., None, cols], x.shape[:-1] + (copies, n_cols))
 
         rates_h, rates_dt = (each(d).reshape(3, width) for d in (diag_h, diag_dt))
-        coef_in, coef_up, kern = each(c_in), each(c_up), each(kernel).ravel()
-        mids, copy_at = k_mid[cols], n_cols * np.arange(copies)[:, None]
+        coef_in, coef_up = each(c_in), each(c_up)
         ig_h = each(h * ig).ravel()
         const = np.zeros((copies, n_cols))
         const[0] = 1.0
@@ -554,7 +558,6 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         up_w = up[:, 1].reshape(-1, copies, n_cols)
         down_in = down[:, 0].reshape(-1, copies, n_cols)
         ups, downs, ups3, downs3 = list(up), list(down), list(up3), list(down3)
-        spin = np.zeros(width, dtype=complex)
 
         def deriv(k, x, rates, up, down):
             """k = rates * x, plus the coupling to each neighbour, the force
@@ -568,10 +571,6 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             add(k_all, pair, k_all)
 
         def advance(base, m, rest):
-            # every copy of a column takes its kernel at the same step
-            mid = np.flatnonzero((base < mids) & (mids <= base + m))
-            kernel_at = _lanes_by_step(np.tile(mids[mid] - base[mid] - 1, copies),
-                                       (mid + copy_at).ravel()) if mid.size else {}
             n = 2 * m + 1
             g_sig, g_w, g_r = _drives(lane_par, 2 * base + np.arange(n)[:, None], dt)
             if rest is not None:      # a column that rests at its k_start
@@ -600,32 +599,29 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                 add(acc, k4[0], acc)
                 mul(c_third, acc, acc)
                 add(y_body, acc, rows[r + 1][0])
-                at = kernel_at.get(r)
-                if at is not None:
-                    spin[at] = states[r + 1, 3, at]
-                    states[r + 1, 3, at] = spin[at] * kern[at]
             return g_sig
 
-        return states, spin, advance
+        return states, advance
 
     # each lane's leak, retrieved, cavity-internal, polarization and spin
     # counts, and its state at k_close
     counts = np.zeros((5, b))
     y_close = np.zeros((3, b), dtype=complex)
     out_flux = np.zeros((len(ts), b)) if keep_flux else None
+    # each lane's S before the kernel, whose loss is booked at the end
+    spin_mid = np.zeros(b, dtype=complex)
     # A pass steps one chunk from the lanes' own states, one copy of them
     # with the batch's one stepper; or, with `blocks`, a wave of chunks side
     # by side, four copies each, a wave bounding the memory.  What one
     # booking takes, the chunks joined up to the next jump or the pass's
     # end: the lanes' states, signal Gaussians, fluxes (output, cavity, P, S)
-    # and count steps at their grid points, row 0 at its start; and each
-    # lane's S before the kernel.  The lane stepper keeps both in its own
-    # tables, so that its join, y = p, copies nothing
+    # and count steps at their grid points, row 0 at its start.  The lane
+    # stepper keeps the states in its own table, so that its join, y = p,
+    # copies nothing
     copies, wave = (4, max(1, _WAVE_LANE_STEPS // (4 * b * size))) if blocks else (1, 1)
     lane_stepper = None if blocks else stepper(slice(None), 1)
     span = wave * size
-    states, spin_mid = lane_stepper[:2] if lane_stepper else (
-        np.empty((span + 1, 4, b), dtype=complex), np.zeros(b, dtype=complex))
+    states = lane_stepper[0] if lane_stepper else np.empty((span + 1, 4, b), dtype=complex)
     states[0, 1:] = 0.0                           # every lane rests at first
     y = states[0]
     g_sig = np.empty((span + 1, b))
@@ -642,7 +638,9 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         sub = (diag[:, lanes], ig[lanes], s_ap[:, lanes])
         n_before = np.clip(k_mid[lanes] - k_a, 0, k_b - k_a)
         y_mid, to_mid = _free_evolution(y_a, *sub, n_before * dt)
-        inside = holds_mid(k_a, k_b, lanes)
+        # t_mid never lies in the ring-down, since t_close closes the write
+        # window too
+        inside = (k_a < k_mid[lanes]) & (k_mid[lanes] <= k_b)
         spin_mid[lanes[inside]] = y_mid[2, inside]
         y_mid[2, inside] = y_mid[2, inside] * kernel[lanes[inside]]
         y_b, from_mid = _free_evolution(y_mid, *sub, (k_b - k_a - n_before) * dt)
@@ -698,10 +696,9 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         input drive and from the unit states of a, P and S without it.
         Returns per chunk its states p and Phi ([step, row, unit state,
         lane]; the first chunk's p starts from the lanes' rest, where their
-        drives are zeroed), the signal's Gaussian at its grid points, and
-        both S before the kernel."""
+        drives are zeroed) and the signal's Gaussian at its grid points."""
         n = last - first
-        table, spin, advance = lane_stepper or stepper(np.tile(np.arange(b), n), copies)
+        table, advance = lane_stepper or stepper(np.tile(np.arange(b), n), copies)
         if copies > 1:      # the lane stepper's table starts at y already
             table[0, 1:] = 0.0
             for j in range(3):
@@ -710,30 +707,28 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
                          max(chunks[i][0] for i in range(first, last)),
                          slice(0, b) if first == 0 else None)[::2]
         table = table[:, 1:].reshape(size + 1, 3, copies, n, b)
-        spin = spin.reshape(copies, n, b)
-        return [(table[:, :, 0, c], table[:, :, 1:, c], g_pass[:, c * b:(c + 1) * b],
-                 spin[0, c], spin[1:, c]) for c in range(n)]
+        return [(table[:, :, 0, c], table[:, :, 1:, c], g_pass[:, c * b:(c + 1) * b])
+                for c in range(n)]
 
     at = 0
-    for i, (m, base, jumping) in enumerate(chunks):
+    for i, (m, base, jumping, dephased) in enumerate(chunks):
         if i % wave == 0:
             passed = step_pass(i, min(i + wave, len(chunks)))
-        p, phi, g_chunk, spin_p, spin_phi = passed[i % wave]
+        p, phi, g_chunk = passed[i % wave]
         if at == 0:
             start, g_sig[0] = base, g_chunk[0]
-        # join the chunk to the joined state y_start at its start (after the
-        # jump where one ends there), S before the kernel alike: y = p where
-        # the chunk stepped from y_start, y = Phi y_start + p for time blocks
+        # join the chunk to the joined state at its start (after the jump or
+        # the kernel where one acts there): y = p where the chunk stepped
+        # from that state, y = Phi y_start + p for time blocks
         g_sig[at + 1:at + m + 1] = g_chunk[1:m + 1]
         if copies > 1:
-            y_start = states[at, 1:]
             states[at + 1:at + m + 1, 1:] = p[1:m + 1] + np.einsum(
-                "rijl,jl->ril", phi[1:m + 1], y_start)
-            inside = holds_mid(base, base + m)
-            if inside.any():
-                spin_mid[inside] = spin_p[inside] + np.sum(
-                    spin_phi[:, inside] * y_start[:, inside], axis=0)
+                "rijl,jl->ril", phi[1:m + 1], states[at, 1:])
         at += m
+        if dephased is not None:
+            # the kernel at the chunk's last row, k_mid, before it is booked
+            spin_mid[dephased] = states[at, 3, dephased]
+            states[at, 3, dephased] = spin_mid[dephased] * kernel[dephased]
         if jumping is not None or (i + 1) % wave == 0 or i + 1 == len(chunks):
             book(at, start, jumping)
             at = 0

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from cavmem import atomic, cavity, fitting, memory, optimize, vapour
+from cavmem.atomic import criterion_5_lines
 from cavmem.config import ExperimentConfig
-from record_bench import criterion_5_lines
 
 TWO_PI = 2 * math.pi
 

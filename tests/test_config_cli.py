@@ -590,6 +590,23 @@ def test_cli_fit_roundtrip_cavity(tmp_path):
     assert fit["derived"]["finesse"] == pytest.approx(9.5, abs=0.7)
 
 
+def test_cli_fit_of_a_cavity_scan_with_every_row_twice(tmp_path):
+    # the fsr guess reads the trace averaged over the distinct detunings;
+    # counted in samples of a doubled scan, whose median spacing is 0, it
+    # refused the scan ("free spectral range must be positive", exit 3)
+    assert main(["--out", str(tmp_path), "cavity", "scan"]) == 0
+    header, rows = read_csv(tmp_path / "cavity_scan.csv")
+    doubled = tmp_path / "doubled.csv"
+    _write_csv(str(doubled), header, list(np.repeat(rows, 2, axis=0).T))
+    fsr = []
+    for name, data in (("once", tmp_path / "cavity_scan.csv"), ("twice", doubled)):
+        assert main(["--out", str(tmp_path / name), "fit", "--model", "cavity",
+                     str(data)]) == 0
+        fit = json.loads((tmp_path / name / "fit_cavity.json").read_text())
+        fsr.append(fit["parameters"]["fsr_ghz"])
+    assert fsr[1] == pytest.approx(fsr[0], rel=1e-6)
+
+
 def test_cli_fit_roundtrip_lifetime(tmp_path):
     assert main(["--out", str(tmp_path), "scan", "lifetime",
                  "--lo", "8", "--hi", "98", "--points", "181"]) == 0

@@ -444,29 +444,48 @@ def test_dark_read_before_write_takes_its_kernel_before_the_ring_down():
     assert _closure(main)[0] < 1e-4
 
 
-@pytest.mark.parametrize("event", ["free", "read"])
+# retrieved counts and dephasing loss of each lane below at dt 0.02,
+# recorded when the RK4 stepper applied the kernel inside its chunk
+_EVENT_LANE_PINS = {"free": (2.4019698327390405e-07, 3.6961050747200894e-06),
+                    "read": (0.040719711342812576, 0.46263028961853625),
+                    "after": (0.03850015023385949, 0.02263615348849909)}
+
+
+@pytest.mark.parametrize("event", ["free", "read", "after"])
 def test_kernel_acts_where_t_mid_meets_a_jump_end(event):
-    # t_mid on the last point before the jump (k_free) is taken by the RK4
-    # chunk, t_mid on the jump's last point (k_read) by the jump; either way
-    # the lane takes its kernel once, closes its bookkeeping and keeps its
-    # bits beside a companion that jumps elsewhere
+    # the kernel is a loop event: t_mid on the last point before the jump
+    # (k_free) ends the chunk that the jump ends too, t_mid on the jump's
+    # last point (k_read) is the jump's, and t_mid after k_read ends a chunk
+    # behind the jump (a 3 ns read at 16 ns puts t_read at 7 ns and t_mid at
+    # 8 ns); either way the lane takes its kernel once, at k_mid (its pin),
+    # closes its bookkeeping, keeps its bits beside a companion that jumps
+    # elsewhere, and its store joins its time blocks to its lane's results
     from cavmem.memory import _lane_steps, _pulse_par_arrays
     read, t_mid = replace(READ, center_ns=60.1), 0.5 * (WRITE.center_ns + 60.1)
+    sig = SIG
     if event == "free":
         write = replace(WRITE, fwhm_ns=(t_mid - WRITE.center_ns) / 3)
-    else:
+    elif event == "read":
         write, read = WRITE, replace(read, fwhm_ns=(60.1 - t_mid) / 3)
+    else:
+        sig, write = replace(SIG, fwhm_ns=0.3), replace(WRITE, center_ns=0.0, fwhm_ns=0.4)
+        read = replace(READ, center_ns=16.0, fwhm_ns=3.0)
     _, k_mid, k_free, k_read, _, _ = _lane_steps(
-        _pulse_par_arrays(CFG, [SIG], [write], [read], 0.0), 0.02)
-    assert k_mid[0] == {"free": k_free, "read": k_read}[event][0]
+        _pulse_par_arrays(CFG, [sig], [write], [read], 0.0), 0.02)
+    if event == "after":
+        assert k_mid[0] > k_read[0]
+    else:
+        assert k_mid[0] == {"free": k_free, "read": k_read}[event][0]
     assert k_free[0] < k_read[0]
-    alone = simulate_batch(CFG, [SIG], [write], [read], 0.0, 0.02)
+    alone = simulate_batch(CFG, [sig], [write], [read], 0.0, 0.02, keep_flux=True)
     assert alone["loss_dephasing"][0] > 0.0
+    assert (alone["retrieved_counts"][0], alone["loss_dephasing"][0]) == _EVENT_LANE_PINS[event]
     assert _closure(alone)[0] < 1e-4
-    pair = simulate_batch(CFG, [SIG, SIG], [write, WRITE],
+    pair = simulate_batch(CFG, [sig, SIG], [write, WRITE],
                           [read, replace(READ, center_ns=90.0)], 0.0, 0.02)
     for key in CHANNELS:
         assert pair[key][0] == alone[key][0], key
+    _assert_store_equals_its_lane(run(sig=sig, w=write, r=read, dt_ns=0.02), alone)
 
 
 def test_integrate_batch_keeps_the_benchmark_hook_shape():
@@ -493,6 +512,20 @@ def _store_channels(res):
             **{k: res.bookkeeping[k] for k in CHANNELS[2:]}}
 
 
+def _assert_store_equals_its_lane(store, lane):
+    """The store's storage lane agrees with the lane schedule's `lane` (kept
+    with its flux) to a few ulps, takes its kernel and closes."""
+    for key, value in _store_channels(store).items():
+        assert value == pytest.approx(lane[key][0], rel=1e-12, abs=0.0), key
+    assert store.bookkeeping["loss_dephasing"] > 0.0
+    assert store.integrator["closure_residual"] == pytest.approx(
+        lane["closure_residual"][0], rel=0.0, abs=1e-14)
+    assert abs(store.integrator["closure_residual"]) < 1e-4
+    assert np.array_equal(store.time_grid_ns, lane["ts"])
+    scale = np.max(lane["out_flux"][:, 0])
+    assert np.max(np.abs(store.output_flux - lane["out_flux"][:, 0])) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("dt", [0.01, 0.02])
 @pytest.mark.parametrize("read_at, mid_block", [
     (12.6, "later"), (12.6, "first"), (12.6, "ends"), (8.1, "later"), (60.0, "later"),
@@ -517,27 +550,26 @@ def test_blocked_store_equals_its_lane_schedule(read_at, mid_block, dt, monkeypa
     assert store.integrator["block_steps"] <= blocks
     assert store.integrator["block_steps"] < store.integrator["loop_steps"]
     assert (mid_block == "later") == (to_mid > blocks)
-    for key, value in _store_channels(store).items():
-        assert value == pytest.approx(lane[key][0], rel=1e-12, abs=0.0), key
-    assert store.bookkeeping["loss_dephasing"] > 0.0
-    assert store.integrator["closure_residual"] == pytest.approx(
-        lane["closure_residual"][0], rel=0.0, abs=1e-14)
-    assert abs(store.integrator["closure_residual"]) < 1e-4
-    assert np.array_equal(store.time_grid_ns, lane["ts"])
-    scale = np.max(lane["out_flux"][:, 0])
-    assert np.max(np.abs(store.output_flux - lane["out_flux"][:, 0])) <= 1e-12 * scale
+    _assert_store_equals_its_lane(store, lane)
 
 
 def test_store_of_one_block_keeps_the_lane_schedule_bits(monkeypatch):
-    # a run no longer than one block is that block alone, stepped from rest
+    # with blocks as long as the run, the kernel at k_mid splits it in two:
+    # the first block steps from rest, so up to k_mid the store keeps the
+    # lane schedule's bits, and the second joins by superposition
     from cavmem import memory
+    from cavmem.memory import _lane_steps, _pulse_par_arrays
     monkeypatch.setattr(memory, "_BLOCK_STEPS", 2592)
+    k_start, k_mid = _lane_steps(_pulse_par_arrays(CFG, [SIG], [WRITE], [READ], 0.0),
+                                 0.01)[:2]
+    to_mid = int(k_mid[0] - k_start[0])
     store, lane = _store_and_its_lane(READ, 0.01)
-    assert store.integrator["block_steps"] == store.integrator["loop_steps"] == 2592
-    for key, value in _store_channels(store).items():
-        assert value == lane[key][0], key
-    assert store.integrator["closure_residual"] == lane["closure_residual"][0]
-    assert store.output_flux.tobytes() == lane["out_flux"][:, 0].tobytes()
+    assert store.integrator["loop_steps"] == 2592
+    assert store.integrator["block_steps"] == max(to_mid, 2592 - to_mid)
+    assert store.leak_counts == lane["leak_counts"][0]
+    assert store.output_flux[:to_mid + 1].tobytes() == \
+        lane["out_flux"][:to_mid + 1, 0].tobytes()
+    _assert_store_equals_its_lane(store, lane)
 
 
 @pytest.mark.parametrize("wave", [1, 2, 5])
@@ -691,23 +723,24 @@ def test_total_efficiency_elementwise():
 
 
 # recorded from the step with scaled stage tables, the run stepped in time
-# blocks and the reference flux in closed form; a change that moves them
-# stays within the budget that tests/test_record_bench.py states
+# blocks that end at the kernel and the reference flux in closed form; a
+# change that moves them stays within the budget that
+# tests/test_record_bench.py states
 _PINNED_STORE = {
-    "total_efficiency": 0.24916089281644405,
-    "internal_efficiency": 0.8072821608755275,
+    "total_efficiency": 0.24916089281644502,
+    "internal_efficiency": 0.8072821608755306,
     "reference_counts": 0.35138114494462436,
     "leak_counts": 0.09336187571544045,
-    "retrieved_counts": 0.2836637299818133,
+    "retrieved_counts": 0.2836637299818144,
     "bookkeeping": {
-        "loss_polarization": 0.007272470624539668,
-        "loss_spin": 0.03290268456157047,
-        "loss_cavity_internal": 0.19318871149007605,
+        "loss_polarization": 0.007272470624539682,
+        "loss_spin": 0.032902684561570486,
+        "loss_cavity_internal": 0.19318871149007621,
         "loss_dephasing": 0.07246828614408159,
-        "residual_excitation": 0.11714023361976106,
-        "output_total": 0.37702560569725374,
+        "residual_excitation": 0.11714023361976121,
+        "output_total": 0.37702560569725485,
     },
-    "output_flux": "542be0cb5d7bd7f9b508b19e5a8e7360f2890b150362ff3cf988ee4dd7e05f81",
+    "output_flux": "e428870041be51af5124df39518f064d9e1174f0115e4e21c065e0b7cfae0aef",
     "reference_flux": "2696291da95523e00ddb19a1aac0aeb1232644d6185adc104dd097907ef14ba1",
 }
 _PINNED_STORE_60 = {

@@ -51,6 +51,16 @@ def test_record_times_every_other_layer(record):
     assert all(value > 0 for value in timings.values())
 
 
+def test_record_holds_each_timing_raw_beside_its_corrected_reading(record):
+    # `timings` are read on the throttle-corrected clock, `raw_timings` are
+    # the same runs' wall times
+    raw, corrected = record["raw_timings"], record["timings"]
+    assert set(raw) == set(corrected)
+    assert set(raw["rk4_step_us"]) == set(corrected["rk4_step_us"]) == {"1", "24", "192"}
+    assert all(value > 0 for value in raw["rk4_step_us"].values())
+    assert all(value > 0 for key, value in raw.items() if key != "rk4_step_us")
+
+
 def test_fingerprints_within_the_budget_of_the_committed_record(record):
     # the budget: every scalar within 1e-12 relative; the closure residual,
     # a difference of sums of order 1, within 1e-14 absolute; the GA's best

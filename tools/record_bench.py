@@ -4,33 +4,37 @@
 
 Each fingerprint is a cheap, deterministic output of the physics that a
 speed-up must not move; two records are compared value by value with `==`.
-The record holds three sections:
+The record holds four sections:
 
 - `fingerprints`: the GA objective at one vector, the default `store` run's
   total efficiency and photon-closure residual, three lifetime-scan points,
   four bandwidth-scan points, the best of a 4-generation slice GA, the
   noise-free default Doppler fit, criterion 5's two-line separation and the
   sha256 of every array of a pinned random 48-lane batch;
-- `timings`: per-layer wall times, which vary from run to run and are
-  never compared with `==`: one RK4 loop step at 1, 24 and 192 lanes, the
+- `timings`: per-layer times, which vary from run to run and are never
+  compared with `==`: one RK4 loop step at 1, 24 and 192 lanes, the
   blockwise eigensolve over 1024 fields, `transition_lines`,
   `one_photon_spectrum`, one GA generation, one Doppler fit, the
-  four-point bandwidth scan and the default `store` run;
+  four-point bandwidth scan and the default `store` run.  Each is read on
+  the throttle-corrected clock of `perfbench/throttle.py`, which a probe
+  drives while the timings run, as perfbench reads its own times, so that
+  records taken under different host load compare;
+- `raw_timings`: the same timings as wall times;
 - `environment`: Python, numpy and scipy versions and the CPU count.
 
 It needs only the standard library, numpy and the package (scipy is used by
-the package itself).  The slice GA's fixed genes and box
-are read from `perfbench/workloads.py`, whose `tuning` workload runs it.
-The test suite imports `random_lanes`, `pinned_batch` and
-`criterion_5_lines` from here, so a pin and its record entry are one
+the package itself).  The slice GA's fixed genes and box are read from
+`perfbench/workloads.py`, whose `tuning` workload runs it, and the clock
+from `perfbench/throttle.py`.  The test suite imports `random_lanes` and
+`pinned_batch` from here, so a pin and its record entry are one
 computation.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
-import math
 import os
 import platform
 import sys
@@ -70,15 +74,19 @@ def _bandwidth_scan(ec: ExperimentConfig) -> dict:
     return dict(zip(map(repr, BANDWIDTH_FWHMS_NS), effs.tolist()))
 
 
-def _slice_ga(ec: ExperimentConfig) -> dict:
-    """Best of the `tuning` workload's slice GA from the configured seed."""
+def _perfbench(name: str):
+    """The module `name` of perfbench/."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     sys.dont_write_bytecode = True      # leave no cache files in the benchmark's folder
-    from workloads import SLICE_BOX, SLICE_FIXED
+    return importlib.import_module(name)
 
+
+def _slice_ga(ec: ExperimentConfig) -> dict:
+    """Best of the `tuning` workload's slice GA from the configured seed."""
+    workloads = _perfbench("workloads")
     bounds = ec.doc["optimizer"]["bounds"]
-    slice_bounds = dict(ec.parameter_space().restrict(**SLICE_FIXED).bounds)
-    for name, (lo, hi) in SLICE_BOX.items():
+    slice_bounds = dict(ec.parameter_space().restrict(**workloads.SLICE_FIXED).bounds)
+    for name, (lo, hi) in workloads.SLICE_BOX.items():
         slice_bounds[name] = (lo, hi, bounds[name][2])
     settings = replace(ec.ga_settings(), population=48, generations=4, mutation_prob=0.5)
     trace = optimize.run_ga(optimize.ParameterSpace(bounds=slice_bounds),
@@ -95,18 +103,6 @@ def _doppler_fit(ec: ExperimentConfig) -> dict:
                                          temperature_c=ec.vapour_params().temperature_c)
     return {"parameters": fit.parameters, "residual_norm": fit.residual_norm,
             "iterations": fit.iterations}
-
-
-def criterion_5_lines() -> tuple[int, float]:
-    """Criterion 5 at 169 mT: how many strong two-photon lines lie within
-    0.5 GHz of the memory line, itself included, and the nearest one's
-    separation from it in MHz (0 when there is none).  A companion of
-    atomic.memory_line_companions is strong above 5% of the memory line's
-    strength."""
-    _, companions = atomic.memory_line_companions(169.0)
-    near = [abs(offset) for offset, ratio in companions
-            if abs(offset) <= 0.5 and ratio > 0.05]
-    return 1 + len(near), min(near) * 1e3 if near else 0.0
 
 
 def random_lanes(rng, size):
@@ -137,24 +133,34 @@ def pinned_batch(seed: int, size: int) -> dict:
                        for k, v in result.items() if isinstance(v, np.ndarray)}}
 
 
-def _best_ms(run, repeats: int = 5, before=None) -> float:
-    """The best of `repeats` wall times of `run()` in milliseconds, each
-    after `before()` when it is given."""
-    best = math.inf
+def _timed(run, repeats: int = 5, before=None, unit: float = 1e3):
+    """A timing: `unit`, the factor from seconds to its reported unit
+    (milliseconds by default), and the perf_counter readings (begin, end)
+    of `repeats` runs of `run()`, each after `before()` when it is given.
+    _read gives its best time."""
+    spans = []
     for _ in range(repeats):
         if before is not None:
             before()
         begin = time.perf_counter()
         run()
-        best = min(best, time.perf_counter() - begin)
-    return best * 1e3
+        spans.append((begin, time.perf_counter()))
+    return unit, spans
+
+
+def _read(timings: dict, span) -> dict:
+    """The best time of each timing of `timings`, nested as given, with
+    each run's duration read as span(begin, end)."""
+    return {key: _read(value, span) if isinstance(value, dict)
+            else value[0] * min(span(*pair) for pair in value[1])
+            for key, value in timings.items()}
 
 
 def step_timings() -> dict:
-    """Microseconds per RK4 loop step at 1, 24 and 192 lanes: the best of 5
-    wall times of `_integrate_batch` over random lanes (seed 5) at dt 0.02,
-    on the grid of an untimed `simulate_batch` of the same lanes, divided
-    by the loop steps that the run returns."""
+    """Timings of one RK4 loop step at 1, 24 and 192 lanes, in
+    microseconds: 5 runs of `_integrate_batch` over random lanes (seed 5)
+    at dt 0.02, on the grid of an untimed `simulate_batch` of the same
+    lanes, divided by the loop steps that the run returns."""
     out = {}
     for size in (1, 24, 192):
         lanes = random_lanes(np.random.default_rng(5), size)
@@ -163,12 +169,12 @@ def step_timings() -> dict:
 
         def run():
             return memory._integrate_batch(par, ts[0], ts[-1], 0.02)
-        out[str(size)] = _best_ms(run) * 1e3 / run()["loop_steps"]
+        out[str(size)] = _timed(run, unit=1e6 / run()["loop_steps"])
     return out
 
 
 def layer_timings(ec: ExperimentConfig) -> dict:
-    """Milliseconds of the other layers, each the best of a few runs:
+    """Timings of the other layers in milliseconds, each of a few runs:
     `atomic._eigh_blockwise` of every manifold over 1024 fields from 0 to
     300 mT; `transition_lines` from 5S1/2 to 5P3/2 and `one_photon_spectrum`
     on the Doppler grid, both at the configured field and each after the
@@ -183,20 +189,20 @@ def layer_timings(ec: ExperimentConfig) -> dict:
     settings = replace(ec.ga_settings(), generations=2)
     fresh = atomic._labelled_system.cache_clear
     return {
-        "eigh_blockwise_ms": _best_ms(
+        "eigh_blockwise_ms": _timed(
             lambda: [atomic._eigh_blockwise(m, fields) for m in manifolds]),
-        "transition_lines_ms": _best_ms(
+        "transition_lines_ms": _timed(
             lambda: atomic.transition_lines(lower, upper, ec.field_mt), before=fresh),
-        "one_photon_spectrum_ms": _best_ms(
+        "one_photon_spectrum_ms": _timed(
             lambda: vapour.one_photon_spectrum(ec.vapour_params(), ec.field_mt, "sigma-",
                                                DOPPLER_GRID), before=fresh),
-        "ga_generation_ms": _best_ms(
+        "ga_generation_ms": _timed(
             lambda: optimize.run_ga(ec.parameter_space(), ec.memory_config(),
                                     optimize.DriftModel(enabled=False), settings,
-                                    ec.seed), repeats=3) / (settings.generations + 1),
-        "doppler_fit_ms": _best_ms(lambda: _doppler_fit(ec), repeats=3),
-        "bandwidth_scan_ms": _best_ms(lambda: _bandwidth_scan(ec)),
-        "store_ms": _best_ms(lambda: _store(ec)),
+                                    ec.seed), repeats=3, unit=1e3 / (settings.generations + 1)),
+        "doppler_fit_ms": _timed(lambda: _doppler_fit(ec), repeats=3),
+        "bandwidth_scan_ms": _timed(lambda: _bandwidth_scan(ec)),
+        "store_ms": _timed(lambda: _store(ec)),
     }
 
 
@@ -207,18 +213,28 @@ def record() -> dict:
     mem = ec.memory_config()
     lifetimes = memory.lifetime_scan(mem, ec.pulse("signal"), ec.pulse("write"),
                                      ec.pulse("read"), LIFETIMES_NS, dt_ns=0.02)
+    fingerprints = {
+        "objective": optimize.objective(OBJECTIVE_VECTOR, mem),
+        "store": _store(ec),
+        "lifetime_scan": dict(zip(map(repr, LIFETIMES_NS), lifetimes.tolist())),
+        "bandwidth_scan": _bandwidth_scan(ec),
+        "slice_ga": _slice_ga(ec),
+        "doppler_fit": _doppler_fit(ec),
+        "criterion_5_separation_mhz": atomic.criterion_5_lines()[1],
+        "pinned_batch": pinned_batch(5, 48),
+    }
+    throttle = _perfbench("throttle")
+    probe = throttle.Probe()
+    probe.start()
+    try:
+        timings = {"rk4_step_us": step_timings(), **layer_timings(ec)}
+    finally:
+        probe.stop()
+    clock = throttle.Clock(probe.samples, throttle.NUMPY_PROBE_S)
     return {
-        "fingerprints": {
-            "objective": optimize.objective(OBJECTIVE_VECTOR, mem),
-            "store": _store(ec),
-            "lifetime_scan": dict(zip(map(repr, LIFETIMES_NS), lifetimes.tolist())),
-            "bandwidth_scan": _bandwidth_scan(ec),
-            "slice_ga": _slice_ga(ec),
-            "doppler_fit": _doppler_fit(ec),
-            "criterion_5_separation_mhz": criterion_5_lines()[1],
-            "pinned_batch": pinned_batch(5, 48),
-        },
-        "timings": {"rk4_step_us": step_timings(), **layer_timings(ec)},
+        "fingerprints": fingerprints,
+        "timings": _read(timings, clock.span),
+        "raw_timings": _read(timings, lambda begin, end: end - begin),
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "scipy": scipy.__version__, "cpus": os.cpu_count()},
     }
