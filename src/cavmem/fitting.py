@@ -75,7 +75,9 @@ def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
 
     model(x_array, theta_array) -> y_array must be vectorized over x.
     bounds, when given, is (lower_array, upper_array); trial steps are
-    clipped into the box.  `names` labels the parameters in the result.
+    clipped into the box, and each parameter that ends on its lower or
+    upper bound is flagged `at_bound:<name>`.  `names` labels the
+    parameters in the result.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -143,6 +145,10 @@ def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
     except np.linalg.LinAlgError:
         flags.append("singular_jacobian")
         sigma = np.full(len(theta), math.inf)
+    if bounds is not None:
+        # a parameter held by its bound is not a free minimum, converged or not
+        flags += [f"at_bound:{name}" for name, value, low, high
+                  in zip(names, theta, *bounds) if not low < value < high]
     return FitResult(
         parameters=dict(zip(names, theta.tolist())),
         uncertainties=dict(zip(names, sigma.tolist())),

@@ -91,6 +91,23 @@ All simulations are pure functions of (config, pulses, drift); scans evaluate
 their points as one vectorized batch (the bandwidth scan one batch per
 refinement round, over the widths whose centre energy moved in the round
 before), so results cannot depend on evaluation order.
+
+The lanes of a lifetime scan share the signal, the write and the read's
+shape; only the storage time differs.  A lane whose t_mid lies inside its
+jump is its shared write, one exact propagator and a shared read.  So the
+scan integrates the write once, up to k_free, on the time-block schedule;
+carries its state from there to each lane's read start with the exact
+propagator, over a real-valued span with no floor to the grid, taking the
+kernel on the way; and integrates the read and the ring-down once, on a
+clock anchored to the read start, from nine probe states of (a, P, S).  The
+read is linear in its start state, so each channel it books is a Hermitian
+form in that state, fixed by its values on the probes.  The signal and the
+write count as zero in the read and the read in the write, as in the jump.
+The other lanes, whose read opens before the write window closes or whose
+t_mid falls inside the read (short storage times), are one batch on the
+lane schedule.  A storage time's efficiency has the same bits alone and in
+any scan, and a shared lane's differs from its lane schedule's by rounding
+where its read start lies on the grid.
 """
 
 from __future__ import annotations
@@ -363,6 +380,26 @@ def _free_evolution(y, diag, ig, s, t):
     return state, integrals
 
 
+def _rates(par: dict):
+    """The drive-free rates of each lane: `diag`, the rates (c_a, c_p, c_s)
+    of (a, P, S); ig, their coupling; the eigenvalues of the (a, P) block
+    (see _ap_eigenvalues); and the loss rates of (a, P, S), internal cavity
+    loss, polarization and spin."""
+    c_a, c_p, s_ap = _ap_eigenvalues(par)
+    diag = np.stack([c_a, c_p, -(par["gamma_s"] / 2 + 1j * par["delta_2"])])
+    loss_rates = np.stack([par["kappa"] - par["kappa_ext"], par["gamma_p"],
+                           par["gamma_s"]])
+    return diag, 1j * par["g"], s_ap, loss_rates
+
+
+def _unbooked(ledger: dict, n_in):
+    """The one closure rule: the share of the input photons n_in that no
+    channel of the ledger books, summed in CHANNELS order; nan for a lane
+    without input photons."""
+    return 1.0 - np.divide(sum(ledger[k] for k in CHANNELS), n_in,
+                           out=np.full(len(n_in), np.nan), where=n_in > 0)
+
+
 def _loop_steps(k_start, k_free, k_read, k_close) -> int:
     """The RK4 steps of a batch's loop: its longest lane's, from its start
     to its close less the storage time that it jumps."""
@@ -370,7 +407,8 @@ def _loop_steps(k_start, k_free, k_read, k_close) -> int:
 
 
 def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
-                     keep_flux: bool = False, blocks: bool = False) -> dict:
+                     keep_flux: bool = False, blocks: bool = False,
+                     start_state=None) -> dict:
     """Vectorized RK4 for a batch of simulations, each lane on its own clock.
 
     `par` holds per-individual parameter arrays (see _pulse_par_arrays).  The
@@ -408,6 +446,14 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     its lanes; the first chunk, stepped from the lanes' rest, keeps every
     bit of the lane schedule.
 
+    `start_state`, when given, holds each lane's state (a, P, S) at k_start
+    in place of rest, and the drives of that first point are not zeroed.
+    With `blocks` such lanes must share lane 0's pulses and rates and
+    differ only in it, as the probes of the lifetime scan's read do (see
+    _one_write_many_reads): the blocks step lane 0 alone, and every lane
+    joins on its Phi and p.  A wave is bounded by the lanes it steps, the
+    table that a booking takes by the lanes it books.
+
     Returns the grid `ts`; per individual the channels of CHANNELS,
     `input_photons` = sig_n and `closure_residual` (nan where there are no
     input photons); the grid steps each lane advances (`loop_steps`), their
@@ -416,7 +462,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     stability margin, the factor by which dt could grow before the guard
     (lambda_max dt <= 2.5) refuses it; and the output flux on the grid
     `out_flux` when `keep_flux` is set, whose rows outside a lane's window
-    stay zero.
+    stay zero; and each lane's state at its end, `state_end`.
     """
     # the grid comes from the indices of t0 and t1: ceil of the float
     # (t1 - t0) / dt can land one step past t1
@@ -436,13 +482,8 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             f"({lam_max:.1f} rad/ns); reduce dt below {guard / lam_max:.3g} ns")
 
     sqrt_kext = np.sqrt(par["kappa_ext"])
-    c_a, c_p, s_ap = _ap_eigenvalues(par)
     # y = (a, P, S): dy/dt = diag * y + coupling to the neighbour + drive
-    diag = np.stack([c_a, c_p, -(par["gamma_s"] / 2 + 1j * par["delta_2"])])
-    ig = 1j * par["g"]
-    # loss rates of (a, P, S): internal cavity loss, polarization, spin
-    loss_rates = np.stack([par["kappa"] - par["kappa_ext"], par["gamma_p"],
-                           par["gamma_s"]])
+    diag, ig, s_ap, loss_rates = _rates(par)
     kernel = par["kernel"]
     k_start, k_mid, k_free, k_read, k_close, k_end = _lane_steps(par, dt)
     # the events scheduled ahead, by the loop steps before them: the jump,
@@ -612,17 +653,22 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     spin_mid = np.zeros(b, dtype=complex)
     # A pass steps one chunk from the lanes' own states, one copy of them
     # with the batch's one stepper; or, with `blocks`, a wave of chunks side
-    # by side, four copies each, a wave bounding the memory.  What one
-    # booking takes, the chunks joined up to the next jump or the pass's
-    # end: the lanes' states, signal Gaussians, fluxes (output, cavity, P, S)
-    # and count steps at their grid points, row 0 at its start.  The lane
-    # stepper keeps the states in its own table, so that its join, y = p,
-    # copies nothing
-    copies, wave = (4, max(1, _WAVE_LANE_STEPS // (4 * b * size))) if blocks else (1, 1)
+    # by side, four copies of the stepped lanes each, a wave bounding the
+    # memory: every lane, or lane 0 alone for lanes given their start
+    # states.  What one booking takes, the chunks joined up to the next jump
+    # or the end of `joined` chunks, which bounds its memory: the lanes'
+    # states, signal Gaussians, fluxes (output, cavity, P, S) and count
+    # steps at their grid points, row 0 at its start.  The lane stepper
+    # keeps the states in its own table, so that its join, y = p, copies
+    # nothing
+    stepped = 1 if blocks and start_state is not None else b
+    copies, wave, joined = (4, *(max(1, _WAVE_LANE_STEPS // (4 * w * size))
+                                 for w in (stepped, b))) if blocks else (1, 1, 1)
     lane_stepper = None if blocks else stepper(slice(None), 1)
-    span = wave * size
+    span = joined * size
     states = lane_stepper[0] if lane_stepper else np.empty((span + 1, 4, b), dtype=complex)
-    states[0, 1:] = 0.0                           # every lane rests at first
+    # every lane rests at first, unless it is given its start state
+    states[0, 1:] = 0.0 if start_state is None else start_state
     y = states[0]
     g_sig = np.empty((span + 1, b))
     fluxes = np.empty((span + 1, 4, b))
@@ -692,23 +738,25 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
 
     def step_pass(first, last):
         """Step the chunks first..last-1 side by side, `copies` copies of the
-        lanes each: one from their states y, or four, from rest with the
-        input drive and from the unit states of a, P and S without it.
+        stepped lanes each: one from their states y, or four, from rest with
+        the input drive and from the unit states of a, P and S without it.
         Returns per chunk its states p and Phi ([step, row, unit state,
         lane]; the first chunk's p starts from the lanes' rest, where their
-        drives are zeroed) and the signal's Gaussian at its grid points."""
+        drives are zeroed unless they are given start states) and the
+        signal's Gaussian at its grid points."""
         n = last - first
-        table, advance = lane_stepper or stepper(np.tile(np.arange(b), n), copies)
+        table, advance = lane_stepper or stepper(np.tile(np.arange(stepped), n), copies)
         if copies > 1:      # the lane stepper's table starts at y already
             table[0, 1:] = 0.0
             for j in range(3):
-                table[0, 1 + j, (1 + j) * n * b:(2 + j) * n * b] = 1.0
-        g_pass = advance(np.concatenate([chunks[i][1] for i in range(first, last)]),
-                         max(chunks[i][0] for i in range(first, last)),
-                         slice(0, b) if first == 0 else None)[::2]
-        table = table[:, 1:].reshape(size + 1, 3, copies, n, b)
-        return [(table[:, :, 0, c], table[:, :, 1:, c], g_pass[:, c * b:(c + 1) * b])
-                for c in range(n)]
+                table[0, 1 + j, (1 + j) * n * stepped:(2 + j) * n * stepped] = 1.0
+        bases = [chunks[i][1][:stepped] for i in range(first, last)]
+        g_pass = advance(np.concatenate(bases), max(chunks[i][0] for i in range(first, last)),
+                         slice(0, stepped) if first == 0 and start_state is None
+                         else None)[::2]
+        table = table[:, 1:].reshape(size + 1, 3, copies, n, stepped)
+        return [(table[:, :, 0, c], table[:, :, 1:, c],
+                 g_pass[:, c * stepped:(c + 1) * stepped]) for c in range(n)]
 
     at = 0
     for i, (m, base, jumping, dephased) in enumerate(chunks):
@@ -723,13 +771,13 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         g_sig[at + 1:at + m + 1] = g_chunk[1:m + 1]
         if copies > 1:
             states[at + 1:at + m + 1, 1:] = p[1:m + 1] + np.einsum(
-                "rijl,jl->ril", phi[1:m + 1], states[at, 1:])
+                "rij...,j...->ri...", phi[1:m + 1], states[at, 1:])
         at += m
         if dephased is not None:
             # the kernel at the chunk's last row, k_mid, before it is booked
             spin_mid[dephased] = states[at, 3, dephased]
             states[at, 3, dephased] = spin_mid[dephased] * kernel[dephased]
-        if jumping is not None or (i + 1) % wave == 0 or i + 1 == len(chunks):
+        if jumping is not None or (i + 1) % joined == 0 or i + 1 == len(chunks):
             book(at, start, jumping)
             at = 0
 
@@ -740,12 +788,9 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     ledger = dict(zip(CHANNELS, (leak, retrieved, loss_pol, loss_spin, loss_cav,
                                  dephasing, np.sum(np.abs(y_end) ** 2, axis=0))))
     n_in = par["sig_n"]
-    # the one closure rule: the share of the input photons that no channel
-    # books; a lane without input photons has none, nan
-    unbooked = 1.0 - np.divide(sum(ledger[k] for k in CHANNELS), n_in,
-                               out=np.full(b, np.nan), where=n_in > 0)
     return dict(ts=ts, out_flux=out_flux, **ledger, input_photons=n_in,
-                closure_residual=unbooked, loop_steps=n_iter, lane_steps=n_iter * b,
+                closure_residual=_unbooked(ledger, n_in), state_end=y_end,
+                loop_steps=n_iter, lane_steps=n_iter * b,
                 block_steps=size if blocks else n_iter,
                 lam_max_dt=lam_max * dt, stability_margin=guard / (lam_max * dt))
 
@@ -801,6 +846,12 @@ def _control_off(par: dict, ts=None):
     return counts, np.abs(a_out) ** 2
 
 
+def _ring_down_ns(kappa):
+    """The span of a lane's window after its last drive window closes: six
+    cavity amplitude decay times and 3 ns."""
+    return 6.0 / (kappa / 2) + 3.0
+
+
 def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
                       drift_offset_ghz) -> dict:
     """Assemble per-individual parameter arrays for the batch integrator."""
@@ -843,7 +894,7 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
     # read window, whatever the pulse energies
     t_free = np.maximum(sig_c + 4 * sig_f, w_c + 3 * w_f)
     t_close = np.maximum(r_c + 3 * r_f, t_free)
-    tail = 6.0 / (config.kappa / 2) + 3.0
+    tail = _ring_down_ns(config.kappa)
 
     return dict(
         kappa=np.full(b, config.kappa),
@@ -939,8 +990,9 @@ def simulate_batch(config: MemoryConfig, signals, writes, reads,
     output flux on the grid only when `keep_flux` is set.
     """
     par, t0, t1 = _admit(config, signals, writes, reads, drift_offset_ghz, dt_ns)
-    return {**_integrate_batch(par, t0, t1, dt_ns, keep_flux),
-            "reference_counts": _control_off(par)[0]}
+    result = _integrate_batch(par, t0, t1, dt_ns, keep_flux)
+    del result["state_end"]
+    return {**result, "reference_counts": _control_off(par)[0]}
 
 
 def total_efficiency(c_ret, c_ref, zeta: float):
@@ -1056,14 +1108,138 @@ def one_over_e_lifetime_ns(
     return (-gamma_m_rad_ns + math.sqrt(gamma_m_rad_ns ** 2 + 4 * c)) / (2 * c)
 
 
-def lifetime_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
-                  read: PulseShape, storage_times_ns,
-                  dt_ns: float = 0.01) -> np.ndarray:
-    """Total efficiency versus storage time (read centre minus write centre)."""
+def _segment(par: dict, dt: float, start_state=None) -> dict:
+    """Integrate the lanes of `par` on the time-block schedule, on the grid
+    that spans their windows, from rest or from `start_state`."""
+    k_start, *_, k_end = _lane_steps(par, dt)
+    return _integrate_batch(par, dt * int(k_start.min()), dt * int(k_end.max()), dt,
+                            blocks=True, start_state=start_state)
+
+
+def _one_write_many_reads(par: dict, dt: float) -> dict:
+    """The channels and closure residual of lanes that share their signal,
+    their write and their read's shape, and whose t_mid lies inside their
+    jump, k_free < k_mid <= k_read; only their read centres differ.
+
+    The memory is linear, so one write and one read serve every lane.  The
+    write, [k_start, k_free], is integrated once, as a lane whose read is
+    dark and which ends at k_free; all of its output is leak.  The exact
+    propagator carries its state at k_free to each lane's read start
+    t_read = r_c - 3 r_f, a real-valued span with no floor to the grid; the
+    kernel acts on the way at k_mid, where the lane schedule applies it too
+    (S evolves alone there, so where it acts moves no state; it splits the
+    output into leak and retrieved).  The read and the ring-down are
+    integrated once, on a clock anchored to the read start, from nine probe
+    states of (a, P, S): the unit states e_j, and e_j + e_k and
+    e_j + i e_k for each pair j < k.  Without a drive into it the read is
+    linear in its start state y, so each channel it books is a Hermitian
+    form y^H G y, fixed by its values on the probes: the sum over j of
+    G_jj |y_j|^2 and over the pairs of
+    2 Re G_jk Re(y_j* y_k) - 2 Im G_jk Im(y_j* y_k).  The signal and the
+    write, whose windows have closed, count as zero in the read, and the
+    read in the write, as they do in the jump.  Neither run depends on the
+    lanes that share it, so a lane's bits do not depend on the others."""
+    b = len(par["kappa"])
+    k_mid, k_free = _lane_steps(par, dt)[1:3]
+    # the write: the read of lane 0 is dark and chirp-free, so its drive is
+    # exactly 0 wherever it lies, and every other value the write sees is
+    # the same for each lane
+    lane = {k: v[:1] for k, v in par.items()}
+    t_free, zero = lane["t_free"], np.zeros(1)
+    write = _segment({**lane, "omega_r": zero, "chirp_r": zero, "kernel": np.ones(1),
+                      "t_mid": t_free, "t_read": t_free, "t_close": t_free,
+                      "t_end": t_free}, dt)
+    # the jump, with the kernel at k_mid
+    diag, ig, s, loss_rates = _rates(par)
+    y_free = np.repeat(write["state_end"], b, axis=1)
+    y_mid, to_mid = _free_evolution(y_free, diag, ig, s, (k_mid - k_free) * dt)
+    spin_mid = y_mid[2].copy()
+    y_mid[2] = spin_mid * par["kernel"]
+    y_read, from_mid = _free_evolution(y_mid, diag, ig, s, par["t_read"] - k_mid * dt)
+    # the read, on a clock that starts at 0 from the probes; all of its
+    # output is retrieved
+    j, k = [0, 0, 1], [1, 2, 2]
+    unit = np.eye(3)
+    probes = np.concatenate([unit, unit[:, j] + unit[:, k], unit[:, j] + 1j * unit[:, k]],
+                            axis=1)
+    r_c = 3 * lane["r_f"]
+    t_close = r_c + 3 * lane["r_f"]
+    read = _segment({key: np.repeat(v, 9) for key, v in {
+        **lane, "sig_amp": zero, "omega_w": zero, "r_c": r_c, "t_start": zero,
+        "t_mid": zero, "t_free": zero, "t_read": zero, "t_close": t_close,
+        "t_end": t_close + _ring_down_ns(lane["kappa"])}.items()}, dt, probes)
+    keys = ("retrieved_counts", "loss_polarization", "loss_spin", "loss_cavity_internal",
+            "residual_excitation")
+    on_probes = np.stack([read[key] for key in keys])
+    pair_sums = on_probes[:, j] + on_probes[:, k]
+    coef = np.concatenate([on_probes[:, :3], on_probes[:, 3:6] - pair_sums,
+                           on_probes[:, 6:] - pair_sums], axis=1)
+    cross = np.conj(y_read[j]) * y_read[k]
+    terms = np.concatenate([np.abs(y_read) ** 2, cross.real, cross.imag])
+    # a sum in term order, elementwise, so each lane's bits are its own
+    retrieved, loss_pol, loss_spin, loss_cav, residual = sum(
+        coef[:, m, None] * terms[m] for m in range(9))
+    jump = loss_rates * (to_mid + from_mid)
+    kappa_ext = par["kappa_ext"]
+    ledger = dict(zip(CHANNELS, (
+        write["leak_counts"] + kappa_ext * to_mid[0],
+        kappa_ext * from_mid[0] + retrieved,
+        write["loss_polarization"] + jump[1] + loss_pol,
+        write["loss_spin"] + jump[2] + loss_spin,
+        write["loss_cavity_internal"] + jump[0] + loss_cav,
+        np.abs(spin_mid) ** 2 * (1 - np.abs(par["kernel"]) ** 2),
+        residual)))
+    return {**ledger, "closure_residual": _unbooked(ledger, par["sig_n"])}
+
+
+def _lifetime_lanes(config: MemoryConfig, signal: PulseShape, write: PulseShape,
+                    read: PulseShape, storage_times_ns, dt_ns: float) -> dict:
+    """Per storage time its channels, closure residual and control-off
+    reference counts, and whether it shares the write and the read
+    (`shared`, see _one_write_many_reads); every other lane is integrated
+    by simulate_batch, in one batch."""
     reads = [replace(read, center_ns=write.center_ns + float(tau))
              for tau in np.asarray(storage_times_ns, dtype=float)]
     n = len(reads)
-    return batch_efficiency(config, [signal] * n, [write] * n, reads, 0.0, dt_ns)
+    par, _, _ = _admit(config, [signal] * n, [write] * n, reads, 0.0, dt_ns)
+    _, k_mid, k_free, k_read = _lane_steps(par, dt_ns)[:4]
+    shared = (k_free < k_mid) & (k_mid <= k_read)
+    keys = (*CHANNELS, "closure_residual", "reference_counts")
+    out = {k: np.empty(n) for k in keys}
+    batched = np.flatnonzero(~shared)
+    if batched.size:
+        lanes = simulate_batch(config, [signal] * batched.size, [write] * batched.size,
+                               [reads[i] for i in batched], 0.0, dt_ns)
+        for k in keys:
+            out[k][batched] = lanes[k]
+    if shared.any():
+        sub = {k: v[shared] for k, v in par.items()}
+        lanes = {**_one_write_many_reads(sub, dt_ns),
+                 "reference_counts": _control_off(sub)[0]}
+        for k in keys:
+            out[k][shared] = lanes[k]
+    return {**out, "shared": shared}
+
+
+def lifetime_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
+                  read: PulseShape, storage_times_ns,
+                  dt_ns: float = 0.01) -> np.ndarray:
+    """Total efficiency versus storage time (read centre minus write centre).
+
+    The lanes share the signal, the write and the read's shape.  Those whose
+    storage midpoint t_mid lies inside their drive-free jump share one
+    integrated write and one integrated read, on a clock anchored to the
+    read start (see _one_write_many_reads); the others, whose read opens
+    before the write window closes or whose t_mid falls inside the read
+    (storage times up to about six read FWHM), are one simulate_batch
+    batch.  A storage time's efficiency has the same bits alone and in any
+    scan.
+    """
+    if not len(storage_times_ns):
+        return np.empty(0)
+    lanes = _lifetime_lanes(config, signal, write, read, storage_times_ns, dt_ns)
+    return total_efficiency(lanes["retrieved_counts"], lanes["reference_counts"],
+                            config.zeta())
 
 
 def oscillation_suppression(b_mt: float, config: MemoryConfig,

@@ -36,6 +36,17 @@ def test_non_finite_inputs_rejected():
             least_squares(lambda xx, th: th[0] * xx, xs, ys, init)
 
 
+@pytest.mark.parametrize("slope, flag", [(2.0, []), (-1.0, ["at_bound:a"]),
+                                         (5.0, ["at_bound:a"])],
+                         ids=["inside", "lower", "upper"])
+def test_parameter_on_its_bound_is_flagged(slope, flag):
+    x = np.linspace(0, 10, 25)
+    fit = least_squares(lambda xx, th: th[0] * xx, x, slope * x, [0.7],
+                        bounds=([0.0], [3.0]), names=["a"])
+    assert fit["a"] == pytest.approx(min(max(slope, 0.0), 3.0), abs=1e-10)
+    assert fit.flags == flag
+
+
 def test_non_finite_cost_never_converged():
     x = np.linspace(0, 10, 25)
     fit = least_squares(lambda xx, th: np.full_like(xx, np.nan), x, 2.0 * x,
@@ -193,6 +204,27 @@ def test_doppler_fit_low_field_spectrum():
     y = one_photon_spectrum(vap, 0.0, "sigma-", x) + rng.normal(0, 0.01, 300)
     fit = fit_doppler_absorption(x, y)
     assert fit["b_mt"] < 20.0
+
+
+def test_doppler_fit_flags_an_optical_depth_beyond_its_bound():
+    # an optical depth of 2500 lies past the fit's bound of 2000, where the
+    # fit must end flagged rather than as a free minimum
+    x = np.linspace(-12.0, 4.0, 400)
+    y = one_photon_spectrum(VapourParams(optical_depth=2500.0), 169.0, "sigma-", x)
+    fit = fit_doppler_absorption(x, y)
+    assert fit["optical_depth"] == 2000.0
+    assert "at_bound:optical_depth" in fit.flags
+
+
+def test_default_doppler_fit_carries_no_flag():
+    # the default vapour's noise-free spectrum at the default field, on the
+    # spectroscopy workload's grid
+    from cavmem.config import ExperimentConfig
+    ec = ExperimentConfig()
+    x = np.linspace(-12.0, 4.0, 400)
+    y = one_photon_spectrum(ec.vapour_params(), ec.field_mt, "sigma-", x)
+    fit = fit_doppler_absorption(x, y, temperature_c=ec.vapour_params().temperature_c)
+    assert fit.flags == []
 
 
 # ----------------------------------------------------------- lifetime fit

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cavmem.errors import DomainError
+from cavmem.errors import DomainError, NumericalError
 from cavmem.memory import (CHANNELS, MemoryConfig, PulseShape, bandwidth_scan,
                            batch_efficiency, energy_scan, lifetime_model, lifetime_scan,
                            mean_photon_from_counts, one_over_e_lifetime_ns,
@@ -359,6 +359,89 @@ def test_lifetime_scan_golden_values(dt, expected):
     assert np.allclose(effs, expected, rtol=1e-8, atol=0.0)
 
 
+# storage times whose read start, tau - 8 ns, lies off the grid at dt 0.02
+# and 0.01, and whose t_mid lies inside the jump
+_OFF_GRID_TAUS = [23.4567, 61.2345, 97.891]
+
+
+@pytest.fixture(scope="module")
+def off_grid_reference():
+    """The lane schedule's efficiencies at _OFF_GRID_TAUS and dt 0.00125."""
+    reads = [replace(READ, center_ns=WRITE.center_ns + t) for t in _OFF_GRID_TAUS]
+    return batch_efficiency(CFG, [SIG] * 3, [WRITE] * 3, reads, 0.0, 0.00125)
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.01])
+def test_shared_lanes_agree_with_the_lane_schedule_off_the_grid(dt, off_grid_reference):
+    # a shared lane starts its read at t_read itself, the lane schedule at
+    # the grid point below it; the two differ by less than the lane
+    # schedule's own error against dt 0.00125
+    from cavmem.memory import _lifetime_lanes
+    assert all((t - 8.0) / dt % 1 > 0.05 for t in _OFF_GRID_TAUS)
+    assert _lifetime_lanes(CFG, SIG, WRITE, READ, _OFF_GRID_TAUS, dt)["shared"].all()
+    reads = [replace(READ, center_ns=WRITE.center_ns + t) for t in _OFF_GRID_TAUS]
+    batched = batch_efficiency(CFG, [SIG] * 3, [WRITE] * 3, reads, 0.0, dt)
+    shared = lifetime_scan(CFG, SIG, WRITE, READ, _OFF_GRID_TAUS, dt_ns=dt)
+    assert np.all(np.abs(shared - batched) <= np.abs(batched - off_grid_reference))
+
+
+@pytest.mark.parametrize("dt", [0.02, 0.01])
+@pytest.mark.parametrize("taus", [[20.0, 60.0, 104.0], _OFF_GRID_TAUS],
+                         ids=["on-grid", "off-grid"])
+def test_shared_lanes_book_each_channel_as_the_lane_schedule(taus, dt):
+    # the shared write, jump and read book what the lane schedule books, to
+    # rounding; off the grid the read clock ends a lane up to a step from
+    # the grid's end, which moves only the split of the ring-down between
+    # spin loss and residual
+    from cavmem.memory import _lifetime_lanes
+    lanes = _lifetime_lanes(CFG, SIG, WRITE, READ, taus, dt)
+    reads = [replace(READ, center_ns=WRITE.center_ns + t) for t in taus]
+    batch = simulate_batch(CFG, [SIG] * 3, [WRITE] * 3, reads, 0.0, dt)
+    split = ("loss_spin", "residual_excitation")
+    for key in CHANNELS:
+        if taus is _OFF_GRID_TAUS and key in split:
+            continue
+        assert np.abs(lanes[key] - batch[key]).max() <= 1e-13, key
+    assert np.abs(sum(lanes[k] - batch[k] for k in split)).max() <= 1e-13
+
+
+def test_lanes_share_where_t_mid_lies_inside_the_jump():
+    # t_mid <= t_read needs tau >= 6 read FWHM (16.2 ns); 12.5 ns and
+    # 16.1 ns keep the lane schedule, 16.3 ns and longer share
+    from cavmem.memory import _lifetime_lanes
+    lanes = _lifetime_lanes(CFG, SIG, WRITE, READ, [12.5, 16.1, 16.3, 40.0], 0.02)
+    assert lanes["shared"].tolist() == [False, False, True, True]
+
+
+@pytest.mark.parametrize("dt, worst_at_parent", [(0.02, 2.6e-5), (0.01, 1.3e-5)])
+def test_shared_lifetime_lanes_close_photon_bookkeeping(dt, worst_at_parent):
+    # the bound of test_lifetime_lanes_close_photon_bookkeeping, for every
+    # lane of a scan on and off the grid
+    from cavmem.memory import _lifetime_lanes
+    taus = np.concatenate([np.linspace(8.0, 104.0, 7), _OFF_GRID_TAUS])
+    lanes = _lifetime_lanes(CFG, SIG, WRITE, READ, taus, dt)
+    assert lanes["shared"].tolist() == [False] + [True] * 9
+    assert np.all(np.abs(lanes["closure_residual"]) <= worst_at_parent)
+
+
+def test_storage_time_keeps_its_bits_alone_and_in_any_scan():
+    taus = [8.0, 12.5, 16.1, 16.3, 20.0, 33.3333, 104.0]
+    scan = lifetime_scan(CFG, SIG, WRITE, READ, taus, dt_ns=0.02)
+    shared = lifetime_scan(CFG, SIG, WRITE, READ, taus[3:][::-1], dt_ns=0.02)[::-1]
+    assert shared.tobytes() == scan[3:].tobytes()
+    for tau, value in zip(taus, scan):
+        assert lifetime_scan(CFG, SIG, WRITE, READ, [tau], dt_ns=0.02)[0] == value, tau
+
+
+@pytest.mark.parametrize("taus", [[20.0], [12.5]], ids=["shared", "batched"])
+def test_lifetime_scan_refuses_as_its_batch_does(taus):
+    # the stability guard, and the work cap before anything is integrated
+    with pytest.raises(NumericalError, match="too large for the fastest mode"):
+        lifetime_scan(CFG, SIG, WRITE, READ, taus, dt_ns=0.05)
+    with pytest.raises(DomainError, match="lane-steps"):
+        lifetime_scan(CFG, SIG, WRITE, READ, taus * 2000, dt_ns=0.01)
+
+
 # objectives of 24 random GA vectors (seed 7, default bounds, dt 0.02),
 # recorded when every lane was RK4-stepped to the end of its window
 _RING_DOWN_PARENT = [
@@ -433,14 +516,33 @@ def test_dark_read_before_write_independent_of_batch_companions():
 def test_dark_read_before_write_takes_its_kernel_before_the_ring_down():
     # the write of this lane closes after its dark read, so its ring-down
     # starts after t_mid; the kernel acts there and the output before it is
-    # leak, as for every other lane
+    # leak, as for every other lane.  t_mid (29.75 ns) lies inside the
+    # write, so S holds part of the stored signal when the kernel acts
     from cavmem.memory import _lane_steps, _pulse_par_arrays
-    write, dark_read = replace(WRITE, center_ns=30.0), replace(READ, energy=0.0)
-    par = _pulse_par_arrays(CFG, [SIG], [write], [dark_read], 0.0)
+    sig, write = replace(SIG, center_ns=29.9), replace(WRITE, center_ns=30.0)
+    dark_read = replace(READ, center_ns=29.5, energy=0.0)
+    par = _pulse_par_arrays(CFG, [sig], [write], [dark_read], 0.0)
     _, k_mid, _, _, k_close, _ = _lane_steps(par, 0.02)
     assert k_mid[0] <= k_close[0]
-    main = simulate_batch(CFG, [SIG], [write], [dark_read], 0.0, 0.02)
-    assert main["loss_dephasing"][0] > 0.0
+    main = simulate_batch(CFG, [sig], [write], [dark_read], 0.0, 0.02)
+    # |S|^2 at the kernel, from the loss it books
+    spin_at_kernel = main["loss_dephasing"][0] / (1 - abs(par["kernel"][0]) ** 2)
+    assert spin_at_kernel > 0.1 * sig.energy
+    assert _closure(main)[0] < 1e-4
+
+
+def test_dark_read_far_before_write_takes_no_kernel():
+    # a dark read centred at -100 ns puts t_mid before the lane's start, so
+    # no chunk steps onto k_mid and no jump holds it: the stored excitation
+    # is booked undephased, as spin loss and residual, and the ledger closes
+    from cavmem.memory import _lane_steps, _pulse_par_arrays
+    dark_read = replace(READ, center_ns=-100.0, energy=0.0)
+    k_start, k_mid = _lane_steps(_pulse_par_arrays(CFG, [SIG], [WRITE], [dark_read], 0.0),
+                                 0.02)[:2]
+    assert k_mid[0] <= k_start[0]
+    main = simulate_batch(CFG, [SIG], [WRITE], [dark_read], 0.0, 0.02)
+    assert main["loss_dephasing"][0] == 0.0
+    assert main["residual_excitation"][0] > 0.1 * SIG.energy
     assert _closure(main)[0] < 1e-4
 
 

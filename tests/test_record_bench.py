@@ -47,7 +47,8 @@ def test_record_times_every_other_layer(record):
     del timings["rk4_step_us"]
     assert set(timings) == {"eigh_blockwise_ms", "transition_lines_ms",
                             "one_photon_spectrum_ms", "ga_generation_ms",
-                            "doppler_fit_ms", "bandwidth_scan_ms", "store_ms"}
+                            "doppler_fit_ms", "bandwidth_scan_ms", "store_ms",
+                            "lifetime_scan_ms"}
     assert all(value > 0 for value in timings.values())
 
 

@@ -15,10 +15,11 @@ The record holds four sections:
   compared with `==`: one RK4 loop step at 1, 24 and 192 lanes, the
   blockwise eigensolve over 1024 fields, `transition_lines`,
   `one_photon_spectrum`, one GA generation, one Doppler fit, the
-  four-point bandwidth scan and the default `store` run.  Each is read on
-  the throttle-corrected clock of `perfbench/throttle.py`, which a probe
-  drives while the timings run, as perfbench reads its own times, so that
-  records taken under different host load compare;
+  four-point bandwidth scan, the default `store` run and a 48-point
+  lifetime scan.  Each is read on the throttle-corrected clock of
+  `perfbench/throttle.py`, which a probe drives while the timings run, as
+  perfbench reads its own times, so that records taken under different
+  host load compare;
 - `raw_timings`: the same timings as wall times;
 - `environment`: Python, numpy and scipy versions and the CPU count.
 
@@ -53,6 +54,7 @@ from cavmem.config import ExperimentConfig  # noqa: E402
 OBJECTIVE_VECTOR = [0.0, 0.2, 5.0, -0.1, 1.5, 1.6, 12.5, 2.7]
 LIFETIMES_NS = [20.0, 60.0, 104.0]
 BANDWIDTH_FWHMS_NS = [0.6, 1.0, 1.5, 3.0]
+SCAN_LIFETIMES_NS = np.linspace(8.0, 104.0, 48)   # the timed lifetime scan's
 DOPPLER_GRID = np.linspace(-12.0, 4.0, 400)     # the spectroscopy workload's
 
 
@@ -181,8 +183,9 @@ def layer_timings(ec: ExperimentConfig) -> dict:
     per-field eigensystem cache is emptied, as at a new field; one GA
     generation, a 2-generation `run_ga` at the configured settings divided
     by the 3 populations it evaluates; the default Doppler fit; the
-    bandwidth-scan fingerprint; and the store fingerprint's run, the
-    default `store` at dt 0.01."""
+    bandwidth-scan fingerprint; the store fingerprint's run, the default
+    `store` at dt 0.01; and the default pulses' lifetime scan over
+    SCAN_LIFETIMES_NS at dt 0.02."""
     fields = np.linspace(0.0, 300.0, 1024)
     manifolds = atomic.all_manifolds()
     lower, upper = (atomic.manifold_spec(m) for m in ("5S1/2", "5P3/2"))
@@ -203,6 +206,10 @@ def layer_timings(ec: ExperimentConfig) -> dict:
         "doppler_fit_ms": _timed(lambda: _doppler_fit(ec), repeats=3),
         "bandwidth_scan_ms": _timed(lambda: _bandwidth_scan(ec)),
         "store_ms": _timed(lambda: _store(ec)),
+        "lifetime_scan_ms": _timed(
+            lambda: memory.lifetime_scan(ec.memory_config(), ec.pulse("signal"),
+                                         ec.pulse("write"), ec.pulse("read"),
+                                         SCAN_LIFETIMES_NS, dt_ns=0.02)),
     }
 
 
