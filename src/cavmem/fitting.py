@@ -2,8 +2,9 @@
 
 The engine is a damped Gauss-Newton (Levenberg-Marquardt style) minimizer of
 sum (y_i - model(x_i; theta))^2 with central-difference numeric Jacobians and
-box constraints by step clipping.  Deterministic given its inputs; accepted
-iterations never increase the residual norm.
+box constraints by step clipping; a parameter that the descent would push
+past its bound is held there, out of the solve.  Deterministic given its
+inputs; accepted iterations never increase the residual norm.
 """
 
 from __future__ import annotations
@@ -70,13 +71,29 @@ def _clip(theta, bounds):
     return np.clip(theta, lo, hi)
 
 
+def _free(theta, grad, bounds):
+    """The mask of the parameters free to step, or None when every one is.
+
+    A parameter on a bound is held there while the descent direction, the
+    gradient J^T r of -cost / 2, points out of the box: a step for it
+    would be clipped back, and the others would take the step solved as if
+    it had moved.
+    """
+    if bounds is None:
+        return None
+    lo, hi = bounds
+    held = ((theta <= lo) & (grad < 0)) | ((theta >= hi) & (grad > 0))
+    return ~held if held.any() else None
+
+
 def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
     """Minimize sum (y - model(x, theta))^2 from `initial`.
 
     model(x_array, theta_array) -> y_array must be vectorized over x.
     bounds, when given, is (lower_array, upper_array); trial steps are
-    clipped into the box, and each parameter that ends on its lower or
-    upper bound is flagged `at_bound:<name>`.  `names` labels the
+    clipped into the box, a parameter on a bound that the descent points
+    past is held there (see _free), and each parameter that ends on its
+    lower or upper bound is flagged `at_bound:<name>`.  `names` labels the
     parameters in the result.
     """
     x = np.asarray(x, dtype=float)
@@ -103,10 +120,14 @@ def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
     for it in range(1, MAX_ITERATIONS + 1):
         jac = _numeric_jacobian(model, x, theta, bounds)
         grad = jac.T @ resid
+        jtj = jac.T @ jac
+        free = _free(theta, grad, bounds)
+        if free is not None:
+            # the held parameters leave the solve and the gradient test
+            grad, jtj = grad[free], jtj[np.ix_(free, free)]
         if np.linalg.norm(grad) < GRAD_TOL:
             converged = True
             break
-        jtj = jac.T @ jac
         stepped = False
         for _ in range(25):
             try:
@@ -115,6 +136,10 @@ def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
             except np.linalg.LinAlgError:
                 flags.append("singular_jacobian")
                 delta = grad / (np.linalg.norm(jtj) + 1e-300)
+            if free is not None:      # a held parameter keeps its value
+                full = np.zeros_like(theta)
+                full[free] = delta
+                delta = full
             trial = _clip(theta + delta, bounds)
             r_trial = y - model(x, trial)
             c_trial = float(r_trial @ r_trial)

@@ -83,9 +83,18 @@ of a, P and S without it, and the join adds the block's propagator
 applied to the state joined at its start: superposition makes it exact
 (parallel-in-time integration of a linear system; Gander, "50 years of
 time parallel time integration", 2015).  The join moves bits by a few
-ulps, within the budget of the benchmark record.  A batch may take at most
-a fixed number of grid points and lane-steps, counted from its lanes'
-events before anything is allocated.
+ulps, within the budget of the benchmark record.
+
+Every storage run goes through one admission check and one grid rule.
+Admission (`_admit`) refuses a batch before anything is allocated: lit
+pulse windows that overlap, a time step that is not finite and positive,
+a lit pulse whose FWHM spans fewer than four steps (`pulse_unresolved`,
+which the optimizer applies too), and more than a fixed number of grid
+points or lane-steps, counted from the lanes' events.  Integration
+(`_integrate`) runs the admitted lanes on the grid from the earliest
+lane's start to the latest lane's end.  The RK4 stability guard bounds
+both the fast polariton branch and the spin wave's own rotation at its
+two-photon detuning.
 
 All simulations are pure functions of (config, pulses, drift); scans evaluate
 their points as one vectorized batch (the bandwidth scan one batch per
@@ -105,9 +114,11 @@ form in that state, fixed by its values on the probes.  The signal and the
 write count as zero in the read and the read in the write, as in the jump.
 The other lanes, whose read opens before the write window closes or whose
 t_mid falls inside the read (short storage times), are one batch on the
-lane schedule.  A storage time's efficiency has the same bits alone and in
-any scan, and a shared lane's differs from its lane schedule's by rounding
-where its read start lies on the grid.
+lane schedule.  The scan is admitted once, both sets of lanes run from
+that one admission's parameter arrays, and one closed-form control-off
+call gives every lane's reference counts.  A storage time's efficiency has
+the same bits alone and in any scan, and a shared lane's differs from its
+lane schedule's by rounding where its read start lies on the grid.
 """
 
 from __future__ import annotations
@@ -126,7 +137,7 @@ from .errors import DomainError, NumericalError, require_finite
 __all__ = [
     "PulseShape", "MemoryConfig", "SimulationResult",
     "simulate_storage_retrieval", "simulate_batch", "batch_efficiency",
-    "pulses_overlap", "total_efficiency",
+    "pulses_overlap", "pulse_unresolved", "total_efficiency",
     "lifetime_model", "one_over_e_lifetime_ns", "lifetime_scan",
     "oscillation_suppression", "snr_db", "bandwidth_scan", "energy_scan",
     "mean_photon_from_counts", "CHANNELS",
@@ -286,6 +297,10 @@ _WAVE_LANE_STEPS = 1 << 15
 # times the largest batch that a test or a benchmark workload runs (320
 # random lanes, 723 200 lane-steps at dt 0.02)
 _MAX_LANE_STEPS = 4_000_000
+# the fewest grid steps across the FWHM of a pulse that carries energy (see
+# pulse_unresolved); a power of two, so that FWHM / _FWHM_STEPS, the largest
+# step that resolves a pulse, is exact
+_FWHM_STEPS = 4
 
 
 def _lane_steps(par: dict, dt: float):
@@ -470,11 +485,14 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     ts = dt * np.arange(k0, k1 + 1)
     b = len(par["kappa"])
 
-    # explicit RK4 stability guard against the fast polariton branch
-    lam_max = float(np.max(0.5 * np.abs(par["delta_c"] + par["delta_p"])
-                           + np.sqrt(par["g"] ** 2
-                                     + 0.25 * (par["delta_c"] - par["delta_p"]) ** 2)
-                           + 0.5 * par["kappa"]))
+    # y = (a, P, S): dy/dt = diag * y + coupling to the neighbour + drive
+    diag, ig, s_ap, loss_rates = _rates(par)
+    # explicit RK4 stability guard against the fast polariton branch, and
+    # against the spin wave's own rotation at its two-photon detuning
+    lam_max = float(np.max(np.maximum(
+        0.5 * np.abs(par["delta_c"] + par["delta_p"])
+        + np.sqrt(par["g"] ** 2 + 0.25 * (par["delta_c"] - par["delta_p"]) ** 2)
+        + 0.5 * par["kappa"], np.abs(diag[2]))))
     guard = 2.5
     if lam_max * dt > guard:
         raise NumericalError(
@@ -482,8 +500,6 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             f"({lam_max:.1f} rad/ns); reduce dt below {guard / lam_max:.3g} ns")
 
     sqrt_kext = np.sqrt(par["kappa_ext"])
-    # y = (a, P, S): dy/dt = diag * y + coupling to the neighbour + drive
-    diag, ig, s_ap, loss_rates = _rates(par)
     kernel = par["kernel"]
     k_start, k_mid, k_free, k_read, k_close, k_end = _lane_steps(par, dt)
     # the events scheduled ahead, by the loop steps before them: the jump,
@@ -695,8 +711,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         counts[2:, lanes] += loss_rates[:, lanes] * (to_mid + from_mid)
         if keep_flux:
             for j, lane in enumerate(lanes.tolist()):
-                one = slice(lane, lane + 1)
-                a_t = _free_evolution(y_a[:, j:j + 1], diag[:, one], ig[one], s_ap[:, one],
+                a_t = _free_evolution(y_a[:, j:j + 1], *(x[..., j:j + 1] for x in sub),
                                       dt * np.arange(1, k_b[j] - k_a[j] + 1))[0][0]
                 out_flux[k_a[j] - k0 + 1:k_b[j] - k0 + 1, lane] = \
                     par["kappa_ext"][lane] * np.abs(a_t) ** 2
@@ -937,18 +952,32 @@ def pulses_overlap(write: PulseShape, read: PulseShape) -> bool:
         read.center_ns - read.fwhm_ns < write.center_ns + write.fwhm_ns
 
 
-def _admit(config: MemoryConfig, signals, writes, reads, drift_offset_ghz,
-           dt_ns: float):
-    """Admit a batch of pulse settings: its parameter arrays (see
-    _pulse_par_arrays) and the ends t0, t1 of the grid that spans every
-    lane's window.
+def pulse_unresolved(pulse: PulseShape, dt_ns: float) -> bool:
+    """True when a grid of step dt_ns does not resolve the pulse: it carries
+    energy and its FWHM spans fewer than _FWHM_STEPS steps.
 
-    The one admission check of a batch: it must hold at least one setting,
-    as many signals as writes and reads, and no read window may open before
-    its write window closes; the time step must be finite and positive;
-    and the batch may take at most _MAX_LANE_STEPS grid points and
-    lane-steps, counted from its lanes' events before anything is
-    allocated.
+    Narrower pulses integrate with errors that grow fast as they narrow
+    toward one step, and the closure residual does not flag those of a
+    control pulse.  A pulse without energy drives nothing, so it never
+    fails; nor does a pulse on a step that is not finite and positive,
+    which admission refuses on its own.
+    """
+    return pulse.energy > 0 and pulse.fwhm_ns < _FWHM_STEPS * dt_ns < math.inf
+
+
+def _admit(config: MemoryConfig, signals, writes, reads, drift_offset_ghz,
+           dt_ns: float) -> dict:
+    """Admit a batch of pulse settings: its parameter arrays (see
+    _pulse_par_arrays), which _integrate integrates.
+
+    The one admission check of a batch, which the lifetime scan makes once
+    for all of its lanes: the batch must hold at least one setting, as many
+    signals as writes and reads, and no read window may open before its
+    write window closes; the time step must be finite and positive, and
+    the grid must resolve every pulse that carries energy (see
+    pulse_unresolved); and the batch may take at most _MAX_LANE_STEPS grid
+    points and lane-steps, counted from its lanes' events before anything
+    is allocated.
     """
     if len(signals) == len(writes) == len(reads) == 0:
         raise DomainError("the batch holds no pulse settings")
@@ -958,6 +987,16 @@ def _admit(config: MemoryConfig, signals, writes, reads, drift_offset_ghz,
         raise DomainError("read and write pulse windows overlap")
     if not (math.isfinite(dt_ns) and dt_ns > 0):
         raise DomainError(f"time step must be finite and positive, got {dt_ns!r}")
+    # the narrowest unresolved pulse is the narrowest lit one, which fixes
+    # the largest step that resolves the batch
+    narrowest = min(((p.fwhm_ns, role, lane) for role, pulses in (
+        ("signal", signals), ("write", writes), ("read", reads))
+        for lane, p in enumerate(pulses) if pulse_unresolved(p, dt_ns)), default=None)
+    if narrowest:
+        fwhm, role, lane = narrowest
+        raise DomainError(f"the {role} pulse of lane {lane} ({fwhm!r} ns FWHM) spans "
+                          f"fewer than {_FWHM_STEPS} steps of {dt_ns!r} ns; a time step "
+                          f"of at most {fwhm / _FWHM_STEPS!r} ns resolves it")
     par = _pulse_par_arrays(config, signals, writes, reads, drift_offset_ghz)
 
     def refuse(work: str):
@@ -970,11 +1009,21 @@ def _admit(config: MemoryConfig, signals, writes, reads, drift_offset_ghz,
     points = (np.max(par["t_end"]) - np.min(par["t_start"])) / dt_ns
     if not points < _MAX_LANE_STEPS:
         refuse(f"a grid of {points:.4g} points")
-    k_start, _, k_free, k_read, k_close, k_end = _lane_steps(par, dt_ns)
+    k_start, _, k_free, k_read, k_close, _ = _lane_steps(par, dt_ns)
     lane_steps = len(k_start) * _loop_steps(k_start, k_free, k_read, k_close)
     if lane_steps > _MAX_LANE_STEPS:
         refuse(f"{lane_steps} lane-steps")
-    return par, dt_ns * int(k_start.min()), dt_ns * int(k_end.max())
+    return par
+
+
+def _integrate(par: dict, dt: float, keep_flux: bool = False, blocks: bool = False,
+               start_state=None) -> dict:
+    """Integrate the lanes of `par` (see _integrate_batch) on the one grid
+    of a storage integration, [dt min k_start, dt max k_end], which spans
+    every lane's window."""
+    k_start, *_, k_end = _lane_steps(par, dt)
+    return _integrate_batch(par, dt * int(k_start.min()), dt * int(k_end.max()), dt,
+                            keep_flux, blocks, start_state)
 
 
 def simulate_batch(config: MemoryConfig, signals, writes, reads,
@@ -989,8 +1038,8 @@ def simulate_batch(config: MemoryConfig, signals, writes, reads,
     control-off reference counts added as `reference_counts`.  It holds the
     output flux on the grid only when `keep_flux` is set.
     """
-    par, t0, t1 = _admit(config, signals, writes, reads, drift_offset_ghz, dt_ns)
-    result = _integrate_batch(par, t0, t1, dt_ns, keep_flux)
+    par = _admit(config, signals, writes, reads, drift_offset_ghz, dt_ns)
+    result = _integrate(par, dt_ns, keep_flux)
     del result["state_end"]
     return {**result, "reference_counts": _control_off(par)[0]}
 
@@ -1039,12 +1088,11 @@ def simulate_storage_retrieval(config: MemoryConfig, signal: PulseShape,
     calls, which the blocks share.  The control-off reference, its counts
     and its flux on the run's grid, comes in closed form (see _control_off).
     """
-    par, t0, t1 = _admit(config, [signal], [write], [read], drift_offset_ghz, dt_ns)
-    result = _integrate_batch(par, t0, t1, dt_ns, True, True)
-    reference_counts, reference_flux = _control_off(par, result["ts"])
-    lane = {k: float(result[k][0]) for k in ("input_photons", *CHANNELS,
+    par = _admit(config, [signal], [write], [read], drift_offset_ghz, dt_ns)
+    result = _integrate(par, dt_ns, True, True)
+    result["reference_counts"], reference_flux = _control_off(par, result["ts"])
+    lane = {k: float(result[k][0]) for k in ("input_photons", "reference_counts", *CHANNELS,
                                              "closure_residual")}
-    lane["reference_counts"] = float(reference_counts[0])
     c_ref, c_ret = lane["reference_counts"], lane["retrieved_counts"]
     return SimulationResult(
         time_grid_ns=result["ts"],
@@ -1102,18 +1150,8 @@ def one_over_e_lifetime_ns(
     """
     c = math.pi ** 2 * nu_prime_ghz ** 2 / (4 * _LN2)
     if c == 0:
-        if gamma_m_rad_ns == 0:
-            return math.inf
-        return 1.0 / gamma_m_rad_ns
+        return math.inf if gamma_m_rad_ns == 0 else 1.0 / gamma_m_rad_ns
     return (-gamma_m_rad_ns + math.sqrt(gamma_m_rad_ns ** 2 + 4 * c)) / (2 * c)
-
-
-def _segment(par: dict, dt: float, start_state=None) -> dict:
-    """Integrate the lanes of `par` on the time-block schedule, on the grid
-    that spans their windows, from rest or from `start_state`."""
-    k_start, *_, k_end = _lane_steps(par, dt)
-    return _integrate_batch(par, dt * int(k_start.min()), dt * int(k_end.max()), dt,
-                            blocks=True, start_state=start_state)
 
 
 def _one_write_many_reads(par: dict, dt: float) -> dict:
@@ -1139,20 +1177,19 @@ def _one_write_many_reads(par: dict, dt: float) -> dict:
     write, whose windows have closed, count as zero in the read, and the
     read in the write, as they do in the jump.  Neither run depends on the
     lanes that share it, so a lane's bits do not depend on the others."""
-    b = len(par["kappa"])
     k_mid, k_free = _lane_steps(par, dt)[1:3]
     # the write: the read of lane 0 is dark and chirp-free, so its drive is
     # exactly 0 wherever it lies, and every other value the write sees is
     # the same for each lane
     lane = {k: v[:1] for k, v in par.items()}
     t_free, zero = lane["t_free"], np.zeros(1)
-    write = _segment({**lane, "omega_r": zero, "chirp_r": zero, "kernel": np.ones(1),
-                      "t_mid": t_free, "t_read": t_free, "t_close": t_free,
-                      "t_end": t_free}, dt)
+    write = _integrate({**lane, "omega_r": zero, "chirp_r": zero, "kernel": np.ones(1),
+                        "t_mid": t_free, "t_read": t_free, "t_close": t_free,
+                        "t_end": t_free}, dt, blocks=True)
     # the jump, with the kernel at k_mid
     diag, ig, s, loss_rates = _rates(par)
-    y_free = np.repeat(write["state_end"], b, axis=1)
-    y_mid, to_mid = _free_evolution(y_free, diag, ig, s, (k_mid - k_free) * dt)
+    # the write's one state at k_free, broadcast over the lanes
+    y_mid, to_mid = _free_evolution(write["state_end"], diag, ig, s, (k_mid - k_free) * dt)
     spin_mid = y_mid[2].copy()
     y_mid[2] = spin_mid * par["kernel"]
     y_read, from_mid = _free_evolution(y_mid, diag, ig, s, par["t_read"] - k_mid * dt)
@@ -1164,13 +1201,13 @@ def _one_write_many_reads(par: dict, dt: float) -> dict:
                             axis=1)
     r_c = 3 * lane["r_f"]
     t_close = r_c + 3 * lane["r_f"]
-    read = _segment({key: np.repeat(v, 9) for key, v in {
+    read = _integrate({key: np.repeat(v, 9) for key, v in {
         **lane, "sig_amp": zero, "omega_w": zero, "r_c": r_c, "t_start": zero,
         "t_mid": zero, "t_free": zero, "t_read": zero, "t_close": t_close,
-        "t_end": t_close + _ring_down_ns(lane["kappa"])}.items()}, dt, probes)
-    keys = ("retrieved_counts", "loss_polarization", "loss_spin", "loss_cavity_internal",
-            "residual_excitation")
-    on_probes = np.stack([read[key] for key in keys])
+        "t_end": t_close + _ring_down_ns(lane["kappa"])}.items()}, dt,
+        blocks=True, start_state=probes)
+    # the channels that the read books: all but the leak and the dephasing
+    on_probes = np.stack([read[key] for key in CHANNELS[1:5] + CHANNELS[6:]])
     pair_sums = on_probes[:, j] + on_probes[:, k]
     coef = np.concatenate([on_probes[:, :3], on_probes[:, 3:6] - pair_sums,
                            on_probes[:, 6:] - pair_sums], axis=1)
@@ -1196,29 +1233,23 @@ def _lifetime_lanes(config: MemoryConfig, signal: PulseShape, write: PulseShape,
                     read: PulseShape, storage_times_ns, dt_ns: float) -> dict:
     """Per storage time its channels, closure residual and control-off
     reference counts, and whether it shares the write and the read
-    (`shared`, see _one_write_many_reads); every other lane is integrated
-    by simulate_batch, in one batch."""
+    (`shared`, see _one_write_many_reads).  The scan is admitted once, and
+    every other lane is integrated from the same parameter arrays in one
+    batch on the lane schedule, as simulate_batch integrates it."""
     reads = [replace(read, center_ns=write.center_ns + float(tau))
              for tau in np.asarray(storage_times_ns, dtype=float)]
     n = len(reads)
-    par, _, _ = _admit(config, [signal] * n, [write] * n, reads, 0.0, dt_ns)
+    par = _admit(config, [signal] * n, [write] * n, reads, 0.0, dt_ns)
     _, k_mid, k_free, k_read = _lane_steps(par, dt_ns)[:4]
     shared = (k_free < k_mid) & (k_mid <= k_read)
-    keys = (*CHANNELS, "closure_residual", "reference_counts")
+    keys = (*CHANNELS, "closure_residual")
     out = {k: np.empty(n) for k in keys}
-    batched = np.flatnonzero(~shared)
-    if batched.size:
-        lanes = simulate_batch(config, [signal] * batched.size, [write] * batched.size,
-                               [reads[i] for i in batched], 0.0, dt_ns)
-        for k in keys:
-            out[k][batched] = lanes[k]
-    if shared.any():
-        sub = {k: v[shared] for k, v in par.items()}
-        lanes = {**_one_write_many_reads(sub, dt_ns),
-                 "reference_counts": _control_off(sub)[0]}
-        for k in keys:
-            out[k][shared] = lanes[k]
-    return {**out, "shared": shared}
+    for lanes, integrate in ((~shared, _integrate), (shared, _one_write_many_reads)):
+        if lanes.any():
+            result = integrate({k: v[lanes] for k, v in par.items()}, dt_ns)
+            for k in keys:
+                out[k][lanes] = result[k]
+    return {**out, "reference_counts": _control_off(par)[0], "shared": shared}
 
 
 def lifetime_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
@@ -1231,9 +1262,10 @@ def lifetime_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
     integrated write and one integrated read, on a clock anchored to the
     read start (see _one_write_many_reads); the others, whose read opens
     before the write window closes or whose t_mid falls inside the read
-    (storage times up to about six read FWHM), are one simulate_batch
-    batch.  A storage time's efficiency has the same bits alone and in any
-    scan.
+    (storage times up to about six read FWHM), are one batch on the lane
+    schedule, with the bits that simulate_batch gives them.  The scan is
+    admitted once, as one batch.  A storage time's efficiency has the same
+    bits alone and in any scan.
     """
     if not len(storage_times_ns):
         return np.empty(0)
@@ -1295,8 +1327,7 @@ def energy_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
     ratio = read.energy / write.energy
     writes = [replace(write, energy=float(e)) for e in energies]
     reads = [replace(read, energy=float(e) * ratio) for e in energies]
-    signals = [signal] * len(writes)
-    return batch_efficiency(config, signals, writes, reads, 0.0, dt_ns)
+    return batch_efficiency(config, [signal] * len(writes), writes, reads, 0.0, dt_ns)
 
 
 def bandwidth_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,

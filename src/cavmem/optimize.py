@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, _holds, require_finite
-from .memory import MemoryConfig, PulseShape, batch_efficiency, pulses_overlap
+from .memory import (MemoryConfig, PulseShape, batch_efficiency, pulse_unresolved,
+                     pulses_overlap)
 
 __all__ = [
     "ParameterSpace", "DriftModel", "GASettings", "OptimizationTrace",
@@ -203,6 +204,8 @@ def _evaluate_batch(vectors, config: MemoryConfig, drift_offset_ghz: float,
             s, w, r = _pulses_from_vector(x)
             if pulses_overlap(w, r):
                 raise DomainError("read/write overlap")
+            if any(pulse_unresolved(p, dt_ns) for p in (s, w, r)):
+                raise DomainError(f"a pulse too narrow for the grid at dt {dt_ns} ns")
             signals.append(s)
             writes.append(w)
             reads.append(r)

@@ -1,13 +1,17 @@
 """Configuration ingestion and CLI round-trip tests."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavmem.cli import _write_csv, build_parser, cmd_levels, main
 from cavmem.config import ExperimentConfig
@@ -1022,6 +1026,82 @@ def test_cli_store_beyond_the_work_cap_exits_3_naming_the_window(tmp_path, capsy
     assert err["error"] == "numerical"
     assert "cap" in err["message"] and "window runs from" in err["message"]
     assert not out.exists()
+
+
+def test_cli_store_with_a_signal_one_step_wide_exits_3_naming_the_largest_step(
+        tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pulses": {"signal": {"fwhm_ns": 0.01}}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "store", "--dt", "0.01"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical"
+    assert "signal pulse" in err["message"] and "at most 0.0025 ns" in err["message"]
+    assert not out.exists()
+
+
+def test_cli_store_with_a_fast_spin_wave_exits_3(tmp_path, capsys):
+    # a write carrier 30 GHz off turns the spin wave at 188 rad/ns, which
+    # RK4 at dt 0.02 cannot follow: the run must be refused, not reported
+    # with counts that are not finite
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pulses": {"write": {"carrier_detuning_ghz": 30.0}}}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "store", "--dt", "0.02"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numerical" and "fastest mode" in err["message"]
+    assert not out.exists()
+
+
+def _widths():
+    """Pulse widths log-uniform over 3 ps to 8 ns: from a sixth of a step of
+    0.02 ns to 400 steps."""
+    return st.floats(math.log10(0.003), math.log10(8.0)).map(lambda u: 10.0 ** u)
+
+
+def _maybe_zero(values):
+    return st.one_of(st.just(0.0), values)
+
+
+@settings(max_examples=40)
+@given(fwhm=st.tuples(_widths(), _widths(), _widths()),
+       energy=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+       carrier=st.tuples(*[_maybe_zero(st.floats(-40.0, 40.0))] * 3),
+       write_ns=st.floats(-1.0, 1.0), storage_ns=st.floats(0.0, 30.0),
+       cooperativity=_maybe_zero(st.floats(-1.0, 5.0).map(lambda u: 10.0 ** u)),
+       widths_mhz=st.tuples(*[_maybe_zero(st.floats(0.01, 3000.0))] * 2),
+       detuning_ghz=st.floats(-40.0, 40.0))
+def test_cli_store_closes_or_refuses_by_name(tmp_path_factory, fwhm, energy, carrier,
+                                             write_ns, storage_ns, cooperativity,
+                                             widths_mhz, detuning_ghz):
+    # across the domain that the CLI accepts, at the scans' step of 0.02 ns,
+    # a run either closes its photon bookkeeping to 1e-3 of the input and
+    # emits no more than it receives, or exits 2 or 3 with a named error;
+    # a pulse narrower than four steps is refused, so nothing else fails
+    centers = (0.0, write_ns, write_ns + storage_ns)
+    pulses = {role: {"center_ns": c, "fwhm_ns": f, "energy": e, "carrier_detuning_ghz": d}
+              for role, c, f, e, d in zip(("signal", "write", "read"), centers, fwhm,
+                                          energy, carrier)}
+    doc = {"pulses": pulses,
+           "memory": {"cooperativity": cooperativity, "spin_fwhm_mhz": widths_mhz[0],
+                      "intermediate_natural_fwhm_mhz": widths_mhz[1],
+                      "intermediate_detuning_ghz": detuning_ghz}}
+    base = tmp_path_factory.mktemp("store")
+    cfg = base / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["--config", str(cfg), "--out", str(base / "out"), "store", "--dt", "0.02"])
+    if rc == 0:
+        s = json.loads((base / "out" / "store_summary.json").read_text())
+        n_in = s["input_photons"]
+        assert abs(s["integrator"]["closure_residual"]) <= 1e-3
+        assert s["leak_counts"] + s["retrieved_counts"] <= n_in * (1 + 1e-9)
+        assert s["reference_counts"] <= n_in * (1 + 1e-9)
+    else:
+        assert rc in (2, 3)
+        named = json.loads(err.getvalue())
+        assert named["error"] in ("config", "numerical") and named["message"]
 
 
 def test_cli_exit_code_numerical_error(tmp_path, capsys):

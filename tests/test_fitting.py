@@ -208,12 +208,14 @@ def test_doppler_fit_low_field_spectrum():
 
 def test_doppler_fit_flags_an_optical_depth_beyond_its_bound():
     # an optical depth of 2500 lies past the fit's bound of 2000, where the
-    # fit must end flagged rather than as a free minimum
+    # fit must end flagged rather than as a free minimum, and stop there
+    # rather than run out its iterations
     x = np.linspace(-12.0, 4.0, 400)
     y = one_photon_spectrum(VapourParams(optical_depth=2500.0), 169.0, "sigma-", x)
     fit = fit_doppler_absorption(x, y)
     assert fit["optical_depth"] == 2000.0
     assert "at_bound:optical_depth" in fit.flags
+    assert fit.iterations <= 30
 
 
 def test_default_doppler_fit_carries_no_flag():

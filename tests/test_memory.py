@@ -433,6 +433,34 @@ def test_storage_time_keeps_its_bits_alone_and_in_any_scan():
         assert lifetime_scan(CFG, SIG, WRITE, READ, [tau], dt_ns=0.02)[0] == value, tau
 
 
+def test_lifetime_scan_admits_once_and_keeps_the_bits_of_its_batch(monkeypatch):
+    # 8 and 12.5 ns do not jump, 15.0 ns jumps but takes its kernel inside
+    # its read, and 16.3 and 40 ns share the write and the read; the lanes
+    # that do not share are integrated from the scan's one admission, with
+    # the bits that simulate_batch gives the same reads
+    from cavmem import memory
+    taus = [8.0, 12.5, 15.0, 16.3, 40.0]
+    reads = [replace(READ, center_ns=WRITE.center_ns + t) for t in taus[:3]]
+    batch = simulate_batch(CFG, [SIG] * 3, [WRITE] * 3, reads, 0.0, 0.02)
+    calls = {"_admit": 0, "_control_off": 0, "simulate_batch": 0}
+
+    def counted(name):
+        original = getattr(memory, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(memory, name, counted(name))
+    lanes = memory._lifetime_lanes(CFG, SIG, WRITE, READ, taus, 0.02)
+    assert calls == {"_admit": 1, "_control_off": 1, "simulate_batch": 0}
+    assert lanes["shared"].tolist() == [False, False, False, True, True]
+    for key in (*CHANNELS, "closure_residual", "reference_counts"):
+        assert lanes[key][:3].tobytes() == batch[key].tobytes(), key
+
+
 @pytest.mark.parametrize("taus", [[20.0], [12.5]], ids=["shared", "batched"])
 def test_lifetime_scan_refuses_as_its_batch_does(taus):
     # the stability guard, and the work cap before anything is integrated

@@ -91,6 +91,24 @@ def test_overlap_rule_matches_simulator():
     assert faults == ["read/write overlap"]
 
 
+def test_resolution_rule_matches_simulator():
+    # a lit pulse narrower than four steps is a fault scoring zero, as the
+    # simulator refuses it; a dark one drives nothing and is simulated
+    from cavmem.memory import batch_efficiency
+    from cavmem.optimize import _evaluate_batch, _pulses_from_vector
+    narrow = DEFAULT_VEC.copy()
+    narrow[5] = 0.05  # write FWHM, 2.5 steps of 0.02 ns
+    dark = narrow.copy()
+    dark[1] = 0.0
+    faults = []
+    vals = _evaluate_batch([dark, narrow], CFG, 0.0, 0.02, faults)
+    assert vals[0] > 0.0 and vals[0] == objective(dark, CFG)
+    assert vals[1] == 0.0
+    assert faults == ["a pulse too narrow for the grid at dt 0.02 ns"]
+    with pytest.raises(DomainError, match="write pulse"):
+        batch_efficiency(CFG, *([p] for p in _pulses_from_vector(narrow)), 0.0, 0.02)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_non_finite_gene_rejected_at_each_entry_point(value):
     # each once read as an objective of 0: the objective of the vector, a

@@ -160,17 +160,16 @@ def _read(timings: dict, span) -> dict:
 
 def step_timings() -> dict:
     """Timings of one RK4 loop step at 1, 24 and 192 lanes, in
-    microseconds: 5 runs of `_integrate_batch` over random lanes (seed 5)
-    at dt 0.02, on the grid of an untimed `simulate_batch` of the same
-    lanes, divided by the loop steps that the run returns."""
+    microseconds: 5 runs of `_integrate` over random lanes (seed 5) at dt
+    0.02, on the lane schedule and the grid that spans the lanes, divided
+    by the loop steps that the run returns."""
     out = {}
     for size in (1, 24, 192):
         lanes = random_lanes(np.random.default_rng(5), size)
         par = memory._pulse_par_arrays(memory.MemoryConfig(), *lanes, 0.0)
-        ts = memory.simulate_batch(memory.MemoryConfig(), *lanes, 0.0, 0.02)["ts"]
 
         def run():
-            return memory._integrate_batch(par, ts[0], ts[-1], 0.02)
+            return memory._integrate(par, 0.02)
         out[str(size)] = _timed(run, unit=1e6 / run()["loop_steps"])
     return out
 
