@@ -21,11 +21,13 @@ depth that the cooperativity is anchored to.
 Slow spin-wave dephasing (inhomogeneous broadening and the two-line beat) is
 applied to S as a multiplicative analytic kernel at the storage midpoint
 rather than through velocity ensembles, reproducing the damped oscillatory
-decay law exactly.  The excitation the kernel removes is booked as its own
-loss channel, so the photon bookkeeping closes: the input photons are the
-signal's photon number, the RK4 chunks book the rest, each from the fluxes
-at all of its own grid points, and `closure_residual` in
-`SimulationResult.integrator` is the share of them that no channel books.
+decay law exactly.  One rule (`_dephase`) applies the kernel and gives
+the excitation it removes, |S|^2 (1 - |kernel|^2), which is booked as its
+own loss channel where the kernel acts, so the photon bookkeeping closes:
+the input photons are the signal's photon number, the RK4 chunks and the
+drive-free spans book the rest, each chunk from the fluxes at all of its
+own grid points, and `closure_residual` in `SimulationResult.integrator` is
+the share of them that no channel books.
 
 The efficiency (1 - zeta) C_ret / C_ref needs the control-off reference
 counts C_ref.  With the control off S decouples and (a, P) is a linear
@@ -59,11 +61,15 @@ invariant (the storage/retrieval linear-map view of Gorshkov et al., PRA 76,
 2x2 matrix exponential in eigen form for (a, P) and a scalar exponential
 for S, and books its loss and output integrals in closed form.  The same
 propagator carries it over the ring-down from its close to its end; what
-is left there is the residual excitation.  One rule places the kernel
-and the jump: both act between chunks of RK4 steps.  A chunk ends where a
-lane steps onto t_mid's grid point, and the kernel acts on the state
-there before it is booked; a chunk ends at each jump too, and the jump
-applies the kernel itself where t_mid lies inside it.  Output up to t_mid
+is left there is the residual excitation.  One routine (`_carry`) carries
+a lane over any such span: to t_mid, through the kernel, and on, booking
+the output before t_mid as leak and after it as retrieved, the losses and
+the dephasing loss; a span that t_mid lies outside of takes a kernel of
+exactly 1, which keeps its bits.  One rule places the kernel and the jump:
+both act between chunks of RK4 steps.  A chunk ends where a lane steps
+onto t_mid's grid point, and the kernel acts on the state there before it
+is booked; a chunk ends at each jump too, and the jump's span takes the
+kernel where t_mid lies inside it, (k_free, k_read].  Output up to t_mid
 is leak and after it retrieved.  The events depend only on the lane's
 pulses, and a chunk's end moves no bit, so a lane's results do not depend
 on the other lanes of its batch.
@@ -106,8 +112,8 @@ shape; only the storage time differs.  A lane whose t_mid lies inside its
 jump is its shared write, one exact propagator and a shared read.  So the
 scan integrates the write once, up to k_free, on the time-block schedule;
 carries its state from there to each lane's read start with the exact
-propagator, over a real-valued span with no floor to the grid, taking the
-kernel on the way; and integrates the read and the ring-down once, on a
+propagator (`_carry`), over a real-valued span with no floor to the grid,
+taking the kernel on the way; and integrates the read and the ring-down once, on a
 clock anchored to the read start, from nine probe states of (a, P, S).  The
 read is linear in its start state, so each channel it books is a Hermitian
 form in that state, fixed by its values on the probes.  The signal and the
@@ -407,6 +413,41 @@ def _rates(par: dict):
     return diag, 1j * par["g"], s_ap, loss_rates
 
 
+def _dephase(spin, kernel):
+    """S after the dephasing kernel, and the excitation that the kernel
+    removes, |S|^2 (1 - |kernel|^2); a kernel of 1 keeps S's bits and
+    removes 0."""
+    return spin * kernel, np.abs(spin) ** 2 * (1 - np.abs(kernel) ** 2)
+
+
+def _carry(y, rates, kappa_ext, before, after, kernel):
+    """Carry y = (a, P, S) without drive over the times `before`, up to t_mid,
+    then through the kernel (see _dephase), then over the times `after`.
+    `rates` is the tuple (diag, ig, s, loss_rates) of _rates.  Returns the
+    end state and what the span books, in the rows of a count table (see
+    _by_channel)."""
+    y_mid, to_mid = _free_evolution(y, *rates[:3], before)
+    y_mid[2], dephasing = _dephase(y_mid[2], kernel)
+    y_end, from_mid = _free_evolution(y_mid, *rates[:3], after)
+    return y_end, np.vstack([kappa_ext * to_mid[0], kappa_ext * from_mid[0],
+                             rates[3] * (to_mid + from_mid), dephasing])
+
+
+def _by_channel(rows) -> dict:
+    """The rows of a count table, which the integrator and _carry book, by
+    their names in CHANNELS: the output before t_mid (leak), the output
+    after it (retrieved), the losses of a, P and S (cavity-internal,
+    polarization and spin) and the dephasing loss."""
+    leak, retrieved, loss_cav, loss_pol, loss_spin, dephasing = rows
+    return dict(zip(CHANNELS, (leak, retrieved, loss_pol, loss_spin, loss_cav, dephasing)))
+
+
+def _in_span(k, k_a, k_b):
+    """Whether grid index k lies in the span (k_a, k_b]: a lane steps onto
+    it there, or a jump from k_a to k_b carries it past it."""
+    return (k_a < k) & (k <= k_b)
+
+
 def _unbooked(ledger: dict, n_in):
     """The one closure rule: the share of the input photons n_in that no
     channel of the ledger books, summed in CHANNELS order; nan for a lane
@@ -438,7 +479,11 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     every jump, after which the lane goes on from k_read; a k_mid inside
     the jump, (k_free, k_read], is the jump's.  So each RK4 stage sees the
     drives at the lane's true time, no stage sees the kernel, and the loop
-    ends once every lane has reached k_close.
+    ends once every lane has reached k_close.  Either span is carried by
+    _carry, which applies the kernel and books what it removes where t_mid
+    lies in the span, and the loop's event applies _dephase; the count table
+    holds a row per channel (see _by_channel), the dephasing loss included,
+    so every channel but the residual excitation is booked where it arises.
 
     One loop runs over the chunks.  Each pass steps chunks (step_pass), the
     loop joins each into one table of the lanes' states at its grid points,
@@ -486,7 +531,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     b = len(par["kappa"])
 
     # y = (a, P, S): dy/dt = diag * y + coupling to the neighbour + drive
-    diag, ig, s_ap, loss_rates = _rates(par)
+    diag, ig, _, loss_rates = rates = _rates(par)
     # explicit RK4 stability guard against the fast polariton branch, and
     # against the spin wave's own rotation at its two-photon detuning
     lam_max = float(np.max(np.maximum(
@@ -510,7 +555,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     jumped = np.maximum(k_read - k_free, 0)
     jumps = np.flatnonzero(jumped)
     jump_at = _lanes_by_step(k_free[jumps] - k_start[jumps], jumps)
-    mids = np.flatnonzero((k_start < k_mid) & ((k_mid <= k_free) | (k_mid > k_read)))
+    mids = np.flatnonzero((k_start < k_mid) & ~_in_span(k_mid, k_free, k_read))
     mid_at = _lanes_by_step((k_mid - k_start - jumped * (k_mid > k_free))[mids], mids)
     n_iter = _loop_steps(k_start, k_free, k_read, k_close)
 
@@ -660,13 +705,11 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
 
         return states, advance
 
-    # each lane's leak, retrieved, cavity-internal, polarization and spin
-    # counts, and its state at k_close
-    counts = np.zeros((5, b))
+    # each lane's leak, retrieved, cavity-internal, polarization, spin and
+    # dephasing counts, and its state at k_close
+    counts = np.zeros((6, b))
     y_close = np.zeros((3, b), dtype=complex)
     out_flux = np.zeros((len(ts), b)) if keep_flux else None
-    # each lane's S before the kernel, whose loss is booked at the end
-    spin_mid = np.zeros(b, dtype=complex)
     # A pass steps one chunk from the lanes' own states, one copy of them
     # with the batch's one stepper; or, with `blocks`, a wave of chunks side
     # by side, four copies of the stepped lanes each, a wave bounding the
@@ -692,26 +735,22 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
 
     def drive_free(lanes, y_a, k_a, k_b):
         """Carry `lanes` without drive from their states y_a at grid index k_a
-        to k_b and return their states there.  Output up to t_mid is leak and
-        after it retrieved; the kernel acts at t_mid when it lies in
-        (k_a, k_b], after S there is kept for the loss it books.  Books the
-        loss integrals and fills the flux rows k_a+1..k_b, which follow from
-        y_a alone since a does not see the kernel."""
-        sub = (diag[:, lanes], ig[lanes], s_ap[:, lanes])
+        to k_b (see _carry) and return their states there; the kernel acts
+        where t_mid lies in (k_a, k_b], and a lane whose t_mid lies outside
+        takes a kernel of 1.  Books the span and fills the flux rows
+        k_a+1..k_b, which follow from y_a alone since a does not see the
+        kernel."""
+        sub = tuple(x[..., lanes] for x in rates)
         n_before = np.clip(k_mid[lanes] - k_a, 0, k_b - k_a)
-        y_mid, to_mid = _free_evolution(y_a, *sub, n_before * dt)
         # t_mid never lies in the ring-down, since t_close closes the write
         # window too
-        inside = (k_a < k_mid[lanes]) & (k_mid[lanes] <= k_b)
-        spin_mid[lanes[inside]] = y_mid[2, inside]
-        y_mid[2, inside] = y_mid[2, inside] * kernel[lanes[inside]]
-        y_b, from_mid = _free_evolution(y_mid, *sub, (k_b - k_a - n_before) * dt)
-        counts[0, lanes] += par["kappa_ext"][lanes] * to_mid[0]
-        counts[1, lanes] += par["kappa_ext"][lanes] * from_mid[0]
-        counts[2:, lanes] += loss_rates[:, lanes] * (to_mid + from_mid)
+        y_b, booked = _carry(y_a, sub, par["kappa_ext"][lanes], n_before * dt,
+                             (k_b - k_a - n_before) * dt,
+                             np.where(_in_span(k_mid[lanes], k_a, k_b), kernel[lanes], 1))
+        counts[:, lanes] += booked
         if keep_flux:
             for j, lane in enumerate(lanes.tolist()):
-                a_t = _free_evolution(y_a[:, j:j + 1], *(x[..., j:j + 1] for x in sub),
+                a_t = _free_evolution(y_a[:, j:j + 1], *(x[..., j:j + 1] for x in sub[:3]),
                                       dt * np.arange(1, k_b[j] - k_a[j] + 1))[0][0]
                 out_flux[k_a[j] - k0 + 1:k_b[j] - k0 + 1, lane] = \
                     par["kappa_ext"][lane] * np.abs(a_t) ** 2
@@ -729,7 +768,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         flux[:, 1:] = loss_rates * np.abs(stepped) ** 2
         k_grid = base + 1 + np.arange(m)[:, None]
         # the state of each lane whose drives end in these steps
-        closed = np.flatnonzero((base < k_close) & (k_close <= base + m))
+        closed = np.flatnonzero(_in_span(k_close, base, base + m))
         if closed.size:
             y_close[:, closed] = states[k_close[closed] - base[closed], 1:, closed].T
         live = k_grid <= k_close
@@ -737,13 +776,13 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             out_flux[k_grid[live] - k0, np.nonzero(live)[1]] = flux[1:, 0][live]
         trap = h * (flux[:-1] + flux[1:])
         before = k_grid <= k_mid
-        steps[0] = counts
+        steps[0] = counts[:5]
         steps[1:m + 1, 0] = trap[:, 0] * (live & before)
         steps[1:m + 1, 1] = trap[:, 0] * (live & ~before)
         steps[1:m + 1, 2:] = trap[:, 1:] * live[:, None]
         # a sum in step order, so each lane adds its own terms in the same
         # sequence whatever batch it is part of
-        counts[...] = np.add.reduce(steps[:m + 1], axis=0)
+        counts[:5] = np.add.reduce(steps[:m + 1], axis=0)
         y[...] = states[m]            # the next steps start from here
         if jumping is not None:
             # the jump from k_free to k_read, after which the loop goes on
@@ -790,18 +829,18 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         at += m
         if dephased is not None:
             # the kernel at the chunk's last row, k_mid, before it is booked
-            spin_mid[dephased] = states[at, 3, dephased]
-            states[at, 3, dephased] = spin_mid[dephased] * kernel[dephased]
+            states[at, 3, dephased], lost = _dephase(states[at, 3, dephased],
+                                                     kernel[dephased])
+            counts[5, dephased] += lost
         if jumping is not None or (i + 1) % joined == 0 or i + 1 == len(chunks):
             book(at, start, jumping)
             at = 0
 
     # the ring-down: after k_close nothing drives a lane
     y_end = drive_free(np.arange(b), y_close, k_close, k_end)
-    dephasing = np.abs(spin_mid) ** 2 * (1 - np.abs(kernel) ** 2)
-    leak, retrieved, loss_cav, loss_pol, loss_spin = counts
-    ledger = dict(zip(CHANNELS, (leak, retrieved, loss_pol, loss_spin, loss_cav,
-                                 dephasing, np.sum(np.abs(y_end) ** 2, axis=0))))
+    # what is left at the end is the residual excitation
+    ledger = {**_by_channel(counts),
+              "residual_excitation": np.sum(np.abs(y_end) ** 2, axis=0)}
     n_in = par["sig_n"]
     return dict(ts=ts, out_flux=out_flux, **ledger, input_photons=n_in,
                 closure_residual=_unbooked(ledger, n_in), state_end=y_end,
@@ -817,8 +856,9 @@ def _control_off(par: dict, ts=None):
 
     With the control off S decouples and (a, P) is a linear time-invariant
     filter, r(w) = kappa_ext / ((-iw - c_a) + g^2 / (-iw - c_p)) - 1, with
-    one pole w_j = i s_j per eigenvalue s_j of the (a, P) block, all in the
-    lower half plane: r = -1 + sum_j beta_j / (w - w_j).
+    one pole w_j = i s_j per eigenvalue s_j of the (a, P) block, each in the
+    lower half plane or, undamped and uncoupled, on the real axis:
+    r = -1 + sum_j beta_j / (w - w_j).
     - C_ref = n int |r(w)|^2 W(w) dw, with W the normalized power spectrum
       of the Gaussian input amplitude, exp(-2 sigma^2 w^2).  Since
       |r|^2 = 1 + 2 Re sum_j C_j / (w - w_j), each term integrates against
@@ -836,13 +876,17 @@ def _control_off(par: dict, ts=None):
     c_a, c_p, s = _ap_eigenvalues(par)
     poles = 1j * s
     beta = 1j * par["kappa_ext"] * (s - c_p) / (s - s[::-1])  # r = -1 + sum beta_j / (w - w_j)
-    # residue of |r|^2 at w_j: beta_j times conj(r) continued to w_j
-    conj_r = -1.0 + np.conj(beta[0]) / (poles - np.conj(poles[0])) \
-        + np.conj(beta[1]) / (poles - np.conj(poles[1]))
     # int W(w) / (w - w_j) dw for Im w_j < 0
     z = math.sqrt(2) * sigma * poles
     gauss = -1j * math.sqrt(2 * math.pi) * sigma * np.conj(wofz(np.conj(z)))
-    terms = beta * conj_r * gauss
+    # residue of |r|^2 at w_j: beta_j times conj(r) continued to w_j.  A pole
+    # on the real axis is an undamped polarization that the cavity does not
+    # couple to (g = 0): its beta_j is 0 but for rounding, and it adds
+    # nothing, where its own term would be 0 / 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conj_r = -1.0 + np.conj(beta[0]) / (poles - np.conj(poles[0])) \
+            + np.conj(beta[1]) / (poles - np.conj(poles[1]))
+        terms = np.where(s.real == 0, 0, beta * conj_r * gauss)
     counts = par["sig_n"] * (1.0 + 2.0 * np.real(terms[0] + terms[1]))
     if ts is None:
         return counts, None
@@ -1162,11 +1206,11 @@ def _one_write_many_reads(par: dict, dt: float) -> dict:
     The memory is linear, so one write and one read serve every lane.  The
     write, [k_start, k_free], is integrated once, as a lane whose read is
     dark and which ends at k_free; all of its output is leak.  The exact
-    propagator carries its state at k_free to each lane's read start
-    t_read = r_c - 3 r_f, a real-valued span with no floor to the grid; the
-    kernel acts on the way at k_mid, where the lane schedule applies it too
-    (S evolves alone there, so where it acts moves no state; it splits the
-    output into leak and retrieved).  The read and the ring-down are
+    propagator (_carry) carries its state at k_free to each lane's read
+    start t_read = r_c - 3 r_f, a real-valued span with no floor to the
+    grid; the kernel acts on the way at k_mid, where the lane schedule
+    applies it too (S evolves alone there, so where it acts moves no state;
+    it splits the output into leak and retrieved).  The read and the ring-down are
     integrated once, on a clock anchored to the read start, from nine probe
     states of (a, P, S): the unit states e_j, and e_j + e_k and
     e_j + i e_k for each pair j < k.  Without a drive into it the read is
@@ -1175,8 +1219,10 @@ def _one_write_many_reads(par: dict, dt: float) -> dict:
     G_jj |y_j|^2 and over the pairs of
     2 Re G_jk Re(y_j* y_k) - 2 Im G_jk Im(y_j* y_k).  The signal and the
     write, whose windows have closed, count as zero in the read, and the
-    read in the write, as they do in the jump.  Neither run depends on the
-    lanes that share it, so a lane's bits do not depend on the others."""
+    read in the write, as they do in the jump.  Each channel but the
+    residual excitation is what the write, the jump and the read book, and
+    the residual is what the read leaves.  Neither run depends on the lanes
+    that share it, so a lane's bits do not depend on the others."""
     k_mid, k_free = _lane_steps(par, dt)[1:3]
     # the write: the read of lane 0 is dark and chirp-free, so its drive is
     # exactly 0 wherever it lies, and every other value the write sees is
@@ -1186,13 +1232,10 @@ def _one_write_many_reads(par: dict, dt: float) -> dict:
     write = _integrate({**lane, "omega_r": zero, "chirp_r": zero, "kernel": np.ones(1),
                         "t_mid": t_free, "t_read": t_free, "t_close": t_free,
                         "t_end": t_free}, dt, blocks=True)
-    # the jump, with the kernel at k_mid
-    diag, ig, s, loss_rates = _rates(par)
-    # the write's one state at k_free, broadcast over the lanes
-    y_mid, to_mid = _free_evolution(write["state_end"], diag, ig, s, (k_mid - k_free) * dt)
-    spin_mid = y_mid[2].copy()
-    y_mid[2] = spin_mid * par["kernel"]
-    y_read, from_mid = _free_evolution(y_mid, diag, ig, s, par["t_read"] - k_mid * dt)
+    # the jump, with the kernel at k_mid, from the write's one state at
+    # k_free broadcast over the lanes
+    y_read, jump = _carry(write["state_end"], _rates(par), par["kappa_ext"],
+                          (k_mid - k_free) * dt, par["t_read"] - k_mid * dt, par["kernel"])
     # the read, on a clock that starts at 0 from the probes; all of its
     # output is retrieved
     j, k = [0, 0, 1], [1, 2, 2]
@@ -1206,26 +1249,22 @@ def _one_write_many_reads(par: dict, dt: float) -> dict:
         "t_mid": zero, "t_free": zero, "t_read": zero, "t_close": t_close,
         "t_end": t_close + _ring_down_ns(lane["kappa"])}.items()}, dt,
         blocks=True, start_state=probes)
-    # the channels that the read books: all but the leak and the dephasing
-    on_probes = np.stack([read[key] for key in CHANNELS[1:5] + CHANNELS[6:]])
+    # each channel that the read books, on the probes
+    on_probes = np.stack([read[key] for key in CHANNELS])
     pair_sums = on_probes[:, j] + on_probes[:, k]
     coef = np.concatenate([on_probes[:, :3], on_probes[:, 3:6] - pair_sums,
                            on_probes[:, 6:] - pair_sums], axis=1)
     cross = np.conj(y_read[j]) * y_read[k]
     terms = np.concatenate([np.abs(y_read) ** 2, cross.real, cross.imag])
     # a sum in term order, elementwise, so each lane's bits are its own
-    retrieved, loss_pol, loss_spin, loss_cav, residual = sum(
-        coef[:, m, None] * terms[m] for m in range(9))
-    jump = loss_rates * (to_mid + from_mid)
-    kappa_ext = par["kappa_ext"]
-    ledger = dict(zip(CHANNELS, (
-        write["leak_counts"] + kappa_ext * to_mid[0],
-        kappa_ext * from_mid[0] + retrieved,
-        write["loss_polarization"] + jump[1] + loss_pol,
-        write["loss_spin"] + jump[2] + loss_spin,
-        write["loss_cavity_internal"] + jump[0] + loss_cav,
-        np.abs(spin_mid) ** 2 * (1 - np.abs(par["kernel"]) ** 2),
-        residual)))
+    from_read = dict(zip(CHANNELS, sum(coef[:, m, None] * terms[m] for m in range(9))))
+    # a channel books what the write, the jump and the read book, in that
+    # order (the write books no retrieved output, the read no leak, and
+    # neither dephases, so those terms are 0); the residual excitation is
+    # what the read leaves
+    jump = _by_channel(jump)
+    ledger = {key: write[key] + jump[key] + from_read[key] for key in CHANNELS[:6]}
+    ledger["residual_excitation"] = from_read["residual_excitation"]
     return {**ledger, "closure_residual": _unbooked(ledger, par["sig_n"])}
 
 
@@ -1240,8 +1279,8 @@ def _lifetime_lanes(config: MemoryConfig, signal: PulseShape, write: PulseShape,
              for tau in np.asarray(storage_times_ns, dtype=float)]
     n = len(reads)
     par = _admit(config, [signal] * n, [write] * n, reads, 0.0, dt_ns)
-    _, k_mid, k_free, k_read = _lane_steps(par, dt_ns)[:4]
-    shared = (k_free < k_mid) & (k_mid <= k_read)
+    # t_mid inside the jump, k_free < k_mid <= k_read
+    shared = _in_span(*_lane_steps(par, dt_ns)[1:4])
     keys = (*CHANNELS, "closure_residual")
     out = {k: np.empty(n) for k in keys}
     for lanes, integrate in ((~shared, _integrate), (shared, _one_write_many_reads)):

@@ -489,6 +489,25 @@ def test_cli_store_control_off(tmp_path):
     assert summary["retrieved_counts"] < 1e-4 * summary["reference_counts"]
 
 
+def test_cli_store_without_coupling_or_polarization_damping(tmp_path):
+    # at cooperativity 0 and natural width 0 the polarization's pole lies on
+    # the real axis, uncoupled: the reference is the bare cavity's, the same
+    # as with any natural width, and is found without a warning
+    import warnings
+    references = []
+    for width in (0.0, 6.0666):
+        cfg, out = tmp_path / f"cfg{width}.json", tmp_path / f"out{width}"
+        cfg.write_text(json.dumps({"memory": {"cooperativity": 0,
+                                              "intermediate_natural_fwhm_mhz": width}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg), "--out", str(out), "store"]) == 0
+        references.append(json.loads((out / "store_summary.json").read_text())
+                          ["reference_counts"])
+    assert math.isfinite(references[0]) and references[0] > 0
+    assert references[0] == references[1]
+
+
 def test_cli_store_signal_without_photons_exits_3(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pulses": {"signal": {"energy": 0.0}}}))

@@ -776,6 +776,62 @@ def test_zero_length_drive_free_leg_keeps_state_bits():
     assert np.all(integrals[:, 1::2] > 0)
 
 
+def _carry_lanes(seed, size=16):
+    """The rates (see memory._rates), kappa_ext and kernel of `size` random
+    lanes, and a random state of each."""
+    from cavmem.memory import _pulse_par_arrays, _rates
+    signals, writes, reads = random_lanes(np.random.default_rng(seed), size)
+    par = _pulse_par_arrays(CFG, signals, writes, reads, 0.0)
+    rng = np.random.default_rng(seed + 1)
+    y = rng.normal(size=(3, size)) + 1j * rng.normal(size=(3, size))
+    return _rates(par), par["kappa_ext"], par["kernel"], y
+
+
+def test_carry_over_nothing_keeps_the_state_and_books_nothing():
+    from cavmem.memory import _carry
+    rates, kappa_ext, _, y = _carry_lanes(41)
+    zero = np.zeros(16)
+    y_end, booked = _carry(y, rates, kappa_ext, zero, zero, 1)
+    assert y_end.tobytes() == y.tobytes()
+    assert booked.shape == (6, 16) and not np.any(booked)
+
+
+def test_carry_split_anywhere_equals_the_unsplit_span():
+    # with a kernel of 1, where t_mid splits a span moves only which of its
+    # output is leak and which retrieved
+    from cavmem.memory import _carry
+    rates, kappa_ext, _, y = _carry_lanes(43)
+    rng = np.random.default_rng(44)
+    span = rng.uniform(0.5, 20.0, 16)
+    whole, booked = _carry(y, rates, kappa_ext, span, np.zeros(16), 1)
+    assert not np.any(booked[1])
+    # the state's rounding grows with the phase |s| span that the span turns
+    # through, up to 2000 rad here: e^{s t1} e^{s t2} is not e^{s (t1 + t2)}
+    eps = np.finfo(float).eps
+    turn = np.abs(np.concatenate([rates[0], rates[2]])).max(axis=0) * span
+    for share in (0.0, 1e-3, 0.25, 0.5, 0.999, 1.0, rng.uniform(size=16)):
+        before = share * span
+        split, parts = _carry(y, rates, kappa_ext, before, span - before, 1)
+        assert np.all(np.abs(split - whole)
+                      <= 4 * eps * (1 + turn) * np.abs(whole).max(axis=0))
+        assert np.all(np.abs(parts[0] + parts[1] - booked[0]) <= 10 * eps * booked[0])
+        assert np.all(np.abs(parts[2:5] - booked[2:5]) <= 10 * eps * booked[2:5])
+        assert not np.any(parts[5])
+
+
+def test_carry_books_the_excitation_that_the_kernel_removes():
+    from cavmem.memory import _carry, _free_evolution
+    rates, kappa_ext, kernel, y = _carry_lanes(45)
+    before, after = np.linspace(0.0, 8.0, 16), np.linspace(3.0, 0.0, 16)
+    spin_mid = _free_evolution(y, *rates[:3], before)[0][2]
+    _, booked = _carry(y, rates, kappa_ext, before, after, kernel)
+    assert np.all(np.abs(kernel) < 1)
+    assert booked[5].tobytes() == (np.abs(spin_mid) ** 2 * (1 - np.abs(kernel) ** 2)).tobytes()
+    # the kernel removes what S loses there, and nothing else
+    assert np.allclose(booked[5] + np.abs(spin_mid * kernel) ** 2, np.abs(spin_mid) ** 2,
+                       rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize("scan", [lifetime_scan, energy_scan, bandwidth_scan])
 def test_scan_of_empty_grid_is_empty(scan):
     effs = scan(CFG, SIG, WRITE, READ, [], dt_ns=0.02)
