@@ -180,20 +180,20 @@ def clebsch_gordan(j1: float, m1: float, j2: float, m2: float,
     if abs(m1) > j1 + 1e-9 or abs(m2) > j2 + 1e-9 or abs(m3) > j3 + 1e-9:
         return 0.0
 
-    def fact(x: float) -> float | None:
-        n = int(round(x))
-        return None if n < 0 else math.factorial(n)
+    def fact(x: float) -> int:
+        return math.factorial(int(round(x)))
 
     pref = ((2 * j3 + 1) * fact(j3 + j1 - j2) * fact(j3 - j1 + j2)
             * fact(j1 + j2 - j3) / fact(j1 + j2 + j3 + 1))
     pref *= (fact(j3 + m3) * fact(j3 - m3) * fact(j1 - m1) * fact(j1 + m1)
              * fact(j2 - m2) * fact(j2 + m2))
+    # the k at which no factorial below has a negative argument
+    lo = int(round(max(0, j2 - j3 - m1, j1 - j3 + m2)))
+    hi = int(round(min(j1 + j2 - j3, j1 - m1, j2 + m2)))
     total = 0.0
-    for k in range(0, int(round(2 * (j1 + j2 + j3))) + 1):
+    for k in range(lo, hi + 1):
         denoms = [fact(k), fact(j1 + j2 - j3 - k), fact(j1 - m1 - k),
                   fact(j2 + m2 - k), fact(j3 - j2 + m1 + k), fact(j3 - j1 - m2 + k)]
-        if any(d is None for d in denoms):
-            continue
         total += (-1) ** k / math.prod(denoms)
     return math.sqrt(pref) * total
 

@@ -27,6 +27,8 @@ from .errors import CavmemError, ConfigError, DomainError, NumericalError
 
 # rows per block of _write_csv, which bounds the text held at once
 _CSV_BLOCK_ROWS = 4096
+# most float texts that _write_csv keeps for later blocks, about 3 MB
+_CSV_MEMO_CAP = 8 * _CSV_BLOCK_ROWS
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:
@@ -34,27 +36,64 @@ def _write_csv(path: str, header: list[str], columns) -> None:
     does.  Floats are written with repr, the shortest text that parses back to
     the identical double, so tables round-trip losslessly; integers with str."""
     is_float = [c.dtype.kind == "f" for c in columns]
+    rows = len(columns[0])
+    # a table of one block keeps no memo
+    memo = (np.empty(0, np.int64), np.empty(0, object)) if rows > _CSV_BLOCK_ROWS else None
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for k in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        for k in range(0, rows, _CSV_BLOCK_ROWS):
             block = [c[k:k + _CSV_BLOCK_ROWS] for c in columns]
-            texts = iter(_repr_columns([c for c, f in zip(block, is_float) if f]))
-            cells = [next(texts) if f else map(str, c.tolist())
-                     for c, f in zip(block, is_float)]
+            texts, memo = _repr_columns([c for c, f in zip(block, is_float) if f], memo,
+                                        k + _CSV_BLOCK_ROWS < rows)
+            texts = iter(texts)
+            cells = [next(texts) if f else _str_column(c) for c, f in zip(block, is_float)]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def _repr_columns(columns: list) -> list:
-    """The repr text of each equal-length float column, each distinct value
-    formatted once.  Values are keyed by their bits, so 0.0 and -0.0 stay
-    apart and equal keys have equal text; the axes of a grid expanded by
-    np.repeat and np.tile share one set of strings."""
+def _repr_columns(columns: list, memo, more: bool) -> tuple[list, tuple | None]:
+    """The repr text of each equal-length float column, and the memo for the
+    next block.  Values are keyed by their bits, so 0.0 and -0.0 stay apart
+    and equal keys have equal text.  memo is None or (keys, texts), the
+    sorted bits that earlier blocks of the table formatted beside their
+    text: a block formats only the distinct values that it misses there,
+    and adds them while the memo is under _CSV_MEMO_CAP and `more` blocks
+    follow.  A block that finds no hit drops the memo, so a table whose
+    values are all distinct pays one insert and one lookup."""
     if not columns:
-        return []
+        return [], memo
     values = np.concatenate(columns, dtype=np.float64)
     keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-    return text[inverse].reshape(len(columns), -1).tolist()
+    if memo is None or not len(memo[0]):
+        text = _reprs(keys)
+        missed = slice(None)
+    else:
+        known, known_text = memo
+        at = np.searchsorted(known, keys)
+        hit = known[np.minimum(at, len(known) - 1)] == keys
+        if not hit.any():
+            memo = None
+        text = np.empty(len(keys), dtype=object)
+        text[hit] = known_text[at[hit]]
+        missed = ~hit
+        text[missed] = _reprs(keys[missed])
+    if memo is not None and more and len(memo[0]) < _CSV_MEMO_CAP:
+        known, known_text = memo
+        new = keys[missed][:_CSV_MEMO_CAP - len(known)]
+        at = np.searchsorted(known, new)
+        memo = (np.insert(known, at, new), np.insert(known_text, at, text[missed][:len(new)]))
+    return text[inverse].reshape(len(columns), -1).tolist(), memo
+
+
+def _reprs(keys: np.ndarray) -> np.ndarray:
+    """The repr text of each float whose bits are `keys`."""
+    return np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+
+
+def _str_column(column: np.ndarray) -> list:
+    """The str text of each value of an integer column, each distinct value
+    formatted once."""
+    keys, inverse = np.unique(column, return_inverse=True)
+    return np.array(list(map(str, keys.tolist())), dtype=object)[inverse].tolist()
 
 
 def _write_json(path: str, payload: dict, cfg: ExperimentConfig) -> None:

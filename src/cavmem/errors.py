@@ -44,6 +44,8 @@ def _field_kinds(cls) -> tuple:
 
 def _holds(value, kind, optional: bool) -> bool:
     """Whether value is what a field of this kind admits."""
+    if isinstance(value, float):    # np.float64 too, without the ABC checks below
+        return kind is numbers.Real and math.isfinite(value)
     if value is None:
         return optional
     if isinstance(value, bool):

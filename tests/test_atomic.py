@@ -574,6 +574,52 @@ def test_clebsch_gordan_against_known_values():
     assert clebsch_gordan(0.5, 0.5, 1, 1, 1.5, 1.5) == pytest.approx(1.0)
 
 
+def _clebsch_gordan_every_k(j1, m1, j2, m2, j3, m3):
+    """The Racah sum over every k from 0 to 2(j1 + j2 + j3), skipping each
+    term with a negative factorial argument."""
+    if abs(m1 + m2 - m3) > 1e-9:
+        return 0.0
+    if j3 < abs(j1 - j2) - 1e-9 or j3 > j1 + j2 + 1e-9:
+        return 0.0
+    if abs(m1) > j1 + 1e-9 or abs(m2) > j2 + 1e-9 or abs(m3) > j3 + 1e-9:
+        return 0.0
+
+    def fact(x):
+        n = int(round(x))
+        return None if n < 0 else math.factorial(n)
+
+    pref = ((2 * j3 + 1) * fact(j3 + j1 - j2) * fact(j3 - j1 + j2)
+            * fact(j1 + j2 - j3) / fact(j1 + j2 + j3 + 1))
+    pref *= (fact(j3 + m3) * fact(j3 - m3) * fact(j1 - m1) * fact(j1 + m1)
+             * fact(j2 - m2) * fact(j2 + m2))
+    total = 0.0
+    for k in range(0, int(round(2 * (j1 + j2 + j3))) + 1):
+        denoms = [fact(k), fact(j1 + j2 - j3 - k), fact(j1 - m1 - k),
+                  fact(j2 + m2 - k), fact(j3 - j2 + m1 + k), fact(j3 - j1 - m2 + k)]
+        if any(d is None for d in denoms):
+            continue
+        total += (-1) ** k / math.prod(denoms)
+    return math.sqrt(pref) * total
+
+
+def test_clebsch_gordan_keeps_the_bits_of_the_sum_over_every_k():
+    # the terms that the narrowed k range skips are exactly those with a
+    # negative factorial argument, so the same terms add in the same order;
+    # m3 = m1 + m2 may exceed j3, where both give 0
+    cases = 0
+    for two_j1 in range(9):
+        for two_j2 in range(5):
+            for two_j3 in range(abs(two_j1 - two_j2), two_j1 + two_j2 + 1, 2):
+                for two_m1 in range(-two_j1, two_j1 + 1, 2):
+                    for two_m2 in range(-two_j2, two_j2 + 1, 2):
+                        args = (two_j1 / 2, two_m1 / 2, two_j2 / 2, two_m2 / 2,
+                                two_j3 / 2, (two_m1 + two_m2) / 2)
+                        assert clebsch_gordan(*args).hex() \
+                            == _clebsch_gordan_every_k(*args).hex(), args
+                        cases += 1
+    assert cases == 2321
+
+
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2))
 @settings(max_examples=20, deadline=None)
 def test_clebsch_gordan_orthogonality(two_j1, j2):

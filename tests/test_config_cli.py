@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cavmem import cli
 from cavmem.cli import _write_csv, build_parser, cmd_levels, main
 from cavmem.config import ExperimentConfig
 from cavmem.errors import ConfigError
@@ -222,6 +223,65 @@ def test_write_csv_matches_csv_writer(tmp_path):
             == (tmp_path / f"{name}_ref.csv").read_bytes(), name
     assert b"-0.0," in (tmp_path / "mixed.csv").read_bytes()
     assert b"\r\n-0.0,-0.0," in (tmp_path / "special.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block_rows, cap", [(4096, 1000), (1000, 700)])
+def test_write_csv_matches_csv_writer_past_the_memo_cap(tmp_path, monkeypatch,
+                                                       block_rows, cap):
+    # a memo capped below one block keeps only part of the first block's
+    # values; at 1000 rows a block, later blocks find the memo full and
+    # take nothing, and the all-distinct tables drop it at their second
+    # block and format their later blocks without it
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(cli, "_CSV_MEMO_CAP", cap)
+    test_write_csv_matches_csv_writer(tmp_path)
+
+
+def test_write_csv_memo_size_after_each_block(tmp_path, monkeypatch):
+    # the memo is bounded by its cap, and only a block that more blocks
+    # follow adds to it; a table of one block keeps none, and a block
+    # that finds no hit drops it
+    sizes = []
+    unrecorded = cli._repr_columns
+
+    def recorded(columns, memo, more):
+        texts, memo = unrecorded(columns, memo, more)
+        sizes.append(None if memo is None else len(memo[0]))
+        return texts, memo
+    monkeypatch.setattr(cli, "_repr_columns", recorded)
+    monkeypatch.setattr(cli, "_CSV_MEMO_CAP", 10000)
+    rows = cli._CSV_BLOCK_ROWS
+
+    def sizes_of(n, columns):
+        sizes.clear()
+        _write_csv(str(tmp_path / "t.csv"), ["c"] * len(columns), [c[:n] for c in columns])
+        return sizes
+
+    # each block: the 4 shared values, all hits after the first, and its
+    # own distinct ones
+    shared = np.tile(np.arange(4.0), 10 * rows // 4)
+    distinct = np.arange(10.0 * rows) + 0.5
+    assert sizes_of(10 * rows, [shared, distinct]) == [4100, 8196] + [10000] * 8
+    assert sizes_of(2 * rows, [shared, distinct]) == [4100, 4100]
+    assert sizes_of(rows, [shared, distinct]) == [None]
+    assert sizes_of(3 * rows, [distinct]) == [4096, None, None]
+
+
+def test_write_csv_formats_each_distinct_float_of_a_resmap_once(tmp_path, monkeypatch):
+    # the 301-point resmap spans 23 blocks, and its 22 144 distinct floats
+    # fit the memo, so no value is formatted twice
+    args = build_parser().parse_args(["cavity", "resmap", "--points", "301"])
+    (name, header, columns), _ = args.func(ExperimentConfig(), args)
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return repr(value)
+    monkeypatch.setattr(cli, "repr", counted, raising=False)
+    _write_csv(str(tmp_path / name), header, columns)
+    floats = np.concatenate([c for c in columns if c.dtype.kind == "f"])
+    assert len(calls) == len(np.unique(floats.view(np.int64))) == 22144
+    assert len(columns[0]) > 22 * cli._CSV_BLOCK_ROWS
 
 
 def test_cli_levels_roundtrip(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import numbers
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cavmem.errors import DomainError, NumericalError
+from cavmem.errors import _KINDS, DomainError, NumericalError, _holds
 from cavmem.memory import (CHANNELS, MemoryConfig, PulseShape, bandwidth_scan,
                            batch_efficiency, energy_scan, lifetime_model, lifetime_scan,
                            mean_photon_from_counts, one_over_e_lifetime_ns,
@@ -1308,6 +1309,31 @@ def test_non_finite_inputs_rejected(make, value):
     # once, a NaN cooperativity or signal centre reported an efficiency of 0
     with pytest.raises(DomainError, match="must be finite"):
         make(value)
+
+
+def _holds_by_the_abc_rule(value, kind, optional):
+    """The field rule read through the numbers ABCs alone."""
+    if value is None:
+        return optional
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, kind) and (kind is not numbers.Real or math.isfinite(value))
+
+
+def test_field_rule_verdicts_equal_the_abc_rule():
+    # every kind of field, both optional values, and each value type that
+    # a config or a GA vector hands in, finite or not
+    values = [0.5, -2.0, np.float64(0.5), np.float32(0.5), 3, np.int64(3), True,
+              np.bool_(True), None]
+    for bad in (math.nan, math.inf, -math.inf):
+        values += [bad, np.float64(bad), np.float32(bad)]
+    kinds = {kind for kind, _, _ in _KINDS.values()}
+    assert kinds == {numbers.Real, numbers.Integral, bool}
+    for value in values:
+        for kind in kinds:
+            for optional in (False, True):
+                assert _holds(value, kind, optional) \
+                    == _holds_by_the_abc_rule(value, kind, optional), (value, kind, optional)
 
 
 def test_line_amplitudes_both_zero_refused():

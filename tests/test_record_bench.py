@@ -33,6 +33,12 @@ def test_record_holds_the_pinned_fingerprints(record):
     steps, pinned = _PINNED_BATCHES[5, 48]
     assert prints["pinned_batch"] == {"loop_steps": steps, "sha256": pinned}
     assert round(prints["criterion_5_separation_mhz"], 1) == 246.9
+    # the bytes of `cavmem cavity resmap --points 301`'s CSV
+    assert prints["resmap_csv_sha256"] \
+        == "dfee51019fbed3c53c5848285e2b230e4c9bd7ce92d919542ab4aa09bb9696ec"
+    assert set(prints) == {"objective", "store", "lifetime_scan", "bandwidth_scan",
+                           "slice_ga", "doppler_fit", "criterion_5_separation_mhz",
+                           "pinned_batch", "resmap_csv_sha256"}
     assert set(record["environment"]) == {"python", "numpy", "scipy", "cpus"}
 
 
@@ -48,7 +54,7 @@ def test_record_times_every_other_layer(record):
     assert set(timings) == {"eigh_blockwise_ms", "transition_lines_ms",
                             "one_photon_spectrum_ms", "ga_generation_ms",
                             "doppler_fit_ms", "bandwidth_scan_ms", "store_ms",
-                            "lifetime_scan_ms"}
+                            "lifetime_scan_ms", "resmap_csv_ms"}
     assert all(value > 0 for value in timings.values())
 
 

@@ -9,15 +9,17 @@ The record holds four sections:
 - `fingerprints`: the GA objective at one vector, the default `store` run's
   total efficiency and photon-closure residual, three lifetime-scan points,
   four bandwidth-scan points, the best of a 4-generation slice GA, the
-  noise-free default Doppler fit, criterion 5's two-line separation and the
-  sha256 of every array of a pinned random 48-lane batch;
+  noise-free default Doppler fit, criterion 5's two-line separation, the
+  sha256 of every array of a pinned random 48-lane batch and the sha256 of
+  the 301-point `cavity resmap` table's CSV bytes;
 - `timings`: per-layer times, which vary from run to run and are never
   compared with `==`: one RK4 loop step at 1, 24 and 192 lanes, the
   blockwise eigensolve over 1024 fields, `transition_lines`,
   `one_photon_spectrum`, one GA generation, one Doppler fit, the
-  four-point bandwidth scan, the default `store` run and a 48-point
-  lifetime scan.  Each is read on the throttle-corrected clock of
-  `perfbench/throttle.py`, which a probe drives while the timings run, as
+  four-point bandwidth scan, the default `store` run, a 48-point
+  lifetime scan and the writing of the 301-point resmap CSV.  Each is read
+  on the throttle-corrected clock of `perfbench/throttle.py`, which a probe
+  drives while the timings run, as
   perfbench reads its own times, so that records taken under different
   host load compare;
 - `raw_timings`: the same timings as wall times;
@@ -39,6 +41,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -48,7 +51,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from cavmem import atomic, fitting, memory, optimize, vapour  # noqa: E402
+from cavmem import atomic, cli, fitting, memory, optimize, vapour  # noqa: E402
 from cavmem.config import ExperimentConfig  # noqa: E402
 
 OBJECTIVE_VECTOR = [0.0, 0.2, 5.0, -0.1, 1.5, 1.6, 12.5, 2.7]
@@ -56,6 +59,7 @@ LIFETIMES_NS = [20.0, 60.0, 104.0]
 BANDWIDTH_FWHMS_NS = [0.6, 1.0, 1.5, 3.0]
 SCAN_LIFETIMES_NS = np.linspace(8.0, 104.0, 48)   # the timed lifetime scan's
 DOPPLER_GRID = np.linspace(-12.0, 4.0, 400)     # the spectroscopy workload's
+RESMAP_ARGV = ["cavity", "resmap", "--points", "301"]   # the spectroscopy workload's
 
 
 def _store(ec: ExperimentConfig) -> dict:
@@ -74,6 +78,29 @@ def _bandwidth_scan(ec: ExperimentConfig) -> dict:
                                  ec.pulse("write"), ec.pulse("read"),
                                  BANDWIDTH_FWHMS_NS, dt_ns=0.02)
     return dict(zip(map(repr, BANDWIDTH_FWHMS_NS), effs.tolist()))
+
+
+def _resmap_table(ec: ExperimentConfig) -> tuple:
+    """The header and columns of the CSV table of `cavmem` RESMAP_ARGV."""
+    args = cli.build_parser().parse_args(RESMAP_ARGV)
+    (_, header, columns), _ = args.func(ec, args)
+    return header, columns
+
+
+def _csv_timing(header: list, columns: list):
+    """A timing of `cli._write_csv` of this table to a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        return _timed(lambda: cli._write_csv(path, header, columns))
+
+
+def _resmap_csv_sha256(ec: ExperimentConfig) -> str:
+    """The sha256 of the bytes that `cavmem` RESMAP_ARGV writes as its CSV."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cavity_resmap.csv")
+        cli._write_csv(path, *_resmap_table(ec))
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _perfbench(name: str):
@@ -183,8 +210,9 @@ def layer_timings(ec: ExperimentConfig) -> dict:
     generation, a 2-generation `run_ga` at the configured settings divided
     by the 3 populations it evaluates; the default Doppler fit; the
     bandwidth-scan fingerprint; the store fingerprint's run, the default
-    `store` at dt 0.01; and the default pulses' lifetime scan over
-    SCAN_LIFETIMES_NS at dt 0.02."""
+    `store` at dt 0.01; the default pulses' lifetime scan over
+    SCAN_LIFETIMES_NS at dt 0.02; and `cli._write_csv` of the RESMAP_ARGV
+    table, whose columns are computed once beforehand."""
     fields = np.linspace(0.0, 300.0, 1024)
     manifolds = atomic.all_manifolds()
     lower, upper = (atomic.manifold_spec(m) for m in ("5S1/2", "5P3/2"))
@@ -209,6 +237,7 @@ def layer_timings(ec: ExperimentConfig) -> dict:
             lambda: memory.lifetime_scan(ec.memory_config(), ec.pulse("signal"),
                                          ec.pulse("write"), ec.pulse("read"),
                                          SCAN_LIFETIMES_NS, dt_ns=0.02)),
+        "resmap_csv_ms": _csv_timing(*_resmap_table(ec)),
     }
 
 
@@ -228,6 +257,7 @@ def record() -> dict:
         "doppler_fit": _doppler_fit(ec),
         "criterion_5_separation_mhz": atomic.criterion_5_lines()[1],
         "pinned_batch": pinned_batch(5, 48),
+        "resmap_csv_sha256": _resmap_csv_sha256(ec),
     }
     throttle = _perfbench("throttle")
     probe = throttle.Probe()
