@@ -135,8 +135,8 @@ class DualResonanceMap:
     resonant_pairs: list[tuple[float, float]]  # dual-resonant, two-photon points
 
 
-def dual_resonance_map(params: CavityParams, signal_grid_ghz, control_grid_ghz,
-                       mask_tol_ghz: float | None = None) -> DualResonanceMap:
+def dual_resonance_map(params: CavityParams, signal_grid_ghz,
+                       control_grid_ghz) -> DualResonanceMap:
     """Product of signal/control buildup factors plus the delta = -Delta overlay.
 
     The resonant pairs are the (Delta, delta) points where both carriers sit on
@@ -150,12 +150,10 @@ def dual_resonance_map(params: CavityParams, signal_grid_ghz, control_grid_ghz,
     b_sig = buildup_factor(params, sig - params.mode_offset_signal_ghz)
     b_ctl = buildup_factor(params, ctl - params.mode_offset_control_ghz)
     buildup = np.outer(b_sig, b_ctl)
-    if mask_tol_ghz is None:
-        # the grid spacing, in either direction
-        step = max(np.min(np.abs(np.diff(sig))) if sig.size > 1 else params.fsr_ghz,
-                   np.min(np.abs(np.diff(ctl))) if ctl.size > 1 else params.fsr_ghz)
-        mask_tol_ghz = 0.5 * step
-    mask = np.abs(sig[:, None] + ctl[None, :]) <= mask_tol_ghz
+    # half the grid spacing, in either direction
+    step = max(np.min(np.abs(np.diff(sig))) if sig.size > 1 else params.fsr_ghz,
+               np.min(np.abs(np.diff(ctl))) if ctl.size > 1 else params.fsr_ghz)
+    mask = np.abs(sig[:, None] + ctl[None, :]) <= 0.5 * step
 
     fsr = params.fsr_ghz
     pairs = []

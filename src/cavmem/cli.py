@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -272,7 +273,10 @@ def cmd_optimize(cfg: ExperimentConfig, args):
             ("optimize_settings.json", {
                 "seed": seed, **asdict(settings),
                 **{f"drift_{k}": v for k, v in asdict(drift).items()},
-                "bounds": trace.space.bounds}))
+                "bounds": trace.space.bounds,
+                "bound_violations": trace.bound_violations,
+                # each distinct fault message, counted, in order of first occurrence
+                "faults": dict(Counter(trace.faults))}))
 
 
 def cmd_fit(cfg: ExperimentConfig, args):

@@ -3,7 +3,8 @@
 The engine is a damped Gauss-Newton (Levenberg-Marquardt style) minimizer of
 sum (y_i - model(x_i; theta))^2 with central-difference numeric Jacobians and
 box constraints by step clipping; a parameter that the descent would push
-past its bound is held there, out of the solve.  Deterministic given its
+past its bound is held there, out of the solve.  Every fit runs in a box: an
+unbounded one in the infinite box (-inf, inf).  Deterministic given its
 inputs; accepted iterations never increase the residual norm.
 """
 
@@ -50,12 +51,9 @@ def _numeric_jacobian(model, x, theta, bounds):
     for k in range(n):
         step = JACOBIAN_REL_STEP * max(abs(theta[k]), 1.0)
         tp, tm = theta.copy(), theta.copy()
-        tp[k] += step
-        tm[k] -= step
-        if bounds is not None:
-            # keep the stencil inside the box (one-sided at an active bound)
-            tp[k] = min(tp[k], bounds[1][k])
-            tm[k] = max(tm[k], bounds[0][k])
+        # keep the stencil inside the box (one-sided at an active bound)
+        tp[k] = min(tp[k] + step, bounds[1][k])
+        tm[k] = max(tm[k] - step, bounds[0][k])
         denom = tp[k] - tm[k]
         if denom == 0.0:
             jac[:, k] = 0.0
@@ -64,37 +62,27 @@ def _numeric_jacobian(model, x, theta, bounds):
     return jac
 
 
-def _clip(theta, bounds):
-    if bounds is None:
-        return theta
-    lo, hi = bounds
-    return np.clip(theta, lo, hi)
-
-
 def _free(theta, grad, bounds):
-    """The mask of the parameters free to step, or None when every one is.
+    """The mask of the parameters free to step.
 
     A parameter on a bound is held there while the descent direction, the
     gradient J^T r of -cost / 2, points out of the box: a step for it
     would be clipped back, and the others would take the step solved as if
     it had moved.
     """
-    if bounds is None:
-        return None
     lo, hi = bounds
-    held = ((theta <= lo) & (grad < 0)) | ((theta >= hi) & (grad > 0))
-    return ~held if held.any() else None
+    return ~(((theta <= lo) & (grad < 0)) | ((theta >= hi) & (grad > 0)))
 
 
 def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
     """Minimize sum (y - model(x, theta))^2 from `initial`.
 
     model(x_array, theta_array) -> y_array must be vectorized over x.
-    bounds, when given, is (lower_array, upper_array); trial steps are
-    clipped into the box, a parameter on a bound that the descent points
-    past is held there (see _free), and each parameter that ends on its
-    lower or upper bound is flagged `at_bound:<name>`.  `names` labels the
-    parameters in the result.
+    bounds is (lower_array, upper_array), and None is the infinite box
+    (-inf, inf); trial steps are clipped into the box, a parameter on a
+    bound that the descent points past is held there (see _free), and each
+    parameter that ends on its lower or upper bound is flagged
+    `at_bound:<name>`.  `names` labels the parameters in the result.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -104,11 +92,10 @@ def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))
             and np.all(np.isfinite(theta))):
         raise DomainError("data and initial parameters must be finite")
-    if bounds is not None:
-        lo, hi = (np.asarray(b, dtype=float) for b in bounds)
-        if np.any(theta < lo) or np.any(theta > hi):
-            raise DomainError("initial point violates the bounds")
-        bounds = (lo, hi)
+    lo, hi = bounds = tuple(np.broadcast_to(np.asarray(b, dtype=float), theta.shape)
+                            for b in (bounds or (-np.inf, np.inf)))
+    if np.any(theta < lo) or np.any(theta > hi):
+        raise DomainError("initial point violates the bounds")
     names = names or [f"p{k}" for k in range(len(theta))]
 
     flags: list[str] = []
@@ -120,27 +107,22 @@ def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
     for it in range(1, MAX_ITERATIONS + 1):
         jac = _numeric_jacobian(model, x, theta, bounds)
         grad = jac.T @ resid
-        jtj = jac.T @ jac
         free = _free(theta, grad, bounds)
-        if free is not None:
-            # the held parameters leave the solve and the gradient test
-            grad, jtj = grad[free], jtj[np.ix_(free, free)]
+        # the held parameters leave the solve and the gradient test
+        grad, jtj = grad[free], (jac.T @ jac)[free][:, free]
         if np.linalg.norm(grad) < GRAD_TOL:
             converged = True
             break
         stepped = False
         for _ in range(25):
+            step = np.zeros_like(theta)      # a held parameter keeps its value
             try:
-                delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj) + 1e-300),
-                                        grad)
+                step[free] = np.linalg.solve(
+                    jtj + lam * np.diag(np.diag(jtj) + 1e-300), grad)
             except np.linalg.LinAlgError:
                 flags.append("singular_jacobian")
-                delta = grad / (np.linalg.norm(jtj) + 1e-300)
-            if free is not None:      # a held parameter keeps its value
-                full = np.zeros_like(theta)
-                full[free] = delta
-                delta = full
-            trial = _clip(theta + delta, bounds)
+                step[free] = grad / (np.linalg.norm(jtj) + 1e-300)
+            trial = np.clip(theta + step, lo, hi)
             r_trial = y - model(x, trial)
             c_trial = float(r_trial @ r_trial)
             if np.isfinite(c_trial) and c_trial <= cost:
@@ -170,10 +152,9 @@ def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
     except np.linalg.LinAlgError:
         flags.append("singular_jacobian")
         sigma = np.full(len(theta), math.inf)
-    if bounds is not None:
-        # a parameter held by its bound is not a free minimum, converged or not
-        flags += [f"at_bound:{name}" for name, value, low, high
-                  in zip(names, theta, *bounds) if not low < value < high]
+    # a parameter held by its bound is not a free minimum, converged or not
+    flags += [f"at_bound:{name}" for name, value, low, high
+              in zip(names, theta, lo, hi) if not low < value < high]
     return FitResult(
         parameters=dict(zip(names, theta.tolist())),
         uncertainties=dict(zip(names, sigma.tolist())),
@@ -198,6 +179,13 @@ def _samples(x_data, y_data):
     if not np.any(x[1:] > x[:-1]):
         raise DomainError("fit data need at least two distinct x values")
     return x, y
+
+
+def _scale(y):
+    """The scale of the data, max(1, max |y|): the box of each parameter that
+    carries the data's scale follows it, and data at unit scale keep the
+    fixed box."""
+    return max(1.0, float(np.max(np.abs(y))))
 
 
 # ------------------------------------------------------------ cavity fit
@@ -237,9 +225,10 @@ def fit_cavity_reflection(detunings_ghz, reflected_power,
         params = cavity.CavityParams(r1=r1, r2=r2, zeta_rt=zeta, fsr_ghz=fsr)
         return amp * cavity.reflection_response(params, xx).reflected_power + off
 
-    init = np.array([fsr0, 0.10, 1.0, 0.0])
-    bounds = (np.array([0.3 * fsr0, 0.0, 0.1, -0.5]),
-              np.array([3.0 * fsr0, 0.9, 10.0, 0.5]))
+    s = _scale(y)
+    init = np.array([fsr0, 0.10, 1.0 * s, 0.0])
+    bounds = (np.array([0.3 * fsr0, 0.0, 0.1 * s, -0.5 * s]),
+              np.array([3.0 * fsr0, 0.9, 10.0 * s, 0.5 * s]))
     return least_squares(model, x, y, init, bounds,
                          names=["fsr_ghz", "zeta_rt", "amplitude", "offset"])
 
@@ -271,9 +260,8 @@ def fit_doppler_absorption(detunings_ghz, transmission,
 
     def model(xx, th):
         b, off, depth = th
-        vap = vapour.VapourParams(temperature_c=temperature_c,
-                                  optical_depth=max(depth, 0.0))
-        return vapour.one_photon_spectrum(vap, max(b, 0.0), polarization, xx - off,
+        vap = vapour.VapourParams(temperature_c=temperature_c, optical_depth=depth)
+        return vapour.one_photon_spectrum(vap, b, polarization, xx - off,
                                           constants=constants)
 
     # coarse deterministic initialization over the plausible field range
@@ -327,8 +315,10 @@ def fit_lifetime(times_ns, efficiencies,
                                      omega_rad_ns=om)
 
     init = np.array([0.012, omega0 if beat_resolved else 0.5, a0, b0])
+    # the efficiency is quadratic in the amplitudes
+    root_s = math.sqrt(_scale(y))
     bounds = (np.array([0.0, 0.0, 0.0, 0.0]),
-              np.array([0.2, 10.0, 2.0, 2.0]))
+              np.array([0.2, 10.0, 2.0 * root_s, 2.0 * root_s]))
     fit = least_squares(model, t, y, init, bounds,
                         names=["nu_prime_ghz", "omega_rad_ns", "amp_main", "amp_beat"])
     if not beat_resolved:
@@ -365,9 +355,10 @@ def fit_gaussian_line(x_data, y_data) -> FitResult:
                                     / max(fwhm, 1e-12) ** 2)
 
     span = x.max() - x.min()
+    s = _scale(y)
     init = np.array([center0, max(fwhm0, span / 100), depth0, off0])
-    bounds = (np.array([x.min(), span / 1000, 0.0, -10.0]),
-              np.array([x.max(), span * 2, 10.0, 10.0]))
+    bounds = (np.array([x.min(), span / 1000, 0.0, -10.0 * s]),
+              np.array([x.max(), span * 2, 10.0 * s, 10.0 * s]))
     fit = least_squares(model, x, y, init, bounds,
                         names=["center", "fwhm", "depth", "offset"])
     if fit["depth"] < 3.0 * fit.uncertainties["depth"]:

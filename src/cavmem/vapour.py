@@ -30,7 +30,8 @@ _DEPTH_CALIBRATION_T_C = 85.0
 _DEPTH_CALIBRATION_L_MM = 6.0
 _DEPTH_CALIBRATION_VALUE = 200.0
 
-# grid points per block of one_photon_spectrum, the CLI's CSV block size
+# grid points per block of one_photon_spectrum: a block bounds the (lines,
+# points) temporaries, so a long grid costs no more memory than this many points
 _BLOCK_POINTS = 4096
 
 

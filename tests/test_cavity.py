@@ -167,7 +167,7 @@ def test_dual_resonance_spot_spacing():
 
 def test_two_photon_mask_is_antidiagonal():
     grid = np.linspace(-5, 5, 201)
-    m = dual_resonance_map(PAPER, grid, grid, mask_tol_ghz=1e-9)
+    m = dual_resonance_map(PAPER, grid, grid)
     rows, cols = np.nonzero(m.two_photon_mask)
     for r, c in zip(rows, cols):
         assert grid[r] + grid[c] == pytest.approx(0.0, abs=1e-9)

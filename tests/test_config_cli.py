@@ -660,6 +660,35 @@ def test_cli_optimize_zero_generations_equivalent(tmp_path):
     assert doc["provenance"] == cfg.provenance()
 
 
+def test_cli_optimize_summary_counts_its_faults(tmp_path):
+    # write/read delays no longer than the pulses' widths make most settings
+    # overlap, and signals narrower than four steps are not resolved; the
+    # summary counts each fault message as the API run does
+    from collections import Counter
+    from dataclasses import replace
+
+    from cavmem.optimize import run_ga
+    doc = {"optimizer": {"population": 8, "bounds": {
+        "write_read_delay_ns": [1.0, 4.0, 1e-3], "write_fwhm_ns": [1.0, 3.0, 1e-3],
+        "read_fwhm_ns": [1.0, 3.0, 1e-3], "signal_fwhm_ns": [0.02, 0.1, 1e-3]}}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "optimize",
+                 "--generations", "2", "--seed", "4"]) == 0
+    summary = json.loads((tmp_path / "optimize_settings.json").read_text())
+    cfg = ExperimentConfig.from_dict(doc)
+    trace = run_ga(cfg.parameter_space(), cfg.memory_config(), cfg.drift_model(),
+                   replace(cfg.ga_settings(), generations=2), 4)
+    assert list(summary["faults"]) == ["a pulse too narrow for the grid at dt 0.02 ns",
+                                       "read/write overlap"]
+    assert summary["faults"] == dict(Counter(trace.faults))
+    assert list(summary["faults"]) == list(dict.fromkeys(trace.faults))
+    assert summary["bound_violations"] == trace.bound_violations
+    # the diagnostics stay out of the trace table
+    header, _ = read_csv(tmp_path / "optimize_trace.csv")
+    assert "faults" not in header and "bound_violations" not in header
+
+
 def test_cli_fit_roundtrip_cavity(tmp_path):
     # emitted cavity scan re-ingested by the fitter
     assert main(["--out", str(tmp_path), "cavity", "scan",
@@ -699,6 +728,23 @@ def test_cli_fit_roundtrip_lifetime(tmp_path):
     fit = json.loads((tmp_path / "fit_lifetime.json").read_text())
     assert fit["parameters"]["nu_prime_ghz"] * 1e3 == pytest.approx(12.6, abs=0.7)
     assert fit["parameters"]["amp_main"] == pytest.approx(0.51, abs=0.03)
+
+
+def test_cli_fit_of_a_lifetime_scan_in_percent(tmp_path):
+    # the amplitudes' box follows the data's scale: efficiencies in percent
+    # once started outside it and exited 3
+    assert main(["--out", str(tmp_path), "scan", "lifetime", "--points", "40"]) == 0
+    header, rows = read_csv(tmp_path / "scan_lifetime.csv")
+    percent = tmp_path / "percent.csv"
+    _write_csv(str(percent), header, [rows[:, 0], 100.0 * rows[:, 1]])
+    unit = _fit_doc(tmp_path / "unit", "lifetime", tmp_path / "scan_lifetime.csv")
+    scaled = _fit_doc(tmp_path / "percent", "lifetime", percent)
+    assert scaled["flags"] == unit["flags"] == []
+    unit, scaled = unit["parameters"], scaled["parameters"]
+    for name in ("nu_prime_ghz", "omega_rad_ns"):
+        assert scaled[name] == pytest.approx(unit[name], rel=1e-9)
+    for name in ("amp_main", "amp_beat"):
+        assert scaled[name] == pytest.approx(10.0 * unit[name], rel=1e-9)
 
 
 def _fit_via_cli(tmp_path, model, x, y, override=None):

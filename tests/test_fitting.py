@@ -86,7 +86,7 @@ def test_numeric_jacobian_matches_central_differences():
 
     x = np.linspace(0, 4, 17)
     theta = np.array([1.5, 0.8, 0.2])
-    jac = _numeric_jacobian(model, x, theta, None)
+    jac = _numeric_jacobian(model, x, theta, (np.full(3, -np.inf), np.full(3, np.inf)))
     for k in range(3):
         step = 1e-6 * max(abs(theta[k]), 1.0)
         tp, tm = theta.copy(), theta.copy()
@@ -94,6 +94,60 @@ def test_numeric_jacobian_matches_central_differences():
         tm[k] -= step
         col = (model(x, tp) - model(x, tm)) / (2 * step)
         assert np.allclose(jac[:, k], col, rtol=1e-6, atol=1e-12)
+
+
+def test_initial_point_outside_the_box_refused():
+    x = np.linspace(0, 10, 25)
+    for initial in ([-0.1], [3.5]):
+        with pytest.raises(DomainError, match="initial point violates the bounds"):
+            least_squares(lambda xx, th: th[0] * xx, x, 2.0 * x, initial,
+                          bounds=([0.0], [3.0]))
+
+
+def test_parameter_pinned_by_equal_bounds_keeps_its_value():
+    # lo == hi gives the stencil no width: its Jacobian column is zero, the
+    # covariance singular
+    x = np.linspace(0, 4, 30)
+
+    def model(xx, th):
+        return th[0] * np.exp(-th[1] * xx)
+
+    fit = least_squares(model, x, model(x, np.array([1.5, 0.8])), [1.0, 0.7],
+                        bounds=([0.0, 0.7], [10.0, 0.7]), names=["a", "k"])
+    assert fit["k"] == 0.7
+    assert "at_bound:k" in fit.flags and "at_bound:a" not in fit.flags
+    assert "singular_jacobian" in fit.flags
+    assert fit.uncertainties == {"a": math.inf, "k": math.inf}
+
+
+def test_parameter_that_the_model_ignores_leaves_the_covariance_singular():
+    x = np.linspace(0, 10, 25)
+    fit = least_squares(lambda xx, th: th[0] * xx, x, 2.0 * x, [0.7, 5.0],
+                        names=["a", "unused"])
+    assert fit["a"] == pytest.approx(2.0, abs=1e-10)
+    assert fit["unused"] == 5.0
+    assert "singular_jacobian" in fit.flags
+    assert fit.uncertainties == {"a": math.inf, "unused": math.inf}
+
+
+def _exponential(xx, th):
+    return th[0] * np.exp(-th[1] * xx) + th[2]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_no_bounds_is_the_infinite_box_and_a_box_never_reached(seed):
+    # None, explicit infinite bounds and a finite box that the descent never
+    # reaches run the same arithmetic, so their results are equal
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0, 4, 60)
+    truth = rng.uniform([0.5, 0.3, -0.2], [2.0, 1.5, 0.2])
+    y = _exponential(x, truth) + rng.normal(0, 0.01, len(x))
+    fits = [least_squares(_exponential, x, y, [1.0, 1.0, 0.0], bounds=bounds)
+            for bounds in (None, (np.full(3, -np.inf), np.full(3, np.inf)),
+                           ([-1e3] * 3, [1e3] * 3))]
+    assert fits[0].converged and fits[0].flags == []
+    assert fits[1] == fits[0]
+    assert fits[2] == fits[0]
 
 
 def test_requires_more_data_than_parameters():
@@ -169,6 +223,27 @@ def test_cavity_fit_rejects_featureless_trace():
     y = reflection_response(CavityParams(), x).reflected_power
     with pytest.raises(DomainError):
         fit_cavity_reflection(x, y)
+
+
+def test_cavity_fit_refuses_a_flat_trace():
+    # a flat trace has no autocorrelation below zero, so no dip spacing
+    with pytest.raises(DomainError, match="at least one free spectral range"):
+        fit_cavity_reflection(np.linspace(-12.0, 12.0, 200), np.full(200, 0.7))
+
+
+@pytest.mark.parametrize("scale", [20.0, 100.0])
+def test_cavity_fit_follows_the_scale_of_its_data(scale):
+    # the amplitude and offset boxes scale with max |y|; the fixed box of
+    # unit-scale data once bound all four parameters of a trace x100
+    x = np.linspace(-12.0, 12.0, 1200)
+    y = reflection_response(CavityParams(), x).reflected_power
+    offset = 0.3 * scale
+    fit = fit_cavity_reflection(x, scale * y + offset)
+    assert fit["fsr_ghz"] == pytest.approx(8.3, rel=1e-6)
+    assert fit["zeta_rt"] == pytest.approx(0.135, rel=1e-6)
+    assert fit["amplitude"] == pytest.approx(scale, rel=1e-6)
+    assert fit["offset"] == pytest.approx(offset, rel=1e-6)
+    assert fit.flags == []
 
 
 # ------------------------------------------------------------ doppler fit
@@ -263,6 +338,21 @@ def test_lifetime_fit_degenerate_beat_flagged():
     assert fit["nu_prime_ghz"] * 1e3 == pytest.approx(12.6, abs=1.0)
 
 
+@pytest.mark.parametrize("scale", [20.0, 100.0])
+def test_lifetime_fit_follows_the_scale_of_its_data(scale):
+    # the efficiency is quadratic in the amplitudes, whose box scales with
+    # sqrt(max |y|); efficiencies in percent were once refused outright
+    t = np.arange(5.0, 100.0, 0.5)
+    eta = lifetime_model(t, nu_prime_ghz=0.0126, amp_main=0.51, amp_beat=0.038,
+                         omega_rad_ns=TWO_PI * 0.171)
+    fit = fit_lifetime(t, scale * eta)
+    assert fit["nu_prime_ghz"] == pytest.approx(0.0126, rel=1e-6)
+    assert fit["omega_rad_ns"] == pytest.approx(TWO_PI * 0.171, rel=1e-6)
+    assert fit["amp_main"] == pytest.approx(0.51 * math.sqrt(scale), rel=1e-6)
+    assert fit["amp_beat"] == pytest.approx(0.038 * math.sqrt(scale), rel=1e-6)
+    assert fit.flags == []
+
+
 def test_lifetime_fit_requires_span():
     with pytest.raises(DomainError):
         fit_lifetime([1.0, 1.5], [0.3, 0.29])
@@ -314,6 +404,46 @@ def test_gaussian_line_width_sweep():
         y = y + rng.normal(0, 0.01, len(x))
         fit = fit_gaussian_line(x, y)
         assert fit["fwhm"] == pytest.approx(fwhm, rel=0.02)
+
+
+@pytest.mark.parametrize("scale", [20.0, 100.0])
+def test_gaussian_line_follows_the_scale_of_its_data(scale):
+    # the depth and offset boxes scale with max |y|; a baseline above 10,
+    # as of a transmission in percent, was once refused outright
+    x = np.linspace(-60.0, 60.0, 500)
+    y = 1.0 - 0.55 * np.exp(-4 * math.log(2) * (x - 3.0) ** 2 / 11.8 ** 2)
+    offset = 0.3 * scale
+    fit = fit_gaussian_line(x, scale * y + offset)
+    assert fit["center"] == pytest.approx(3.0, rel=1e-6)
+    assert fit["fwhm"] == pytest.approx(11.8, rel=1e-6)
+    assert fit["depth"] == pytest.approx(0.55 * scale, rel=1e-6)
+    assert fit["offset"] == pytest.approx(scale + offset, rel=1e-6)
+    assert fit.flags == []
+
+
+def test_fits_of_unit_scale_data_keep_the_fixed_box(monkeypatch):
+    # max |y| <= 1 scales nothing: each fit starts from the same point in the
+    # same box as before its box followed the data, so its bits hold
+    import cavmem.fitting as fitting
+    calls = []
+
+    def spy(model, x, y, initial, bounds=None, names=None):
+        calls.append((initial, bounds))
+        return least_squares(model, x, y, initial, bounds, names)
+
+    monkeypatch.setattr(fitting, "least_squares", spy)
+    x = np.linspace(-12.0, 12.0, 1200)
+    fit_cavity_reflection(x, reflection_response(CavityParams(), x).reflected_power)
+    fit_lifetime(*synthetic_lifetime(noise=0.0))
+    fit_gaussian_line(*synthetic_line(noise=0.0))
+    (cav_init, cav_box), (_, life_box), (_, line_box) = calls
+    assert cav_init[2:].tolist() == [1.0, 0.0]
+    assert cav_box[0][1:].tolist() == [0.0, 0.1, -0.5]
+    assert cav_box[1][1:].tolist() == [0.9, 10.0, 0.5]
+    assert life_box[0].tolist() == [0.0] * 4
+    assert life_box[1].tolist() == [0.2, 10.0, 2.0, 2.0]
+    assert line_box[0][2:].tolist() == [0.0, -10.0]
+    assert line_box[1][2:].tolist() == [10.0, 10.0]
 
 
 # ----------------------------------------------- noiseless self-consistency

@@ -37,8 +37,12 @@ def test_record_holds_the_pinned_fingerprints(record):
     assert prints["resmap_csv_sha256"] \
         == "dfee51019fbed3c53c5848285e2b230e4c9bd7ce92d919542ab4aa09bb9696ec"
     assert set(prints) == {"objective", "store", "lifetime_scan", "bandwidth_scan",
-                           "slice_ga", "doppler_fit", "criterion_5_separation_mhz",
+                           "slice_ga", "doppler_fit", "cavity_fit", "lifetime_fit",
+                           "line_fit", "criterion_5_separation_mhz",
                            "pinned_batch", "resmap_csv_sha256"}
+    for key in ("cavity_fit", "lifetime_fit", "line_fit"):
+        assert set(prints[key]) == {"parameters", "residual_norm", "iterations", "flags"}
+        assert prints[key]["flags"] == [], key
     assert set(record["environment"]) == {"python", "numpy", "scipy", "cpus"}
 
 

@@ -9,7 +9,10 @@ The record holds four sections:
 - `fingerprints`: the GA objective at one vector, the default `store` run's
   total efficiency and photon-closure residual, three lifetime-scan points,
   four bandwidth-scan points, the best of a 4-generation slice GA, the
-  noise-free default Doppler fit, criterion 5's two-line separation, the
+  noise-free default Doppler fit, the cavity, lifetime and line fits of
+  seeded noisy data shaped like the `spectroscopy` workload's (each with
+  its parameters, residual norm, iterations and flags), criterion 5's
+  two-line separation, the
   sha256 of every array of a pinned random 48-lane batch and the sha256 of
   the 301-point `cavity resmap` table's CSV bytes;
 - `timings`: per-layer times, which vary from run to run and are never
@@ -51,7 +54,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from cavmem import atomic, cli, fitting, memory, optimize, vapour  # noqa: E402
+from cavmem import atomic, cavity, cli, fitting, memory, optimize, vapour  # noqa: E402
 from cavmem.config import ExperimentConfig  # noqa: E402
 
 OBJECTIVE_VECTOR = [0.0, 0.2, 5.0, -0.1, 1.5, 1.6, 12.5, 2.7]
@@ -59,6 +62,11 @@ LIFETIMES_NS = [20.0, 60.0, 104.0]
 BANDWIDTH_FWHMS_NS = [0.6, 1.0, 1.5, 3.0]
 SCAN_LIFETIMES_NS = np.linspace(8.0, 104.0, 48)   # the timed lifetime scan's
 DOPPLER_GRID = np.linspace(-12.0, 4.0, 400)     # the spectroscopy workload's
+# the spectroscopy workload's grids and noise levels for the other three fits
+CAVITY_GRID = np.linspace(-12.0, 12.0, 1200)
+LIFETIME_GRID = np.arange(5.0, 100.0, 0.5)
+LINE_GRID = np.linspace(-60.0, 60.0, 500)
+FIT_NOISE_SEED = 31
 RESMAP_ARGV = ["cavity", "resmap", "--points", "301"]   # the spectroscopy workload's
 
 
@@ -132,6 +140,26 @@ def _doppler_fit(ec: ExperimentConfig) -> dict:
                                          temperature_c=ec.vapour_params().temperature_c)
     return {"parameters": fit.parameters, "residual_norm": fit.residual_norm,
             "iterations": fit.iterations}
+
+
+def _noisy_fits() -> dict:
+    """The cavity, lifetime and line fits of the default cavity's reflection,
+    the operating point's decay law and a dip of depth 0.55 and FWHM 11.8
+    centred at 3, each with the noise of the `spectroscopy` workload drawn
+    from FIT_NOISE_SEED: 0.01 added, 2% multiplied and 0.01 added."""
+    rng = np.random.default_rng(FIT_NOISE_SEED)
+    y_cav = cavity.reflection_response(cavity.CavityParams(), CAVITY_GRID).reflected_power \
+        + rng.normal(0.0, 0.01, len(CAVITY_GRID))
+    y_life = memory.lifetime_model(LIFETIME_GRID) \
+        * (1 + rng.normal(0.0, 0.02, len(LIFETIME_GRID)))
+    y_line = 1.0 - 0.55 * np.exp(-4 * np.log(2) * (LINE_GRID - 3.0) ** 2 / 11.8 ** 2) \
+        + rng.normal(0.0, 0.01, len(LINE_GRID))
+    fits = {"cavity_fit": fitting.fit_cavity_reflection(CAVITY_GRID, y_cav),
+            "lifetime_fit": fitting.fit_lifetime(LIFETIME_GRID, y_life),
+            "line_fit": fitting.fit_gaussian_line(LINE_GRID, y_line)}
+    return {key: {"parameters": fit.parameters, "residual_norm": fit.residual_norm,
+                  "iterations": fit.iterations, "flags": fit.flags}
+            for key, fit in fits.items()}
 
 
 def random_lanes(rng, size):
@@ -255,6 +283,7 @@ def record() -> dict:
         "bandwidth_scan": _bandwidth_scan(ec),
         "slice_ga": _slice_ga(ec),
         "doppler_fit": _doppler_fit(ec),
+        **_noisy_fits(),
         "criterion_5_separation_mhz": atomic.criterion_5_lines()[1],
         "pinned_batch": pinned_batch(5, 48),
         "resmap_csv_sha256": _resmap_csv_sha256(ec),
