@@ -227,8 +227,9 @@ def fit_cavity_reflection(detunings_ghz, reflected_power,
 
     s = _scale(y)
     init = np.array([fsr0, 0.10, 1.0 * s, 0.0])
-    bounds = (np.array([0.3 * fsr0, 0.0, 0.1 * s, -0.5 * s]),
-              np.array([3.0 * fsr0, 0.9, 10.0 * s, 0.5 * s]))
+    # the offset's box spans the data's range widened by s, so it holds 0
+    bounds = (np.array([0.3 * fsr0, 0.0, 0.1 * s, float(y.min()) - s]),
+              np.array([3.0 * fsr0, 0.9, 10.0 * s, float(y.max()) + s]))
     return least_squares(model, x, y, init, bounds,
                          names=["fsr_ghz", "zeta_rt", "amplitude", "offset"])
 
@@ -339,14 +340,19 @@ def derived_lifetime_metrics(fit: FitResult,
 # ------------------------------------------------------ gaussian line fit
 
 def fit_gaussian_line(x_data, y_data) -> FitResult:
-    """Gaussian absorption dip: centre, FWHM, depth and flat offset."""
+    """Gaussian line: centre, FWHM, depth and flat offset.
+
+    A dip has a positive depth and a peak a negative one; the fit starts at
+    the sample farthest from the median, with the width of the samples
+    beyond half of that excursion.
+    """
     x, y = _samples(x_data, y_data)
     off0 = float(np.median(y))
-    k = int(np.argmin(y))
+    k = int(np.argmax(np.abs(y - off0)))
     depth0 = off0 - float(y[k])
     center0 = float(x[k])
-    below = x[y < off0 - 0.5 * depth0]
-    fwhm0 = float(below.max() - below.min()) if depth0 > 0 and len(below) > 1 \
+    beyond = x[np.sign(depth0) * (off0 - 0.5 * depth0 - y) > 0]
+    fwhm0 = float(beyond.max() - beyond.min()) if len(beyond) > 1 \
         else (x.max() - x.min()) / 4
 
     def model(xx, th):
@@ -357,10 +363,10 @@ def fit_gaussian_line(x_data, y_data) -> FitResult:
     span = x.max() - x.min()
     s = _scale(y)
     init = np.array([center0, max(fwhm0, span / 100), depth0, off0])
-    bounds = (np.array([x.min(), span / 1000, 0.0, -10.0 * s]),
+    bounds = (np.array([x.min(), span / 1000, -10.0 * s, -10.0 * s]),
               np.array([x.max(), span * 2, 10.0 * s, 10.0 * s]))
     fit = least_squares(model, x, y, init, bounds,
                         names=["center", "fwhm", "depth", "offset"])
-    if fit["depth"] < 3.0 * fit.uncertainties["depth"]:
+    if abs(fit["depth"]) < 3.0 * fit.uncertainties["depth"]:
         fit.flags.append("width_unidentifiable")
     return fit

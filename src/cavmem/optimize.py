@@ -191,13 +191,14 @@ def objective(params_vector, config: MemoryConfig, drift_offset_ghz: float = 0.0
     NaN or inf gene raises DomainError.
     """
     vector = _require_finite_genes(params_vector, "parameter vector")
-    vals = _evaluate_batch([vector], config, drift_offset_ghz, dt_ns, faults=None)
+    vals = _evaluate_batch([vector], config, drift_offset_ghz, dt_ns, faults=[])
     return float(vals[0])
 
 
 def _evaluate_batch(vectors, config: MemoryConfig, drift_offset_ghz: float,
                     dt_ns: float, faults) -> np.ndarray:
-    """Batched objective evaluation; failed settings score zero."""
+    """Batched objective evaluation; failed settings score zero, and each
+    failure's message is appended to the list `faults`."""
     signals, writes, reads, ok = [], [], [], []
     for x in vectors:
         try:
@@ -211,8 +212,7 @@ def _evaluate_batch(vectors, config: MemoryConfig, drift_offset_ghz: float,
             reads.append(r)
             ok.append(True)
         except DomainError as exc:
-            if faults is not None:
-                faults.append(str(exc))
+            faults.append(str(exc))
             ok.append(False)
     out = np.zeros(len(vectors))
     out[np.asarray(ok, dtype=bool)] = batch_efficiency(
@@ -253,12 +253,15 @@ def _polynomial_mutation(rng, x, lo, hi, eta, prob):
 
 def run_ga(space: ParameterSpace, config: MemoryConfig, drift: DriftModel,
            settings: GASettings | None = None, seed: int = 12345,
-           initial: np.ndarray | None = None,
            initial_population: np.ndarray | None = None) -> OptimizationTrace:
     """Evolve the pulse parameters against the simulated objective.
 
     Tournament selection on fitness, SBX crossover, polynomial mutation,
-    elitist survivor selection.  With drift disabled the whole population
+    elitist survivor selection.  Generation 0's children are the population
+    drawn from the box, in draw order; `initial_population` (1 to
+    `population` vectors) replaces its first rows.  Every generation then
+    runs the same step: evaluate, add the objective noise, count the bound
+    violations, select and record.  With drift disabled the whole population
     keeps cached fitness values and the running best never decreases; with
     drift enabled everything is re-measured at each iteration's drift offset,
     children and survivors in one batch, so the recorded best can fall as
@@ -270,50 +273,36 @@ def run_ga(space: ParameterSpace, config: MemoryConfig, drift: DriftModel,
     trace = OptimizationTrace(seed=seed, settings=settings, space=space,
                               drift=drift)
 
+    children = rng.uniform(lo, hi, size=(settings.population, len(lo)))
     if initial_population is not None:
-        pop = _require_finite_genes(initial_population, "initial population")
-        if pop.shape != (settings.population, len(lo)):
-            raise DomainError("initial population shape mismatch")
-        pop = np.clip(pop, lo, hi)
-    else:
-        pop = rng.uniform(lo, hi, size=(settings.population, len(lo)))
-        if initial is not None:
-            pop[0] = np.clip(_require_finite_genes(initial, "initial vector"), lo, hi)
+        seeds = np.atleast_2d(_require_finite_genes(initial_population,
+                                                    "initial population"))
+        if seeds.ndim != 2 or not 1 <= len(seeds) <= settings.population:
+            raise DomainError(f"initial population must hold 1 to "
+                              f"{settings.population} vectors, got shape {seeds.shape}")
+        children[:len(seeds)] = np.clip(seeds, lo, hi)
+    pop, fitness = np.empty((0, len(lo))), np.empty(0)
 
-    def check_bounds(vectors):
-        outside = (vectors < lo - 1e-12) | (vectors > hi + 1e-12)
-        trace.bound_violations += int(np.count_nonzero(outside.any(axis=1)))
-
-    drift_offset = drift.offset(0, rng)
-    check_bounds(pop)
-    fitness = _evaluate_batch(list(pop), config, drift_offset, settings.dt_ns,
-                              trace.faults)
-    if settings.objective_noise_sd > 0:
-        fitness = fitness + rng.normal(0, settings.objective_noise_sd,
-                                       len(fitness))
-    _record(trace, 0, pop, fitness, drift_offset)
-
-    for gen in range(1, settings.generations + 1):
-        # binary tournaments fill the mating pool
-        parents = []
-        for _ in range(settings.population):
-            picks = rng.integers(0, settings.population, settings.tournament)
-            parents.append(pop[max(picks, key=lambda i: fitness[i])])
-        children = []
-        for i in range(0, settings.population - 1, 2):
-            c1, c2 = _sbx_crossover(rng, parents[i], parents[i + 1], lo, hi,
-                                    settings.crossover_eta,
-                                    settings.crossover_prob)
-            children.append(_polynomial_mutation(rng, c1, lo, hi,
-                                                 settings.mutation_eta,
-                                                 settings.mutation_prob))
-            children.append(_polynomial_mutation(rng, c2, lo, hi,
-                                                 settings.mutation_eta,
-                                                 settings.mutation_prob))
-        children = np.array(children[:settings.population])
+    for gen in range(settings.generations + 1):
+        if gen:
+            # binary tournaments fill the mating pool
+            parents = []
+            for _ in range(settings.population):
+                picks = rng.integers(0, settings.population, settings.tournament)
+                parents.append(pop[max(picks, key=lambda i: fitness[i])])
+            children = []
+            for i in range(0, settings.population - 1, 2):
+                for c in _sbx_crossover(rng, parents[i], parents[i + 1], lo, hi,
+                                        settings.crossover_eta,
+                                        settings.crossover_prob):
+                    children.append(_polynomial_mutation(rng, c, lo, hi,
+                                                         settings.mutation_eta,
+                                                         settings.mutation_prob))
+            children = np.array(children[:settings.population])
 
         drift_offset = drift.offset(gen, rng)
-        check_bounds(children)
+        outside = (children < lo - 1e-12) | (children > hi + 1e-12)
+        trace.bound_violations += int(np.count_nonzero(outside.any(axis=1)))
         # with drift the landscape moved: the survivors are re-measured in
         # the children's batch
         batch = list(children) + (list(pop) if drift.enabled else [])
@@ -326,23 +315,19 @@ def run_ga(space: ParameterSpace, config: MemoryConfig, drift: DriftModel,
             child_fit = child_fit + rng.normal(0, settings.objective_noise_sd,
                                                len(child_fit))
 
-        merged = np.vstack([pop, children])
-        merged_fit = np.concatenate([fitness, child_fit])
-        order = np.argsort(-merged_fit, kind="stable")[:settings.population]
-        pop, fitness = merged[order], merged_fit[order]
-        _record(trace, gen, pop, fitness, drift_offset)
+        pop, fitness = np.vstack([pop, children]), np.concatenate([fitness, child_fit])
+        if gen:  # generation 0 has no survivors and keeps its draw order
+            order = np.argsort(-fitness, kind="stable")[:settings.population]
+            pop, fitness = pop[order], fitness[order]
+        k = int(np.argmax(fitness))
+        trace.iterations.append({
+            "iteration": gen,
+            "parameters": pop[k].tolist(),
+            "objective": float(fitness[k]),
+            "drift_offset_ghz": float(drift_offset),
+        })
     trace.final_population = pop.copy()
     return trace
-
-
-def _record(trace, iteration, pop, fitness, drift_offset):
-    k = int(np.argmax(fitness))
-    trace.iterations.append({
-        "iteration": iteration,
-        "parameters": pop[k].tolist(),
-        "objective": float(fitness[k]),
-        "drift_offset_ghz": float(drift_offset),
-    })
 
 
 def grid_search(space: ParameterSpace, config: MemoryConfig,
@@ -355,6 +340,9 @@ def grid_search(space: ParameterSpace, config: MemoryConfig,
     """
     if len(scan) == 0 or len(scan) > 2:
         raise DomainError("grid search supports one or two parameters")
+    for name in [*scan, *fixed]:
+        if name not in PARAMETER_NAMES:
+            raise DomainError(f"unknown parameter {name}")
     names = list(scan)
     grids = [np.asarray(scan[n], dtype=float) for n in names]
     shape = tuple(len(g) for g in grids)
@@ -372,11 +360,11 @@ def grid_search(space: ParameterSpace, config: MemoryConfig,
     for col, n in enumerate(PARAMETER_NAMES):
         vectors[:, col] = mesh[n].ravel() if n in mesh else fixed[n]
     _require_finite_genes(vectors, "grid points")
-    values = np.empty(total)
+    values, faults = np.empty(total), []
     for start in range(0, total, _GRID_BATCH):
         chunk = vectors[start:start + _GRID_BATCH]
         values[start:start + len(chunk)] = _evaluate_batch(
-            chunk, config, 0.0, dt_ns, None)
+            chunk, config, 0.0, dt_ns, faults)
     value_map = values.reshape(shape)
     k = int(np.argmax(values))
     best = {n: float(mesh[n].flat[k]) for n in names}

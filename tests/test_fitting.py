@@ -246,6 +246,19 @@ def test_cavity_fit_follows_the_scale_of_its_data(scale):
     assert fit.flags == []
 
 
+@pytest.mark.parametrize("scale, offset", [(1.0, 2.0), (1.0, -0.9), (100.0, -40.0)])
+def test_cavity_fit_follows_a_trace_shifted_off_zero(scale, offset):
+    # the offset's box spans the data's range widened by max(1, max |y|)
+    x = np.linspace(-12.0, 12.0, 1201)
+    y = reflection_response(CavityParams(), x).reflected_power
+    fit = fit_cavity_reflection(x, scale * y + offset)
+    assert fit["fsr_ghz"] == pytest.approx(8.3, rel=1e-6)
+    assert fit["zeta_rt"] == pytest.approx(0.135, rel=1e-6)
+    assert fit["amplitude"] == pytest.approx(scale, rel=1e-6)
+    assert fit["offset"] == pytest.approx(offset, rel=1e-6)
+    assert fit.flags == []
+
+
 # ------------------------------------------------------------ doppler fit
 
 def synthetic_doppler(b_mt=169.0, noise=0.01, seed=9, offset=0.0):
@@ -421,6 +434,24 @@ def test_gaussian_line_follows_the_scale_of_its_data(scale):
     assert fit.flags == []
 
 
+@pytest.mark.parametrize("center, fwhm, height, base", [(0.0, 10.0, 0.5, 0.2),
+                                                      (12.0, 8.0, 0.3, 1.0)])
+def test_gaussian_line_fits_a_peak_with_a_negative_depth(center, fwhm, height, base):
+    x = np.linspace(-40.0, 40.0, 400)
+    y = base + height * np.exp(-4 * math.log(2) * (x - center) ** 2 / fwhm ** 2)
+    fit = fit_gaussian_line(x, y)
+    assert fit["center"] == pytest.approx(center, abs=1e-6)
+    assert fit["fwhm"] == pytest.approx(fwhm, rel=1e-6)
+    assert fit["depth"] == pytest.approx(-height, rel=1e-6)
+    assert fit["offset"] == pytest.approx(base, rel=1e-6)
+    assert fit.converged and fit.flags == []
+
+
+def test_gaussian_line_flags_a_flat_trace():
+    fit = fit_gaussian_line(np.linspace(-40.0, 40.0, 400), np.full(400, 0.7))
+    assert "width_unidentifiable" in fit.flags
+
+
 def test_fits_of_unit_scale_data_keep_the_fixed_box(monkeypatch):
     # max |y| <= 1 scales nothing: each fit starts from the same point in the
     # same box as before its box followed the data, so its bits hold
@@ -433,16 +464,17 @@ def test_fits_of_unit_scale_data_keep_the_fixed_box(monkeypatch):
 
     monkeypatch.setattr(fitting, "least_squares", spy)
     x = np.linspace(-12.0, 12.0, 1200)
-    fit_cavity_reflection(x, reflection_response(CavityParams(), x).reflected_power)
+    y_cav = reflection_response(CavityParams(), x).reflected_power
+    fit_cavity_reflection(x, y_cav)
     fit_lifetime(*synthetic_lifetime(noise=0.0))
     fit_gaussian_line(*synthetic_line(noise=0.0))
     (cav_init, cav_box), (_, life_box), (_, line_box) = calls
     assert cav_init[2:].tolist() == [1.0, 0.0]
-    assert cav_box[0][1:].tolist() == [0.0, 0.1, -0.5]
-    assert cav_box[1][1:].tolist() == [0.9, 10.0, 0.5]
+    assert cav_box[0][1:].tolist() == [0.0, 0.1, y_cav.min() - 1.0]
+    assert cav_box[1][1:].tolist() == [0.9, 10.0, y_cav.max() + 1.0]
     assert life_box[0].tolist() == [0.0] * 4
     assert life_box[1].tolist() == [0.2, 10.0, 2.0, 2.0]
-    assert line_box[0][2:].tolist() == [0.0, -10.0]
+    assert line_box[0][2:].tolist() == [-10.0, -10.0]
     assert line_box[1][2:].tolist() == [10.0, 10.0]
 
 

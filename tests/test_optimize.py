@@ -124,7 +124,7 @@ def test_non_finite_gene_rejected_at_each_entry_point(value):
     with pytest.raises(DomainError, match="write_energy_nj"):
         grid_search(SPACE, CFG, {"write_energy_nj": np.array([0.1, value])}, fixed)
     with pytest.raises(DomainError, match="signal_fwhm_ns"):
-        run_ga(SPACE, CFG, DriftModel(), small_settings(), initial=bad)
+        run_ga(SPACE, CFG, DriftModel(), small_settings(), initial_population=bad)
     population = np.tile(DEFAULT_VEC, (10, 1))
     population[3] = bad
     with pytest.raises(DomainError, match="signal_fwhm_ns"):
@@ -134,7 +134,7 @@ def test_non_finite_gene_rejected_at_each_entry_point(value):
 @pytest.mark.parametrize("call", [
     lambda: objective(DEFAULT_VEC[:7], CFG),
     lambda: objective(np.append(DEFAULT_VEC, 1.0), CFG),
-    lambda: run_ga(SPACE, CFG, DriftModel(), small_settings(), initial=DEFAULT_VEC[:7]),
+    lambda: run_ga(SPACE, CFG, DriftModel(), small_settings(), initial_population=DEFAULT_VEC[:7]),
     lambda: run_ga(SPACE, CFG, DriftModel(), small_settings(population=8),
                    initial_population=np.tile(DEFAULT_VEC[:7], (8, 1))),
     lambda: grid_search(SPACE, CFG, {"write_energy_nj": np.array([])},
@@ -164,6 +164,45 @@ def small_settings(**kw):
     base = dict(population=10, generations=5, dt_ns=0.02)
     base.update(kw)
     return GASettings(**base)
+
+
+def _first_ga_batch(monkeypatch, **kw):
+    """The vectors of the first batch that a 1-generation run evaluates."""
+    from cavmem import optimize
+    batches = []
+    evaluate = optimize._evaluate_batch
+
+    def spy(vectors, *args):
+        batches.append(np.array(vectors))
+        return evaluate(vectors, *args)
+
+    monkeypatch.setattr(optimize, "_evaluate_batch", spy)
+    run_ga(SPACE, CFG, DriftModel(), small_settings(generations=1), seed=9, **kw)
+    return batches[0]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_seed_vectors_replace_the_first_drawn_rows(monkeypatch, rows):
+    # a single vector counts as one row; the seeds are clipped to the box,
+    # and the rest of generation 0 is the unseeded draw of the same seed
+    seeds = np.tile(DEFAULT_VEC, (3, 1))
+    seeds[1, 1] = 5.0      # write energy above its bound of 2 nJ
+    seeds[2, 0] = -0.3
+    seeds = seeds[0] if rows == 1 else seeds
+    unseeded = _first_ga_batch(monkeypatch)
+    seeded = _first_ga_batch(monkeypatch, initial_population=seeds)
+    assert np.array_equal(seeded[:rows],
+                          np.clip(np.atleast_2d(seeds), SPACE.lower(), SPACE.upper()))
+    assert np.array_equal(seeded[rows:], unseeded[rows:])
+
+
+@pytest.mark.parametrize("seeds", [np.tile(DEFAULT_VEC, (11, 1)),
+                                   np.empty((0, len(PARAMETER_NAMES))),
+                                   DEFAULT_VEC[:7]],
+                         ids=["11-rows", "0-rows", "7-genes"])
+def test_seed_population_of_the_wrong_shape_refused(seeds):
+    with pytest.raises(DomainError, match="initial population"):
+        run_ga(SPACE, CFG, DriftModel(), small_settings(), initial_population=seeds)
 
 
 def test_ga_reproducible_trace():
@@ -203,7 +242,7 @@ def test_identical_population_zero_mutation_fixed_point():
 def test_ga_improves_on_seeded_default():
     trace = run_ga(SPACE, CFG, DriftModel(enabled=False),
                    small_settings(population=12, generations=8), seed=2,
-                   initial=DEFAULT_VEC)
+                   initial_population=DEFAULT_VEC)
     assert trace.best["objective"] >= objective(DEFAULT_VEC, CFG) - 1e-9
 
 
@@ -241,7 +280,7 @@ def test_ga_drift_recorded_and_degrading():
     drift = DriftModel(enabled=True, rate_ghz_per_iteration=0.08,
                        noise_sd_ghz=0.0)
     trace = run_ga(SPACE, CFG, drift, small_settings(generations=8), seed=4,
-                   initial=DEFAULT_VEC)
+                   initial_population=DEFAULT_VEC)
     offsets = [r["drift_offset_ghz"] for r in trace.iterations]
     assert offsets == pytest.approx([0.08 * k for k in range(9)])
     objs = [r["objective"] for r in trace.iterations]
@@ -346,6 +385,16 @@ def test_grid_search_dimension_guard():
 def test_refusal_names_its_cause(call, message):
     with pytest.raises(DomainError, match=message):
         call()
+
+
+@pytest.mark.parametrize("scan, extra", [({"write_energy": [0.1, 0.2, 0.5]}, {}),
+                                         ({"write_energy_nj": [0.1, 0.2]},
+                                          {"read_fwhm": 1.0})],
+                         ids=["scan", "fixed"])
+def test_grid_search_refuses_a_name_that_is_not_a_parameter(scan, extra):
+    name = next(iter(extra or scan))
+    with pytest.raises(DomainError, match=f"unknown parameter {name}$"):
+        grid_search(SPACE, CFG, scan, dict(fixed_from_default(), **extra))
 
 
 def test_grid_search_matches_energy_scan():
