@@ -30,12 +30,11 @@ from .constants import AtomConstants, default_constants
 from .errors import DomainError, NumericalError, StructuralError
 
 __all__ = [
-    "ManifoldSpec", "ZeemanState", "TransitionLine", "TwoPhotonLine",
-    "POLARIZATIONS", "manifold_spec", "all_manifolds", "basis_labels", "state_numbers",
-    "clebsch_gordan", "build_hamiltonian", "diagonalize_manifold",
-    "breit_rabi_curve", "transition_lines", "dipole_strength_sums",
-    "two_photon_lines", "group_two_photon_lines", "memory_line_companions",
-    "criterion_5_lines",
+    "ManifoldSpec", "ZeemanState", "POLARIZATIONS", "manifold_spec", "all_manifolds",
+    "basis_labels", "state_numbers", "clebsch_gordan", "build_hamiltonian",
+    "diagonalize_manifold", "breit_rabi_curve", "transition_lines", "dipole_strength_sums",
+    "two_photon_lines", "is_loss_channel", "group_two_photon_lines",
+    "memory_line_companions", "criterion_5_lines",
 ]
 
 POLARIZATIONS = ("sigma-", "pi", "sigma+")   # q = -1, 0, +1
@@ -99,35 +98,6 @@ class ZeemanState:
     def m_f(self) -> float:
         mj, mi = self.dominant_mj_mi
         return mj + mi
-
-
-@dataclass(frozen=True)
-class TransitionLine:
-    lower: ZeemanState
-    upper: ZeemanState
-    polarization: str
-    detuning_ghz: float             # from the zero-field centroid of the pair
-    strength: float                 # relative, strongest line in pair = 1
-    raw_strength: float             # unnormalized |<u|d_q|l>|^2
-
-
-@dataclass(frozen=True)
-class TwoPhotonLine:
-    ground: ZeemanState
-    intermediate: ZeemanState
-    doubly_excited: ZeemanState
-    signal_pol: str
-    control_pol: str
-    signal_detuning_ghz: float      # one-photon resonance of the lower leg
-    control_detuning_ghz: float     # one-photon resonance of the upper leg
-    strength: float
-    is_loss_channel: bool
-
-    @property
-    def total_detuning_ghz(self) -> float:
-        # two-photon detuning from the field-free 5S->5D interval; exact by
-        # construction since the two legs share the intermediate energy
-        return self.signal_detuning_ghz + self.control_detuning_ghz
 
 
 def manifold_spec(label: str, constants: AtomConstants | None = None) -> ManifoldSpec:
@@ -352,11 +322,18 @@ def _strengths(lower: ManifoldSpec, upper: ManifoldSpec, b_mt: float
     return e_lo, e_up, raw
 
 
-def _line_table(lower: ManifoldSpec, upper: ManifoldSpec, b_mt: float,
-                polarization: str | None) -> tuple[np.ndarray, ...]:
-    """The lines of transition_lines as arrays, stably sorted by detuning:
-    polarization (index into POLARIZATIONS), lower and upper label positions,
-    detuning (GHz), raw strength and normalized strength."""
+def transition_lines(lower: ManifoldSpec, upper: ManifoldSpec, b_mt: float,
+                     polarization: str | None = None) -> dict[str, np.ndarray]:
+    """Dipole lines between two manifolds at field b_mt, as one table.
+
+    A dict of equal-length arrays, one row per line, stably sorted by
+    detuning: `lower` and `upper` (global state numbers, see state_numbers),
+    `polarization` (a name of POLARIZATIONS), `detuning_ghz` (from the
+    zero-field centroid of the pair), `raw_strength` (|<u|d_q|l>|^2 on the
+    dressed eigenvectors) and `strength`, normalized so the strongest line
+    of the manifold pair (over all polarizations) equals 1.  Lines below
+    STRENGTH_THRESHOLD of that maximum are omitted.
+    """
     if polarization not in (None, *POLARIZATIONS):
         raise DomainError(f"unknown polarization {polarization!r}")
     e_lo, e_up, raw = _strengths(lower, upper, b_mt)
@@ -367,26 +344,13 @@ def _line_table(lower: ManifoldSpec, upper: ManifoldSpec, b_mt: float,
     pol, lo, up = np.nonzero(wanted[:, None, None] & (raw / norm >= STRENGTH_THRESHOLD))
     detuning = (e_up[up] - e_lo[lo]) / 1e3
     order = np.argsort(detuning, kind="stable")
-    pol, lo, up, detuning = pol[order], lo[order], up[order], detuning[order]
+    pol, lo, up = pol[order], lo[order], up[order]
     raw = raw[pol, lo, up]
-    return pol, lo, up, detuning, raw, raw / norm
-
-
-def transition_lines(lower: ManifoldSpec, upper: ManifoldSpec, b_mt: float,
-                     polarization: str | None = None) -> list[TransitionLine]:
-    """Dipole lines between two manifolds at field b_mt.
-
-    Strengths are |<u|d_q|l>|^2 on the dressed eigenvectors, normalized so the
-    strongest line of the manifold pair (over all polarizations) equals 1.
-    Lines below STRENGTH_THRESHOLD of that maximum are omitted.
-    """
-    table = _line_table(lower, upper, b_mt, polarization)
-    lo_states = diagonalize_manifold(lower, b_mt)
-    up_states = diagonalize_manifold(upper, b_mt)
-    return [TransitionLine(lower=lo_states[a], upper=up_states[b],
-                           polarization=POLARIZATIONS[p], detuning_ghz=d,
-                           strength=s, raw_strength=r)
-            for p, a, b, d, r, s in zip(*(col.tolist() for col in table))]
+    # label position plus the manifold's first number: the global number
+    return {"lower": lo + state_numbers(lower).start,
+            "upper": up + state_numbers(upper).start,
+            "polarization": np.take(POLARIZATIONS, pol),
+            "detuning_ghz": detuning[order], "raw_strength": raw, "strength": raw / norm}
 
 
 def dipole_strength_sums(lower: ManifoldSpec, upper: ManifoldSpec,
@@ -402,67 +366,80 @@ def dipole_strength_sums(lower: ManifoldSpec, upper: ManifoldSpec,
 def two_photon_lines(b_mt: float, signal_pol: str, control_pol: str,
                      total_window_ghz: tuple[float, float] = (-50.0, 50.0),
                      reference_signal_detuning_ghz: float | None = None,
-                     constants: AtomConstants | None = None) -> list[TwoPhotonLine]:
+                     constants: AtomConstants | None = None) -> dict[str, np.ndarray]:
     """Ladder paths 5S1/2 -> 5P3/2 -> 5D5/2 within a two-photon window.
 
-    One entry per (ground, intermediate, upper) triple.  `total_window_ghz`
-    selects on the total two-photon detuning (signal + control legs) from the
-    field-free 5S -> 5D interval.  When a reference signal detuning is given
-    (the carrier of the driving field), each path's strength is the product of
-    its two one-photon strengths divided by 1 + (d_int/GAMMA_EFF_GHZ)^2, with
-    d_int the distance of the lower-leg resonance from that reference;
-    otherwise the raw product is kept.  Only ordering and grouping of lines
-    are contractual; absolute weights are not.
+    One table, a dict of equal-length arrays with one row per (ground,
+    intermediate, upper) triple, stably sorted by total detuning: `ground`,
+    `intermediate` and `doubly_excited` (global state numbers), the
+    one-photon resonances of both legs, `signal_detuning_ghz` and
+    `control_detuning_ghz`, their sum `total_detuning_ghz` (the two-photon
+    detuning from the field-free 5S -> 5D interval), and `strength`.
+    `total_window_ghz` selects on the total detuning.  When a reference
+    signal detuning is given (the carrier of the driving field), each path's
+    strength is the product of its two one-photon strengths divided by
+    1 + (d_int/GAMMA_EFF_GHZ)^2, with d_int the distance of the lower-leg
+    resonance from that reference; otherwise the raw product is kept.  Only
+    ordering and grouping of lines are contractual; absolute weights are not.
     """
     if total_window_ghz[0] >= total_window_ghz[1]:
         raise DomainError("two-photon window must be non-empty")
     s12, p32, d52 = all_manifolds(constants)
-    _, g1, i1, det1, raw1, _ = _line_table(s12, p32, b_mt, signal_pol)
-    _, i2, u2, det2, raw2, _ = _line_table(p32, d52, b_mt, control_pol)
+    leg1 = transition_lines(s12, p32, b_mt, signal_pol)
+    leg2 = transition_lines(p32, d52, b_mt, control_pol)
+    det1, det2 = leg1["detuning_ghz"], leg2["detuning_ghz"]
     ref = reference_signal_detuning_ghz
     # in Python floats: numpy's ** 2 can differ from them by an ulp
     weight = np.array([1.0 if ref is None
                        else 1.0 / (1.0 + ((d - ref) / GAMMA_EFF_GHZ) ** 2)
                        for d in det1.tolist()])
-    # paths share the intermediate; row-major keeps leg-1, then leg-2 order
-    r, c = np.nonzero(i1[:, None] == i2[None, :])
+    # join on the intermediate state; row-major keeps leg-1, then leg-2 order
+    r, c = np.nonzero(leg1["upper"][:, None] == leg2["lower"][None, :])
     total = det1[r] + det2[c]
     keep = (total_window_ghz[0] <= total) & (total <= total_window_ghz[1])
     order = np.argsort(total[keep], kind="stable")
     r, c = r[keep][order], c[keep][order]
-    table = (g1[r], i1[r], u2[c], det1[r], det2[c], raw1[r] * raw2[c] * weight[r])
-    ground, inter, upper = (diagonalize_manifold(m, b_mt) for m in (s12, p32, d52))
-    loss = not (signal_pol == "sigma-" and control_pol == "sigma-")
-    return [TwoPhotonLine(ground=ground[g], intermediate=inter[i], doubly_excited=upper[u],
-                          signal_pol=signal_pol, control_pol=control_pol,
-                          signal_detuning_ghz=d1, control_detuning_ghz=d2,
-                          strength=s, is_loss_channel=loss)
-            for g, i, u, d1, d2, s in zip(*(col.tolist() for col in table))]
+    return {"ground": leg1["lower"][r], "intermediate": leg1["upper"][r],
+            "doubly_excited": leg2["upper"][c], "signal_detuning_ghz": det1[r],
+            "control_detuning_ghz": det2[c], "total_detuning_ghz": total[keep][order],
+            "strength": leg1["raw_strength"][r] * leg2["raw_strength"][c] * weight[r]}
 
 
-def group_two_photon_lines(lines: list[TwoPhotonLine]
-                           ) -> list[tuple[float, float, TwoPhotonLine]]:
-    """Merge paths sharing (ground, upper) into composite lines.
+def is_loss_channel(signal_pol: str, control_pol: str) -> bool:
+    """Whether ladder paths of this polarization pair lead out of the memory's
+    sigma- sigma- channel: every pair but sigma- sigma- is a loss channel."""
+    return (signal_pol, control_pol) != ("sigma-", "sigma-")
 
-    Returns (total_detuning_ghz, summed_strength, strongest_path) sorted by
-    detuning.  Paths through different intermediates add incoherently here;
-    the spectral weighting already lives in the per-path strengths.
+
+def group_two_photon_lines(lines: dict[str, np.ndarray]
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge the paths of a two_photon_lines table that share (ground, upper)
+    into composite lines.
+
+    Returns three arrays, one entry per composite line, stably sorted by
+    position: the position (the total detuning of its first path), the
+    strengths of its paths summed in path order, and the table row of its
+    strongest path (the first one on a tie).  Paths through different
+    intermediates add incoherently here; the spectral weighting already
+    lives in the per-path strengths.
     """
-    grouped: dict[tuple[int, int], list[TwoPhotonLine]] = {}
-    for ln in lines:
-        grouped.setdefault((ln.ground.index, ln.doubly_excited.index), []).append(ln)
-    out = []
-    for paths in grouped.values():
-        pos = paths[0].total_detuning_ghz
-        if any(abs(p.total_detuning_ghz - pos) >= GROUP_TOL_GHZ for p in paths):
-            raise StructuralError(
-                f"paths to one (ground, upper) pair disagree on the line "
-                f"position by more than {GROUP_TOL_GHZ} GHz")
-        total = sum(p.strength for p in paths)
-        best = max(paths, key=lambda p: p.strength)
-        out.append((pos, total, best))
-    out.sort(key=lambda t: t[0])
-    return out
+    total, strength, upper = (lines[k] for k in ("total_detuning_ghz", "strength",
+                                                  "doubly_excited"))
+    key = lines["ground"] * (upper.max(initial=0) + 1) + upper
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    pos = total[first]
+    if np.any(np.abs(total - pos[group]) >= GROUP_TOL_GHZ):
+        raise StructuralError(f"paths to one (ground, upper) pair disagree on the line "
+                              f"position by more than {GROUP_TOL_GHZ} GHz")
+    # bincount adds each group's weights in row order, as a running sum
+    summed = np.bincount(group, weights=strength, minlength=len(first))
+    # by group, then by falling strength; lexsort is stable, so ties keep row order
+    by_strength = np.lexsort((-strength, group))
+    best = by_strength[np.unique(group[by_strength], return_index=True)[1]]
+    # groups in order of their first path, then stably by position
+    appear = np.argsort(first)
+    order = appear[np.argsort(pos[appear], kind="stable")]
+    return pos[order], summed[order], best[order]
 
 
 def memory_line_companions(b_mt: float, constants: AtomConstants | None = None
@@ -479,11 +456,14 @@ def memory_line_companions(b_mt: float, constants: AtomConstants | None = None
     over the memory line's.  Each caller weights or selects the companions
     by its own measure.
     """
-    grouped = group_two_photon_lines(two_photon_lines(
+    pos, strength, _ = group_two_photon_lines(two_photon_lines(
         b_mt, "sigma-", "sigma-", total_window_ghz=(-30.0, 10.0), constants=constants))
-    main = max(grouped, key=lambda t: t[1])
-    return main[0], [(t[0] - main[0], t[1] / main[1]) for t in grouped
-                     if t is not main and abs(t[0] - main[0]) < 3.0]
+    main = int(np.argmax(strength))
+    offset = pos - pos[main]
+    near = np.abs(offset) < 3.0
+    near[main] = False
+    return float(pos[main]), list(zip(offset[near].tolist(),
+                                      (strength[near] / strength[main]).tolist()))
 
 
 def criterion_5_lines() -> tuple[int, float]:

@@ -178,16 +178,14 @@ def cmd_spectrum(cfg: ExperimentConfig, args):
         lines = atomic.two_photon_lines(
             b, pol_s, pol_c, total_window_ghz=window,
             reference_signal_detuning_ghz=args.signal_detuning, constants=c)
-        for pos, strength, best in atomic.group_two_photon_lines(lines):
-            found.append({
-                "control_detuning_ghz": pos - args.signal_detuning,
-                "strength": strength,
-                "signal_pol": pol_s,
-                "control_pol": pol_c,
-                "is_loss_channel": best.is_loss_channel,
-                "ground_index": best.ground.index,
-                "upper_index": best.doubly_excited.index,
-            })
+        pos, strength, best = atomic.group_two_photon_lines(lines)
+        loss = atomic.is_loss_channel(pol_s, pol_c)
+        for delta, s, g, u in zip((pos - args.signal_detuning).tolist(), strength.tolist(),
+                                  lines["ground"][best].tolist(),
+                                  lines["doubly_excited"][best].tolist()):
+            found.append({"control_detuning_ghz": delta, "strength": s,
+                          "signal_pol": pol_s, "control_pol": pol_c,
+                          "is_loss_channel": loss, "ground_index": g, "upper_index": u})
     found.sort(key=lambda d: d["control_detuning_ghz"])
     return (("spectrum_two_photon.csv", ["control_detuning_ghz", "transmission"],
              [grid, trans]),
@@ -229,8 +227,10 @@ def cmd_store(cfg: ExperimentConfig, args):
     res = memory.simulate_storage_retrieval(
         mem, cfg.pulse("signal"), cfg.pulse("write"), cfg.pulse("read"),
         drift_offset_ghz=args.drift_offset, dt_ns=args.dt)
-    # the fields after the time grid and the two fluxes
-    summary = {f.name: getattr(res, f.name) for f in fields(res)[3:]}
+    # the drift offset asked for, then the fields after the time grid and
+    # the two fluxes
+    summary = {"drift_offset_ghz": args.drift_offset,
+               **{f.name: getattr(res, f.name) for f in fields(res)[3:]}}
     return (("store_flux.csv",
              ["time_ns", "output_flux_per_ns", "reference_flux_per_ns"],
              [res.time_grid_ns, res.output_flux, res.reference_flux]),

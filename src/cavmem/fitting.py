@@ -227,9 +227,12 @@ def fit_cavity_reflection(detunings_ghz, reflected_power,
 
     s = _scale(y)
     init = np.array([fsr0, 0.10, 1.0 * s, 0.0])
-    # the offset's box spans the data's range widened by s, so it holds 0
-    bounds = (np.array([0.3 * fsr0, 0.0, 0.1 * s, float(y.min()) - s]),
-              np.array([3.0 * fsr0, 0.9, 10.0 * s, float(y.max()) + s]))
+    # the amplitude's floor follows the data's range, at most 0.2 s, so a
+    # shallow dip on a high level fits; the offset's box spans that range
+    # widened by s, so it holds 0
+    lo, hi = float(y.min()), float(y.max())
+    bounds = (np.array([0.3 * fsr0, 0.0, 0.1 * (hi - lo), lo - s]),
+              np.array([3.0 * fsr0, 0.9, 10.0 * s, hi + s]))
     return least_squares(model, x, y, init, bounds,
                          names=["fsr_ghz", "zeta_rt", "amplitude", "offset"])
 

@@ -127,7 +127,8 @@ def one_photon_spectrum(vapour: VapourParams, b_mt: float, polarization: str,
         return np.ones_like(d_grid)
     s12 = atomic.manifold_spec("5S1/2", c)
     p32 = atomic.manifold_spec("5P3/2", c)
-    *_, centers, raw, _ = atomic._line_table(s12, p32, b_mt, polarization)
+    lines = atomic.transition_lines(s12, p32, b_mt, polarization)
+    centers, raw = lines["detuning_ghz"], lines["raw_strength"]
     # uniform populations over the 8 ground sublevels: no optical pumping
     weights = raw / raw.max()
     fwhm = doppler_fwhm_ghz(vapour.temperature_c, c.wavelength_signal_nm, c)
@@ -208,12 +209,11 @@ def two_photon_spectrum(vapour: VapourParams, b_mt: float,
         b_mt, signal_pol, control_pol,
         total_window_ghz=two_photon_window(signal_detuning_ghz, deltas),
         reference_signal_detuning_ghz=signal_detuning_ghz, constants=c)
-    grouped = atomic.group_two_photon_lines(lines)
-    if not grouped:
+    pos, strength, _ = atomic.group_two_photon_lines(lines)
+    if not len(pos):
         return np.ones_like(deltas), warning
     fwhm_ghz = two_photon_linewidth_mhz(vapour, geometry, c) * 1e-3
     coef = 4 * math.log(2) / fwhm_ghz ** 2
-    pos, strength = np.array([g[:2] for g in grouped]).T
     delta_line = pos - signal_detuning_ghz
     od = np.add.reduce(control_depth * (strength / strength.max())[:, None]
                        * np.exp(-coef * (deltas - delta_line[:, None]) ** 2), axis=0)

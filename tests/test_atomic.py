@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavmem.atomic import (_labelled_system, all_manifolds, basis_labels,
+from cavmem.atomic import (GROUP_TOL_GHZ, _labelled_system, all_manifolds, basis_labels,
                            breit_rabi_curve, build_hamiltonian, clebsch_gordan,
                            diagonalize_manifold, group_two_photon_lines,
-                           manifold_spec, memory_line_companions, transition_lines,
-                           two_photon_lines)
+                           is_loss_channel, manifold_spec, memory_line_companions,
+                           transition_lines, two_photon_lines)
 from cavmem.constants import default_constants
 from cavmem.errors import DomainError, StructuralError
 
@@ -300,7 +300,9 @@ def test_transition_lines_follow_a_constants_override():
     a_new = 2 * base.s12.a_mhz
     s12_new = manifold_spec("5S1/2", replace(base, s12=replace(base.s12, a_mhz=a_new)))
     for man, a in ((S12, base.s12.a_mhz), (s12_new, a_new), (S12, base.s12.a_mhz)):
-        lower = {ln.lower.energy_mhz for ln in transition_lines(man, P32, 0.0)}
+        states = states_by_number(man, 0.0)
+        numbers = transition_lines(man, P32, 0.0)["lower"].tolist()
+        lower = {states[n].energy_mhz for n in numbers}
         # zero-field ground levels F = 1 and F = 2 lie 2A apart
         assert max(lower) - min(lower) == pytest.approx(2 * a, rel=1e-12)
 
@@ -323,9 +325,17 @@ def test_excited_spacings_cluster_at_operating_field():
 
 # ------------------------------------------------------ transition lines
 
+def states_by_number(manifold, b_mt):
+    """The dressed states of a manifold at b_mt, keyed by global number."""
+    return {state.index: state for state in diagonalize_manifold(manifold, b_mt)}
+
+
 def test_sigma_minus_selection_rule():
-    for ln in transition_lines(S12, P32, 169.0, "sigma-"):
-        assert ln.upper.m_f - ln.lower.m_f == pytest.approx(-1.0)
+    lines = transition_lines(S12, P32, 169.0, "sigma-")
+    lower, upper = states_by_number(S12, 169.0), states_by_number(P32, 169.0)
+    assert set(lines["polarization"].tolist()) == {"sigma-"}
+    for lo, up in zip(lines["lower"].tolist(), lines["upper"].tolist()):
+        assert upper[up].m_f - lower[lo].m_f == pytest.approx(-1.0)
 
 
 def test_disallowed_pair_rejected():
@@ -342,8 +352,9 @@ def test_strength_sum_rule_field_independent():
         assert np.max(np.abs(val - ref)) < 1e-9
     # the thresholded line list leaves at most the omission weight behind
     acc = {}
-    for ln in transition_lines(S12, P32, 169.0):
-        acc[ln.lower.index] = acc.get(ln.lower.index, 0.0) + ln.raw_strength
+    lines = transition_lines(S12, P32, 169.0)
+    for lo, raw in zip(lines["lower"].tolist(), lines["raw_strength"].tolist()):
+        acc[lo] = acc.get(lo, 0.0) + raw
     listed = np.array([acc[i] for i in sorted(acc)])
     assert np.max(np.abs(listed - dipole_strength_sums(S12, P32, 169.0))) < 1e-5
 
@@ -353,68 +364,128 @@ def test_one_photon_line_positions_span_dip_region():
     # cluster within a few GHz of the zero-field centroid, with the strongest
     # line (the stretched-state transition) in the composite-dip region
     lines = transition_lines(S12, P32, 169.0, "sigma-")
-    strong = [ln for ln in lines if ln.strength > 0.1]
-    pos = np.array([ln.detuning_ghz for ln in strong])
+    strong = lines["strength"] > 0.1
+    pos = lines["detuning_ghz"][strong]
     assert pos.min() > -9.0 and pos.max() < 3.0
-    top = max(strong, key=lambda ln: ln.strength)
-    assert -6.0 < top.detuning_ghz < -4.0
-    assert top.lower.dominant_mj_mi == (-0.5, -1.5)
+    top = int(np.argmax(lines["strength"]))
+    assert -6.0 < lines["detuning_ghz"][top] < -4.0
+    lower = states_by_number(S12, 169.0)[int(lines["lower"][top])]
+    assert lower.dominant_mj_mi == (-0.5, -1.5)
 
 
 # ------------------------------------------------------- two-photon lines
 
 def strong_pairs_near_main(b_mt, window=0.5):
+    """The sigma- sigma- paths at b_mt, their composite lines (position,
+    strength, strongest path's row), the strongest line's index and the
+    indices of the strong lines within `window` GHz of it, itself included."""
     lines = two_photon_lines(b_mt, "sigma-", "sigma-",
                              total_window_ghz=(-20.0, 5.0))
-    grouped = group_two_photon_lines(lines)
-    smax = max(s for _, s, _ in grouped)
-    main = max(grouped, key=lambda t: t[1])
-    near = [t for t in grouped
-            if abs(t[0] - main[0]) <= window and t[1] > 0.05 * smax]
-    return main, near
+    pos, strength, best = group_two_photon_lines(lines)
+    main = int(np.argmax(strength))
+    near = np.flatnonzero((np.abs(pos - pos[main]) <= window)
+                          & (strength > 0.05 * strength.max()))
+    return lines, (pos, strength, best), main, near
 
 
 def test_grouping_rejects_paths_at_different_positions():
-    from dataclasses import replace
     lines = two_photon_lines(169.0, "sigma-", "sigma-",
                              total_window_ghz=(-20.0, 5.0))
-    keys = [(ln.ground.index, ln.doubly_excited.index) for ln in lines]
+    keys = list(zip(lines["ground"].tolist(), lines["doubly_excited"].tolist()))
     k = next(i for i, key in enumerate(keys) if keys.count(key) > 1)
-    bad = list(lines)
-    bad[k] = replace(lines[k], signal_detuning_ghz=lines[k].signal_detuning_ghz + 1.0)
+    bad = dict(lines, total_detuning_ghz=lines["total_detuning_ghz"].copy())
+    bad["total_detuning_ghz"][k] += 1.0
     with pytest.raises(StructuralError):
         group_two_photon_lines(bad)
 
 
+def grouping_by_dict(lines):
+    """Composite lines grouped path by path in a dict, the rule the table
+    grouping keeps: (position, summed strength, strongest path's row) per
+    (ground, upper) pair, at its first path's position, strengths summed in
+    path order, the first strongest path on a tie, stably sorted by position."""
+    keys = ("ground", "doubly_excited", "total_detuning_ghz", "strength")
+    grouped = {}
+    for row, (g, u, total, strength) in enumerate(zip(*(lines[k].tolist() for k in keys))):
+        grouped.setdefault((g, u), []).append((row, total, strength))
+    out = []
+    for paths in grouped.values():
+        pos = paths[0][1]
+        if any(abs(total - pos) >= GROUP_TOL_GHZ for _, total, _ in paths):
+            raise StructuralError("paths disagree on the line position")
+        best = max(paths, key=lambda path: path[2])
+        out.append((pos, sum(strength for *_, strength in paths), best[0]))
+    out.sort(key=lambda line: line[0])
+    return out
+
+
+def grouped_rows(lines):
+    return list(zip(*(col.tolist() for col in group_two_photon_lines(lines))))
+
+
+@pytest.mark.parametrize("b", (0.0, 12.0, 50.0, 169.0, 300.0))
+def test_grouping_equals_the_dict_rule(b):
+    for pair in (("sigma-", "sigma-"), ("sigma-", "sigma+"),
+                 ("sigma+", "sigma-"), ("sigma+", "sigma+")):
+        for reference in (None, -15.0):
+            lines = two_photon_lines(b, *pair, reference_signal_detuning_ghz=reference)
+            assert grouped_rows(lines) == grouping_by_dict(lines)
+            # a path of a shared pair moved by 1 GHz is refused by both
+            keys = list(zip(lines["ground"].tolist(), lines["doubly_excited"].tolist()))
+            k = max(i for i, key in enumerate(keys) if keys.count(key) > 1)
+            bad = dict(lines, total_detuning_ghz=lines["total_detuning_ghz"].copy())
+            bad["total_detuning_ghz"][k] += 1.0
+            for group in (group_two_photon_lines, grouping_by_dict):
+                with pytest.raises(StructuralError):
+                    group(bad)
+
+
+def test_grouping_keeps_ties_and_first_paths():
+    # equal strengths within a pair: the first path wins; equal positions of
+    # two pairs: the pair met first comes first; an empty table groups to
+    # nothing
+    lines = {"ground": np.array([3, 1, 3, 1, 2, 1]),
+             "doubly_excited": np.array([40, 30, 40, 30, 31, 30]),
+             "total_detuning_ghz": np.array([0.5, 0.5, 0.5, 0.5, -1.0, 0.5]),
+             "strength": np.array([0.25, 2.0, 0.5, 2.0, 1.0, 0.1])}
+    assert grouped_rows(lines) == grouping_by_dict(lines) == [
+        (-1.0, 1.0, 4), (0.5, 0.75, 2), (0.5, 4.1, 1)]
+    empty = {key: col[:0] for key, col in lines.items()}
+    assert all(len(col) == 0 for col in group_two_photon_lines(empty))
+
+
 def test_memory_line_present_and_strongest_for_sigma_minus_pair():
-    main, _ = strong_pairs_near_main(169.0)
+    lines, (_, _, best), main, _ = strong_pairs_near_main(169.0)
     # the strongest addressable line starts from the stretched ground state
-    assert main[2].ground.dominant_mj_mi == (-0.5, -1.5)
-    assert main[2].doubly_excited.dominant_mj_mi == (-2.5, -1.5)
-    assert not main[2].is_loss_channel
+    row = best[main]
+    ground = states_by_number(S12, 169.0)[int(lines["ground"][row])]
+    upper = states_by_number(D52, 169.0)[int(lines["doubly_excited"][row])]
+    assert ground.dominant_mj_mi == (-0.5, -1.5)
+    assert upper.dominant_mj_mi == (-2.5, -1.5)
+    assert not is_loss_channel("sigma-", "sigma-")
 
 
 def test_exactly_two_strong_lines_in_cavity_window():
-    main, near = strong_pairs_near_main(169.0)
+    *_, near = strong_pairs_near_main(169.0)
     assert len(near) == 2  # the main line plus one companion
 
 
 def test_pair_separation_grows_with_field():
     seps = []
     for b in (140.0, 169.0, 250.0):
-        main, near = strong_pairs_near_main(b, window=1.0)
-        others = [t for t in near if t is not main]
-        assert others
-        seps.append(min(abs(t[0] - main[0]) for t in others) * 1e3)  # MHz
+        _, (pos, _, _), main, near = strong_pairs_near_main(b, window=1.0)
+        others = near[near != main]
+        assert len(others)
+        seps.append(np.min(np.abs(pos[others] - pos[main])) * 1e3)  # MHz
     assert seps[0] < seps[1] < seps[2]
 
 
 def test_pair_separation_matches_measured_beat_near_154_mt():
     # the observed 171-175 MHz beat between the two addressable lines is
     # reproduced by this level structure at a field near 154.5 mT
-    main, near = strong_pairs_near_main(154.5)
-    others = [t for t in near if t is not main]
-    sep_mhz = min(abs(t[0] - main[0]) for t in others) * 1e3
+    _, (pos, _, _), main, near = strong_pairs_near_main(154.5)
+    others = near[near != main]
+    sep_mhz = np.min(np.abs(pos[others] - pos[main])) * 1e3
     assert sep_mhz == pytest.approx(175.0, abs=15.0)
 
 
@@ -423,8 +494,8 @@ def test_memory_line_companions_do_not_depend_on_the_window(b):
     # the one companion-line rule reads the (-30, 10) GHz window; the
     # narrower (-20, 5) GHz one gives the same memory line and the same
     # companions within 3 GHz, offsets and strength ratios bit for bit
-    grouped = group_two_photon_lines(two_photon_lines(
-        b, "sigma-", "sigma-", total_window_ghz=(-20.0, 5.0)))
+    grouped = list(zip(*(col.tolist() for col in group_two_photon_lines(two_photon_lines(
+        b, "sigma-", "sigma-", total_window_ghz=(-20.0, 5.0))))))
     main = max(grouped, key=lambda t: t[1])
     pos, companions = memory_line_companions(b)
     assert pos == main[0]
@@ -446,12 +517,16 @@ def test_memory_line_companions_at_169_mt():
 
 
 def test_two_photon_bookkeeping_exact():
-    for ln in two_photon_lines(169.0, "sigma-", "sigma+",
-                               total_window_ghz=(-30.0, 30.0)):
-        top = ln.doubly_excited.energy_mhz
-        bottom = ln.ground.energy_mhz
-        assert ln.total_detuning_ghz * 1e3 == pytest.approx(top - bottom, abs=1e-9)
-        assert ln.is_loss_channel
+    lines = two_photon_lines(169.0, "sigma-", "sigma+", total_window_ghz=(-30.0, 30.0))
+    ground, upper = states_by_number(S12, 169.0), states_by_number(D52, 169.0)
+    assert np.array_equal(lines["total_detuning_ghz"],
+                          lines["signal_detuning_ghz"] + lines["control_detuning_ghz"])
+    for g, u, total in zip(lines["ground"].tolist(), lines["doubly_excited"].tolist(),
+                           lines["total_detuning_ghz"].tolist()):
+        top = upper[u].energy_mhz
+        bottom = ground[g].energy_mhz
+        assert total * 1e3 == pytest.approx(top - bottom, abs=1e-9)
+    assert is_loss_channel("sigma-", "sigma+")
 
 
 # fields of the array-path guards: zero, weak, the 12 mT region, operating
@@ -464,20 +539,20 @@ def nested_loop_two_photon_paths(b, signal_pol, control_pol, window, reference):
     """The two-photon paths joined line by line from the two one-photon legs:
     (ground, intermediate, upper) labels, both leg detunings and the strength,
     weighted by the 0.55 GHz intermediate width, in stable detuning order."""
-    leg1 = transition_lines(S12, P32, b, signal_pol)
-    leg2 = transition_lines(P32, D52, b, control_pol)
+    def rows(table):
+        keys = ("lower", "upper", "detuning_ghz", "raw_strength")
+        return list(zip(*(table[k].tolist() for k in keys)))
+
     out = []
-    for ln1 in leg1:
+    for lo1, up1, det1, raw1 in rows(transition_lines(S12, P32, b, signal_pol)):
         if reference is None:
             weight = 1.0
         else:
-            weight = 1.0 / (1.0 + ((ln1.detuning_ghz - reference) / 0.55) ** 2)
-        for ln2 in leg2:
-            total = ln1.detuning_ghz + ln2.detuning_ghz
-            if ln2.lower.index == ln1.upper.index and window[0] <= total <= window[1]:
-                out.append(((ln1.lower.index, ln1.upper.index, ln2.upper.index),
-                            ln1.detuning_ghz, ln2.detuning_ghz,
-                            ln1.raw_strength * ln2.raw_strength * weight))
+            weight = 1.0 / (1.0 + ((det1 - reference) / 0.55) ** 2)
+        for lo2, up2, det2, raw2 in rows(transition_lines(P32, D52, b, control_pol)):
+            total = det1 + det2
+            if lo2 == up1 and window[0] <= total <= window[1]:
+                out.append(((lo1, up1, up2), det1, det2, raw1 * raw2 * weight))
     out.sort(key=lambda path: path[1] + path[2])
     return out
 
@@ -491,9 +566,10 @@ def test_two_photon_lines_equal_nested_loop_join_of_legs(b):
                 lines = two_photon_lines(b, signal_pol, control_pol,
                                          total_window_ghz=window,
                                          reference_signal_detuning_ghz=reference)
-                got = [((ln.ground.index, ln.intermediate.index, ln.doubly_excited.index),
-                        ln.signal_detuning_ghz, ln.control_detuning_ghz, ln.strength)
-                       for ln in lines]
+                got = [((g, i, u), d1, d2, s) for g, i, u, d1, d2, s in zip(*(
+                    lines[k].tolist() for k in ("ground", "intermediate", "doubly_excited",
+                                                "signal_detuning_ghz",
+                                                "control_detuning_ghz", "strength")))]
                 assert got == nested_loop_two_photon_paths(
                     b, signal_pol, control_pol, window, reference)
 
@@ -501,8 +577,8 @@ def test_two_photon_lines_equal_nested_loop_join_of_legs(b):
 def test_zero_field_cross_polarization_symmetry():
     a = two_photon_lines(0.0, "sigma-", "sigma+", total_window_ghz=(-5.0, 5.0))
     b = two_photon_lines(0.0, "sigma+", "sigma-", total_window_ghz=(-5.0, 5.0))
-    pos_a = sorted(round(ln.total_detuning_ghz, 9) for ln in a)
-    pos_b = sorted(round(ln.total_detuning_ghz, 9) for ln in b)
+    pos_a = sorted(round(d, 9) for d in a["total_detuning_ghz"].tolist())
+    pos_b = sorted(round(d, 9) for d in b["total_detuning_ghz"].tolist())
     assert pos_a == pos_b
 
 
@@ -554,13 +630,14 @@ def test_loss_channel_pattern_by_independent_enumeration():
                     if t2[b, c] >= 1e-6 * max_pd:
                         brute.add((g.index, p.index, d.index))
         lines = two_photon_lines(169.0, *spair, total_window_ghz=(-50.0, 50.0))
-        got = {(ln.ground.index, ln.intermediate.index, ln.doubly_excited.index)
-               for ln in lines}
+        got = set(zip(*(lines[k].tolist()
+                        for k in ("ground", "intermediate", "doubly_excited"))))
         assert got == brute
-        assert all(ln.is_loss_channel == expect_loss for ln in lines)
-        for ln in lines:
-            assert ln.intermediate.m_f - ln.ground.m_f == pytest.approx(q1)
-            assert ln.doubly_excited.m_f - ln.intermediate.m_f == pytest.approx(q2)
+        assert is_loss_channel(*spair) == expect_loss
+        number = {s.index: s for m in ("5S1/2", "5P3/2", "5D5/2") for s in states[m]}
+        for g, p, d in got:
+            assert number[p].m_f - number[g].m_f == pytest.approx(q1)
+            assert number[d].m_f - number[p].m_f == pytest.approx(q2)
 
 
 # ------------------------------------------------------------ CG algebra

@@ -378,11 +378,10 @@ def test_cli_spectrum_two_photon_matches_lines(tmp_path):
                         & (trans[1:-1] < trans[2:]), False] & (trans < 0.995)]
     assert len(dips) == 2
     from cavmem.atomic import group_two_photon_lines, two_photon_lines
-    lines = group_two_photon_lines(two_photon_lines(
+    pos, strength, _ = group_two_photon_lines(two_photon_lines(
         169.0, "sigma-", "sigma-", total_window_ghz=(-7.9, -6.8),
         reference_signal_detuning_ghz=-15.0))
-    smax = max(s for _, s, _ in lines)
-    expected = sorted(pos - (-15.0) for pos, s, _ in lines if s > 1e-3 * smax)
+    expected = np.sort(pos[strength > 1e-3 * strength.max()] - (-15.0))
     assert np.allclose(sorted(dips), expected, atol=1e-3)
 
 
@@ -460,6 +459,13 @@ def test_cli_store_defaults(tmp_path):
     assert summary["total_efficiency"] == pytest.approx(0.249, abs=0.01)
     assert summary["snr_db"] == pytest.approx(
         10 * math.log10(summary["retrieved_counts"] / 3e-4), rel=1e-9)
+
+
+def test_cli_store_summary_records_its_drift_offset(tmp_path):
+    for tag, flags, expected in (("on", ["--drift-offset", "0.25"], 0.25), ("off", [], 0.0)):
+        assert main(["--out", str(tmp_path / tag), "store", "--dt", "0.02", *flags]) == 0
+        summary = json.loads((tmp_path / tag / "store_summary.json").read_text())
+        assert summary["drift_offset_ghz"] == expected
 
 
 def test_cli_store_summary_closes_and_reference_flux_integrates(tmp_path):

@@ -259,6 +259,21 @@ def test_cavity_fit_follows_a_trace_shifted_off_zero(scale, offset):
     assert fit.flags == []
 
 
+@pytest.mark.parametrize("depth", [0.1, 0.05])
+def test_cavity_fit_follows_a_shallow_dip_on_a_high_level(depth):
+    # the amplitude's floor is a tenth of the data's range; a floor of a
+    # tenth of max |y| once held a dip of 0.1 or 0.05 on a level of 1 at the
+    # bound, with zeta 0.118 or 0.052
+    x = np.linspace(-12.0, 12.0, 1201)
+    y = reflection_response(CavityParams(), x).reflected_power
+    fit = fit_cavity_reflection(x, depth * y + 1.0)
+    assert fit["fsr_ghz"] == pytest.approx(8.3, rel=1e-6)
+    assert fit["zeta_rt"] == pytest.approx(0.135, rel=1e-6)
+    assert fit["amplitude"] == pytest.approx(depth, rel=1e-6)
+    assert fit["offset"] == pytest.approx(1.0, rel=1e-6)
+    assert fit.flags == []
+
+
 # ------------------------------------------------------------ doppler fit
 
 def synthetic_doppler(b_mt=169.0, noise=0.01, seed=9, offset=0.0):
@@ -454,7 +469,8 @@ def test_gaussian_line_flags_a_flat_trace():
 
 def test_fits_of_unit_scale_data_keep_the_fixed_box(monkeypatch):
     # max |y| <= 1 scales nothing: each fit starts from the same point in the
-    # same box as before its box followed the data, so its bits hold
+    # same box as before its box followed the data, so its bits hold; the
+    # cavity amplitude's floor alone follows the data's range at every scale
     import cavmem.fitting as fitting
     calls = []
 
@@ -470,7 +486,8 @@ def test_fits_of_unit_scale_data_keep_the_fixed_box(monkeypatch):
     fit_gaussian_line(*synthetic_line(noise=0.0))
     (cav_init, cav_box), (_, life_box), (_, line_box) = calls
     assert cav_init[2:].tolist() == [1.0, 0.0]
-    assert cav_box[0][1:].tolist() == [0.0, 0.1, y_cav.min() - 1.0]
+    assert cav_box[0][1:].tolist() == [0.0, 0.1 * (y_cav.max() - y_cav.min()),
+                                       y_cav.min() - 1.0]
     assert cav_box[1][1:].tolist() == [0.9, 10.0, y_cav.max() + 1.0]
     assert life_box[0].tolist() == [0.0] * 4
     assert life_box[1].tolist() == [0.2, 10.0, 2.0, 2.0]

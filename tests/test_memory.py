@@ -1266,13 +1266,13 @@ def test_suppression_wide_excitation_limit():
     # sets the ratio
     import cavmem.cavity as cav
     from cavmem.atomic import group_two_photon_lines, two_photon_lines
-    lines = group_two_photon_lines(two_photon_lines(
+    pos, strength, _ = group_two_photon_lines(two_photon_lines(
         169.0, "sigma-", "sigma-", total_window_ghz=(-30.0, 10.0)))
-    main = max(lines, key=lambda t: t[1])
+    main = int(np.argmax(strength))
     kappa = cav.linewidth_ghz(CFG.cavity)
     expected = max(
-        (t[1] / main[1]) / (1 + (2 * abs(t[0] - main[0]) / kappa) ** 2)
-        for t in lines if t is not main and abs(t[0] - main[0]) < 3.0)
+        (strength[k] / strength[main]) / (1 + (2 * abs(pos[k] - pos[main]) / kappa) ** 2)
+        for k in range(len(pos)) if k != main and abs(pos[k] - pos[main]) < 3.0)
     cfg_wide = replace(CFG, excitation_fwhm_ns=1e-6)
     assert oscillation_suppression(169.0, cfg_wide) == pytest.approx(
         expected, rel=1e-6)

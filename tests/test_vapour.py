@@ -114,9 +114,8 @@ def velocity_integration_oracle(vap, b_mt, pol, grid, t_c=None):
     t_c = vap.temperature_c if t_c is None else t_c
     s12, p32, _ = all_manifolds()
     lines = transition_lines(s12, p32, b_mt, pol)
-    weights = np.array([ln.raw_strength for ln in lines])
-    weights /= weights.max()
-    centers = np.array([ln.detuning_ghz for ln in lines])
+    weights = lines["raw_strength"] / lines["raw_strength"].max()
+    centers = lines["detuning_ghz"]
 
     sigma_v = thermal_velocity_sigma(t_c)
     v = np.linspace(-6 * sigma_v, 6 * sigma_v, 2001)
@@ -154,13 +153,12 @@ def test_one_photon_spectrum_is_per_line_gaussian_sum(b, pol):
     s12, p32, _ = all_manifolds()
     grid = np.linspace(-12.0, 8.0, 401)
     lines = transition_lines(s12, p32, b, pol)
-    weights = np.array([ln.raw_strength for ln in lines])
-    weights /= weights.max()
+    weights = lines["raw_strength"] / lines["raw_strength"].max()
     fwhm = doppler_fwhm_ghz(VAP.temperature_c, c.wavelength_signal_nm, c)
     coef = 4 * math.log(2) / fwhm ** 2
     od = np.zeros_like(grid)
-    for w, ln in zip(weights, lines):
-        od += VAP.depth() * w * np.exp(-coef * (grid - ln.detuning_ghz) ** 2)
+    for w, center in zip(weights, lines["detuning_ghz"]):
+        od += VAP.depth() * w * np.exp(-coef * (grid - center) ** 2)
     assert np.array_equal(one_photon_spectrum(VAP, b, pol, grid), np.exp(-od))
 
 
@@ -197,13 +195,13 @@ def test_two_photon_pair_positions_at_operating_field():
 
 def test_two_photon_positions_shared_with_atomic_module():
     from cavmem.atomic import group_two_photon_lines, two_photon_lines
-    lines = group_two_photon_lines(two_photon_lines(
+    positions, _, _ = group_two_photon_lines(two_photon_lines(
         169.0, "sigma-", "sigma-", total_window_ghz=(-8.0, -6.8),
         reference_signal_detuning_ghz=-15.0))
     vap = VapourParams()
     deltas = np.linspace(7.2, 8.4, 24001)
     t, _ = two_photon_spectrum(vap, 169.0, "sigma-", "sigma-", -15.0, deltas)
-    for pos, strength, _ in lines:
+    for pos in positions:
         delta_line = pos - (-15.0)
         k = int(np.argmin(np.abs(deltas - delta_line)))
         window = t[max(0, k - 40):k + 41]
