@@ -30,8 +30,8 @@ _DEPTH_CALIBRATION_T_C = 85.0
 _DEPTH_CALIBRATION_L_MM = 6.0
 _DEPTH_CALIBRATION_VALUE = 200.0
 
-# grid points per block of one_photon_spectrum: a block bounds the (lines,
-# points) temporaries, so a long grid costs no more memory than this many points
+# grid points per block of _transmission: a block bounds the (lines, points)
+# temporaries, so a long grid costs no more memory than this many points
 _BLOCK_POINTS = 4096
 
 
@@ -121,26 +121,31 @@ def one_photon_spectrum(vapour: VapourParams, b_mt: float, polarization: str,
     carries the full configured depth.
     """
     c = constants or default_constants()
-    d_grid = np.atleast_1d(np.asarray(detunings_ghz, dtype=float))
-    depth = vapour.depth()
-    if depth == 0.0:
-        return np.ones_like(d_grid)
-    s12 = atomic.manifold_spec("5S1/2", c)
-    p32 = atomic.manifold_spec("5P3/2", c)
+    s12, p32 = (atomic.manifold_spec(m, c) for m in ("5S1/2", "5P3/2"))
     lines = atomic.transition_lines(s12, p32, b_mt, polarization)
-    centers, raw = lines["detuning_ghz"], lines["raw_strength"]
-    # uniform populations over the 8 ground sublevels: no optical pumping
-    weights = raw / raw.max()
     fwhm = doppler_fwhm_ghz(vapour.temperature_c, c.wavelength_signal_nm, c)
-    gauss_coef = 4 * math.log(2) / fwhm ** 2
-    od = np.empty_like(d_grid)
-    # blocks of the grid bound the (lines, points) temporaries; each point
-    # still sums its lines in one reduction
-    for k in range(0, len(d_grid), _BLOCK_POINTS):
-        block = d_grid[k:k + _BLOCK_POINTS]
+    # uniform populations over the 8 ground sublevels: no optical pumping
+    return _transmission(detunings_ghz, lines["detuning_ghz"], lines["raw_strength"],
+                         vapour.depth(), fwhm)
+
+
+def _transmission(grid, centres, strengths, depth: float, fwhm_ghz: float) -> np.ndarray:
+    """exp(-sum_k depth s_k/max(s) V(x - x_k)) over the points x of `grid`,
+    with V a unit-peak Gaussian of FWHM `fwhm_ghz` centred on each line x_k;
+    no lines, or depth 0, give exactly 1.
+
+    Each point sums its lines in line order in one reduction over axis 0,
+    which adds row by row, so the blocks of _BLOCK_POINTS points that bound
+    the (lines, points) temporaries change no bit.
+    """
+    x = np.atleast_1d(np.asarray(grid, dtype=float))
+    weights = depth * (strengths / strengths.max(initial=0.0))[:, None]
+    coef = 4 * math.log(2) / fwhm_ghz ** 2
+    od = np.empty_like(x)
+    for k in range(0, len(x), _BLOCK_POINTS):
+        block = x[k:k + _BLOCK_POINTS]
         od[k:k + _BLOCK_POINTS] = np.add.reduce(
-            depth * weights[:, None]
-            * np.exp(-gauss_coef * (block - centers[:, None]) ** 2), axis=0)
+            weights * np.exp(-coef * (block - centres[:, None]) ** 2), axis=0)
     return np.exp(-od)
 
 
@@ -196,28 +201,23 @@ def two_photon_spectrum(vapour: VapourParams, b_mt: float,
     line.  Counter-propagating lines carry the narrow residual-Doppler width;
     co-propagating ones the broad sum-wavevector width.  `control_depth` sets
     the peak optical depth of the strongest line (proportional to control
-    power); zero gives flat transmission.  Returns (transmission, warning)
+    power); zero gives flat transmission, and a negative or non-finite depth
+    is a DomainError.  Returns (transmission, warning)
     where warning flags an intermediate detuning inside the Doppler width.
     """
+    if not 0.0 <= control_depth < math.inf:
+        raise DomainError(f"control depth must be finite and non-negative: {control_depth}")
     c = constants or default_constants()
     deltas = np.atleast_1d(np.asarray(control_detunings_ghz, dtype=float))
     gamma_ghz = doppler_fwhm_ghz(vapour.temperature_c, c.wavelength_signal_nm, c)
     warning = abs(signal_detuning_ghz) < gamma_ghz
-    if control_depth == 0.0:
-        return np.ones_like(deltas), warning
     lines = atomic.two_photon_lines(
         b_mt, signal_pol, control_pol,
         total_window_ghz=two_photon_window(signal_detuning_ghz, deltas),
         reference_signal_detuning_ghz=signal_detuning_ghz, constants=c)
     pos, strength, _ = atomic.group_two_photon_lines(lines)
-    if not len(pos):
-        return np.ones_like(deltas), warning
-    fwhm_ghz = two_photon_linewidth_mhz(vapour, geometry, c) * 1e-3
-    coef = 4 * math.log(2) / fwhm_ghz ** 2
-    delta_line = pos - signal_detuning_ghz
-    od = np.add.reduce(control_depth * (strength / strength.max())[:, None]
-                       * np.exp(-coef * (deltas - delta_line[:, None]) ** 2), axis=0)
-    return np.exp(-od), warning
+    return _transmission(deltas, pos - signal_detuning_ghz, strength, control_depth,
+                         two_photon_linewidth_mhz(vapour, geometry, c) * 1e-3), warning
 
 
 def residual_doppler_lifetime_ns(t_c: float, wavelength_signal_nm: float,

@@ -36,10 +36,15 @@ def test_record_holds_the_pinned_fingerprints(record):
     # the bytes of `cavmem cavity resmap --points 301`'s CSV
     assert prints["resmap_csv_sha256"] \
         == "dfee51019fbed3c53c5848285e2b230e4c9bd7ce92d919542ab4aa09bb9696ec"
+    # the bytes of the CSVs of the default `cavmem spectrum one-photon` and
+    # `cavmem spectrum two-photon`
+    assert prints["spectrum_csv_sha256"] == {
+        "one-photon": "b91a99cf4bf335bdb0cc2462e90170a5a00b31fc85a5302698b747c46f75e9b8",
+        "two-photon": "0e2640c3b3357578164f1bcc26affe503aa10eed1449ff304ee5e509ecc98234"}
     assert set(prints) == {"objective", "store", "lifetime_scan", "bandwidth_scan",
                            "slice_ga", "doppler_fit", "cavity_fit", "lifetime_fit",
                            "line_fit", "criterion_5_separation_mhz",
-                           "pinned_batch", "resmap_csv_sha256"}
+                           "pinned_batch", "resmap_csv_sha256", "spectrum_csv_sha256"}
     for key in ("cavity_fit", "lifetime_fit", "line_fit"):
         assert set(prints[key]) == {"parameters", "residual_norm", "iterations", "flags"}
         assert prints[key]["flags"] == [], key

@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from cavmem.atomic import all_manifolds, transition_lines
+from cavmem.atomic import (all_manifolds, group_two_photon_lines, transition_lines,
+                           two_photon_lines)
 from cavmem.constants import default_constants
 from cavmem.errors import DomainError
 from cavmem.vapour import (VapourParams, doppler_fwhm_ghz, doppler_width_rad_s,
                            one_photon_spectrum, optical_depth,
                            residual_doppler_lifetime_ns,
                            thermal_velocity_sigma, two_photon_linewidth_mhz,
-                           two_photon_spectrum)
+                           two_photon_spectrum, two_photon_window)
 
 VAP = VapourParams()
 
@@ -206,6 +207,74 @@ def test_two_photon_positions_shared_with_atomic_module():
         k = int(np.argmin(np.abs(deltas - delta_line)))
         window = t[max(0, k - 40):k + 41]
         assert window.min() == pytest.approx(t[k], abs=1e-6)
+
+
+@pytest.mark.parametrize("geometry", ("counter", "co"))
+def test_two_photon_spectrum_is_per_line_gaussian_sum(geometry):
+    # one unit-peak Gaussian per composite line, added in line order, at the
+    # line's control detuning
+    grid, signal = np.linspace(-40.0, 40.0, 801), -8.0
+    pos, strength, _ = group_two_photon_lines(two_photon_lines(
+        169.0, "sigma-", "sigma-", total_window_ghz=two_photon_window(signal, grid),
+        reference_signal_detuning_ghz=signal))
+    assert len(pos) > 1
+    fwhm = two_photon_linewidth_mhz(VAP, geometry) * 1e-3
+    coef = 4 * math.log(2) / fwhm ** 2
+    od = np.zeros_like(grid)
+    for s, p in zip(strength, pos):
+        od += 0.7 * (s / strength.max()) * np.exp(-coef * (grid - (p - signal)) ** 2)
+    t, _ = two_photon_spectrum(VAP, 169.0, "sigma-", "sigma-", signal, grid,
+                               geometry=geometry, control_depth=0.7)
+    assert np.array_equal(t, np.exp(-od))
+
+
+def test_two_photon_spectrum_memory_bounded_on_large_grids():
+    # the grid is summed in blocks, so a 200 000-point spectrum over a window
+    # of many lines holds a few grid-sized arrays, not one array per line
+    import tracemalloc
+    grid = np.linspace(-40.0, 40.0, 200_000)
+    tracemalloc.start()
+    try:
+        two_photon_spectrum(VAP, 169.0, "sigma-", "sigma-", -8.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * grid.nbytes
+
+
+def test_zero_depth_spectra_are_exactly_one():
+    grid = np.linspace(-12.0, 4.0, 301)
+    one = one_photon_spectrum(VapourParams(optical_depth=0.0), 169.0, "sigma-", grid)
+    two, _ = two_photon_spectrum(VAP, 169.0, "sigma-", "sigma-", -8.0, grid,
+                                 control_depth=0.0)
+    assert np.array_equal(one, np.ones_like(grid))
+    assert np.array_equal(two, np.ones_like(grid))
+
+
+def test_two_photon_spectrum_without_lines_in_its_window_is_exactly_one():
+    grid = np.linspace(100.0, 101.0, 301)
+    pos, _, _ = group_two_photon_lines(two_photon_lines(
+        169.0, "sigma-", "sigma-", total_window_ghz=two_photon_window(0.1, grid),
+        reference_signal_detuning_ghz=0.1))
+    assert len(pos) == 0
+    t, _ = two_photon_spectrum(VAP, 169.0, "sigma-", "sigma-", 0.1, grid)
+    assert np.array_equal(t, np.ones_like(grid))
+
+
+@pytest.mark.parametrize("b", (math.nan, -5.0))
+def test_zero_depth_spectra_still_check_the_field(b):
+    grid = np.linspace(-12.0, 4.0, 11)
+    with pytest.raises(DomainError):
+        one_photon_spectrum(VapourParams(optical_depth=0.0), b, "sigma-", grid)
+    with pytest.raises(DomainError):
+        two_photon_spectrum(VAP, b, "sigma-", "sigma-", -8.0, grid, control_depth=0.0)
+
+
+@pytest.mark.parametrize("depth", (math.nan, math.inf, -0.1))
+def test_control_depth_must_be_finite_and_non_negative(depth):
+    with pytest.raises(DomainError):
+        two_photon_spectrum(VAP, 169.0, "sigma-", "sigma-", -8.0,
+                            np.linspace(-12.0, 4.0, 11), control_depth=depth)
 
 
 def test_control_off_flat():

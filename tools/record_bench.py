@@ -13,8 +13,9 @@ The record holds four sections:
   seeded noisy data shaped like the `spectroscopy` workload's (each with
   its parameters, residual norm, iterations and flags), criterion 5's
   two-line separation, the
-  sha256 of every array of a pinned random 48-lane batch and the sha256 of
-  the 301-point `cavity resmap` table's CSV bytes;
+  sha256 of every array of a pinned random 48-lane batch, the sha256 of
+  the 301-point `cavity resmap` table's CSV bytes and the sha256 of the
+  CSV bytes of the default `spectrum one-photon` and `spectrum two-photon`;
 - `timings`: per-layer times, which vary from run to run and are never
   compared with `==`: one RK4 loop step at 1, 24 and 192 lanes, the
   blockwise eigensolve over 1024 fields, `transition_lines`,
@@ -68,6 +69,7 @@ LIFETIME_GRID = np.arange(5.0, 100.0, 0.5)
 LINE_GRID = np.linspace(-60.0, 60.0, 500)
 FIT_NOISE_SEED = 31
 RESMAP_ARGV = ["cavity", "resmap", "--points", "301"]   # the spectroscopy workload's
+SPECTRUM_KINDS = ("one-photon", "two-photon")    # `cavmem spectrum KIND` at its defaults
 
 
 def _store(ec: ExperimentConfig) -> dict:
@@ -88,9 +90,9 @@ def _bandwidth_scan(ec: ExperimentConfig) -> dict:
     return dict(zip(map(repr, BANDWIDTH_FWHMS_NS), effs.tolist()))
 
 
-def _resmap_table(ec: ExperimentConfig) -> tuple:
-    """The header and columns of the CSV table of `cavmem` RESMAP_ARGV."""
-    args = cli.build_parser().parse_args(RESMAP_ARGV)
+def _table(ec: ExperimentConfig, argv: list) -> tuple:
+    """The header and columns of the CSV table of `cavmem` argv."""
+    args = cli.build_parser().parse_args(argv)
     (_, header, columns), _ = args.func(ec, args)
     return header, columns
 
@@ -102,11 +104,11 @@ def _csv_timing(header: list, columns: list):
         return _timed(lambda: cli._write_csv(path, header, columns))
 
 
-def _resmap_csv_sha256(ec: ExperimentConfig) -> str:
-    """The sha256 of the bytes that `cavmem` RESMAP_ARGV writes as its CSV."""
+def _csv_sha256(ec: ExperimentConfig, argv: list) -> str:
+    """The sha256 of the bytes that `cavmem` argv writes as its CSV."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cavity_resmap.csv")
-        cli._write_csv(path, *_resmap_table(ec))
+        path = os.path.join(tmp, "table.csv")
+        cli._write_csv(path, *_table(ec, argv))
         with open(path, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()
 
@@ -265,7 +267,7 @@ def layer_timings(ec: ExperimentConfig) -> dict:
             lambda: memory.lifetime_scan(ec.memory_config(), ec.pulse("signal"),
                                          ec.pulse("write"), ec.pulse("read"),
                                          SCAN_LIFETIMES_NS, dt_ns=0.02)),
-        "resmap_csv_ms": _csv_timing(*_resmap_table(ec)),
+        "resmap_csv_ms": _csv_timing(*_table(ec, RESMAP_ARGV)),
     }
 
 
@@ -286,7 +288,9 @@ def record() -> dict:
         **_noisy_fits(),
         "criterion_5_separation_mhz": atomic.criterion_5_lines()[1],
         "pinned_batch": pinned_batch(5, 48),
-        "resmap_csv_sha256": _resmap_csv_sha256(ec),
+        "resmap_csv_sha256": _csv_sha256(ec, RESMAP_ARGV),
+        "spectrum_csv_sha256": {kind: _csv_sha256(ec, ["spectrum", kind])
+                                for kind in SPECTRUM_KINDS},
     }
     throttle = _perfbench("throttle")
     probe = throttle.Probe()
