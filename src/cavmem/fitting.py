@@ -116,12 +116,11 @@ def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
         stepped = False
         for _ in range(25):
             step = np.zeros_like(theta)      # a held parameter keeps its value
-            try:
-                step[free] = np.linalg.solve(
-                    jtj + lam * np.diag(np.diag(jtj) + 1e-300), grad)
-            except np.linalg.LinAlgError:
-                flags.append("singular_jacobian")
-                step[free] = grad / (np.linalg.norm(jtj) + 1e-300)
+            # the damping keeps every pivot of a finite jtj nonzero, and a
+            # NaN column of J makes its whole row and column NaN, which
+            # solve returns as a NaN step that the cost test refuses
+            step[free] = np.linalg.solve(
+                jtj + lam * np.diag(np.diag(jtj) + 1e-300), grad)
             trial = np.clip(theta + step, lo, hi)
             r_trial = y - model(x, trial)
             c_trial = float(r_trial @ r_trial)

@@ -1476,3 +1476,33 @@ def test_building_default_config_loads_no_scipy_and_no_constants():
                           text=True, env=env, timeout=120, check=True)
     state = json.loads(proc.stdout.splitlines()[-1])
     assert state == {"scipy": [], "constants_loaded": 0}
+
+
+def test_simulating_loads_no_scipy(tmp_path):
+    # `store`, a lifetime scan with one lane on the lane schedule (12.5 ns)
+    # and one sharing the write and the read (40 ns), and the GA objective
+    # take their control-off reference from numpy alone
+    import subprocess
+    import sys
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from cavmem import cli, memory, optimize\n"
+        "from cavmem.config import ExperimentConfig\n"
+        f"assert cli.main(['--out', {str(tmp_path)!r}, 'store', '--dt', '0.02']) == 0\n"
+        "ec = ExperimentConfig()\n"
+        "mem = ec.memory_config()\n"
+        "pulses = [ec.pulse(n) for n in ('signal', 'write', 'read')]\n"
+        "assert np.all(memory.lifetime_scan(mem, *pulses, [12.5, 40.0], dt_ns=0.02) > 0)\n"
+        "shared = memory._lifetime_lanes(mem, *pulses, [12.5, 40.0], 0.02)['shared']\n"
+        "vector = np.array([0.0, 0.2, 5.0, -0.1, 1.5, 1.6, 12.5, 2.7])\n"
+        "assert optimize.objective(vector, mem) > 0\n"
+        "print(json.dumps({'shared': shared.tolist(), 'scipy': sorted(m for m in "
+        "sys.modules if m.split('.')[0] == 'scipy')}))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    state = json.loads(proc.stdout.splitlines()[-1])
+    assert state == {"shared": [False, True], "scipy": []}

@@ -20,27 +20,29 @@ The record holds four sections:
   compared with `==`: one RK4 loop step at 1, 24 and 192 lanes, the
   blockwise eigensolve over 1024 fields, `transition_lines`,
   `one_photon_spectrum`, one GA generation, one Doppler fit, the
-  four-point bandwidth scan, the default `store` run, a 48-point
-  lifetime scan and the writing of the 301-point resmap CSV.  Each is read
+  four-point bandwidth scan, the default `store` run, its closed-form
+  control-off reference, a 48-point lifetime scan and the writing of the
+  301-point resmap CSV.  Each is read
   on the throttle-corrected clock of `perfbench/throttle.py`, which a probe
   drives while the timings run, as
   perfbench reads its own times, so that records taken under different
   host load compare;
 - `raw_timings`: the same timings as wall times;
-- `environment`: Python, numpy and scipy versions and the CPU count.
+- `environment`: Python, numpy and scipy versions (scipy's read from its
+  metadata, null when it is absent) and the CPU count.
 
-It needs only the standard library, numpy and the package (scipy is used by
-the package itself).  The slice GA's fixed genes and box are read from
-`perfbench/workloads.py`, whose `tuning` workload runs it, and the clock
-from `perfbench/throttle.py`.  The test suite imports `random_lanes` and
-`pinned_batch` from here, so a pin and its record entry are one
-computation.
+It needs only the standard library, numpy and the package.  The slice
+GA's fixed genes and box are read from `perfbench/workloads.py`, whose
+`tuning` workload runs it, and the clock from `perfbench/throttle.py`.
+The test suite imports `random_lanes` and `pinned_batch` from here, so a
+pin and its record entry are one computation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib
+import importlib.metadata
 import json
 import os
 import platform
@@ -240,7 +242,9 @@ def layer_timings(ec: ExperimentConfig) -> dict:
     generation, a 2-generation `run_ga` at the configured settings divided
     by the 3 populations it evaluates; the default Doppler fit; the
     bandwidth-scan fingerprint; the store fingerprint's run, the default
-    `store` at dt 0.01; the default pulses' lifetime scan over
+    `store` at dt 0.01; its control-off reference, `memory._control_off`
+    of its admitted parameters, counts and flux on its grid, both made
+    once beforehand; the default pulses' lifetime scan over
     SCAN_LIFETIMES_NS at dt 0.02; and `cli._write_csv` of the RESMAP_ARGV
     table, whose columns are computed once beforehand."""
     fields = np.linspace(0.0, 300.0, 1024)
@@ -248,6 +252,10 @@ def layer_timings(ec: ExperimentConfig) -> dict:
     lower, upper = (atomic.manifold_spec(m) for m in ("5S1/2", "5P3/2"))
     settings = replace(ec.ga_settings(), generations=2)
     fresh = atomic._labelled_system.cache_clear
+    sig, write, read = (ec.pulse(name) for name in ("signal", "write", "read"))
+    par = memory._admit(ec.memory_config(), [sig], [write], [read], 0.0, 0.01)
+    ts = memory.simulate_storage_retrieval(ec.memory_config(), sig, write, read,
+                                           dt_ns=0.01).time_grid_ns
     return {
         "eigh_blockwise_ms": _timed(
             lambda: [atomic._eigh_blockwise(m, fields) for m in manifolds]),
@@ -263,6 +271,7 @@ def layer_timings(ec: ExperimentConfig) -> dict:
         "doppler_fit_ms": _timed(lambda: _doppler_fit(ec), repeats=3),
         "bandwidth_scan_ms": _timed(lambda: _bandwidth_scan(ec)),
         "store_ms": _timed(lambda: _store(ec)),
+        "control_off_ms": _timed(lambda: memory._control_off(par, ts)),
         "lifetime_scan_ms": _timed(
             lambda: memory.lifetime_scan(ec.memory_config(), ec.pulse("signal"),
                                          ec.pulse("write"), ec.pulse("read"),
@@ -271,9 +280,16 @@ def layer_timings(ec: ExperimentConfig) -> dict:
     }
 
 
-def record() -> dict:
-    import scipy
+def _version(package: str):
+    """The installed version of `package`, None when it is absent; read
+    from its metadata, without importing it."""
+    try:
+        return importlib.metadata.version(package)
+    except importlib.metadata.PackageNotFoundError:
+        return None
 
+
+def record() -> dict:
     ec = ExperimentConfig()
     mem = ec.memory_config()
     lifetimes = memory.lifetime_scan(mem, ec.pulse("signal"), ec.pulse("write"),
@@ -305,7 +321,7 @@ def record() -> dict:
         "timings": _read(timings, clock.span),
         "raw_timings": _read(timings, lambda begin, end: end - begin),
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                        "scipy": scipy.__version__, "cpus": os.cpu_count()},
+                        "scipy": _version("scipy"), "cpus": os.cpu_count()},
     }
 
 
