@@ -112,10 +112,12 @@ def insertion_loss(params: CavityParams) -> float:
 
 def cooperativity(optical_depth: float, cavity_finesse: float) -> float:
     """Light-matter coupling figure of merit, 2 * d * F."""
-    if optical_depth < 0:
-        raise DomainError("optical depth must be non-negative")
-    if cavity_finesse <= 0:
-        raise DomainError("finesse must be positive")
+    if not (math.isfinite(optical_depth) and optical_depth >= 0):
+        raise DomainError("optical depth must be non-negative and finite, "
+                          f"got {optical_depth!r}")
+    if not (math.isfinite(cavity_finesse) and cavity_finesse > 0):
+        raise DomainError("finesse must be positive and finite, "
+                          f"got {cavity_finesse!r}")
     return 2.0 * optical_depth * cavity_finesse
 
 
@@ -176,6 +178,8 @@ def dual_resonance_map(params: CavityParams, signal_grid_ghz,
 
 def temperature_shift_ghz(delta_t_c: float, params: CavityParams) -> float:
     """Common translation of the signal and control resonances per deg C."""
+    if not math.isfinite(delta_t_c):
+        raise DomainError(f"temperature change must be finite, got {delta_t_c!r}")
     return params.tuning_coeff_ghz_per_c * delta_t_c
 
 

@@ -1381,10 +1381,12 @@ def oscillation_suppression(b_mt: float, config: MemoryConfig,
 
 def snr_db(signal_counts: float, noise_rate: float) -> float:
     """10 log10(signal / noise); unbounded (inf) for zero noise."""
-    if noise_rate < 0:
-        raise DomainError("noise rate must be non-negative")
-    if signal_counts < 0:
-        raise DomainError("signal counts must be non-negative")
+    if not (math.isfinite(noise_rate) and noise_rate >= 0):
+        raise DomainError("noise rate must be non-negative and finite, "
+                          f"got {noise_rate!r}")
+    if not (math.isfinite(signal_counts) and signal_counts >= 0):
+        raise DomainError("signal counts must be non-negative and finite, "
+                          f"got {signal_counts!r}")
     if noise_rate == 0.0:
         return math.inf
     if signal_counts == 0.0:
@@ -1463,6 +1465,7 @@ def mean_photon_from_counts(detected_counts: float, path_transmission: float) ->
     """Mean photon number at the memory input from detected counts."""
     if not (0.0 < path_transmission <= 1.0):
         raise DomainError("path transmission must lie in (0, 1]")
-    if detected_counts < 0:
-        raise DomainError("counts must be non-negative")
+    if not (math.isfinite(detected_counts) and detected_counts >= 0):
+        raise DomainError("counts must be non-negative and finite, "
+                          f"got {detected_counts!r}")
     return detected_counts / path_transmission

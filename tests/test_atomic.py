@@ -15,6 +15,7 @@ from cavmem.atomic import (GROUP_TOL_GHZ, _labelled_system, all_manifolds, basis
                            transition_lines, two_photon_lines)
 from cavmem.constants import default_constants
 from cavmem.errors import DomainError, StructuralError
+from pins import PINS
 
 S12, P32, D52 = all_manifolds()
 
@@ -505,14 +506,16 @@ def test_memory_line_companions_do_not_depend_on_the_window(b):
 
 def test_memory_line_companions_at_169_mt():
     # eight companions within 3 GHz; the nearest strong one, criterion 5's,
-    # lies 246.9 MHz below the memory line at 0.169 of its strength
+    # lies its pinned separation below the memory line at 0.169 of its
+    # strength
     pos, companions = memory_line_companions(169.0)
     assert pos == pytest.approx(-7.320, abs=1e-3)
     offsets = [offset for offset, _ in companions]
     assert len(companions) == 8 and offsets == sorted(offsets)
     assert all(0 < abs(offset) < 3.0 for offset in offsets)
     offset, ratio = min((c for c in companions if c[1] > 0.05), key=lambda c: abs(c[0]))
-    assert (offset * 1e3, ratio) == (pytest.approx(-246.9, abs=0.05),
+    separation = PINS["criterion_5_separation_mhz"]
+    assert (offset * 1e3, ratio) == (pytest.approx(-separation, abs=0.05),
                                      pytest.approx(0.169, abs=1e-3))
 
 

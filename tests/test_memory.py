@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cavmem.cavity import CavityParams, cooperativity, temperature_shift_ghz
 from cavmem.errors import _KINDS, DomainError, NumericalError, _holds
 from cavmem.memory import (CHANNELS, MemoryConfig, PulseShape, bandwidth_scan,
                            batch_efficiency, energy_scan, lifetime_model, lifetime_scan,
@@ -19,6 +20,7 @@ from cavmem.memory import (CHANNELS, MemoryConfig, PulseShape, bandwidth_scan,
                            total_efficiency)
 from cavmem.optimize import (PARAMETER_NAMES, ParameterSpace, _pulses_from_vector,
                              objective)
+from pins import PINS
 from record_bench import pinned_batch, random_lanes
 
 TWO_PI = 2 * math.pi
@@ -201,6 +203,16 @@ def test_faddeeva_function_matches_mpmath():
     assert np.max(np.abs(_faddeeva(z) - exact) / np.abs(exact)) <= 1e-14
 
 
+@pytest.mark.parametrize("c", [0.5, 2.0, 10.0, 100.0, 1000.0, 3800.0])
+def test_retrieved_share_within_the_cooperativity_bound(c):
+    # a loss-free cavity memory retrieves at most (C/(1+C))^2 of the input
+    # photons; C = 20000 is left out, the stability guard refuses it at
+    # dt 0.02
+    main = simulate_batch(replace(CFG, cooperativity=c).lossless(), [SIG], [WRITE], [READ],
+                          0.0, 0.02)
+    assert main["retrieved_counts"][0] / main["input_photons"][0] <= (c / (1 + c)) ** 2
+
+
 def test_internal_efficiency_monotone_in_cooperativity():
     effs = []
     for c in (10.0, 100.0, 1000.0, 3800.0):
@@ -264,6 +276,21 @@ def test_snr():
         snr_db(1.0, -3e-4)
     with pytest.raises(DomainError, match="signal counts"):
         snr_db(-1.0, 3e-4)
+
+
+@pytest.mark.parametrize("helper, args", [
+    (mean_photon_from_counts, (math.nan, 0.5)),
+    (mean_photon_from_counts, (math.inf, 0.5)),
+    (snr_db, (0.3, math.nan)),
+    (snr_db, (math.inf, 3e-4)),
+    (cooperativity, (math.nan, 9.5)),
+    (cooperativity, (200.0, math.inf)),
+    (temperature_shift_ghz, (math.nan, CavityParams())),
+], ids=["counts-nan", "counts-inf", "snr-noise-nan", "snr-signal-inf",
+        "cooperativity-depth-nan", "cooperativity-finesse-inf", "temperature-nan"])
+def test_scalar_helpers_refuse_non_finite_inputs(helper, args):
+    with pytest.raises(DomainError, match="finite"):
+        helper(*args)
 
 
 # ------------------------------------------------------------- decay law
@@ -614,13 +641,6 @@ def test_dark_read_far_before_write_takes_no_kernel():
     assert _closure(main)[0] < 1e-4
 
 
-# retrieved counts and dephasing loss of each lane below at dt 0.02,
-# recorded when the RK4 stepper applied the kernel inside its chunk
-_EVENT_LANE_PINS = {"free": (2.4019698327390405e-07, 3.6961050747200894e-06),
-                    "read": (0.040719711342812576, 0.46263028961853625),
-                    "after": (0.03850015023385949, 0.02263615348849909)}
-
-
 @pytest.mark.parametrize("event", ["free", "read", "after"])
 def test_kernel_acts_where_t_mid_meets_a_jump_end(event):
     # the kernel is a loop event: t_mid on the last point before the jump
@@ -649,7 +669,10 @@ def test_kernel_acts_where_t_mid_meets_a_jump_end(event):
     assert k_free[0] < k_read[0]
     alone = simulate_batch(CFG, [sig], [write], [read], 0.0, 0.02, keep_flux=True)
     assert alone["loss_dephasing"][0] > 0.0
-    assert (alone["retrieved_counts"][0], alone["loss_dephasing"][0]) == _EVENT_LANE_PINS[event]
+    # retrieved counts and dephasing loss, recorded when the RK4 stepper
+    # applied the kernel inside its chunk
+    assert (alone["retrieved_counts"][0], alone["loss_dephasing"][0]) \
+        == tuple(PINS["event_lanes"][event])
     assert _closure(alone)[0] < 1e-4
     pair = simulate_batch(CFG, [sig, SIG], [write, WRITE],
                           [read, replace(READ, center_ns=90.0)], 0.0, 0.02)
@@ -948,44 +971,6 @@ def test_total_efficiency_elementwise():
         total_efficiency(c_ret, np.array([0.4, 0.0]), 0.5)
 
 
-# recorded from the step with scaled stage tables, the run stepped in time
-# blocks that end at the kernel and the reference flux in closed form, from
-# the numpy Faddeeva series; a
-# change that moves them stays within the budget that
-# tests/test_record_bench.py states
-_PINNED_STORE = {
-    "total_efficiency": 0.24916089281644502,
-    "internal_efficiency": 0.8072821608755306,
-    "reference_counts": 0.35138114494462436,
-    "leak_counts": 0.09336187571544045,
-    "retrieved_counts": 0.2836637299818144,
-    "bookkeeping": {
-        "loss_polarization": 0.007272470624539682,
-        "loss_spin": 0.032902684561570486,
-        "loss_cavity_internal": 0.19318871149007621,
-        "loss_dephasing": 0.07246828614408159,
-        "residual_excitation": 0.11714023361976121,
-        "output_total": 0.37702560569725485,
-    },
-    "output_flux": "e428870041be51af5124df39518f064d9e1174f0115e4e21c065e0b7cfae0aef",
-    "reference_flux": "0b9b258441cc66cb03e5e084831aa4b4684cf3c1bd1a1d8b68bb57388bb18232",
-}
-_PINNED_STORE_60 = {
-    "total_efficiency": 0.02702625882540207,
-    "leak_counts": 0.09336197165061179,
-    "retrieved_counts": 0.030768750662308948,
-    "bookkeeping": {
-        "loss_polarization": 0.004348262456464128,
-        "loss_spin": 0.07614861919781607,
-        "loss_cavity_internal": 0.12129165300906934,
-        "loss_dephasing": 0.46137458987162056,
-        "residual_excitation": 0.012706100102464465,
-        "output_total": 0.12413072231292074,
-    },
-    "output_flux": "a68936e96155c8dd21d50ac5ad4415cbafcbbf336e1a755ab4dec699ba7bd16f",
-}
-
-
 def _store_fingerprint(res, keys):
     """The named fields of `res`, flux arrays as the sha256 of their bytes."""
     return {k: hashlib.sha256(getattr(res, k).tobytes()).hexdigest()
@@ -999,54 +984,27 @@ def test_storage_run_fingerprints_pinned():
     cfg = ec.memory_config()
     sig, wr, rd = (ec.pulse(n) for n in ("signal", "write", "read"))
     vec = np.array([0.0, 0.2, 5.0, -0.1, 1.5, 1.6, 12.5, 2.7])
-    assert objective(vec, cfg) == 1.0872241089227768
+    assert objective(vec, cfg) == PINS["objective"]
+    # recorded from the step with scaled stage tables, the run stepped in
+    # time blocks that end at the kernel and the reference flux in closed
+    # form, from the numpy Faddeeva series; a change that moves them stays
+    # within the budget that tests/test_record_bench.py states
     res = simulate_storage_retrieval(cfg, sig, wr, rd)
-    assert _store_fingerprint(res, _PINNED_STORE) == _PINNED_STORE
+    assert _store_fingerprint(res, PINS["store"]) == PINS["store"]
     # the read at 60 ns leaves a drive-free stretch that the lane jumps over
     res = simulate_storage_retrieval(cfg, sig, wr, replace(rd, center_ns=60.0))
-    assert _store_fingerprint(res, _PINNED_STORE_60) == _PINNED_STORE_60
+    assert _store_fingerprint(res, PINS["store_read_at_60_ns"]) == PINS["store_read_at_60_ns"]
 
 
-# sha256 of every array simulate_batch returns for random lanes at dt 0.02:
-# 48 lanes step in chunks of 64, 320 lanes in chunks of 12, so chunk ends
-# fall between jumps; recorded with the input photons in closed form and
-# each chunk computing the fluxes at all of its own grid points
-_PINNED_BATCHES = {
-    (5, 48): (2213, {
-        "ts": "0d211dcd1bdfffbec28e0703ae032df670128174ae6b175735d9a65fdab4cd32",
-        "out_flux": "145d2c3009d03d25f30f819ddd7c4b1a8f229dc61f55c5ba90e63e0d7299912a",
-        "leak_counts": "83bc1fe94fcfb9c1bd63e595e6986950d85f6a719bd504685677c5b48002288e",
-        "retrieved_counts": "56d9d0c02c43c97aa24e8ace12be2807af7588a4e94d275deb5fcb2959c35a1f",
-        "input_photons": "f022e0e2126316adbdcfda5d5bdfa9767ecb1d575851a22989bc329fbf628865",
-        "loss_polarization": "8505541904be1237082adb8bb378a1bc2beb20eb738feb0e8d99c508009b90f9",
-        "loss_spin": "bf4c2f7019d36973824fced0e62003ea750f779688714e3a5063aebd7acd5abf",
-        "loss_cavity_internal": "0e6a39a20d9e2a509fdbf9224fad4e8a9e312b844dd06a231808b77a9d451f03",
-        "loss_dephasing": "cef2656ca55dcf6e86743014da6fc1a7d0dac9364b53ddc3e9cd11d3caf93808",
-        "residual_excitation": "d6c0e90ee93ae83f266bd461a3db135fb6390298cdb7a22b8a0383421d865516",
-        "closure_residual": "af11a160ad6670c6f568edb971336b8442658d5f5333e748ab1ce4b0f0ffdad3",
-        "reference_counts": "47caf0a09a882281bca84f3de3a95bc58b494ed0d2e5e76c9e51614fa5766b83",
-    }),
-    (6, 320): (2260, {
-        "ts": "06801551eb01426325e63442a50b731a51b5c84161217b4b46b7772ba4345658",
-        "out_flux": "f5fefcc27cc863bc429c358dec6c4c9f91de553d2ba5e25a3be3d34994132645",
-        "leak_counts": "136cdc6e903d84852da2663f26573a9a9adc990cfeb55bdd1827d15d87af467e",
-        "retrieved_counts": "88c2d9899d5d24f3da1d0541f90ab6a701fc9e3fa724b789d0a1f03f162065e8",
-        "input_photons": "5400e45cb37a8824845276343c4006b3f0eeef611488e7de417993df2fd3365c",
-        "loss_polarization": "5bab4f53b3ef2cda72ee9224b039bd13d3cfe3ae0cf05b95a90b13e3a1bdee19",
-        "loss_spin": "1d249c33404116d7d624418b4fffb6ff53563262ac46f8ac4dccd46a54f3c05f",
-        "loss_cavity_internal": "fbf019db0454282d29aa39af6152982bfc0925966f3cd280295e325029fd7fd9",
-        "loss_dephasing": "b085cdd4e2cb4233e304c6395c42dedd19d3c09c17fb82fd9bdb47ce821be37e",
-        "residual_excitation": "a7046413c607e54ce2644bedf22dbebbedf3da3588dae4af87fef68a632fd1eb",
-        "closure_residual": "52b6c6a767944b7881cdc2a2ce578819fd6b07373df7248a4b39fd0af9c1f8f9",
-        "reference_counts": "91833fc0000b50e6e2f7b118091de6fb364f11735ed5d24eb2476795c334501a",
-    }),
-}
-
-
-@pytest.mark.parametrize("seed, size", list(_PINNED_BATCHES), ids=["48-lanes", "320-lanes"])
-def test_random_batch_arrays_pinned(seed, size):
-    steps, pinned = _PINNED_BATCHES[seed, size]
-    assert pinned_batch(seed, size) == {"loop_steps": steps, "sha256": pinned}
+@pytest.mark.parametrize("batch", list(PINS["batches"]), ids=["48-lanes", "320-lanes"])
+def test_random_batch_arrays_pinned(batch):
+    # loop steps and the sha256 of every array simulate_batch returns for
+    # the random lanes "seed-size" at dt 0.02: 48 lanes step in chunks of
+    # 64, 320 lanes in chunks of 12, so chunk ends fall between jumps;
+    # recorded with the input photons in closed form and each chunk
+    # computing the fluxes at all of its own grid points
+    seed, size = map(int, batch.split("-"))
+    assert pinned_batch(seed, size) == PINS["batches"][batch]
 
 
 @pytest.mark.parametrize("lane_steps", [48 * 4, 48 * 5, 48 * 17, 4096],
@@ -1056,7 +1014,7 @@ def test_chunk_ends_move_no_bits(lane_steps, monkeypatch):
     # 48-lane batch gives its pinned arrays and step count
     from cavmem import memory
     monkeypatch.setattr(memory, "_CHUNK_LANE_STEPS", lane_steps)
-    test_random_batch_arrays_pinned(5, 48)
+    test_random_batch_arrays_pinned("5-48")
 
 
 def test_rk4_step_makes_at_most_30_multiply_and_add_calls(monkeypatch):

@@ -1,5 +1,6 @@
-"""The benchmark record script: it runs, its fingerprints are the pins, and
-they stay within the stated budget of the committed record."""
+"""The benchmark record script: it runs, its fingerprints equal their
+entries of the pin table tests/pins.json, which the memory tests read too,
+and they stay within the stated budget of the committed record."""
 
 import json
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from test_memory import _PINNED_BATCHES
+from pins import PINS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "record_bench.py"
@@ -25,22 +26,15 @@ def record(tmp_path_factory):
 
 def test_record_holds_the_pinned_fingerprints(record):
     prints = record["fingerprints"]
-    assert prints["objective"] == 1.0872241089227768
-    assert prints["bandwidth_scan"] == {"0.6": 0.12527423086055092,
-                                        "1.0": 0.19808656862149404,
-                                        "1.5": 0.2491559029965402,
-                                        "3.0": 0.2518105930440279}
-    steps, pinned = _PINNED_BATCHES[5, 48]
-    assert prints["pinned_batch"] == {"loop_steps": steps, "sha256": pinned}
-    assert round(prints["criterion_5_separation_mhz"], 1) == 246.9
+    assert prints["objective"] == PINS["objective"]
+    assert prints["bandwidth_scan"] == PINS["bandwidth_scan"]
+    assert prints["pinned_batch"] == PINS["batches"]["5-48"]
+    assert round(prints["criterion_5_separation_mhz"], 1) == PINS["criterion_5_separation_mhz"]
     # the bytes of `cavmem cavity resmap --points 301`'s CSV
-    assert prints["resmap_csv_sha256"] \
-        == "dfee51019fbed3c53c5848285e2b230e4c9bd7ce92d919542ab4aa09bb9696ec"
+    assert prints["resmap_csv_sha256"] == PINS["resmap_csv_sha256"]
     # the bytes of the CSVs of the default `cavmem spectrum one-photon` and
     # `cavmem spectrum two-photon`
-    assert prints["spectrum_csv_sha256"] == {
-        "one-photon": "b91a99cf4bf335bdb0cc2462e90170a5a00b31fc85a5302698b747c46f75e9b8",
-        "two-photon": "0e2640c3b3357578164f1bcc26affe503aa10eed1449ff304ee5e509ecc98234"}
+    assert prints["spectrum_csv_sha256"] == PINS["spectrum_csv_sha256"]
     assert set(prints) == {"objective", "store", "lifetime_scan", "bandwidth_scan",
                            "slice_ga", "doppler_fit", "cavity_fit", "lifetime_fit",
                            "line_fit", "criterion_5_separation_mhz",
