@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import AtomConstants, default_constants
-from .errors import DomainError, NumericalError, StructuralError
+from .errors import DomainError, NumericalError, StructuralError, require_finite_values
 
 __all__ = [
     "ManifoldSpec", "ZeemanState", "POLARIZATIONS", "manifold_spec", "all_manifolds",
@@ -382,13 +382,17 @@ def two_photon_lines(b_mt: float, signal_pol: str, control_pol: str,
     resonance from that reference; otherwise the raw product is kept.  Only
     ordering and grouping of lines are contractual; absolute weights are not.
     """
-    if total_window_ghz[0] >= total_window_ghz[1]:
-        raise DomainError("two-photon window must be non-empty")
+    # `not lo < hi` refuses a NaN bound, which would select no line
+    if not total_window_ghz[0] < total_window_ghz[1]:
+        raise DomainError(f"two-photon window must be a non-empty interval, "
+                          f"got {total_window_ghz!r}")
+    ref = reference_signal_detuning_ghz
+    if ref is not None:
+        require_finite_values("reference signal detuning", ref)
     s12, p32, d52 = all_manifolds(constants)
     leg1 = transition_lines(s12, p32, b_mt, signal_pol)
     leg2 = transition_lines(p32, d52, b_mt, control_pol)
     det1, det2 = leg1["detuning_ghz"], leg2["detuning_ghz"]
-    ref = reference_signal_detuning_ghz
     # in Python floats: numpy's ** 2 can differ from them by an ulp
     weight = np.array([1.0 if ref is None
                        else 1.0 / (1.0 + ((d - ref) / GAMMA_EFF_GHZ) ** 2)

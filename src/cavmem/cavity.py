@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, require_finite_values
 
 __all__ = [
     "CavityParams", "CavityResponse", "reflection_response", "finesse",
@@ -70,9 +70,16 @@ class CavityResponse:
         return np.abs(self.transmission) ** 2
 
 
+def _detunings(detunings_ghz) -> np.ndarray:
+    """The detunings as a 1-D float array; DomainError unless each is finite."""
+    d = np.atleast_1d(np.asarray(detunings_ghz, dtype=float))
+    require_finite_values("detunings", d)
+    return d
+
+
 def reflection_response(params: CavityParams, detunings_ghz) -> CavityResponse:
     """Complex reflection and transmission amplitudes over a detuning grid."""
-    d = np.atleast_1d(np.asarray(detunings_ghz, dtype=float))
+    d = _detunings(detunings_ghz)
     phase = np.exp(1j * 2 * np.pi * d / params.fsr_ghz)
     r_loop = params.round_trip_amplitude
     denom = 1.0 - r_loop * phase
@@ -123,7 +130,7 @@ def cooperativity(optical_depth: float, cavity_finesse: float) -> float:
 
 def buildup_factor(params: CavityParams, detunings_ghz) -> np.ndarray:
     """Intra-cavity circulating-power enhancement over incident power."""
-    d = np.atleast_1d(np.asarray(detunings_ghz, dtype=float))
+    d = _detunings(detunings_ghz)
     phase = np.exp(1j * 2 * np.pi * d / params.fsr_ghz)
     return (1.0 - params.r1) / np.abs(1.0 - params.round_trip_amplitude * phase) ** 2
 
@@ -145,8 +152,7 @@ def dual_resonance_map(params: CavityParams, signal_grid_ghz,
     cavity resonances (offsets folded by one fsr each) while also satisfying
     the two-photon condition delta = -Delta.
     """
-    sig = np.atleast_1d(np.asarray(signal_grid_ghz, dtype=float))
-    ctl = np.atleast_1d(np.asarray(control_grid_ghz, dtype=float))
+    sig, ctl = _detunings(signal_grid_ghz), _detunings(control_grid_ghz)
     if sig.size == 0 or ctl.size == 0:
         raise DomainError("grids must be non-empty")
     b_sig = buildup_factor(params, sig - params.mode_offset_signal_ghz)

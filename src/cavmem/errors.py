@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the toolkit, and its field type rule."""
+"""Exception hierarchy shared across the toolkit, its field type rule and
+its finiteness rule for plain values."""
 
 import math
 import numbers
@@ -66,3 +67,10 @@ def require_finite(obj, what: str) -> None:
             if kind is numbers.Real and isinstance(value, (float, np.floating)):
                 wanted = "finite"
             raise DomainError(f"{what} {name} must be {wanted}, got {value!r}")
+
+
+def require_finite_values(what: str, *values) -> None:
+    """DomainError unless each of `values`, a number or an array of numbers,
+    is finite; `what` names them in the message."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise DomainError(f"{what} must be finite")

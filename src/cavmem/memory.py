@@ -111,22 +111,27 @@ before), so results cannot depend on evaluation order.
 
 The lanes of a lifetime scan share the signal, the write and the read's
 shape; only the storage time differs.  A lane whose t_mid lies inside its
-jump is its shared write, one exact propagator and a shared read.  So the
-scan integrates the write once, up to k_free, on the time-block schedule;
-carries its state from there to each lane's read start with the exact
-propagator (`_carry`), over a real-valued span with no floor to the grid,
-taking the kernel on the way; and integrates the read and the ring-down once, on a
-clock anchored to the read start, from nine probe states of (a, P, S).  The
-read is linear in its start state, so each channel it books is a Hermitian
-form in that state, fixed by its values on the probes.  The signal and the
-write count as zero in the read and the read in the write, as in the jump.
-The other lanes, whose read opens before the write window closes or whose
-t_mid falls inside the read (short storage times), are one batch on the
-lane schedule.  The scan is admitted once, both sets of lanes run from
-that one admission's parameter arrays, and one closed-form control-off
-call gives every lane's reference counts.  A storage time's efficiency has
-the same bits alone and in any scan, and a shared lane's differs from its
-lane schedule's by rounding where its read start lies on the grid.
+jump is its shared write, one exact propagator, a shared read and its own
+ring-down.  So the scan integrates the write once, up to k_free, on the
+time-block schedule; carries its state from there to each lane's read
+start with the exact propagator (`_carry`), over a real-valued span with
+no floor to the grid, taking the kernel on the way; and integrates the read
+once, up to its close, on a clock anchored to the read start, from nine
+probe states of (a, P, S).  The read is linear in its start state, so each
+channel it books is a Hermitian form in that state, fixed by its values on
+the probes, and its state at the close is the read's propagator, the unit
+probes' states there, applied to it.  From there `_carry` rings each lane
+down to its own end on the grid, k_end dt, by the lane schedule's rule, so
+every lane of every path ends where `_pulse_par_arrays` puts it.  The
+signal and the write count as zero in the read and the read in the write,
+as in the jump.  The other lanes, whose read opens before the write window
+closes or whose t_mid falls inside the read (short storage times), are one
+batch on the lane schedule.  The scan is admitted once, both sets of lanes
+run from that one admission's parameter arrays, and one closed-form
+control-off call gives every lane's reference counts.  A storage time's
+efficiency has the same bits alone and in any scan, and every channel of a
+shared lane differs from its lane schedule's by rounding, on the grid or
+off it.
 """
 
 from __future__ import annotations
@@ -141,7 +146,7 @@ import numpy as np
 from . import atomic, cavity
 from .cavity import CavityParams
 from .constants import AtomConstants
-from .errors import DomainError, NumericalError, require_finite
+from .errors import DomainError, NumericalError, require_finite, require_finite_values
 
 __all__ = [
     "PulseShape", "MemoryConfig", "SimulationResult",
@@ -298,8 +303,8 @@ class SimulationResult:
 # narrow batch, fewer for wide ones so that memory stays bounded
 _CHUNK_LANE_STEPS = 4096
 # steps of a chunk of the time-block schedule (see _integrate_batch), and
-# the lane-steps of the blocks that it steps together, so that memory stays
-# bounded
+# the lane-steps of a wave of them, four rows for each lane of the batch,
+# so that memory stays bounded
 _BLOCK_STEPS = 48
 _WAVE_LANE_STEPS = 1 << 15
 # the most lane-steps, and grid points, that a batch may take: over five
@@ -328,10 +333,7 @@ def _lane_steps(par: dict, dt: float):
 def _lanes_by_step(steps, lanes) -> dict:
     """Map each step to the array of those of `lanes` that have an event
     there."""
-    out: dict[int, list] = {}
-    for step, lane in zip(steps.tolist(), lanes.tolist()):
-        out.setdefault(step, []).append(lane)
-    return {step: np.array(at) for step, at in out.items()}
+    return {step: lanes[steps == step] for step in np.unique(steps).tolist()}
 
 
 def _drives(par: dict, half_steps, dt: float):
@@ -498,24 +500,26 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     depend only on its own pulses, and a chunk's end moves no bit of a
     lane, so its results do not depend on the other lanes of the batch, nor
     on its width: every batch keeps this schedule.  With `blocks` (the
-    single storage run) the loop takes chunks of at most _BLOCK_STEPS steps
-    and passes a wave of them side by side, as the memory is linear: four
-    copies of the lanes each, from rest under the input drive (the first
-    chunk from the lanes' rest) and from the unit states of a, P and S
-    without it, each under the control drives of its own time.  It joins
-    them by superposition, y = Phi y_start + p.  The join moves bits by a
-    few ulps, and a block costs about four times the arithmetic of its
-    lane, so blocks pay only where a step costs its numpy calls rather than
-    its lanes; the first chunk, stepped from the lanes' rest, keeps every
-    bit of the lane schedule.
+    single storage run, and the lifetime scan's shared write and read) the
+    loop takes chunks of at most _BLOCK_STEPS steps and passes a wave of
+    them side by side, as the memory is linear: four copies of lane 0 each,
+    from rest under the input drive (the first chunk from the lane's rest)
+    and from the unit states of a, P and S without it, each under the
+    control drives of its own time.  It joins every lane on them by
+    superposition, y = Phi y_start + p.  The join moves bits by a few ulps,
+    and a block costs about four times the arithmetic of its lane, so
+    blocks pay only where a step costs its numpy calls rather than its
+    lanes; the first chunk, stepped from the lane's rest, keeps every bit
+    of the lane schedule.
 
     `start_state`, when given, holds each lane's state (a, P, S) at k_start
     in place of rest, and the drives of that first point are not zeroed.
-    With `blocks` such lanes must share lane 0's pulses and rates and
-    differ only in it, as the probes of the lifetime scan's read do (see
-    _one_write_many_reads): the blocks step lane 0 alone, and every lane
-    joins on its Phi and p.  A wave is bounded by the lanes it steps, the
-    table that a booking takes by the lanes it books.
+    A block batch shares lane 0's drives: its lanes share lane 0's pulses
+    and rates and differ only in their start states, as the probes of the
+    lifetime scan's read do (see _one_write_many_reads).  One bound,
+    _WAVE_LANE_STEPS, sets the chunks of a wave: four rows of each lane
+    over the wave's steps, which bounds the table that a booking takes and
+    the blocks, four copies of one lane, with it.
 
     Returns the grid `ts`; per individual the channels of CHANNELS,
     `input_photons` = sig_n and `closure_residual` (nan where there are no
@@ -715,19 +719,17 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
     out_flux = np.zeros((len(ts), b)) if keep_flux else None
     # A pass steps one chunk from the lanes' own states, one copy of them
     # with the batch's one stepper; or, with `blocks`, a wave of chunks side
-    # by side, four copies of the stepped lanes each, a wave bounding the
-    # memory: every lane, or lane 0 alone for lanes given their start
-    # states.  What one booking takes, the chunks joined up to the next jump
-    # or the end of `joined` chunks, which bounds its memory: the lanes'
+    # by side, four copies of lane 0 each.  What one booking takes, the
+    # chunks joined up to the next jump or the pass's end: the lanes'
     # states, signal Gaussians, fluxes (output, cavity, P, S) and count
-    # steps at their grid points, row 0 at its start.  The lane stepper
+    # steps at their grid points, row 0 at its start.  The wave's length
+    # bounds that table's memory, and the blocks' with it.  The lane stepper
     # keeps the states in its own table, so that its join, y = p, copies
     # nothing
-    stepped = 1 if blocks and start_state is not None else b
-    copies, wave, joined = (4, *(max(1, _WAVE_LANE_STEPS // (4 * w * size))
-                                 for w in (stepped, b))) if blocks else (1, 1, 1)
+    stepped = 1 if blocks else b
+    copies, wave = (4, max(1, _WAVE_LANE_STEPS // (4 * b * size))) if blocks else (1, 1)
     lane_stepper = None if blocks else stepper(slice(None), 1)
-    span = joined * size
+    span = wave * size
     states = lane_stepper[0] if lane_stepper else np.empty((span + 1, 4, b), dtype=complex)
     # every lane rests at first, unless it is given its start state
     states[0, 1:] = 0.0 if start_state is None else start_state
@@ -802,11 +804,9 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
         drives are zeroed unless they are given start states) and the
         signal's Gaussian at its grid points."""
         n = last - first
-        table, advance = lane_stepper or stepper(np.tile(np.arange(stepped), n), copies)
+        table, advance = lane_stepper or stepper(np.zeros(n, int), copies)
         if copies > 1:      # the lane stepper's table starts at y already
-            table[0, 1:] = 0.0
-            for j in range(3):
-                table[0, 1 + j, (1 + j) * n * stepped:(2 + j) * n * stepped] = 1.0
+            table[0, 1:] = np.repeat(np.eye(4)[1:], n, axis=1)
         bases = [chunks[i][1][:stepped] for i in range(first, last)]
         g_pass = advance(np.concatenate(bases), max(chunks[i][0] for i in range(first, last)),
                          slice(0, stepped) if first == 0 and start_state is None
@@ -835,7 +835,7 @@ def _integrate_batch(par: dict, t0: float, t1: float, dt: float,
             states[at, 3, dephased], lost = _dephase(states[at, 3, dephased],
                                                      kernel[dephased])
             counts[5, dephased] += lost
-        if jumping is not None or (i + 1) % joined == 0 or i + 1 == len(chunks):
+        if jumping is not None or (i + 1) % wave == 0 or i + 1 == len(chunks):
             book(at, start, jumping)
             at = 0
 
@@ -943,12 +943,6 @@ def _control_off(par: dict, ts=None):
     return counts, np.abs(a_out) ** 2
 
 
-def _ring_down_ns(kappa):
-    """The span of a lane's window after its last drive window closes: six
-    cavity amplitude decay times and 3 ns."""
-    return 6.0 / (kappa / 2) + 3.0
-
-
 def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
                       drift_offset_ghz) -> dict:
     """Assemble per-individual parameter arrays for the batch integrator."""
@@ -991,7 +985,9 @@ def _pulse_par_arrays(config: MemoryConfig, signal, writes, reads,
     # read window, whatever the pulse energies
     t_free = np.maximum(sig_c + 4 * sig_f, w_c + 3 * w_f)
     t_close = np.maximum(r_c + 3 * r_f, t_free)
-    tail = _ring_down_ns(config.kappa)
+    # a lane's window ends six cavity amplitude decay times and 3 ns after
+    # its last drive window closes
+    tail = 6.0 / (config.kappa / 2) + 3.0
 
     return dict(
         kappa=np.full(b, config.kappa),
@@ -1137,6 +1133,7 @@ def total_efficiency(c_ret, c_ref, zeta: float):
     if not np.all(c_ref > 0):
         raise DomainError("reference counts must be positive; the signal "
                           "pulse carries no input photons")
+    require_finite_values("retrieved and reference counts", c_ret, c_ref)
     if not (0.0 <= zeta < 1.0):
         raise DomainError("insertion loss must lie in [0, 1)")
     out = (1.0 - zeta) * (np.asarray(c_ret, dtype=float) / c_ref)
@@ -1211,6 +1208,8 @@ def lifetime_model(t_ns,
     eta(t) = e^{-gm t} e^{-pi^2 nu'^2 t^2 / (4 ln2)} |A + B e^{i w t}|^2.
     """
     t = np.asarray(t_ns, dtype=float)
+    require_finite_values("storage times and decay-law parameters", t, gamma_m_rad_ns,
+                          nu_prime_ghz, amp_main, amp_beat, omega_rad_ns)
     if np.any(t < 0):
         raise DomainError("storage time must be non-negative")
     envelope = np.exp(-gamma_m_rad_ns * t
@@ -1230,6 +1229,7 @@ def one_over_e_lifetime_ns(
     c = pi^2 nu'^2 / (4 ln2) the condition gm t + c t^2 = 1 has the root
     t = (-gm + sqrt(gm^2 + 4c)) / (2c).
     """
+    require_finite_values("decay-law parameters", gamma_m_rad_ns, nu_prime_ghz)
     c = math.pi ** 2 * nu_prime_ghz ** 2 / (4 * _LN2)
     if c == 0:
         return math.inf if gamma_m_rad_ns == 0 else 1.0 / gamma_m_rad_ns
@@ -1248,20 +1248,24 @@ def _one_write_many_reads(par: dict, dt: float) -> dict:
     start t_read = r_c - 3 r_f, a real-valued span with no floor to the
     grid; the kernel acts on the way at k_mid, where the lane schedule
     applies it too (S evolves alone there, so where it acts moves no state;
-    it splits the output into leak and retrieved).  The read and the ring-down are
-    integrated once, on a clock anchored to the read start, from nine probe
-    states of (a, P, S): the unit states e_j, and e_j + e_k and
+    it splits the output into leak and retrieved).  The read is integrated
+    once, up to its close, on a clock anchored to the read start, from nine
+    probe states of (a, P, S): the unit states e_j, and e_j + e_k and
     e_j + i e_k for each pair j < k.  Without a drive into it the read is
     linear in its start state y, so each channel it books is a Hermitian
     form y^H G y, fixed by its values on the probes: the sum over j of
     G_jj |y_j|^2 and over the pairs of
-    2 Re G_jk Re(y_j* y_k) - 2 Im G_jk Im(y_j* y_k).  The signal and the
-    write, whose windows have closed, count as zero in the read, and the
-    read in the write, as they do in the jump.  Each channel but the
-    residual excitation is what the write, the jump and the read book, and
-    the residual is what the read leaves.  Neither run depends on the lanes
-    that share it, so a lane's bits do not depend on the others."""
-    k_mid, k_free = _lane_steps(par, dt)[1:3]
+    2 Re G_jk Re(y_j* y_k) - 2 Im G_jk Im(y_j* y_k); and its state at the
+    close is Phi y, where the unit probes' states there are the columns of
+    its propagator Phi.  From there each lane rings down on its own grid,
+    as on the lane schedule: _carry takes it to its end, k_end dt, and all
+    of that output is retrieved.  The signal and the write, whose windows
+    have closed, count as zero in the read, and the read in the write, as
+    they do in the jump.  Each channel but the residual excitation is what
+    the write, the jump, the read and the ring-down book, and the residual
+    is what the ring-down leaves.  Neither run depends on the lanes that
+    share it, so a lane's bits do not depend on the others."""
+    _, k_mid, k_free, _, _, k_end = _lane_steps(par, dt)
     # the write: the read of lane 0 is dark and chirp-free, so its drive is
     # exactly 0 wherever it lies, and every other value the write sees is
     # the same for each lane
@@ -1274,8 +1278,8 @@ def _one_write_many_reads(par: dict, dt: float) -> dict:
     # k_free broadcast over the lanes
     y_read, jump = _carry(write["state_end"], _rates(par), par["kappa_ext"],
                           (k_mid - k_free) * dt, par["t_read"] - k_mid * dt, par["kernel"])
-    # the read, on a clock that starts at 0 from the probes; all of its
-    # output is retrieved
+    # the read, on a clock that starts at 0 from the probes, up to its close;
+    # all of its output is retrieved
     j, k = [0, 0, 1], [1, 2, 2]
     unit = np.eye(3)
     probes = np.concatenate([unit, unit[:, j] + unit[:, k], unit[:, j] + 1j * unit[:, k]],
@@ -1285,10 +1289,9 @@ def _one_write_many_reads(par: dict, dt: float) -> dict:
     read = _integrate({key: np.repeat(v, 9) for key, v in {
         **lane, "sig_amp": zero, "omega_w": zero, "r_c": r_c, "t_start": zero,
         "t_mid": zero, "t_free": zero, "t_read": zero, "t_close": t_close,
-        "t_end": t_close + _ring_down_ns(lane["kappa"])}.items()}, dt,
-        blocks=True, start_state=probes)
+        "t_end": t_close}.items()}, dt, blocks=True, start_state=probes)
     # each channel that the read books, on the probes
-    on_probes = np.stack([read[key] for key in CHANNELS])
+    on_probes = np.stack([read[key] for key in CHANNELS[:6]])
     pair_sums = on_probes[:, j] + on_probes[:, k]
     coef = np.concatenate([on_probes[:, :3], on_probes[:, 3:6] - pair_sums,
                            on_probes[:, 6:] - pair_sums], axis=1)
@@ -1296,13 +1299,21 @@ def _one_write_many_reads(par: dict, dt: float) -> dict:
     terms = np.concatenate([np.abs(y_read) ** 2, cross.real, cross.imag])
     # a sum in term order, elementwise, so each lane's bits are its own
     from_read = dict(zip(CHANNELS, sum(coef[:, m, None] * terms[m] for m in range(9))))
-    # a channel books what the write, the jump and the read book, in that
-    # order (the write books no retrieved output, the read no leak, and
-    # neither dephases, so those terms are 0); the residual excitation is
-    # what the read leaves
-    jump = _by_channel(jump)
-    ledger = {key: write[key] + jump[key] + from_read[key] for key in CHANNELS[:6]}
-    ledger["residual_excitation"] = from_read["residual_excitation"]
+    # the ring-down, from each lane's state at its read close to its own end
+    # on the lane schedule's grid, k_end dt; all of its output is retrieved.
+    # The unit probes' states at the close are the columns of the read's
+    # propagator, applied to the read start in column order, elementwise
+    y_close = sum(read["state_end"][:, m, None] * y_read[m] for m in range(3))
+    y_end, ring_down = _carry(y_close, _rates(par), par["kappa_ext"], 0.0,
+                              k_end * dt - (par["t_read"] + read["ts"][-1]), 1.0)
+    # a channel books what the write, the jump, the read and the ring-down
+    # book, in that order (the write books no retrieved output, the read and
+    # the ring-down no leak, and only the jump dephases, so those terms are
+    # 0); the residual excitation is what the ring-down leaves
+    jump, ring_down = _by_channel(jump), _by_channel(ring_down)
+    ledger = {key: write[key] + jump[key] + from_read[key] + ring_down[key]
+              for key in CHANNELS[:6]}
+    ledger["residual_excitation"] = np.sum(np.abs(y_end) ** 2, axis=0)
     return {**ledger, "closure_residual": _unbooked(ledger, par["sig_n"])}
 
 
@@ -1337,7 +1348,8 @@ def lifetime_scan(config: MemoryConfig, signal: PulseShape, write: PulseShape,
     The lanes share the signal, the write and the read's shape.  Those whose
     storage midpoint t_mid lies inside their drive-free jump share one
     integrated write and one integrated read, on a clock anchored to the
-    read start (see _one_write_many_reads); the others, whose read opens
+    read start, and each rings down on its own grid (see
+    _one_write_many_reads); the others, whose read opens
     before the write window closes or whose t_mid falls inside the read
     (storage times up to about six read FWHM), are one batch on the lane
     schedule, with the bits that simulate_batch gives them.  The scan is

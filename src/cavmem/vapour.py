@@ -15,7 +15,7 @@ import numpy as np
 
 from . import atomic
 from .constants import KB_OVER_AMU, AtomConstants, default_constants
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_finite, require_finite_values
 
 __all__ = [
     "VapourParams", "doppler_width_rad_s", "doppler_fwhm_ghz", "optical_depth",
@@ -62,10 +62,19 @@ class VapourParams:
 def thermal_velocity_sigma(t_c: float, constants: AtomConstants | None = None) -> float:
     """1-D thermal velocity spread sqrt(kB T / m) in m/s, with the atomic
     mass of `constants` (the bundled file when None)."""
+    require_finite_values("temperature", t_c)
     if t_c <= -ZERO_C_IN_K:
         raise DomainError("temperature below absolute zero")
     c = constants or default_constants()
     return math.sqrt(KB_OVER_AMU * (t_c + ZERO_C_IN_K) / c.mass_amu)
+
+
+def _wavenumber(wavelength_nm: float) -> float:
+    """2 pi / lambda in rad/m, for a wavelength in nm that is positive and
+    finite."""
+    if not 0.0 < wavelength_nm < math.inf:
+        raise DomainError(f"wavelength must be positive and finite, got {wavelength_nm!r}")
+    return 2 * math.pi / (wavelength_nm * 1e-9)
 
 
 def doppler_width_rad_s(t_c: float, wavelength_nm: float,
@@ -75,7 +84,7 @@ def doppler_width_rad_s(t_c: float, wavelength_nm: float,
     FWHM = (2 pi / lambda) sqrt(8 ln2 kB T / m).
     """
     sigma_v = thermal_velocity_sigma(t_c, constants)
-    return (2 * math.pi / (wavelength_nm * 1e-9)) * math.sqrt(8 * math.log(2)) * sigma_v
+    return _wavenumber(wavelength_nm) * math.sqrt(8 * math.log(2)) * sigma_v
 
 
 def doppler_fwhm_ghz(t_c: float, wavelength_nm: float,
@@ -100,8 +109,8 @@ def optical_depth(t_c: float, cell_length_mm: float) -> float:
     """
     if not (20.0 <= t_c <= 150.0):
         raise DomainError("temperature outside the supported 20-150 C range")
-    if cell_length_mm <= 0:
-        raise DomainError("cell length must be positive")
+    if not 0 < cell_length_mm < math.inf:
+        raise DomainError(f"cell length must be positive and finite, got {cell_length_mm!r}")
 
     def raw(t, length):
         return _vapour_number_density(t) * (length * 1e-3) / math.sqrt(t + ZERO_C_IN_K)
@@ -136,9 +145,11 @@ def _transmission(grid, centres, strengths, depth: float, fwhm_ghz: float) -> np
 
     Each point sums its lines in line order in one reduction over axis 0,
     which adds row by row, so the blocks of _BLOCK_POINTS points that bound
-    the (lines, points) temporaries change no bit.
+    the (lines, points) temporaries change no bit.  A grid point that is
+    not finite is a DomainError.
     """
     x = np.atleast_1d(np.asarray(grid, dtype=float))
+    require_finite_values("detuning grid", x)
     weights = depth * (strengths / strengths.max(initial=0.0))[:, None]
     coef = 4 * math.log(2) / fwhm_ghz ** 2
     od = np.empty_like(x)
@@ -153,8 +164,7 @@ def _two_photon_wavevector(wavelength_signal_nm: float, wavelength_control_nm: f
                            geometry: str) -> float:
     """Effective two-photon wavevector (rad/m) that the atoms' motion sees:
     |k_s - k_c| for counter-propagating beams, k_s + k_c for co-propagating."""
-    k_s = 2 * math.pi / (wavelength_signal_nm * 1e-9)
-    k_c = 2 * math.pi / (wavelength_control_nm * 1e-9)
+    k_s, k_c = _wavenumber(wavelength_signal_nm), _wavenumber(wavelength_control_nm)
     if geometry == "counter":
         return abs(k_s - k_c)
     if geometry == "co":
@@ -207,6 +217,7 @@ def two_photon_spectrum(vapour: VapourParams, b_mt: float,
     """
     if not 0.0 <= control_depth < math.inf:
         raise DomainError(f"control depth must be finite and non-negative: {control_depth}")
+    require_finite_values("signal detuning", signal_detuning_ghz)
     c = constants or default_constants()
     deltas = np.atleast_1d(np.asarray(control_detunings_ghz, dtype=float))
     gamma_ghz = doppler_fwhm_ghz(vapour.temperature_c, c.wavelength_signal_nm, c)

@@ -400,6 +400,24 @@ def test_grouping_rejects_paths_at_different_positions():
         group_two_photon_lines(bad)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"total_window_ghz": (math.nan, 1.0)},
+    {"total_window_ghz": (-1.0, math.nan)},
+    {"reference_signal_detuning_ghz": math.nan},
+], ids=["window-low-nan", "window-high-nan", "reference-nan"])
+def test_two_photon_lines_refuse_nan(kwargs):
+    # a NaN window bound selected no line, and a NaN reference made every
+    # strength NaN
+    with pytest.raises(DomainError, match="window|finite"):
+        two_photon_lines(169.0, "sigma-", "sigma-", **kwargs)
+
+
+def test_two_photon_window_may_be_unbounded():
+    every = two_photon_lines(169.0, "sigma-", "sigma-", total_window_ghz=(-math.inf, math.inf))
+    wide = two_photon_lines(169.0, "sigma-", "sigma-", total_window_ghz=(-1e6, 1e6))
+    assert all(np.array_equal(every[key], wide[key]) for key in wide)
+
+
 def grouping_by_dict(lines):
     """Composite lines grouped path by path in a dict, the rule the table
     grouping keeps: (position, summed strength, strongest path's row) per

@@ -205,6 +205,19 @@ def test_non_finite_parameters_rejected(name, value):
         CavityParams(**{name: value})
 
 
+@pytest.mark.parametrize("helper, args", [
+    (reflection_response, (PAPER, [0.0, math.nan])),
+    (buildup_factor, (PAPER, math.nan)),
+    (dual_resonance_map, (PAPER, [math.nan, 0.0], [0.0])),
+    (dual_resonance_map, (PAPER, [0.0], [math.inf])),
+], ids=["reflection-nan", "buildup-nan", "map-signal-nan", "map-control-inf"])
+def test_detunings_must_be_finite(helper, args):
+    # the response and the buildup were nan there, and the map raised a bare
+    # ValueError or kept the bad point
+    with pytest.raises(DomainError, match="finite"):
+        helper(*args)
+
+
 @given(st.floats(min_value=0.05, max_value=0.999),
        st.floats(min_value=0.05, max_value=0.999),
        st.floats(min_value=0.0, max_value=0.5))

@@ -270,6 +270,22 @@ def test_zero_depth_spectra_still_check_the_field(b):
         two_photon_spectrum(VAP, b, "sigma-", "sigma-", -8.0, grid, control_depth=0.0)
 
 
+@pytest.mark.parametrize("helper, args", [
+    (two_photon_spectrum, (VAP, 169.0, "sigma-", "sigma-", math.nan, np.linspace(-1.0, 1.0, 5))),
+    (thermal_velocity_sigma, (math.nan,)),
+    (doppler_fwhm_ghz, (85.0, math.nan)),
+    (residual_doppler_lifetime_ns, (math.nan, 780.2, 776.0)),
+    (one_photon_spectrum, (VAP, 169.0, "sigma-", [-8.0, math.nan])),
+    (optical_depth, (85.0, math.nan)),
+], ids=["two-photon-detuning-nan", "velocity-temperature-nan", "doppler-wavelength-nan",
+        "lifetime-temperature-nan", "one-photon-grid-nan", "depth-length-nan"])
+def test_vapour_helpers_refuse_nan(helper, args):
+    # the two-photon spectrum read a transmission of 1.0 everywhere, and the
+    # others returned nan
+    with pytest.raises(DomainError, match="finite"):
+        helper(*args)
+
+
 @pytest.mark.parametrize("depth", (math.nan, math.inf, -0.1))
 def test_control_depth_must_be_finite_and_non_negative(depth):
     with pytest.raises(DomainError):
