@@ -27,7 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import AtomConstants, default_constants
-from .errors import DomainError, NumericalError, StructuralError, require_finite_values
+from .errors import (DomainError, NumericalError, StructuralError, require_finite_values,
+                     require_non_negative)
 
 __all__ = [
     "ManifoldSpec", "ZeemanState", "POLARIZATIONS", "manifold_spec", "all_manifolds",
@@ -71,7 +72,6 @@ class ManifoldSpec:
     g_j: float
     g_i: float
     mu_b_mhz_per_mt: float
-    gamma_fwhm_mhz: float = 0.0
 
     def __post_init__(self):
         if self.j == 0.5 and self.b_hfs_mhz != 0.0:
@@ -115,7 +115,6 @@ def manifold_spec(label: str, constants: AtomConstants | None = None) -> Manifol
         g_j=term.g_j,
         g_i=c.g_i,
         mu_b_mhz_per_mt=c.mu_b_mhz_per_mt,
-        gamma_fwhm_mhz=term.gamma_fwhm_mhz,
     )
 
 
@@ -204,8 +203,7 @@ def build_hamiltonian(manifold: ManifoldSpec, b_mt) -> np.ndarray:
     A 1-D array of fields gives the stack of matrices, shape (n, dim, dim).
     """
     b = np.asarray(b_mt, dtype=float)
-    if not np.all(np.isfinite(b) & (b >= 0)):
-        raise DomainError("magnetic field must be finite and non-negative")
+    require_non_negative("magnetic field", b)
     h_hfs, z, _ = _field_free_parts(manifold)
     return h_hfs + (manifold.mu_b_mhz_per_mt * b)[..., None, None] * z
 
@@ -279,16 +277,16 @@ def diagonalize_manifold(manifold: ManifoldSpec, b_mt: float) -> list[ZeemanStat
 
 
 def breit_rabi_curve(manifold: ManifoldSpec, b_grid_mt) -> np.ndarray:
-    """Energies (MHz) on a sorted B grid, shape (len(grid), dim).
+    """Energies (MHz) on a B grid, shape (len(grid), dim), row k at field k.
 
     Column k is the state labelled k+offset+1, the same (m_F, rank in block)
-    at every field, so each column is one continuous level trace.
+    at every field, so each column is one continuous level trace on an
+    ordered grid.  Each row is its own field's eigensolve, labelled by the
+    order fixed at REFERENCE_FIELD_MT, so the grid may come in any order.
     """
     b_grid = np.asarray(b_grid_mt, dtype=float)
     if b_grid.ndim != 1 or len(b_grid) == 0:
         raise DomainError("B grid must be a non-empty 1-D sequence")
-    if np.any(np.diff(b_grid) < 0):
-        raise DomainError("B grid must be sorted ascending")
     order = _label_order(manifold)
     return np.concatenate([
         _eigh_blockwise(manifold, b_grid[k:k + _FIELD_CHUNK])[0][:, order]

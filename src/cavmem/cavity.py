@@ -20,7 +20,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DomainError, require_finite, require_finite_values
+from .errors import (DomainError, finite_grid, require_finite, require_finite_values,
+                     require_non_negative, require_positive)
 
 __all__ = [
     "CavityParams", "CavityResponse", "reflection_response", "finesse",
@@ -70,16 +71,9 @@ class CavityResponse:
         return np.abs(self.transmission) ** 2
 
 
-def _detunings(detunings_ghz) -> np.ndarray:
-    """The detunings as a 1-D float array; DomainError unless each is finite."""
-    d = np.atleast_1d(np.asarray(detunings_ghz, dtype=float))
-    require_finite_values("detunings", d)
-    return d
-
-
 def reflection_response(params: CavityParams, detunings_ghz) -> CavityResponse:
     """Complex reflection and transmission amplitudes over a detuning grid."""
-    d = _detunings(detunings_ghz)
+    d = finite_grid("detunings", detunings_ghz)
     phase = np.exp(1j * 2 * np.pi * d / params.fsr_ghz)
     r_loop = params.round_trip_amplitude
     denom = 1.0 - r_loop * phase
@@ -119,18 +113,14 @@ def insertion_loss(params: CavityParams) -> float:
 
 def cooperativity(optical_depth: float, cavity_finesse: float) -> float:
     """Light-matter coupling figure of merit, 2 * d * F."""
-    if not (math.isfinite(optical_depth) and optical_depth >= 0):
-        raise DomainError("optical depth must be non-negative and finite, "
-                          f"got {optical_depth!r}")
-    if not (math.isfinite(cavity_finesse) and cavity_finesse > 0):
-        raise DomainError("finesse must be positive and finite, "
-                          f"got {cavity_finesse!r}")
+    require_non_negative("optical depth", optical_depth)
+    require_positive("finesse", cavity_finesse)
     return 2.0 * optical_depth * cavity_finesse
 
 
 def buildup_factor(params: CavityParams, detunings_ghz) -> np.ndarray:
     """Intra-cavity circulating-power enhancement over incident power."""
-    d = _detunings(detunings_ghz)
+    d = finite_grid("detunings", detunings_ghz)
     phase = np.exp(1j * 2 * np.pi * d / params.fsr_ghz)
     return (1.0 - params.r1) / np.abs(1.0 - params.round_trip_amplitude * phase) ** 2
 
@@ -152,7 +142,8 @@ def dual_resonance_map(params: CavityParams, signal_grid_ghz,
     cavity resonances (offsets folded by one fsr each) while also satisfying
     the two-photon condition delta = -Delta.
     """
-    sig, ctl = _detunings(signal_grid_ghz), _detunings(control_grid_ghz)
+    sig = finite_grid("signal detuning grid", signal_grid_ghz)
+    ctl = finite_grid("control detuning grid", control_grid_ghz)
     if sig.size == 0 or ctl.size == 0:
         raise DomainError("grids must be non-empty")
     b_sig = buildup_factor(params, sig - params.mode_offset_signal_ghz)
@@ -184,8 +175,7 @@ def dual_resonance_map(params: CavityParams, signal_grid_ghz,
 
 def temperature_shift_ghz(delta_t_c: float, params: CavityParams) -> float:
     """Common translation of the signal and control resonances per deg C."""
-    if not math.isfinite(delta_t_c):
-        raise DomainError(f"temperature change must be finite, got {delta_t_c!r}")
+    require_finite_values("temperature change", delta_t_c)
     return params.tuning_coeff_ghz_per_c * delta_t_c
 
 

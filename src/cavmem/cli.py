@@ -144,8 +144,6 @@ def cmd_levels(cfg: ExperimentConfig, args):
     manifolds = atomic.all_manifolds(cfg.atom_constants())
     wanted = [m for m in manifolds
               if args.manifolds is None or m.label in args.manifolds]
-    if not wanted:
-        raise ConfigError(f"no such manifold among {args.manifolds}")
     columns, labels = [grid], ["field_mt"]
     for man in wanted:
         columns.extend(atomic.breit_rabi_curve(man, grid).T)

@@ -1,5 +1,17 @@
-"""Exception hierarchy shared across the toolkit, its field type rule and
-its finiteness rule for plain values."""
+"""Exception hierarchy shared across the toolkit and its rule for numeric
+inputs.
+
+The finite, sign and grid checks of the package's numeric inputs are
+stated here once: a dataclass's fields against their annotations
+(require_finite), plain numbers and arrays against finiteness and sign
+(require_finite_values, require_non_negative, require_positive; the sign
+rules refuse NaN and +-inf too), and a detuning grid (finite_grid), which
+is returned as a float array.  A refusal is a DomainError that names the
+input and the rule it breaks, "{what} must be finite", "... must be
+non-negative and finite" or "... must be positive and finite", and, for a
+single number, its value.  Bounds that belong to one input, such as a
+reflectivity in [0, 1], stay beside that input.
+"""
 
 import math
 import numbers
@@ -69,8 +81,35 @@ def require_finite(obj, what: str) -> None:
             raise DomainError(f"{what} {name} must be {wanted}, got {value!r}")
 
 
+def _require(what: str, values, admits, rule: str) -> None:
+    """DomainError unless admits(v) holds for each of `values`, a number or
+    an array of numbers (elementwise); the message names a number's value."""
+    for v in values:
+        # a float (np.float64 too) is tested without numpy's array overhead
+        if not (admits(v) if isinstance(v, float) else np.all(admits(np.asarray(v)))):
+            got = f", got {np.asarray(v).item()!r}" if np.ndim(v) == 0 else ""
+            raise DomainError(f"{what} must be {rule}{got}")
+
+
 def require_finite_values(what: str, *values) -> None:
     """DomainError unless each of `values`, a number or an array of numbers,
     is finite; `what` names them in the message."""
-    if not all(np.all(np.isfinite(v)) for v in values):
-        raise DomainError(f"{what} must be finite")
+    _require(what, values, lambda v: abs(v) < math.inf, "finite")
+
+
+def require_non_negative(what: str, *values) -> None:
+    """DomainError unless each of `values` is finite and >= 0."""
+    _require(what, values, lambda v: (v >= 0) & (v < math.inf), "non-negative and finite")
+
+
+def require_positive(what: str, *values) -> None:
+    """DomainError unless each of `values` is finite and > 0."""
+    _require(what, values, lambda v: (v > 0) & (v < math.inf), "positive and finite")
+
+
+def finite_grid(what: str, values) -> np.ndarray:
+    """`values` as a float array of at least one dimension (a number is a
+    grid of one point); DomainError unless every point is finite."""
+    grid = np.atleast_1d(np.asarray(values, dtype=float))
+    require_finite_values(what, grid)
+    return grid

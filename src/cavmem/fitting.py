@@ -17,7 +17,7 @@ import numpy as np
 
 from . import cavity, memory, vapour
 from .constants import AtomConstants
-from .errors import DomainError
+from .errors import DomainError, require_finite_values
 
 __all__ = [
     "FitResult", "least_squares", "fit_cavity_reflection",
@@ -89,9 +89,7 @@ def least_squares(model, x, y, initial, bounds=None, names=None) -> FitResult:
     theta = np.asarray(initial, dtype=float).copy()
     if len(x) <= len(theta):
         raise DomainError("need more data points than parameters")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))
-            and np.all(np.isfinite(theta))):
-        raise DomainError("data and initial parameters must be finite")
+    require_finite_values("data and initial parameters", x, y, theta)
     lo, hi = bounds = tuple(np.broadcast_to(np.asarray(b, dtype=float), theta.shape)
                             for b in (bounds or (-np.inf, np.inf)))
     if np.any(theta < lo) or np.any(theta > hi):

@@ -146,7 +146,8 @@ import numpy as np
 from . import atomic, cavity
 from .cavity import CavityParams
 from .constants import AtomConstants
-from .errors import DomainError, NumericalError, require_finite, require_finite_values
+from .errors import (DomainError, NumericalError, require_finite, require_finite_values,
+                     require_non_negative, require_positive)
 
 __all__ = [
     "PulseShape", "MemoryConfig", "SimulationResult",
@@ -1063,8 +1064,7 @@ def _admit(config: MemoryConfig, signals, writes, reads, drift_offset_ghz,
         raise DomainError("signals, writes and reads must have equal lengths")
     if any(pulses_overlap(w, r) for w, r in zip(writes, reads)):
         raise DomainError("read and write pulse windows overlap")
-    if not (math.isfinite(dt_ns) and dt_ns > 0):
-        raise DomainError(f"time step must be finite and positive, got {dt_ns!r}")
+    require_positive("time step", dt_ns)
     # the narrowest unresolved pulse is the narrowest lit one, which fixes
     # the largest step that resolves the batch
     narrowest = min(((p.fwhm_ns, role, lane) for role, pulses in (
@@ -1208,10 +1208,9 @@ def lifetime_model(t_ns,
     eta(t) = e^{-gm t} e^{-pi^2 nu'^2 t^2 / (4 ln2)} |A + B e^{i w t}|^2.
     """
     t = np.asarray(t_ns, dtype=float)
-    require_finite_values("storage times and decay-law parameters", t, gamma_m_rad_ns,
-                          nu_prime_ghz, amp_main, amp_beat, omega_rad_ns)
-    if np.any(t < 0):
-        raise DomainError("storage time must be non-negative")
+    require_non_negative("storage time", t)
+    require_finite_values("decay-law parameters", gamma_m_rad_ns, nu_prime_ghz,
+                          amp_main, amp_beat, omega_rad_ns)
     envelope = np.exp(-gamma_m_rad_ns * t
                       - math.pi ** 2 * nu_prime_ghz ** 2 * t ** 2 / (4 * _LN2))
     beat = np.abs(amp_main + amp_beat * np.exp(1j * omega_rad_ns * t)) ** 2
@@ -1393,12 +1392,8 @@ def oscillation_suppression(b_mt: float, config: MemoryConfig,
 
 def snr_db(signal_counts: float, noise_rate: float) -> float:
     """10 log10(signal / noise); unbounded (inf) for zero noise."""
-    if not (math.isfinite(noise_rate) and noise_rate >= 0):
-        raise DomainError("noise rate must be non-negative and finite, "
-                          f"got {noise_rate!r}")
-    if not (math.isfinite(signal_counts) and signal_counts >= 0):
-        raise DomainError("signal counts must be non-negative and finite, "
-                          f"got {signal_counts!r}")
+    require_non_negative("noise rate", noise_rate)
+    require_non_negative("signal counts", signal_counts)
     if noise_rate == 0.0:
         return math.inf
     if signal_counts == 0.0:
@@ -1477,7 +1472,5 @@ def mean_photon_from_counts(detected_counts: float, path_transmission: float) ->
     """Mean photon number at the memory input from detected counts."""
     if not (0.0 < path_transmission <= 1.0):
         raise DomainError("path transmission must lie in (0, 1]")
-    if not (math.isfinite(detected_counts) and detected_counts >= 0):
-        raise DomainError("counts must be non-negative and finite, "
-                          f"got {detected_counts!r}")
+    require_non_negative("counts", detected_counts)
     return detected_counts / path_transmission

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import atomic
 from .constants import KB_OVER_AMU, AtomConstants, default_constants
-from .errors import DomainError, require_finite, require_finite_values
+from .errors import (DomainError, finite_grid, require_finite, require_finite_values,
+                     require_non_negative, require_positive)
 
 __all__ = [
     "VapourParams", "doppler_width_rad_s", "doppler_fwhm_ghz", "optical_depth",
@@ -72,8 +73,7 @@ def thermal_velocity_sigma(t_c: float, constants: AtomConstants | None = None) -
 def _wavenumber(wavelength_nm: float) -> float:
     """2 pi / lambda in rad/m, for a wavelength in nm that is positive and
     finite."""
-    if not 0.0 < wavelength_nm < math.inf:
-        raise DomainError(f"wavelength must be positive and finite, got {wavelength_nm!r}")
+    require_positive("wavelength", wavelength_nm)
     return 2 * math.pi / (wavelength_nm * 1e-9)
 
 
@@ -109,8 +109,7 @@ def optical_depth(t_c: float, cell_length_mm: float) -> float:
     """
     if not (20.0 <= t_c <= 150.0):
         raise DomainError("temperature outside the supported 20-150 C range")
-    if not 0 < cell_length_mm < math.inf:
-        raise DomainError(f"cell length must be positive and finite, got {cell_length_mm!r}")
+    require_positive("cell length", cell_length_mm)
 
     def raw(t, length):
         return _vapour_number_density(t) * (length * 1e-3) / math.sqrt(t + ZERO_C_IN_K)
@@ -129,27 +128,26 @@ def one_photon_spectrum(vapour: VapourParams, b_mt: float, polarization: str,
     thermal ground-state populations and normalized so the strongest line
     carries the full configured depth.
     """
+    x = finite_grid("detuning grid", detunings_ghz)
     c = constants or default_constants()
     s12, p32 = (atomic.manifold_spec(m, c) for m in ("5S1/2", "5P3/2"))
     lines = atomic.transition_lines(s12, p32, b_mt, polarization)
     fwhm = doppler_fwhm_ghz(vapour.temperature_c, c.wavelength_signal_nm, c)
     # uniform populations over the 8 ground sublevels: no optical pumping
-    return _transmission(detunings_ghz, lines["detuning_ghz"], lines["raw_strength"],
+    return _transmission(x, lines["detuning_ghz"], lines["raw_strength"],
                          vapour.depth(), fwhm)
 
 
-def _transmission(grid, centres, strengths, depth: float, fwhm_ghz: float) -> np.ndarray:
-    """exp(-sum_k depth s_k/max(s) V(x - x_k)) over the points x of `grid`,
-    with V a unit-peak Gaussian of FWHM `fwhm_ghz` centred on each line x_k;
-    no lines, or depth 0, give exactly 1.
+def _transmission(x, centres, strengths, depth: float, fwhm_ghz: float) -> np.ndarray:
+    """exp(-sum_k depth s_k/max(s) V(x - x_k)) over the points of the grid
+    `x`, a checked 1-D float array (see errors.finite_grid), with V a
+    unit-peak Gaussian of FWHM `fwhm_ghz` centred on each line x_k; no
+    lines, or depth 0, give exactly 1.
 
     Each point sums its lines in line order in one reduction over axis 0,
     which adds row by row, so the blocks of _BLOCK_POINTS points that bound
-    the (lines, points) temporaries change no bit.  A grid point that is
-    not finite is a DomainError.
+    the (lines, points) temporaries change no bit.
     """
-    x = np.atleast_1d(np.asarray(grid, dtype=float))
-    require_finite_values("detuning grid", x)
     weights = depth * (strengths / strengths.max(initial=0.0))[:, None]
     coef = 4 * math.log(2) / fwhm_ghz ** 2
     od = np.empty_like(x)
@@ -192,8 +190,13 @@ def two_photon_linewidth_mhz(vapour: VapourParams,
 def two_photon_window(signal_detuning_ghz: float, control_detunings_ghz):
     """Total-detuning window (GHz) of the two-photon lines that a control scan
     over `control_detunings_ghz` at a fixed signal detuning can show: the
-    scan's span, in either order, widened by 1 GHz on each side."""
-    deltas = np.asarray(control_detunings_ghz, dtype=float)
+    scan's span, in either order, widened by 1 GHz on each side.  A
+    non-finite signal detuning, or a control grid that is empty or holds a
+    point that is not finite, is a DomainError."""
+    require_finite_values("signal detuning", signal_detuning_ghz)
+    deltas = finite_grid("control detuning grid", control_detunings_ghz)
+    if deltas.size == 0:
+        raise DomainError("control detuning grid must be non-empty")
     return (float(signal_detuning_ghz + deltas.min() - 1.0),
             float(signal_detuning_ghz + deltas.max() + 1.0))
 
@@ -215,11 +218,9 @@ def two_photon_spectrum(vapour: VapourParams, b_mt: float,
     is a DomainError.  Returns (transmission, warning)
     where warning flags an intermediate detuning inside the Doppler width.
     """
-    if not 0.0 <= control_depth < math.inf:
-        raise DomainError(f"control depth must be finite and non-negative: {control_depth}")
-    require_finite_values("signal detuning", signal_detuning_ghz)
+    require_non_negative("control depth", control_depth)
+    deltas = finite_grid("control detuning grid", control_detunings_ghz)
     c = constants or default_constants()
-    deltas = np.atleast_1d(np.asarray(control_detunings_ghz, dtype=float))
     gamma_ghz = doppler_fwhm_ghz(vapour.temperature_c, c.wavelength_signal_nm, c)
     warning = abs(signal_detuning_ghz) < gamma_ghz
     lines = atomic.two_photon_lines(

@@ -308,9 +308,14 @@ def test_transition_lines_follow_a_constants_override():
         assert max(lower) - min(lower) == pytest.approx(2 * a, rel=1e-12)
 
 
-def test_breit_rabi_rejects_unsorted_grid():
-    with pytest.raises(DomainError):
-        breit_rabi_curve(S12, [10.0, 5.0])
+def test_breit_rabi_rows_do_not_depend_on_grid_order():
+    # labels are fixed at the reference field and each row is its own
+    # field's eigensolve, so a shuffled grid gives the same row per field
+    grid = np.linspace(0.0, 300.0, 61)
+    order = np.random.default_rng(38).permutation(len(grid))
+    for manifold in (S12, P32, D52):
+        shuffled = breit_rabi_curve(manifold, grid[order])
+        assert np.array_equal(shuffled, breit_rabi_curve(manifold, grid)[order])
 
 
 def test_excited_spacings_cluster_at_operating_field():

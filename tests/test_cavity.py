@@ -153,6 +153,7 @@ def test_temperature_shift():
     assert temperature_shift_ghz(1.0, PAPER) == pytest.approx(3.2)
     assert temperature_shift_ghz(0.0, PAPER) == 0.0
     assert temperature_shift_ghz(0.1, PAPER) == pytest.approx(0.32)
+    assert temperature_shift_ghz(1.5, PAPER) == 3.2 * 1.5
 
 
 def test_dual_resonance_spot_spacing():
@@ -207,15 +208,29 @@ def test_non_finite_parameters_rejected(name, value):
 
 @pytest.mark.parametrize("helper, args", [
     (reflection_response, (PAPER, [0.0, math.nan])),
+    (reflection_response, (PAPER, [0.0, math.inf])),
+    (reflection_response, (PAPER, -math.inf)),
     (buildup_factor, (PAPER, math.nan)),
+    (buildup_factor, (PAPER, [math.inf])),
+    (buildup_factor, (PAPER, [-math.inf, 0.0])),
     (dual_resonance_map, (PAPER, [math.nan, 0.0], [0.0])),
+    (dual_resonance_map, (PAPER, [0.0, -math.inf], [0.0])),
     (dual_resonance_map, (PAPER, [0.0], [math.inf])),
-], ids=["reflection-nan", "buildup-nan", "map-signal-nan", "map-control-inf"])
+    (dual_resonance_map, (PAPER, [0.0], [-math.inf])),
+], ids=["reflection-nan", "reflection-inf", "reflection-minus-inf", "buildup-nan",
+        "buildup-inf", "buildup-minus-inf", "map-signal-nan", "map-signal-minus-inf",
+        "map-control-inf", "map-control-minus-inf"])
 def test_detunings_must_be_finite(helper, args):
     # the response and the buildup were nan there, and the map raised a bare
     # ValueError or kept the bad point
     with pytest.raises(DomainError, match="finite"):
         helper(*args)
+
+
+def test_buildup_on_resonance():
+    # on resonance the factor is (1-R1)/(1-r)^2, to the bit
+    r = PAPER.round_trip_amplitude
+    assert buildup_factor(PAPER, [0.0])[0] == (1.0 - PAPER.r1) / (1.0 - r) ** 2
 
 
 @given(st.floats(min_value=0.05, max_value=0.999),

@@ -24,6 +24,8 @@ def test_linear_model_exact():
     fit = least_squares(lambda xx, th: th[0] * xx, x, y, [0.7], names=["a"])
     assert fit.converged
     assert fit["a"] == pytest.approx(2.0, abs=1e-10)
+    # started on the solution, the fit takes no step
+    assert least_squares(lambda xx, th: th[0] * xx, x, y, [2.0], names=["a"])["a"] == 2.0
 
 
 def test_non_finite_inputs_rejected():

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cavmem.atomic import all_manifolds, build_hamiltonian
 from cavmem.cavity import CavityParams, cooperativity, temperature_shift_ghz
 from cavmem.errors import _KINDS, DomainError, NumericalError, _holds
+from cavmem.fitting import least_squares
 from cavmem.memory import (CHANNELS, MemoryConfig, PulseShape, bandwidth_scan,
                            batch_efficiency, energy_scan, lifetime_model, lifetime_scan,
                            mean_photon_from_counts, one_over_e_lifetime_ns,
@@ -260,6 +262,7 @@ def test_mean_photon_from_counts():
     assert mean_photon_from_counts(0.7, 1.0) == pytest.approx(0.7)
     # detected counts through 87% transmission reproduce the operating photon number
     assert mean_photon_from_counts(0.696, 0.87) == pytest.approx(0.8)
+    assert mean_photon_from_counts(0.696, 0.87) == 0.696 / 0.87
     with pytest.raises(DomainError):
         mean_photon_from_counts(1.0, 0.0)
     with pytest.raises(DomainError, match="counts must be non-negative"):
@@ -268,6 +271,7 @@ def test_mean_photon_from_counts():
 
 def test_snr():
     assert snr_db(1.5, 3e-4) == pytest.approx(37.0, abs=0.1)
+    assert snr_db(1.5, 3e-4) == 10.0 * math.log10(1.5 / 3e-4)
     assert snr_db(1.0, 1.0) == 0.0
     assert snr_db(10.0, 1.0) == pytest.approx(10.0)
     assert snr_db(1.0, 0.0) == math.inf
@@ -278,16 +282,45 @@ def test_snr():
         snr_db(-1.0, 3e-4)
 
 
+def _line(x, theta):
+    return theta[0] * x + theta[1]
+
+
+_X = np.linspace(0.0, 10.0, 25)
+_S12 = all_manifolds()[0]
+
+
 @pytest.mark.parametrize("helper, args", [
     (mean_photon_from_counts, (math.nan, 0.5)),
     (mean_photon_from_counts, (math.inf, 0.5)),
+    (mean_photon_from_counts, (-math.inf, 0.5)),
     (snr_db, (0.3, math.nan)),
+    (snr_db, (0.3, math.inf)),
+    (snr_db, (0.3, -math.inf)),
+    (snr_db, (math.nan, 3e-4)),
     (snr_db, (math.inf, 3e-4)),
+    (snr_db, (-math.inf, 3e-4)),
     (cooperativity, (math.nan, 9.5)),
+    (cooperativity, (math.inf, 9.5)),
+    (cooperativity, (-math.inf, 9.5)),
+    (cooperativity, (200.0, math.nan)),
     (cooperativity, (200.0, math.inf)),
+    (cooperativity, (200.0, -math.inf)),
     (temperature_shift_ghz, (math.nan, CavityParams())),
-], ids=["counts-nan", "counts-inf", "snr-noise-nan", "snr-signal-inf",
-        "cooperativity-depth-nan", "cooperativity-finesse-inf", "temperature-nan"])
+    (temperature_shift_ghz, (math.inf, CavityParams())),
+    (temperature_shift_ghz, (-math.inf, CavityParams())),
+    (build_hamiltonian, (_S12, math.nan)),
+    (build_hamiltonian, (_S12, math.inf)),
+    (build_hamiltonian, (_S12, [0.0, -math.inf])),
+    (least_squares, (_line, _X, np.where(_X == 5.0, math.inf, _X), [1.0, 0.0])),
+    (least_squares, (_line, _X, np.where(_X == 5.0, -math.inf, _X), [1.0, 0.0])),
+], ids=["counts-nan", "counts-inf", "counts-minus-inf", "snr-noise-nan", "snr-noise-inf",
+        "snr-noise-minus-inf", "snr-signal-nan", "snr-signal-inf", "snr-signal-minus-inf",
+        "cooperativity-depth-nan", "cooperativity-depth-inf", "cooperativity-depth-minus-inf",
+        "cooperativity-finesse-nan", "cooperativity-finesse-inf",
+        "cooperativity-finesse-minus-inf", "temperature-nan", "temperature-inf",
+        "temperature-minus-inf", "field-nan", "field-inf", "field-minus-inf",
+        "fit-data-inf", "fit-data-minus-inf"])
 def test_scalar_helpers_refuse_non_finite_inputs(helper, args):
     with pytest.raises(DomainError, match="finite"):
         helper(*args)
@@ -313,7 +346,7 @@ def test_decay_law_and_efficiency_refuse_non_finite_inputs(helper, args, kwargs)
 
 def test_decay_law_zero_time_value():
     eta0 = lifetime_model(0.0, amp_main=0.51, amp_beat=0.038)
-    assert eta0 == pytest.approx((0.51 + 0.038) ** 2, abs=1e-12)
+    assert eta0 == (0.51 + 0.038) ** 2
     assert eta0 == pytest.approx(0.30, abs=0.03)
 
 
@@ -927,8 +960,8 @@ def test_batch_admission():
     assert batch_efficiency(CFG, [], [], []).shape == (0,)
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf],
-                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf, -math.inf],
+                         ids=["zero", "negative", "nan", "inf", "minus-inf"])
 @pytest.mark.parametrize("run_it", [
     lambda dt: simulate_batch(CFG, [SIG], [WRITE], [READ], dt_ns=dt),
     lambda dt: run(dt_ns=dt),

@@ -26,6 +26,9 @@ def test_doppler_width_operating_point():
     fwhm = doppler_fwhm_ghz(85.0, 780.0,
                             dataclasses.replace(default_constants(), mass_amu=87.0))
     assert fwhm == pytest.approx(0.55, rel=0.03)
+    k = 2 * math.pi / (780.241 * 1e-9)
+    assert doppler_width_rad_s(85.0, 780.241) == (k * math.sqrt(8 * math.log(2))
+                                                  * thermal_velocity_sigma(85.0))
 
 
 def test_doppler_width_near_zero_temperature():
@@ -68,7 +71,7 @@ def test_doppler_width_scalings():
 # ---------------------------------------------------------------- depth
 
 def test_depth_calibration_point():
-    assert optical_depth(85.0, 6.0) == pytest.approx(200.0, abs=1e-9)
+    assert optical_depth(85.0, 6.0) == 200.0
 
 
 def test_depth_proportional_to_length():
@@ -253,6 +256,7 @@ def test_zero_depth_spectra_are_exactly_one():
 
 def test_two_photon_spectrum_without_lines_in_its_window_is_exactly_one():
     grid = np.linspace(100.0, 101.0, 301)
+    assert two_photon_window(0.1, grid[::-1]) == (0.1 + 100.0 - 1.0, 0.1 + 101.0 + 1.0)
     pos, _, _ = group_two_photon_lines(two_photon_lines(
         169.0, "sigma-", "sigma-", total_window_ghz=two_photon_window(0.1, grid),
         reference_signal_detuning_ghz=0.1))
@@ -272,18 +276,42 @@ def test_zero_depth_spectra_still_check_the_field(b):
 
 @pytest.mark.parametrize("helper, args", [
     (two_photon_spectrum, (VAP, 169.0, "sigma-", "sigma-", math.nan, np.linspace(-1.0, 1.0, 5))),
+    (two_photon_window, (math.nan, np.linspace(-1.0, 1.0, 5))),
     (thermal_velocity_sigma, (math.nan,)),
+    (thermal_velocity_sigma, (math.inf,)),
     (doppler_fwhm_ghz, (85.0, math.nan)),
+    (doppler_fwhm_ghz, (85.0, math.inf)),
+    (doppler_fwhm_ghz, (85.0, -math.inf)),
     (residual_doppler_lifetime_ns, (math.nan, 780.2, 776.0)),
     (one_photon_spectrum, (VAP, 169.0, "sigma-", [-8.0, math.nan])),
+    (one_photon_spectrum, (VAP, 169.0, "sigma-", [-8.0, math.inf])),
+    (one_photon_spectrum, (VAP, 169.0, "sigma-", [-math.inf, -8.0])),
     (optical_depth, (85.0, math.nan)),
-], ids=["two-photon-detuning-nan", "velocity-temperature-nan", "doppler-wavelength-nan",
-        "lifetime-temperature-nan", "one-photon-grid-nan", "depth-length-nan"])
+    (optical_depth, (85.0, math.inf)),
+    (optical_depth, (85.0, -math.inf)),
+], ids=["two-photon-detuning-nan", "window-detuning-nan", "velocity-temperature-nan",
+        "velocity-temperature-inf", "doppler-wavelength-nan", "doppler-wavelength-inf",
+        "doppler-wavelength-minus-inf", "lifetime-temperature-nan", "one-photon-grid-nan",
+        "one-photon-grid-inf", "one-photon-grid-minus-inf", "depth-length-nan",
+        "depth-length-inf", "depth-length-minus-inf"])
 def test_vapour_helpers_refuse_nan(helper, args):
-    # the two-photon spectrum read a transmission of 1.0 everywhere, and the
-    # others returned nan
+    # the two-photon spectrum read a transmission of 1.0 everywhere, the
+    # window was (nan, nan), and the others returned nan
     with pytest.raises(DomainError, match="finite"):
         helper(*args)
+
+
+@pytest.mark.parametrize("grid", [[-1.0, math.nan], [math.inf, 1.0], [-math.inf, 1.0], []],
+                         ids=["nan", "inf", "minus-inf", "empty"])
+@pytest.mark.parametrize("intake", [
+    lambda grid: two_photon_window(-8.0, grid),
+    lambda grid: two_photon_spectrum(VAP, 169.0, "sigma-", "sigma-", -8.0, grid),
+], ids=["window", "spectrum"])
+def test_two_photon_intake_names_the_control_grid(intake, grid):
+    # the window was (nan, nan), which the spectrum refused as a window; an
+    # empty grid raised numpy's ValueError
+    with pytest.raises(DomainError, match="control detuning grid must be"):
+        intake(grid)
 
 
 @pytest.mark.parametrize("depth", (math.nan, math.inf, -0.1))
